@@ -182,6 +182,18 @@ class TestTrendCompare:
         assert len(cmp.rows) == 1
         assert cmp.rows[0].r == 0.0
 
+    def test_infeasible_split_gives_a_flagged_row(self):
+        s = default_scenario()
+        scn = replace(s, fog=replace(s.fog, tdp=2.0607))
+        sim = SimScenario(scenario=scn, local_prob=0.0, duration_s=50.0)
+        cmp = trend_compare(sim, [0.25, 0.75], seed=3)
+        feasible, infeasible = cmp.rows
+        assert feasible.analytic_feasible
+        assert feasible.analytic_fog_power_w <= 2.0607
+        assert not infeasible.analytic_feasible
+        assert infeasible.analytic_fog_power_w > 2.0607
+        assert infeasible.r == 0.75
+
     def test_empty_grid_rejected(self):
         sim = SimScenario(scenario=default_scenario(), local_prob=0.0,
                           duration_s=50.0)
