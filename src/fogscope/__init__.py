@@ -1,9 +1,10 @@
 """Fog-cloud workload splitting feasibility toolkit for UAV fleets."""
 
 from .reporting import TOOL_VERSION as __version__
-from .model import (CloudParams, DecisionState, FogNodeParams,
+from .model import (CloudParams, DecisionState, Evaluation, FogNodeParams,
                     InstabilityWarning, NetworkParams, ObjectiveVector,
-                    TdpExceeded, ValidationError, WorkloadParams, objectives)
+                    TdpExceeded, ValidationError, WorkloadParams, evaluate,
+                    objectives)
 from .scenario import (CATALOG, ParseError, Scenario, UnknownPreset,
                        default_scenario, load_scenario, preset,
                        serialize_scenario, sweep_grid)
@@ -17,9 +18,9 @@ from .flight import (AircraftModel, CameraParams, MotorOverload, MotorParams,
 
 __all__ = [
     "__version__",
-    "CloudParams", "DecisionState", "FogNodeParams", "InstabilityWarning",
-    "NetworkParams", "ObjectiveVector", "TdpExceeded", "ValidationError",
-    "WorkloadParams", "objectives",
+    "CloudParams", "DecisionState", "Evaluation", "FogNodeParams",
+    "InstabilityWarning", "NetworkParams", "ObjectiveVector", "TdpExceeded",
+    "ValidationError", "WorkloadParams", "evaluate", "objectives",
     "CATALOG", "ParseError", "Scenario", "UnknownPreset", "default_scenario",
     "load_scenario", "preset", "serialize_scenario", "sweep_grid",
     "NoFeasibleSolution", "OptConfig", "OptProblem", "ParetoFront",

@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import flight, model, reporting, simulation
-from .model import TdpExceeded, ValidationError
+from .model import ValidationError
 from .optimizer import NoFeasibleSolution, OptConfig, OptProblem, optimize
 from .reporting import ResultTable, RunManifest, write_artifact
 from .scenario import (ParseError, Scenario, catalog_checksum, catalog_rows,
@@ -48,29 +48,20 @@ def _load(scenario_path: Optional[str]) -> Scenario:
 
 
 def _emit(filename: str, manifest: RunManifest, table: ResultTable) -> None:
-    path = write_artifact(filename, manifest, table)
-    click.echo(reporting.render_artifact(manifest, table), nl=False)
+    _emit_text(filename, reporting.render_artifact(manifest, table))
+
+
+def _emit_text(filename: str, text: str) -> None:
+    path = write_artifact(filename, text)
+    click.echo(text, nl=False)
     click.echo(f"wrote {path}", err=True)
 
 
-def _objective_row(scn: Scenario, r: float) -> tuple[tuple, bool]:
-    """(row, feasible) for one split; infeasible rows carry the raw power."""
-    split = model.DecisionState.from_ratio(scn.workload, r)
-    throughput = model.throughput_to_cloud(scn.workload, split)
-    feasible = True
-    try:
-        if scn.modification1_enabled:
-            power = model.fog_energy_with_tx(scn.workload, scn.fog, split)
-        else:
-            power = model.fog_energy(scn.workload, scn.fog, split)
-    except TdpExceeded as exc:
-        power = exc.power_w
-        feasible = False
-    fog_lat = model.fog_latency_linear(scn.fog, split)
-    cloud_lat = model.cloud_latency(scn.workload, scn.network, scn.cloud, split)
-    row = (r, throughput, power, fog_lat, cloud_lat,
-           model.avg_latency(fog_lat, cloud_lat), feasible)
-    return row, feasible
+def _objective_row(scn: Scenario, r: np.ndarray) -> list[tuple]:
+    """One (r, throughput, power, fog latency, cloud latency, average
+    latency, feasible) row per split in ``r``; infeasible rows carry the
+    raw power.  perfbench's traced replay spans calls to this name."""
+    return model.evaluate(scn, r).rows()
 
 
 @click.group()
@@ -89,8 +80,8 @@ def evaluate(scenario_path: Optional[str], r: float):
     scn = _load(scenario_path)
     if not 0.0 <= r <= 1.0:
         _fail(EXIT_INPUT, f"--r={r} violates the bound [0, 1]")
-    row, feasible = _objective_row(scn, r)
-    if not feasible:
+    (row,) = _objective_row(scn, np.array([r]))
+    if not row[-1]:
         _fail(EXIT_INFEASIBLE,
               f"fog power {row[2]:.6g} W exceeds TDP {scn.fog.tdp:.6g} W "
               f"at r={r}")
@@ -122,21 +113,22 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
     columns = ("group", "scenario", "r", "throughput_bps", "fog_power_w",
                "fog_latency_s", "cloud_latency_s", "avg_latency_s", "feasible")
     manifest = RunManifest.create("sweep", scenario_digest(scn))
-    rows = []
+    # every group artifact is this manifest and header plus its rows, and
+    # sweep.csv is the same head plus every group's rows in order
+    head = reporting.render_artifact(manifest, ResultTable(columns, []))
+    bodies = []
     infeasible = 0
     for gid, member in enumerate(scenarios):
-        group_rows = []
-        for r in r_values:
-            with warnings.catch_warnings():
-                # sweeps scan past the stability boundary by design
-                warnings.simplefilter("ignore", model.InstabilityWarning)
-                row, feasible = _objective_row(member, float(r))
-            group_rows.append((gid, member.name) + row)
-            infeasible += 0 if feasible else 1
-        rows.extend(group_rows)
-        write_artifact(f"sweep_g{gid:03d}.csv", manifest,
-                       ResultTable(columns=columns, rows=group_rows))
-    _emit("sweep.csv", manifest, ResultTable(columns=columns, rows=rows))
+        with warnings.catch_warnings():
+            # sweeps scan past the stability boundary by design
+            warnings.simplefilter("ignore", model.InstabilityWarning)
+            rows = _objective_row(member, r_values)
+        infeasible += sum(1 for row in rows if not row[-1])
+        text = reporting.render_artifact(manifest, ResultTable(
+            columns, [(gid, member.name) + row for row in rows]))
+        write_artifact(f"sweep_g{gid:03d}.csv", text)
+        bodies.append(text[len(head):])
+    _emit_text("sweep.csv", head + "".join(bodies))
     if infeasible:
         _fail(EXIT_INFEASIBLE,
               f"{infeasible} grid point(s) exceed the TDP bound")

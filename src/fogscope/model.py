@@ -12,7 +12,9 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
+
+import numpy as np
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -269,6 +271,69 @@ def cloud_latency_stochastic(workload: WorkloadParams, network: NetworkParams,
 def avg_latency(fog_latency_s: float, cloud_latency_s: float) -> float:
     """Arithmetic mean of the fog and cloud latencies."""
     return (fog_latency_s + cloud_latency_s) / 2.0
+
+
+class Evaluation(NamedTuple):
+    """Per-split objective terms from :func:`evaluate`, one array entry per
+    ``r``; ``fog_power_w`` is the raw draw, also where it exceeds the TDP."""
+
+    r: np.ndarray
+    throughput_bps: np.ndarray
+    fog_power_w: np.ndarray
+    fog_latency_s: np.ndarray
+    cloud_latency_s: np.ndarray
+    avg_latency_s: np.ndarray
+    feasible: np.ndarray
+
+    def rows(self) -> list[tuple]:
+        """One tuple per split, in field order, of plain Python floats and
+        bools: numpy scalars do not ``repr`` as plain floats."""
+        return list(zip(*(column.tolist() for column in self)))
+
+
+def evaluate(scenario: "Scenario", r: np.ndarray) -> Evaluation:
+    """Evaluate every split in ``r`` in one numpy pass.
+
+    Bit-identical to the scalar path (:func:`objectives` and the functions
+    it composes): every term keeps its operation order.  Infeasible splits
+    are flagged in ``feasible`` instead of raising TdpExceeded.  Emits one
+    InstabilityWarning when any accepted rate reaches the fog capability.
+    """
+    r = np.asarray(r, dtype=float)
+    _require(bool(np.all((r >= 0.0) & (r <= 1.0))), "must be within [0, 1]",
+             "r")
+    w, fog, net = scenario.workload, scenario.fog, scenario.network
+    rate = w.arrival_rate
+    x1 = rate * r
+    x2 = rate - x1
+    # half-ulp rounding tie; resync so the split sums exactly
+    x1 = np.where(x1 + x2 != rate, rate - x2, x1)
+    throughput = w.arrival_rate * (1.0 - r) * w.packet_size
+    if scenario.modification1_enabled:
+        rate_bits = w.arrival_rate * w.packet_size
+        power = (fog.energy_per_bit * rate_bits * r
+                 + fog.tx_energy_per_bit * rate_bits * (1.0 - r)
+                 + fog.idle_power)
+    else:
+        power = (fog.energy_per_bit * w.arrival_rate * w.packet_size * r
+                 + fog.idle_power)
+    if np.any(x1 >= fog.proc_capability):
+        warnings.warn(
+            f"accepted rate {x1.max():.6g} pkt/s >= fog capability "
+            f"{fog.proc_capability:.6g} pkt/s; linearized latency is "
+            "outside its stable region",
+            InstabilityWarning,
+            stacklevel=2,
+        )
+    fog_lat = x1 / fog.proc_capability
+    offload_bits = w.packet_size * w.arrival_rate * (1.0 - r)
+    cloud_lat = (offload_bits / (2.0 * net.uplink_throughput)
+                 + net.return_fraction * offload_bits
+                 / (2.0 * net.downlink_throughput)
+                 + offload_bits / (2.0 * scenario.cloud.proc_capability)
+                 + net.base_latency)
+    return Evaluation(r, throughput, power, fog_lat, cloud_lat,
+                      (fog_lat + cloud_lat) / 2.0, ~(power > fog.tdp))
 
 
 def objectives(scenario: "Scenario", r: float) -> ObjectiveVector:

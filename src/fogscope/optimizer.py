@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from . import model
-from .model import (InstabilityWarning, ObjectiveVector, TdpExceeded,
-                    ValidationError)
+from .model import InstabilityWarning, ObjectiveVector, ValidationError
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -30,15 +29,10 @@ class NoFeasibleSolution(Exception):
     """Every sampled workload split violated the TDP bound."""
 
 
-ALWAYS_DOMINATED = "always-dominated"
-
-
 @dataclass(frozen=True)
 class OptProblem:
     scenario: "Scenario"
     decision_bounds: tuple[float, float] = (0.0, 1.0)
-    objective_fn: Callable[["Scenario", float], ObjectiveVector] = model.objectives
-    infeasibility_policy: str = ALWAYS_DOMINATED
 
     def __post_init__(self):
         lo, hi = self.decision_bounds
@@ -46,10 +40,6 @@ class OptProblem:
             raise ValidationError(
                 "decision_bounds: must be a nonempty closed interval within "
                 "[0, 1]", field="decision_bounds")
-        if self.infeasibility_policy != ALWAYS_DOMINATED:
-            raise ValidationError(
-                f"infeasibility_policy: unsupported policy "
-                f"{self.infeasibility_policy!r}", field="infeasibility_policy")
 
 
 @dataclass(frozen=True)
@@ -100,12 +90,17 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
 
 def _dominance_matrix(objs: np.ndarray) -> np.ndarray:
     """Boolean matrix M with M[i, j] true iff point i dominates point j."""
-    le = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
-    lt = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
-    return le & lt
+    n = objs.shape[0]
+    le = np.ones((n, n), dtype=bool)
+    eq = np.ones((n, n), dtype=bool)
+    for col in objs.T:
+        a, b = col[:, None], col[None, :]
+        le &= a <= b
+        eq &= a == b
+    return le & ~eq
 
 
-def _ranks_from_matrix(dom: np.ndarray) -> list[int]:
+def _ranks_from_matrix(dom: np.ndarray) -> np.ndarray:
     """Peel non-dominated fronts off a dominance matrix."""
     n = dom.shape[0]
     dominator_count = dom.sum(axis=0).astype(np.int64)
@@ -120,7 +115,7 @@ def _ranks_from_matrix(dom: np.ndarray) -> list[int]:
         dominator_count -= dom[front].sum(axis=0)
         remaining -= int(front.sum())
         current += 1
-    return ranks.tolist()
+    return ranks
 
 
 def non_dominated_sort(points: Sequence[Sequence[float]]) -> list[int]:
@@ -128,7 +123,7 @@ def non_dominated_sort(points: Sequence[Sequence[float]]) -> list[int]:
     if len(points) == 0:
         raise ValueError("points must be nonempty")
     objs = np.asarray(points, dtype=float)
-    return _ranks_from_matrix(_dominance_matrix(objs))
+    return _ranks_from_matrix(_dominance_matrix(objs)).tolist()
 
 
 def crowding_distance(front: Sequence[Sequence[float]]) -> list[float]:
@@ -156,59 +151,68 @@ def crowding_distance(front: Sequence[Sequence[float]]) -> list[float]:
     return dist.tolist()
 
 
+def _crowding_by_rank(points: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Crowding distance of every point within its own rank."""
+    crowding = np.zeros(len(ranks))
+    for rank in range(int(ranks.max()) + 1):
+        idx = np.flatnonzero(ranks == rank)
+        crowding[idx] = crowding_distance(points[idx])
+    return crowding
+
+
+def _rank_order(ranks: np.ndarray, crowding: np.ndarray) -> np.ndarray:
+    """Indices sorted by (rank, -crowding), ties in index order."""
+    return np.lexsort((-crowding, ranks))
+
+
 # ---------------------------------------------------------------------------
 # NSGA-II machinery
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Candidate:
-    r: float
-    objectives: Optional[ObjectiveVector]  # None when infeasible
-    violation: float = 0.0
+class _Population(NamedTuple):
+    r: np.ndarray
+    objs: np.ndarray        # n x 3 objective vectors
+    feasible: np.ndarray
+    violation: np.ndarray   # fog power above the TDP; 0 where feasible
 
-    @property
-    def feasible(self) -> bool:
-        return self.objectives is not None
+    def take(self, idx) -> "_Population":
+        return _Population(*(field[idx] for field in self))
+
+    def concat(self, other: "_Population") -> "_Population":
+        return _Population(*(np.concatenate(pair) for pair in zip(self, other)))
 
 
-def _evaluate(problem: OptProblem, r: float) -> _Candidate:
+def _evaluate(problem: OptProblem, r: np.ndarray) -> _Population:
     # the search scans all of [0, 1]; crossing the fog stability
-    # boundary is expected, so the per-point warning is silenced here
+    # boundary is expected, so the warning is silenced here
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", InstabilityWarning)
-        try:
-            return _Candidate(r, problem.objective_fn(problem.scenario, r))
-        except TdpExceeded as exc:
-            return _Candidate(r, None, violation=exc.power_w - exc.tdp_w)
+        ev = model.evaluate(problem.scenario, r)
+    objs = np.column_stack((ev.throughput_bps, ev.fog_power_w,
+                            ev.avg_latency_s))
+    violation = np.where(ev.feasible, 0.0,
+                         ev.fog_power_w - problem.scenario.fog.tdp)
+    return _Population(ev.r, objs, ev.feasible, violation)
 
 
-def _constrained_dominance_matrix(cands: list[_Candidate]) -> np.ndarray:
-    """Deb-style constrained dominance across a candidate list."""
-    n = len(cands)
-    feasible = np.array([c.feasible for c in cands])
-    dom = np.zeros((n, n), dtype=bool)
-    f_idx = np.flatnonzero(feasible)
-    i_idx = np.flatnonzero(~feasible)
-    if f_idx.size:
-        objs = np.array([cands[i].objectives.as_tuple() for i in f_idx])
-        dom[np.ix_(f_idx, f_idx)] = _dominance_matrix(objs)
-        dom[np.ix_(f_idx, i_idx)] = True
-    if i_idx.size:
-        viol = np.array([cands[i].violation for i in i_idx])
-        dom[np.ix_(i_idx, i_idx)] = viol[:, None] < viol[None, :]
-    return dom
+def _constrained_dominance_matrix(pop: _Population) -> np.ndarray:
+    """Deb-style constrained dominance across a population: a feasible
+    member dominates by its objectives and dominates every infeasible
+    one; an infeasible member dominates those with a larger violation,
+    which excludes the feasible ones (violation 0)."""
+    dom = _dominance_matrix(pop.objs)
+    if pop.feasible.all():
+        return dom
+    viol = pop.violation
+    return np.where(pop.feasible[:, None], dom | ~pop.feasible[None, :],
+                    viol[:, None] < viol[None, :])
 
 
-def _rank_and_crowd(cands: list[_Candidate]) -> tuple[list[int], list[float]]:
-    ranks = _ranks_from_matrix(_constrained_dominance_matrix(cands))
-    crowding = [0.0] * len(cands)
-    for rank in range(max(ranks) + 1):
-        idx = [i for i, rk in enumerate(ranks) if rk == rank]
-        pts = [cands[i].objectives.as_tuple() if cands[i].feasible
-               else (cands[i].violation,) * 3 for i in idx]
-        for i, d in zip(idx, crowding_distance(pts)):
-            crowding[i] = d
-    return ranks, crowding
+def _rank_and_crowd(pop: _Population) -> tuple[np.ndarray, np.ndarray]:
+    ranks = _ranks_from_matrix(_constrained_dominance_matrix(pop))
+    # infeasible members crowd by their violation alone
+    points = np.where(pop.feasible[:, None], pop.objs, pop.violation[:, None])
+    return ranks, _crowding_by_rank(points, ranks)
 
 
 def _tournament(rng: np.random.Generator, ranks: list[int],
@@ -229,14 +233,14 @@ def _blend_crossover(rng: np.random.Generator, a: float, b: float,
         low = min(a, b) - 0.5 * spread
         high = max(a, b) + 0.5 * spread
         a, b = rng.uniform(low, high, size=2)
-    return float(np.clip(a, lo, hi)), float(np.clip(b, lo, hi))
+    return float(min(max(a, lo), hi)), float(min(max(b, lo), hi))
 
 
 def _mutate(rng: np.random.Generator, x: float, rate: float, sigma: float,
             lo: float, hi: float) -> float:
     if rng.random() < rate:
         x += rng.normal(0.0, sigma * (hi - lo))
-    return float(np.clip(x, lo, hi))
+    return float(min(max(x, lo), hi))
 
 
 def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
@@ -244,49 +248,46 @@ def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
 
     Deterministic given cfg.seed.  Only feasible members are returned;
     raises NoFeasibleSolution when the final population contains none.
+    Each generation's offspring are evaluated as one batch after all of
+    them are drawn; evaluation draws nothing from the RNG.
     """
     rng = np.random.default_rng(cfg.seed)
     lo, hi = problem.decision_bounds
-    pop = [_evaluate(problem, float(r))
-           for r in rng.uniform(lo, hi, cfg.population_size)]
+    size = cfg.population_size
+    pop = _evaluate(problem, rng.uniform(lo, hi, size))
 
     for _ in range(cfg.generations):
         ranks, crowding = _rank_and_crowd(pop)
-        offspring: list[_Candidate] = []
-        while len(offspring) < cfg.population_size:
-            p1 = pop[_tournament(rng, ranks, crowding)].r
-            p2 = pop[_tournament(rng, ranks, crowding)].r
+        # plain lists: the tournaments read single entries
+        ranks, crowding = ranks.tolist(), crowding.tolist()
+        parents = pop.r.tolist()
+        children: list[float] = []
+        while len(children) < size:
+            p1 = parents[_tournament(rng, ranks, crowding)]
+            p2 = parents[_tournament(rng, ranks, crowding)]
             c1, c2 = _blend_crossover(rng, p1, p2, cfg.crossover_rate, lo, hi)
-            c1 = _mutate(rng, c1, cfg.mutation_rate, cfg.mutation_sigma, lo, hi)
-            c2 = _mutate(rng, c2, cfg.mutation_rate, cfg.mutation_sigma, lo, hi)
-            offspring.append(_evaluate(problem, c1))
-            offspring.append(_evaluate(problem, c2))
-        combined = pop + offspring[:cfg.population_size]
-        ranks, crowding = _rank_and_crowd(combined)
-        order = sorted(range(len(combined)),
-                       key=lambda i: (ranks[i], -crowding[i]))
-        pop = [combined[i] for i in order[:cfg.population_size]]
+            children.append(_mutate(rng, c1, cfg.mutation_rate,
+                                    cfg.mutation_sigma, lo, hi))
+            children.append(_mutate(rng, c2, cfg.mutation_rate,
+                                    cfg.mutation_sigma, lo, hi))
+        combined = pop.concat(_evaluate(problem, np.array(children)))
+        pop = combined.take(_rank_order(*_rank_and_crowd(combined))[:size])
 
-    feasible = [c for c in pop if c.feasible]
-    if not feasible:
+    if not pop.feasible.any():
         raise NoFeasibleSolution(
             "no workload split within the TDP bound was found")
-    return _build_front(feasible)
+    return _build_front(pop.take(pop.feasible))
 
 
-def _build_front(cands: list[_Candidate]) -> ParetoFront:
-    objs = [c.objectives.as_tuple() for c in cands]
-    ranks = non_dominated_sort(objs)
-    crowding = [0.0] * len(cands)
-    for rank in range(max(ranks) + 1):
-        idx = [i for i, rk in enumerate(ranks) if rk == rank]
-        for i, d in zip(idx, crowding_distance([objs[i] for i in idx])):
-            crowding[i] = d
-    order = sorted(range(len(cands)), key=lambda i: (ranks[i], -crowding[i]))
+def _build_front(pop: _Population) -> ParetoFront:
+    ranks = _ranks_from_matrix(_dominance_matrix(pop.objs))
+    crowding = _crowding_by_rank(pop.objs, ranks)
+    order = _rank_order(ranks, crowding)
+    r, objs = pop.r[order].tolist(), pop.objs[order].tolist()
     return ParetoFront(
-        members=[(cands[i].r, cands[i].objectives) for i in order],
-        ranks=[ranks[i] for i in order],
-        crowding=[crowding[i] for i in order],
+        members=[(x, ObjectiveVector(*vec)) for x, vec in zip(r, objs)],
+        ranks=ranks[order].tolist(),
+        crowding=crowding[order].tolist(),
     )
 
 
@@ -302,15 +303,11 @@ def brute_force_front(problem: OptProblem, grid_step: float) -> ParetoFront:
                               field="grid_step")
     lo, hi = problem.decision_bounds
     steps = max(1, round((hi - lo) / grid_step))
-    grid = np.linspace(lo, hi, steps + 1)
-    cands = [c for c in (_evaluate(problem, float(r)) for r in grid)
-             if c.feasible]
-    if not cands:
+    pop = _evaluate(problem, np.linspace(lo, hi, steps + 1))
+    pop = pop.take(pop.feasible)
+    if not len(pop.r):
         return ParetoFront(members=[], ranks=[], crowding=[])
-    objs = [c.objectives.as_tuple() for c in cands]
-    ranks = non_dominated_sort(objs)
-    kept = [c for c, rk in zip(cands, ranks) if rk == 0]
-    return _build_front(kept)
+    return _build_front(pop.take(~_dominance_matrix(pop.objs).any(axis=0)))
 
 
 # ---------------------------------------------------------------------------

@@ -98,11 +98,11 @@ def output_dir() -> Path:
     return Path(os.environ.get("FOGSCOPE_OUT", "."))
 
 
-def write_artifact(filename: str, manifest: RunManifest,
-                   table: ResultTable) -> Path:
+def write_artifact(filename: str, text: str) -> Path:
+    """Write a rendered artifact into the output directory."""
     path = output_dir() / filename
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_artifact(manifest, table), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     return path
 
 

@@ -20,9 +20,9 @@ import random
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import IO, Optional
+from typing import IO, Optional, Sequence
 
-from scipy import stats
+import numpy as np
 
 from . import model
 from .model import ValidationError
@@ -265,7 +265,8 @@ class TrendRow:
     analytic_fog_latency_s: float
     analytic_cloud_latency_s: float
     analytic_avg_latency_s: float
-    analytic_fog_power_w: float
+    analytic_fog_power_w: float   # the raw draw, also above the TDP
+    analytic_feasible: bool
     sim_local_sojourn_s: float
     sim_forward_latency_s: float
     sim_uplink_throughput_bps: float
@@ -279,6 +280,28 @@ class TrendComparison:
     spearman_avg_latency: float
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # [start, end) bounds of each run of equal values in sorted order
+    bounds = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0,
+                             np.diff(bounds))
+    return ranks
+
+
+def spearman(a: Sequence[float], b: Sequence[float]) -> float:
+    """Spearman rank correlation with average ranks for ties; NaN when an
+    input is constant or contains NaN."""
+    x, y = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if (np.isnan(x).any() or np.isnan(y).any()
+            or (x == x[0]).all() or (y == y[0]).all()):
+        return float("nan")
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[0, 1])
+
+
 def trend_compare(sim: SimScenario, r_grid: list[float],
                   seed: int) -> TrendComparison:
     """Run the simulator across an r-grid and pair it with the analytic model.
@@ -286,30 +309,29 @@ def trend_compare(sim: SimScenario, r_grid: list[float],
     Each r reuses the scenario with local_prob = r (seeded as seed + index)
     and reports the Spearman rank correlation between the analytic average
     latency and the empirical mean of the local and forward latencies.
+    A split above the TDP gives a row with ``analytic_feasible`` false.
     """
     if not r_grid:
         raise ValidationError("r_grid: must be nonempty", field="r_grid")
     scn = sim.scenario
+    with warnings.catch_warnings():
+        # grid scans cross the stability boundary on purpose
+        warnings.simplefilter("ignore", model.InstabilityWarning)
+        analytic = model.evaluate(scn, np.array(r_grid, dtype=float)).rows()
     rows = []
     for i, r in enumerate(r_grid):
-        split = model.DecisionState.from_ratio(scn.workload, r)
-        with warnings.catch_warnings():
-            # grid scans cross the stability boundary on purpose
-            warnings.simplefilter("ignore", model.InstabilityWarning)
-            fog_lat = model.fog_latency_linear(scn.fog, split)
-            vec = model.objectives(scn, r)
-        cloud_lat = model.cloud_latency(scn.workload, scn.network, scn.cloud,
-                                        split)
+        _, throughput, power, fog_lat, cloud_lat, avg_lat, feasible = analytic[i]
         run = SimScenario(scenario=scn, local_prob=r, duration_s=sim.duration_s,
                           warmup_s=sim.warmup_s)
         metrics = simulate(run, seed + i)
         rows.append(TrendRow(
             r=r,
-            analytic_throughput_bps=vec.throughput_to_cloud_bps,
+            analytic_throughput_bps=throughput,
             analytic_fog_latency_s=fog_lat,
             analytic_cloud_latency_s=cloud_lat,
-            analytic_avg_latency_s=vec.avg_latency_s,
-            analytic_fog_power_w=vec.fog_power_w,
+            analytic_avg_latency_s=avg_lat,
+            analytic_fog_power_w=power,
+            analytic_feasible=feasible,
             sim_local_sojourn_s=metrics.mean_local_sojourn_s,
             sim_forward_latency_s=metrics.mean_forward_latency_s,
             sim_uplink_throughput_bps=metrics.empirical_uplink_throughput_bps,
@@ -319,9 +341,8 @@ def trend_compare(sim: SimScenario, r_grid: list[float],
     if len(rows) < 2:
         rho = float("nan")
     else:
-        analytic = [row.analytic_avg_latency_s for row in rows]
         empirical = [model.avg_latency(row.sim_local_sojourn_s,
                                        row.sim_forward_latency_s)
                      for row in rows]
-        rho = float(stats.spearmanr(analytic, empirical).statistic)
+        rho = spearman([row.analytic_avg_latency_s for row in rows], empirical)
     return TrendComparison(rows=rows, spearman_avg_latency=rho)

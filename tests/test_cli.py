@@ -1,11 +1,17 @@
 """Command-line surface: outputs, exit codes, manifests, reproducibility."""
 
 import csv
+import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import fogscope
 from fogscope.cli import main
 from fogscope.reporting import MANIFEST_PREFIX, RunManifest, strip_manifest
 from fogscope.scenario import catalog_checksum
@@ -354,3 +360,77 @@ class TestArtifactContract:
         for cell in data_line.split(",")[:-1]:
             float(cell)  # parses with '.' decimal separator
         assert not any(ch for ch in data_line if ord(ch) > 127)
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        code = ("import sys, fogscope.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = str(Path(fogscope.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "[]"
+
+
+TX_SCENARIO = (
+    "modification1_enabled: true\n"
+    "workload: {arrival_rate_pps: 100, packet_size_bits: 12000}\n"
+    "fog: {proc_capability_pps: 100, energy_per_bit_j: 1.0e-7,"
+    " idle_power_w: 2.0, tdp_w: 10.0, tx_energy_per_bit_j: 2.0e-8}\n"
+    "network: {uplink_throughput_bps: 1.5e+6, downlink_throughput_bps: 1.5e+6}\n"
+    "cloud: {proc_capability_bps: 3.0e+6}\n")
+TDP_SCENARIO = (TX_SCENARIO.replace("tdp_w: 10.0", "tdp_w: 2.0607")
+                .replace("modification1_enabled: true",
+                         "modification1_enabled: false"))
+
+
+class TestSeededArtifactBytes:
+    """sha256 of seeded artifacts under SOURCE_DATE_EPOCH=1700000000,
+    pinned from the scalar implementation; a change here is a change of
+    behaviour, not of speed."""
+
+    CASES = {
+        "optimize-default": (
+            None, ["optimize", "--pop", "40", "--gens", "30", "--seed", "11"],
+            0, {"optimize.csv": "d29455c89ef21b832ba6536132697e65"
+                                "ffd0f6eff57d4eced942390f05d50fcf"}),
+        "optimize-tx": (
+            TX_SCENARIO,
+            ["optimize", "--pop", "40", "--gens", "30", "--seed", "12"],
+            0, {"optimize.csv": "ce38c123ed6632c97f7488d8a0d903fc"
+                                "c1e066a94a1853d99d7593e3d241fa12"}),
+        "optimize-tdp": (
+            TDP_SCENARIO,
+            ["optimize", "--pop", "40", "--gens", "30", "--seed", "13"],
+            0, {"optimize.csv": "32701e4e6cebbc09b3e6577b8461e06e"
+                                "333a3485aa6beaef98b75b3ccab047f3"}),
+        "sweep": (
+            None, ["sweep", "--grid", "network=gsm,hspa_plus;fog.tdp_w=2.0607,10",
+                   "--r-steps", "201"],
+            3, {"sweep.csv": "95eaec272cf54d30275d61b054059d01"
+                             "f2415e2c6c0533df576c6ebb3e6b6f45",
+                "sweep_g000.csv": "3ae3598d2b9b93152031b1b3623a3141"
+                                  "dd08342fd9636b543a5d9df1a62a79c7",
+                "sweep_g001.csv": "8f21b00ab2e3483c065f657103c785b9"
+                                  "ba053bffead1847b8ee9b63581e277f4",
+                "sweep_g002.csv": "7c41db18439c39fc98dcc1811acc0dc2"
+                                  "12285877f51f5ae7b0c0be2c9611f67f",
+                "sweep_g003.csv": "28177b82a3796c92799cfa3a45f386fd"
+                                  "99918ce8669b2ab2ce84bdc4c57f27d0"}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_pinned_sha256(self, runner, out_dir, tmp_path, name):
+        scenario, args, exit_code, expected = self.CASES[name]
+        if scenario is not None:
+            doc = tmp_path / "scenario.yaml"
+            doc.write_text(scenario)
+            args = args[:1] + ["--scenario", str(doc)] + args[1:]
+        result = runner.invoke(main, args)
+        assert result.exit_code == exit_code
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in out_dir.glob("*.csv")}
+        assert digests == expected
+        assert result.stdout.encode() == (out_dir / args[0]).with_suffix(
+            ".csv").read_bytes()

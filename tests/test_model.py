@@ -2,7 +2,9 @@
 
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -397,3 +399,139 @@ def test_stochastic_latency_deterministic_per_seed(r, seed):
     a = model.cloud_latency_stochastic(w, n, c, split, seed)
     b = model.cloud_latency_stochastic(w, n, c, split, seed)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# The vectorized kernel against the scalar path, compared with ==
+# ---------------------------------------------------------------------------
+
+def scalar_row(scn, r):
+    """(r, throughput, power, fog latency, cloud latency, average latency,
+    feasible) from the scalar functions, one split at a time."""
+    import warnings as w_mod
+    split = DecisionState.from_ratio(scn.workload, r)
+    energy = (model.fog_energy_with_tx if scn.modification1_enabled
+              else model.fog_energy)
+    try:
+        power, feasible = energy(scn.workload, scn.fog, split), True
+    except TdpExceeded as exc:
+        power, feasible = exc.power_w, False
+    with w_mod.catch_warnings():
+        w_mod.simplefilter("ignore", InstabilityWarning)
+        fog_lat = model.fog_latency_linear(scn.fog, split)
+    cloud_lat = model.cloud_latency(scn.workload, scn.network, scn.cloud, split)
+    return (r, model.throughput_to_cloud(scn.workload, split), power, fog_lat,
+            cloud_lat, model.avg_latency(fog_lat, cloud_lat), feasible)
+
+
+def kernel_rows(scn, r_values):
+    import warnings as w_mod
+    with w_mod.catch_warnings():
+        w_mod.simplefilter("ignore", InstabilityWarning)
+        return model.evaluate(scn, np.asarray(r_values, dtype=float)).rows()
+
+
+def assert_kernel_is_scalar_path(scn, r_values):
+    rows = kernel_rows(scn, r_values)
+    assert rows == [scalar_row(scn, r) for r in r_values]
+    for row in rows:
+        if row[-1]:
+            assert model.objectives(scn, row[0]).as_tuple() \
+                == (row[1], row[2], row[5])
+        else:
+            with pytest.raises(TdpExceeded) as exc:
+                model.objectives(scn, row[0])
+            assert exc.value.power_w == row[2]
+    return rows
+
+
+def scenario_with(**changes):
+    base = default_scenario()
+    parts = {"workload": base.workload, "fog": base.fog,
+             "network": base.network}
+    for key, value in changes.items():
+        section, field = key.split("__")
+        parts[section] = replace(parts[section], **{field: value})
+    return replace(base, **parts)
+
+
+R_GRID = list(np.linspace(0.0, 1.0, 2001)) + [random.Random(3).random()
+                                            for _ in range(200)]
+
+
+class TestEvaluateKernel:
+    def test_r_grid_with_tx_term(self):
+        scn = replace(scenario_with(fog__tx_energy_per_bit=2e-8,
+                                    network__base_latency=0.05,
+                                    network__return_fraction=0.137),
+                      modification1_enabled=True)
+        rows = assert_kernel_is_scalar_path(scn, R_GRID)
+        assert all(row[-1] for row in rows)
+
+    def test_tdp_bound_feasible_mask_matches_tdp_exceeded(self):
+        scn = scenario_with(fog__tdp=2.0607)
+        rows = assert_kernel_is_scalar_path(scn, R_GRID)
+        feasible = [row[-1] for row in rows]
+        assert any(feasible) and not all(feasible)
+        assert all((row[2] <= 2.0607) == row[-1] for row in rows)
+
+    def test_zero_arrival_rate(self):
+        scn = scenario_with(workload__arrival_rate=0.0)
+        rows = assert_kernel_is_scalar_path(scn, R_GRID)
+        assert {row[1] for row in rows} == {0.0}
+
+    def test_from_ratio_resync(self):
+        rate, r = 12.345, 0.33019721859799855
+        x1 = rate * r
+        assert x1 + (rate - x1) != rate   # the half-ulp tie the resync fixes
+        scn = scenario_with(workload__arrival_rate=rate)
+        (row,) = assert_kernel_is_scalar_path(scn, [r])
+        split = DecisionState.from_ratio(scn.workload, r)
+        assert split.x1 != x1
+        assert row[3] == split.x1 / scn.fog.proc_capability
+
+    def test_power_equal_to_tdp_is_feasible(self):
+        # exact binary fractions: the draw at r = 0.5 is exactly the TDP
+        scn = scenario_with(workload__arrival_rate=16.0,
+                            workload__packet_size=1024.0,
+                            fog__energy_per_bit=2.0 ** -20,
+                            fog__idle_power=1.0, fog__tdp=1.0 + 2.0 ** -7)
+        rows = assert_kernel_is_scalar_path(scn, [0.25, 0.5, 0.75])
+        assert [row[2] == scn.fog.tdp for row in rows] == [False, True, False]
+        assert [row[-1] for row in rows] == [True, True, False]
+
+    @settings(max_examples=60)
+    @given(delta=st.floats(min_value=0.0, max_value=1e4),
+           size=st.floats(min_value=1.0, max_value=1e5),
+           gamma=st.floats(min_value=0.0, max_value=1e-5),
+           rho=st.floats(min_value=0.0, max_value=1e-5),
+           tdp=st.floats(min_value=1.01, max_value=50.0),
+           tx=st.booleans(),
+           r_values=st.lists(fractions, min_size=1, max_size=20))
+    def test_random_scenarios(self, delta, size, gamma, rho, tdp, tx,
+                              r_values):
+        scn = replace(scenario_with(workload__arrival_rate=delta,
+                                    workload__packet_size=size,
+                                    fog__energy_per_bit=gamma,
+                                    fog__tx_energy_per_bit=rho,
+                                    fog__idle_power=1.0, fog__tdp=tdp),
+                      modification1_enabled=tx)
+        assert_kernel_is_scalar_path(scn, r_values)
+
+    def test_cli_rows_are_the_scalar_path(self):
+        from fogscope.cli import _objective_row
+        scn = scenario_with(fog__tdp=2.0607)
+        rows = _objective_row(scn, np.asarray(R_GRID))
+        assert rows == [scalar_row(scn, r) for r in R_GRID]
+        # plain Python values, so the CSV cells format as before
+        assert {type(v) for row in rows for v in row} == {float, bool}
+
+    def test_r_outside_unit_interval_rejected(self):
+        with pytest.raises(ValidationError):
+            model.evaluate(default_scenario(), np.array([0.5, 1.5]))
+
+    def test_warns_once_when_any_split_is_unstable(self):
+        scn = default_scenario()
+        with pytest.warns(InstabilityWarning) as record:
+            model.evaluate(scn, np.array([0.5, 1.0, 1.0]))
+        assert len(record) == 1

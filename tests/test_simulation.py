@@ -9,7 +9,8 @@ import pytest
 from fogscope.model import ValidationError
 from fogscope.scenario import default_scenario
 from fogscope.simulation import (SimScenario, simulate, simulate_trace,
-                                 trend_compare, write_trace, TRACE_COLUMNS)
+                                 spearman, trend_compare, write_trace,
+                                 TRACE_COLUMNS)
 
 
 def with_rate(rate):
@@ -199,3 +200,50 @@ class TestTrendCompare:
                           duration_s=50.0)
         with pytest.raises(ValidationError):
             trend_compare(sim, [], seed=1)
+
+
+class TestSpearman:
+    """The numpy average-rank Spearman against scipy as the oracle."""
+
+    CASES = {
+        "untied": ([0.3, 1.2, -4.0, 2.5, 0.0, 9.1], [1.0, 0.5, 0.2, 3.0, -1.0, 2.0]),
+        "tied": ([1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 0.5],
+                 [4.0, 4.0, 1.0, 1.0, 2.0, 7.0, 7.0]),
+        "monotone": ([0.1, 0.2, 0.4, 0.8], [1.0, 3.0, 9.0, 27.0]),
+        "reversed": ([1.0, 2.0, 3.0], [3.0, 2.0, 2.0]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_equals_scipy(self, name):
+        stats = pytest.importorskip("scipy.stats")
+        a, b = self.CASES[name]
+        assert spearman(a, b) == stats.spearmanr(a, b).statistic
+
+    def test_equals_scipy_on_random_ties(self):
+        import random
+        stats = pytest.importorskip("scipy.stats")
+        rng = random.Random(11)
+        for n in (2, 3, 10, 57):
+            a = [rng.randint(0, 5) * 0.5 for _ in range(n)]
+            b = [rng.random() for _ in range(n)]
+            if len(set(a)) > 1:
+                assert spearman(a, b) == stats.spearmanr(a, b).statistic
+
+    def test_constant_input_is_nan_like_scipy(self):
+        import math
+        import warnings
+        stats = pytest.importorskip("scipy.stats")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = stats.spearmanr([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]).statistic
+        assert math.isnan(expected)
+        assert math.isnan(spearman([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
+        assert math.isnan(spearman([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]))
+
+    def test_nan_input_propagates_like_scipy(self):
+        import math
+        stats = pytest.importorskip("scipy.stats")
+        a, b = [1.0, float("nan"), 3.0, 4.0], [1.0, 2.0, 3.0, 5.0]
+        assert math.isnan(stats.spearmanr(a, b).statistic)
+        assert math.isnan(spearman(a, b))
+        assert math.isnan(spearman(b, a))
