@@ -88,6 +88,19 @@ class TestEvaluate:
         assert result.exit_code == 2
         assert "workload.packet_size" in result.stderr
 
+    def test_infinite_tdp_exits_2(self, runner, tmp_path):
+        doc = tmp_path / "inf.yaml"
+        doc.write_text(
+            "workload: {arrival_rate_pps: 100, packet_size_bits: 12000}\n"
+            "fog: {proc_capability_pps: 100, energy_per_bit_j: 1.0e-7,"
+            " idle_power_w: 2.0, tdp_w: .inf}\n"
+            "network: {preset: hspa}\n"
+            "cloud: {proc_capability_bps: 3.0e+6}\n")
+        result = runner.invoke(main, ["evaluate", "--scenario", str(doc),
+                                      "--r", "0.5"])
+        assert result.exit_code == 2
+        assert "fog.tdp_w" in result.stderr
+
     def test_tdp_breach_exits_3(self, runner, tmp_path):
         doc = tmp_path / "hot.yaml"
         doc.write_text(

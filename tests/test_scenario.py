@@ -1,5 +1,6 @@
 """Scenario loading, preset catalog transcription, and sweep grids."""
 
+import math
 import textwrap
 from dataclasses import replace
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fogscope.model import ValidationError
+from fogscope.model import (CloudParams, FogNodeParams, NetworkParams,
+                            ValidationError, WorkloadParams)
 from fogscope.scenario import (CATALOG, ParseError, UnknownPreset,
                                catalog_checksum, catalog_rows,
                                default_scenario, load_scenario,
@@ -117,6 +119,53 @@ class TestLoadScenario:
         assert load_scenario(serialize_scenario(s)) == s
         assert scenario_digest(s) == scenario_digest(
             load_scenario(serialize_scenario(s)))
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("old,new,field", [
+        ("tdp_w: 10.0", "tdp_w: .inf", "fog.tdp_w"),
+        ("arrival_rate_pps: 100", "arrival_rate_pps: .inf",
+         "workload.arrival_rate_pps"),
+        # no dot, so YAML 1.1 gives a string that float() reads as inf
+        ("uplink_throughput_bps: 1.5e6", "uplink_throughput_bps: 1e999",
+         "network.uplink_throughput_bps"),
+        ("energy_per_bit_j: 1.0e-7", "energy_per_bit_j: -.inf",
+         "fog.energy_per_bit_j"),
+        # an integer past the float range
+        ("packet_size_bits: 12000", "packet_size_bits: 1" + "0" * 400,
+         "workload.packet_size_bits"),
+        ("proc_capability_bps: 3.0e6", "proc_capability_bps: .nan",
+         "cloud.proc_capability_bps"),
+    ])
+    def test_loader_rejects_and_names_the_key(self, old, new, field):
+        with pytest.raises(ValidationError) as exc:
+            load_scenario(MINIMAL_DOC.replace(old, new))
+        assert exc.value.field == field
+        assert "finite" in str(exc.value)
+
+    @pytest.mark.parametrize("build", [
+        lambda v: WorkloadParams(arrival_rate=v, packet_size=12000.0),
+        lambda v: WorkloadParams(arrival_rate=100.0, packet_size=v),
+        lambda v: FogNodeParams(proc_capability=100.0, energy_per_bit=1e-7,
+                                idle_power=2.0, tdp=v),
+        lambda v: FogNodeParams(proc_capability=v, energy_per_bit=1e-7,
+                                idle_power=2.0, tdp=10.0),
+        lambda v: FogNodeParams(proc_capability=100.0, energy_per_bit=1e-7,
+                                idle_power=2.0, tdp=10.0, tx_energy_per_bit=v),
+        lambda v: NetworkParams(uplink_throughput=v, downlink_throughput=1e6),
+        lambda v: NetworkParams(uplink_throughput=1e6, downlink_throughput=1e6,
+                                base_latency=v),
+        lambda v: CloudParams(proc_capability=v),
+    ], ids=["arrival_rate", "packet_size", "tdp", "fog_capability",
+            "tx_energy_per_bit", "uplink", "base_latency", "cloud_capability"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_parameter_dataclasses_reject(self, build, value):
+        with pytest.raises(ValidationError, match="finite"):
+            build(value)
+
+    def test_grid_axis_value_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            sweep_grid(default_scenario(), parse_grid_spec("fog.tdp_w=inf"))
 
 
 class TestPresets:
