@@ -9,9 +9,10 @@ packets/s, packet sizes in bits, power in watts.
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
@@ -55,6 +56,14 @@ def _require(condition: bool, message: str, field: str) -> None:
         raise ValidationError(f"{field}: {message}", field=field)
 
 
+def _require_finite(params) -> None:
+    """Every field of a parameter dataclass must be a finite number."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        _require(math.isfinite(value), f"must be finite, got {value!r}",
+                 f.name)
+
+
 @dataclass(frozen=True)
 class WorkloadParams:
     """Traffic offered to the fog node by the UAV fleet."""
@@ -63,6 +72,7 @@ class WorkloadParams:
     packet_size: float   # bits/packet
 
     def __post_init__(self):
+        _require_finite(self)
         _require(self.arrival_rate >= 0, "must be >= 0", "arrival_rate")
         _require(self.packet_size > 0, "must be > 0", "packet_size")
 
@@ -83,6 +93,7 @@ class FogNodeParams:
     tx_energy_per_bit: float = 0.0  # J/bit spent on uplink transmission; 0 disables
 
     def __post_init__(self):
+        _require_finite(self)
         _require(self.proc_capability > 0, "must be > 0", "proc_capability")
         _require(self.energy_per_bit >= 0, "must be >= 0", "energy_per_bit")
         _require(self.idle_power >= 0, "must be >= 0", "idle_power")
@@ -101,6 +112,7 @@ class NetworkParams:
     return_fraction: float = 0.1  # fraction of the uplinked volume sent back down
 
     def __post_init__(self):
+        _require_finite(self)
         _require(self.uplink_throughput > 0, "must be > 0", "uplink_throughput")
         _require(self.downlink_throughput > 0, "must be > 0", "downlink_throughput")
         _require(self.base_latency >= 0, "must be >= 0", "base_latency")
@@ -116,6 +128,7 @@ class CloudParams:
     proc_capability: float  # bits/s
 
     def __post_init__(self):
+        _require_finite(self)
         _require(self.proc_capability > 0, "must be > 0", "proc_capability")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
@@ -221,16 +222,22 @@ def _number(section: str, mapping: dict, key: str, required: bool = False,
                                   field=f"{section}.{key}")
         return default
     value = mapping.pop(key)
-    if isinstance(value, str):
+    number = None
+    if not isinstance(value, bool) and isinstance(value, (str, int, float)):
         # YAML 1.1 reads exponents without a sign ("1.5e6") as strings
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             pass
-    elif not isinstance(value, bool) and isinstance(value, (int, float)):
-        return float(value)
-    raise ValidationError(f"{section}.{key}: expected a number, got "
-                          f"{value!r}", field=f"{section}.{key}")
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+    if number is None:
+        raise ValidationError(f"{section}.{key}: expected a number, got "
+                              f"{value!r}", field=f"{section}.{key}")
+    if not math.isfinite(number):
+        raise ValidationError(f"{section}.{key}: must be finite, got "
+                              f"{value!r}", field=f"{section}.{key}")
+    return number
 
 
 def _flag(mapping: dict, key: str, default: bool = False) -> bool:
