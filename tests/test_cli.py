@@ -101,6 +101,14 @@ class TestEvaluate:
         assert result.exit_code == 2
         assert "fog.tdp_w" in result.stderr
 
+    def test_repeated_key_exits_2(self, runner, tmp_path):
+        doc = tmp_path / "twice.yaml"
+        doc.write_text("name: a\nname: b\n")
+        result = runner.invoke(main, ["evaluate", "--scenario", str(doc),
+                                      "--r", "0.5"])
+        assert result.exit_code == 2
+        assert "line 2" in result.stderr
+
     def test_tdp_breach_exits_3(self, runner, tmp_path):
         doc = tmp_path / "hot.yaml"
         doc.write_text(

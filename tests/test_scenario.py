@@ -103,6 +103,20 @@ class TestLoadScenario:
         with pytest.raises(ParseError):
             load_scenario("")
 
+    def test_repeated_top_level_key_rejected_with_line(self):
+        doc = "name: first\n" + MINIMAL_DOC + "name: second\n"
+        with pytest.raises(ParseError) as exc:
+            load_scenario(doc)
+        assert "name" in str(exc.value)
+        assert exc.value.line == doc.count("\n")
+
+    def test_repeated_nested_key_rejected_with_line(self):
+        doc = MINIMAL_DOC.replace("  tdp_w: 10.0", "  tdp_w: 10.0\n  tdp_w: 20.0")
+        with pytest.raises(ParseError) as exc:
+            load_scenario(doc)
+        assert "tdp_w" in str(exc.value)
+        assert exc.value.line == doc.splitlines().index("  tdp_w: 20.0") + 1
+
     def test_wrong_type_rejected(self):
         doc = MINIMAL_DOC.replace("arrival_rate_pps: 100",
                                   "arrival_rate_pps: fast")
