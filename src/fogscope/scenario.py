@@ -272,6 +272,26 @@ def _wrap_field(section: str, exc: ValidationError) -> ValidationError:
     return ValidationError(f"{section}.{msg}", field=field)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that refuses a key repeated within one mapping, which
+    plain YAML loading resolves silently in favour of the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # "<<" merge keys may be overridden by the mapping's own keys
+            if (not isinstance(key_node, yaml.ScalarNode)
+                    or key_node.tag == "tag:yaml.org,2002:merge"):
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
@@ -279,7 +299,7 @@ def load_scenario(text: str) -> Scenario:
     offending field) for schema or invariant violations.
     """
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:

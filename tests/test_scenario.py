@@ -117,6 +117,17 @@ class TestLoadScenario:
         assert "tdp_w" in str(exc.value)
         assert exc.value.line == doc.splitlines().index("  tdp_w: 20.0") + 1
 
+    def test_merge_key_may_be_overridden(self):
+        doc = MINIMAL_DOC.replace(
+            "network:\n  uplink_throughput_bps: 1.5e6\n"
+            "  downlink_throughput_bps: 1.5e6\n",
+            "network:\n  <<: &link {uplink_throughput_bps: 1.5e6,"
+            " downlink_throughput_bps: 1.5e6}\n"
+            "  uplink_throughput_bps: 2.0e6\n")
+        s = load_scenario(doc)
+        assert s.network.uplink_throughput == 2.0e6
+        assert s.network.downlink_throughput == 1.5e6
+
     def test_wrong_type_rejected(self):
         doc = MINIMAL_DOC.replace("arrival_rate_pps: 100",
                                   "arrival_rate_pps: fast")
