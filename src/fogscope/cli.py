@@ -48,10 +48,7 @@ def _load(scenario_path: Optional[str]) -> Scenario:
 
 
 def _emit(filename: str, manifest: RunManifest, table: ResultTable) -> None:
-    _emit_text(filename, reporting.render_artifact(manifest, table))
-
-
-def _emit_text(filename: str, text: str) -> None:
+    text = reporting.render_artifact(manifest, table)
     path = write_artifact(filename, text)
     click.echo(text, nl=False)
     click.echo(f"wrote {path}", err=True)
@@ -114,21 +111,27 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
                "fog_latency_s", "cloud_latency_s", "avg_latency_s", "feasible")
     manifest = RunManifest.create("sweep", scenario_digest(scn))
     # every group artifact is this manifest and header plus its rows, and
-    # sweep.csv is the same head plus every group's rows in order
+    # sweep.csv is the same head plus every group's rows in order; it is
+    # written and echoed a group at a time
     head = reporting.render_artifact(manifest, ResultTable(columns, []))
-    bodies = []
     infeasible = 0
-    for gid, member in enumerate(scenarios):
-        with warnings.catch_warnings():
-            # sweeps scan past the stability boundary by design
-            warnings.simplefilter("ignore", model.InstabilityWarning)
-            rows = _objective_row(member, r_values)
-        infeasible += sum(1 for row in rows if not row[-1])
-        text = reporting.render_artifact(manifest, ResultTable(
-            columns, [(gid, member.name) + row for row in rows]))
-        write_artifact(f"sweep_g{gid:03d}.csv", text)
-        bodies.append(text[len(head):])
-    _emit_text("sweep.csv", head + "".join(bodies))
+    path = reporting.artifact_path("sweep.csv")
+    with path.open("w", encoding="utf-8") as combined:
+        combined.write(head)
+        click.echo(head, nl=False)
+        for gid, member in enumerate(scenarios):
+            with warnings.catch_warnings():
+                # sweeps scan past the stability boundary by design
+                warnings.simplefilter("ignore", model.InstabilityWarning)
+                rows = _objective_row(member, r_values)
+            infeasible += sum(1 for row in rows if not row[-1])
+            text = reporting.render_artifact(manifest, ResultTable(
+                columns, [(gid, member.name) + row for row in rows]))
+            write_artifact(f"sweep_g{gid:03d}.csv", text)
+            body = text[len(head):]
+            combined.write(body)
+            click.echo(body, nl=False)
+    click.echo(f"wrote {path}", err=True)
     if infeasible:
         _fail(EXIT_INFEASIBLE,
               f"{infeasible} grid point(s) exceed the TDP bound")

@@ -21,6 +21,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 TOOL_VERSION = "0.1.0"
 MANIFEST_PREFIX = "# fogscope: "
 
@@ -67,6 +69,10 @@ class RunManifest:
 
 
 def format_cell(value) -> str:
+    if isinstance(value, np.generic):
+        # numpy 2 reprs np.float64(0.1) as "np.float64(0.1)"; np.True_ is
+        # no bool
+        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -76,17 +82,81 @@ def format_cell(value) -> str:
     return str(value)
 
 
+# repr of each float seen, keyed by its IEEE-754 bit pattern so that -0.0,
+# 0.0 and NaN payloads stay apart.  A pure function of the key, so sharing
+# it between renders in one process changes no output; cleared when full.
+_FLOAT_REPRS: dict[int, str] = {}
+FLOAT_REPR_CACHE_CAP = 1 << 17
+_BOOL_CELLS = {True: "true", False: "false"}
+
+
+def _float_cells(column: tuple) -> list[str]:
+    keys = np.array(column, dtype=np.float64).view(np.uint64).tolist()
+    reprs = _FLOAT_REPRS
+    missing = {k: v for k, v in zip(keys, column) if k not in reprs}
+    if len(reprs) + len(missing) > FLOAT_REPR_CACHE_CAP:
+        reprs.clear()
+        missing = dict(zip(keys, column))
+        if len(missing) > FLOAT_REPR_CACHE_CAP:
+            reprs = {}              # too many to keep: use them once
+    reprs.update(zip(missing, map(repr, missing.values())))
+    return list(map(reprs.__getitem__, keys))
+
+
+def _csv_fields(texts) -> dict[str, str]:
+    """Each distinct text as the csv module writes it as one field of a
+    row of several (minimal quoting)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    fields = {}
+    for text in set(texts):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((text, ""))
+        fields[text] = buf.getvalue()[:-2]   # drop the "," and the "\n"
+    return fields
+
+
+def _column_cells(column: tuple) -> list[str]:
+    """The cells of one column, formatted as format_cell would, quoted."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return _float_cells(column)
+    if kinds == {bool}:
+        return list(map(_BOOL_CELLS.__getitem__, column))
+    if kinds == {int}:
+        return list(map(str, column))
+    if kinds == {type(None)}:
+        return [""] * len(column)
+    texts = column if kinds == {str} else list(map(format_cell, column))
+    return list(map(_csv_fields(texts).__getitem__, texts))
+
+
 @dataclass(frozen=True)
 class ResultTable:
     columns: tuple[str, ...]
     rows: list[tuple]
 
     def to_csv_text(self) -> str:
+        """The header and rows as CSV; the cells are format_cell's, quoted
+        as the csv module quotes them.  Rendered a column at a time; a row
+        whose width is not the header's raises ValueError."""
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([format_cell(v) for v in row])
+        csv.writer(buf, lineterminator="\n").writerow(self.columns)
+        if not self.rows:
+            return buf.getvalue()
+        columns = list(zip(*self.rows, strict=True))
+        if len(columns) != len(self.columns):
+            raise ValueError(f"rows have {len(columns)} cells, the header "
+                             f"{len(self.columns)}")
+        if not columns:
+            return buf.getvalue() + "\n" * len(self.rows)
+        cells = [_column_cells(column) for column in columns]
+        if len(cells) == 1:
+            # csv quotes a row of one empty field, as a blank line is no row
+            cells = [['""' if c == "" else c for c in cells[0]]]
+        buf.write("\n".join(map(",".join, zip(*cells))))
+        buf.write("\n")
         return buf.getvalue()
 
 
@@ -98,10 +168,16 @@ def output_dir() -> Path:
     return Path(os.environ.get("FOGSCOPE_OUT", "."))
 
 
-def write_artifact(filename: str, text: str) -> Path:
-    """Write a rendered artifact into the output directory."""
+def artifact_path(filename: str) -> Path:
+    """Where an artifact goes in the output directory, which is made."""
     path = output_dir() / filename
     path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def write_artifact(filename: str, text: str) -> Path:
+    """Write a rendered artifact into the output directory."""
+    path = artifact_path(filename)
     path.write_text(text, encoding="utf-8")
     return path
 

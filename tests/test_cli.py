@@ -162,6 +162,21 @@ class TestSweep:
             else:
                 assert values[0] == values[1] == values[2]
 
+    def test_stdout_is_sweep_csv_is_head_plus_group_bodies(self, runner,
+                                                           out_dir):
+        result = runner.invoke(main, [
+            "sweep", "--grid", "network=gsm,hspa_plus;fog.tdp_w=2.0607,10",
+            "--r-steps", "7"])
+        assert result.exit_code == 3
+        combined = (out_dir / "sweep.csv").read_text(encoding="utf-8")
+        assert result.stdout == combined
+        groups = [(out_dir / f"sweep_g{gid:03d}.csv").read_text(encoding="utf-8")
+                  for gid in range(4)]
+        head = "".join(combined.splitlines(keepends=True)[:2])
+        assert all(group.startswith(head) for group in groups)
+        assert combined == head + "".join(g[len(head):] for g in groups)
+        assert [len(g.splitlines()) for g in groups] == [2 + 7] * 4
+
     def test_bad_grid_exits_2(self, runner):
         result = runner.invoke(main, ["sweep", "--grid", "nope=1"])
         assert result.exit_code == 2
