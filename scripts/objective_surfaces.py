@@ -80,5 +80,6 @@ def main():
         write(out_dir, filename, base,
               family_rows(name, members, args.r_steps))
 
+
 if __name__ == "__main__":
     main()

@@ -126,8 +126,6 @@ def _column_cells(column: tuple) -> list[str]:
         return list(map(_BOOL_CELLS.__getitem__, column))
     if kinds == {int}:
         return list(map(str, column))
-    if kinds == {type(None)}:
-        return [""] * len(column)
     texts = column if kinds == {str} else list(map(format_cell, column))
     return list(map(_csv_fields(texts).__getitem__, texts))
 

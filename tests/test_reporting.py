@@ -86,6 +86,7 @@ class TestToCsvText:
     @pytest.mark.parametrize("rows", [
         [(1.0, 2.0), (3.0,)],
         [(1.0,), (2.0, 3.0)],
+        [(1.0, 2.0), (3.0, 4.0, 5.0)],
         [(1.0, 2.0, 3.0)],
         [(1.0,)],
     ])
@@ -96,7 +97,8 @@ class TestToCsvText:
     def test_full_cache_is_cleared_and_output_unchanged(self, monkeypatch):
         monkeypatch.setattr(reporting, "_FLOAT_REPRS", {})
         monkeypatch.setattr(reporting, "FLOAT_REPR_CACHE_CAP", 4)
-        for values in ([0.5, 1.5, 0.5], [2.5, 3.5, 0.5],
+        # the third overflows with one value cached, the fourth alone
+        for values in ([0.5, 1.5, 0.5], [2.5, 3.5, 0.5], [0.5, 4.5],
                        [float(i) / 7 for i in range(9)], [-0.0, 0.5]):
             table = ResultTable(("v",), [(v,) for v in values])
             assert table.to_csv_text() == oracle_csv_text(table)
