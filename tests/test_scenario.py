@@ -2,7 +2,7 @@
 
 import math
 import textwrap
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from fogscope.model import (CloudParams, FogNodeParams, NetworkParams,
                             ValidationError, WorkloadParams)
-from fogscope.scenario import (CATALOG, ParseError, UnknownPreset,
-                               catalog_checksum, catalog_rows,
+from fogscope.scenario import (_FIELD_AXES, CATALOG, ParseError,
+                               UnknownPreset, catalog_checksum, catalog_rows,
                                default_scenario, load_scenario,
                                parse_grid_spec, preset, scenario_digest,
                                serialize_scenario, sweep_grid)
@@ -181,8 +181,19 @@ class TestNonFiniteNumbers:
         lambda v: NetworkParams(uplink_throughput=1e6, downlink_throughput=1e6,
                                 base_latency=v),
         lambda v: CloudParams(proc_capability=v),
+        lambda v: FogNodeParams(proc_capability=100.0, energy_per_bit=v,
+                                idle_power=2.0, tdp=10.0),
+        lambda v: FogNodeParams(proc_capability=100.0, energy_per_bit=1e-7,
+                                idle_power=v, tdp=10.0),
+        lambda v: NetworkParams(uplink_throughput=1e6, downlink_throughput=v),
+        lambda v: NetworkParams(uplink_throughput=1e6, downlink_throughput=1e6,
+                                noise_sigma=v),
+        lambda v: NetworkParams(uplink_throughput=1e6, downlink_throughput=1e6,
+                                return_fraction=v),
     ], ids=["arrival_rate", "packet_size", "tdp", "fog_capability",
-            "tx_energy_per_bit", "uplink", "base_latency", "cloud_capability"])
+            "tx_energy_per_bit", "uplink", "base_latency", "cloud_capability",
+            "energy_per_bit", "idle_power", "downlink", "noise_sigma",
+            "return_fraction"])
     @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
     def test_parameter_dataclasses_reject(self, build, value):
         with pytest.raises(ValidationError, match="finite"):
@@ -191,6 +202,142 @@ class TestNonFiniteNumbers:
     def test_grid_axis_value_rejected(self):
         with pytest.raises(ValidationError, match="finite"):
             sweep_grid(default_scenario(), parse_grid_spec("fog.tdp_w=inf"))
+
+
+# the schema as a reader of README sees it: section -> key -> YAML text in
+# the minimal document, None for a key with a default
+SCHEMA = {
+    "workload": {"arrival_rate_pps": "100", "packet_size_bits": "12000"},
+    "fog": {"proc_capability_pps": "100", "energy_per_bit_j": "1.0e-7",
+            "idle_power_w": "2.0", "tdp_w": "10.0",
+            "tx_energy_per_bit_j": None},
+    "network": {"uplink_throughput_bps": "1.5e6",
+                "downlink_throughput_bps": "1.5e6", "base_latency_s": None,
+                "noise_sigma": None, "return_fraction": None},
+    "cloud": {"proc_capability_bps": "3.0e6"},
+}
+SCHEMA_KEYS = [f"{section}.{key}" for section, keys in SCHEMA.items()
+               for key in keys]
+REQUIRED_KEYS = [f"{section}.{key}" for section, keys in SCHEMA.items()
+                 for key, text in keys.items() if text is not None]
+LINK_KEYS = {"network.uplink_throughput_bps": None,
+             "network.downlink_throughput_bps": None}
+
+
+def schema_doc(changes: dict) -> str:
+    """The minimal document with ``section.key`` set to the given YAML text,
+    or dropped where the text is None."""
+    lines = []
+    for section, keys in SCHEMA.items():
+        values = dict(keys)
+        for path, text in changes.items():
+            if path.startswith(section + "."):
+                values[path.partition(".")[2]] = text
+        values = {key: text for key, text in values.items() if text is not None}
+        lines.append(f"{section}:" if values else f"{section}: {{}}")
+        lines += [f"  {key}: {text}" for key, text in values.items()]
+    return "\n".join(lines) + "\n"
+
+
+def load_error(doc: str) -> ValidationError:
+    with pytest.raises(ValidationError) as exc:
+        load_scenario(doc)
+    return exc.value
+
+
+class TestSchemaKeys:
+    """Pins every loader message and ``.field``, key by key."""
+
+    def test_schema_doc_is_the_minimal_document(self):
+        assert load_scenario(schema_doc({})) == load_scenario(MINIMAL_DOC)
+
+    @pytest.mark.parametrize("path", REQUIRED_KEYS)
+    def test_missing_required_key(self, path):
+        exc = load_error(schema_doc({path: None}))
+        assert str(exc) == f"{path}: missing required key"
+        assert exc.field == path
+
+    @pytest.mark.parametrize("path", SCHEMA_KEYS)
+    @pytest.mark.parametrize("text,message", [
+        ("fast", "expected a number, got 'fast'"),
+        (".inf", "must be finite, got inf"),
+    ], ids=["fast", "inf"])
+    def test_bad_number(self, path, text, message):
+        exc = load_error(schema_doc({path: text}))
+        assert str(exc) == f"{path}: {message}"
+        assert exc.field == path
+
+    @pytest.mark.parametrize("changes,message,field", [
+        ({"network.preset": "null"},
+         "network.preset: expected a preset name", "network.preset"),
+        ({"network.preset": "3"},
+         "network.preset: expected a preset name", "network.preset"),
+        ({"network.preset": "nope"},
+         "network.preset: unknown network preset 'nope'", "network.preset"),
+        ({"network.preset": "gsm", "network.uplink_throughput_bps": "1.5e6"},
+         "network.uplink_throughput_bps: unknown key",
+         "network.uplink_throughput_bps"),
+        # a preset leaves the link keys unread, whatever their values
+        ({"network.preset": "gsm", "network.base_latency_s": "fast"},
+         "network.base_latency_s: unknown key", "network.base_latency_s"),
+        ({"network.preset": "gsm", "network.return_fraction": "2"},
+         "network.return_fraction: must be within [0, 1]",
+         "network.return_fraction"),
+        ({"network.preset": "null", "network.noise_sigma": "fast"},
+         "network.noise_sigma: expected a number, got 'fast'",
+         "network.noise_sigma"),
+    ], ids=["null", "int", "unknown", "with-uplink", "with-base-latency",
+            "bad-return-fraction", "noise-before-preset"])
+    def test_preset(self, changes, message, field):
+        exc = load_error(schema_doc({**LINK_KEYS, **changes}))
+        assert str(exc) == message
+        assert exc.field == field
+
+    @pytest.mark.parametrize("changes,message,field", [
+        # sections load in document order
+        ({"workload.arrival_rate_pps": "fast", "fog.tdp_w": "fast"},
+         "workload.arrival_rate_pps: expected a number, got 'fast'",
+         "workload.arrival_rate_pps"),
+        # the network reads noise_sigma and return_fraction first
+        ({"network.uplink_throughput_bps": "fast",
+          "network.noise_sigma": "fast"},
+         "network.noise_sigma: expected a number, got 'fast'",
+         "network.noise_sigma"),
+        ({"network.base_latency_s": "fast", "network.return_fraction": ".nan"},
+         "network.return_fraction: must be finite, got nan",
+         "network.return_fraction"),
+        ({"network.downlink_throughput_bps": None,
+          "network.base_latency_s": "fast"},
+         "network.downlink_throughput_bps: missing required key",
+         "network.downlink_throughput_bps"),
+        # every key is read before the dataclass checks its invariants
+        ({"network.return_fraction": "2", "network.base_latency_s": "fast"},
+         "network.base_latency_s: expected a number, got 'fast'",
+         "network.base_latency_s"),
+        # invariants are checked before unknown keys
+        ({"fog.tdp_w": "1.0", "fog.bogus": "1"},
+         "fog.tdp: must exceed idle_power", "fog.tdp"),
+        ({"fog.bogus": "1", "fog.another": "1"},
+         "fog.another: unknown key", "fog.another"),
+        ({"workload.packet_size_bits": "0"},
+         "workload.packet_size: must be > 0", "workload.packet_size"),
+    ], ids=["sections-in-order", "noise-before-link", "return-before-base",
+            "missing-before-bad-base", "numbers-before-invariants",
+            "invariant-before-unknown", "unknown-sorted", "invariant"])
+    def test_first_fault_reported(self, changes, message, field):
+        exc = load_error(schema_doc(changes))
+        assert str(exc) == message
+        assert exc.field == field
+
+    def test_table_covers_every_parameter_field_once(self):
+        rows = list(_FIELD_AXES.values())
+        expected = [(section, f.name) for section, params in (
+            ("workload", WorkloadParams), ("fog", FogNodeParams),
+            ("network", NetworkParams), ("cloud", CloudParams))
+            for f in fields(params)]
+        assert sorted(rows) == sorted(expected)
+        assert len(set(rows)) == len(rows)
+        assert list(_FIELD_AXES) == SCHEMA_KEYS
 
 
 class TestPresets:
