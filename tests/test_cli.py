@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -345,6 +346,16 @@ class TestPower:
                                       "--efficiency", "0.01"])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("args", [
+        ["--efficiency", "2"],
+        ["--kind", "fixedwing", "--wing-area", "-1"],
+        ["--kind", "fixedwing", "--drag-coeff", "0"],
+    ], ids=["efficiency", "wing-area", "drag-coeff"])
+    def test_option_the_aircraft_model_rejects_exits_2(self, runner, args):
+        result = runner.invoke(main, ["power", *args])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+
 
 class TestPresets:
     def test_contains_key_table_values(self, runner, out_dir):
@@ -398,6 +409,44 @@ class TestArtifactContract:
         assert not any(ch for ch in data_line if ord(ch) > 127)
 
 
+# the options each command needs besides the one under test
+REQUIRED_ARGS = {
+    "evaluate": ["--r", "0.5"],
+    "optimize": ["--pop", "8", "--gens", "2", "--seed", "1"],
+    "simulate": ["--local-prob", "0.5", "--duration", "20", "--seed", "1"],
+}
+FLOAT_OPTIONS = [(name, param.opts[0])
+                 for name, command in sorted(main.commands.items())
+                 for param in command.params
+                 if isinstance(param, click.Option)
+                 and param.type.name == "float"]
+
+
+class TestNonFiniteOptions:
+    @pytest.mark.parametrize("command,option", FLOAT_OPTIONS,
+                             ids=[f"{c}{o}" for c, o in FLOAT_OPTIONS])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_float_option_exits_2(self, runner, out_dir, command, option,
+                                  value):
+        result = runner.invoke(main, [command, *REQUIRED_ARGS.get(command, []),
+                                      f"{option}={value}"])
+        assert result.exit_code == 2
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--heights", "nan"],
+        ["--heights", "10,inf"],
+        ["--speeds", "inf"],
+        ["--aspect", "3:nan"],
+        ["--aspect", "inf:2"],
+    ], ids=["heights-nan", "heights-inf", "speeds-inf", "aspect-nan",
+            "aspect-inf"])
+    def test_fov_list_value_exits_2(self, runner, out_dir, args):
+        result = runner.invoke(main, ["fov", *args])
+        assert result.exit_code == 2
+        assert not out_dir.exists()
+
+
 class TestStartup:
     def test_cli_import_leaves_scipy_unloaded(self):
         code = ("import sys, fogscope.cli; "
@@ -419,6 +468,9 @@ TX_SCENARIO = (
 TDP_SCENARIO = (TX_SCENARIO.replace("tdp_w: 10.0", "tdp_w: 2.0607")
                 .replace("modification1_enabled: true",
                          "modification1_enabled: false"))
+# accepted rate 80 pkt/s at --local-prob 0.8, past the capability
+SLOW_FOG_SCENARIO = TX_SCENARIO.replace("proc_capability_pps: 100",
+                                        "proc_capability_pps: 50")
 
 
 class TestSeededArtifactBytes:
@@ -454,6 +506,21 @@ class TestSeededArtifactBytes:
                                   "12285877f51f5ae7b0c0be2c9611f67f",
                 "sweep_g003.csv": "28177b82a3796c92799cfa3a45f386fd"
                                   "99918ce8669b2ab2ce84bdc4c57f27d0"}),
+        "simulate-default": (
+            None, ["simulate", "--local-prob", "0.5", "--duration", "50",
+                   "--seed", "21"],
+            0, {"simulate.csv": "c1efe51861d20b11ee3eadcaf7f202e3"
+                                "e53a5e0914d969854d0d091fc817684b"}),
+        "simulate-tx": (
+            TX_SCENARIO, ["simulate", "--local-prob", "0.3", "--duration",
+                          "50", "--seed", "22"],
+            0, {"simulate.csv": "d0c588e021f65cb9fba9ee6adabca8f5"
+                                "729c4cae941bdc3e5f81382c3c547bf4"}),
+        "simulate-slow-fog": (
+            SLOW_FOG_SCENARIO, ["simulate", "--local-prob", "0.8",
+                                "--duration", "30", "--seed", "24"],
+            0, {"simulate.csv": "ad6310c830adf1d3ded9c1952270fdb7"
+                                "f02ddd2bb593e2cce5e086b1622d33f9"}),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,5 +1,6 @@
 """Dominance tooling, NSGA-II contracts, grid oracle, hypervolume."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -174,6 +175,11 @@ class TestOptimizeContracts:
             OptConfig(crossover_rate=1.2)
         with pytest.raises(ValidationError):
             OptConfig(mutation_sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_mutation_sigma_must_be_finite(self, sigma):
+        with pytest.raises(ValidationError, match="mutation_sigma"):
+            OptConfig(mutation_sigma=sigma)
 
     def test_problem_invariants(self):
         with pytest.raises(ValidationError):
