@@ -12,7 +12,8 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from functools import partial
 from typing import Any, Optional
 
 import yaml
@@ -166,41 +167,27 @@ def preset(name: str) -> Any:
 
 
 def catalog_rows() -> list[tuple[str, str, str, str, str]]:
-    """Flat (group, name, field, value, source) rows for the catalog dump."""
+    """Flat (group, name, field, value, source) rows for the catalog dump.
+
+    A ``*_range*`` pair gives a ``*_min*`` and a ``*_max*`` row; numbers
+    are written as their ``repr``.
+    """
     rows = []
-    for net in CATALOG.networks.values():
-        src = _PRESET_SOURCES["networks"]
-        rows.append(("networks", net.name, "uplink_bps", repr(net.uplink_bps), src))
-        rows.append(("networks", net.name, "latency_min_s",
-                     repr(net.latency_range_s[0]), src))
-        rows.append(("networks", net.name, "latency_max_s",
-                     repr(net.latency_range_s[1]), src))
-    for br in CATALOG.bitrates.values():
-        src = _PRESET_SOURCES["bitrates"]
-        rows.append(("bitrates", br.name, "min_bps", repr(br.min_bps), src))
-        rows.append(("bitrates", br.name, "max_bps", repr(br.max_bps), src))
-    for name, motor in CATALOG.motors.items():
-        src = _PRESET_SOURCES["motors"]
-        rows.append(("motors", name, "kv_rpm_per_v", repr(motor.kv_rpm_per_v), src))
-        rows.append(("motors", name, "no_load_current_a",
-                     repr(motor.no_load_current_a), src))
-        rows.append(("motors", name, "resistance_ohm",
-                     repr(motor.resistance_ohm), src))
-        rows.append(("motors", name, "max_power_w", repr(motor.max_power_w), src))
-        rows.append(("motors", name, "prop_diameter_m",
-                     repr(motor.prop_diameter_m), src))
-        rows.append(("motors", name, "prop_pitch_m", repr(motor.prop_pitch_m), src))
-        rows.append(("motors", name, "efficiency_min",
-                     repr(motor.efficiency_range[0]), src))
-        rows.append(("motors", name, "efficiency_max",
-                     repr(motor.efficiency_range[1]), src))
-    for info in CATALOG.wireless_info.values():
-        src = _PRESET_SOURCES["wireless_info"]
-        rows.append(("wireless_info", info.name, "coverage", info.coverage, src))
-        rows.append(("wireless_info", info.name, "throughput", info.throughput, src))
-        rows.append(("wireless_info", info.name, "frequency", info.frequency, src))
-        rows.append(("wireless_info", info.name, "energy_efficiency",
-                     info.energy_efficiency, src))
+    for group in fields(CATALOG):
+        source = _PRESET_SOURCES[group.name]
+        for name, record in getattr(CATALOG, group.name).items():
+            for f in fields(record):
+                if f.name == "name":
+                    continue
+                value = getattr(record, f.name)
+                if isinstance(value, tuple):
+                    items = [(f.name.replace("_range", bound), v)
+                             for bound, v in zip(("_min", "_max"), value)]
+                else:
+                    items = [(f.name, value)]
+                rows += [(group.name, name, field,
+                          v if isinstance(v, str) else repr(v), source)
+                         for field, v in items]
     return rows
 
 
@@ -214,14 +201,49 @@ def catalog_checksum() -> str:
 # Scenario document loading
 # ---------------------------------------------------------------------------
 
-def _number(section: str, mapping: dict, key: str, required: bool = False,
-            default: float = 0.0) -> float:
-    if key not in mapping:
-        if required:
-            raise ValidationError(f"{section}.{key}: missing required key",
-                                  field=f"{section}.{key}")
-        return default
-    value = mapping.pop(key)
+# schema key -> (scenario section, dataclass field), in document order: the
+# one place the parameter keys are spelled out.  The loader, the serializer
+# and the sweep axes read it; whether a key is required (its field has no
+# default), and its default, come from the section's dataclass.
+_FIELD_AXES = {
+    "workload.arrival_rate_pps": ("workload", "arrival_rate"),
+    "workload.packet_size_bits": ("workload", "packet_size"),
+    "fog.proc_capability_pps": ("fog", "proc_capability"),
+    "fog.energy_per_bit_j": ("fog", "energy_per_bit"),
+    "fog.idle_power_w": ("fog", "idle_power"),
+    "fog.tdp_w": ("fog", "tdp"),
+    "fog.tx_energy_per_bit_j": ("fog", "tx_energy_per_bit"),
+    "network.uplink_throughput_bps": ("network", "uplink_throughput"),
+    "network.downlink_throughput_bps": ("network", "downlink_throughput"),
+    "network.base_latency_s": ("network", "base_latency"),
+    "network.noise_sigma": ("network", "noise_sigma"),
+    "network.return_fraction": ("network", "return_fraction"),
+    "cloud.proc_capability_bps": ("cloud", "proc_capability"),
+}
+
+_SECTION_PARAMS = {"workload": WorkloadParams, "fog": FogNodeParams,
+                   "network": NetworkParams, "cloud": CloudParams}
+
+# the NetworkParams fields a network preset sets; a document naming a preset
+# gives only the others
+_PRESET_FIELDS = ("uplink_throughput", "downlink_throughput", "base_latency")
+
+
+def _read_order(section: str) -> list[tuple[str, str, bool]]:
+    """(key, field, required) per key of a section, in the order the loader
+    reads them, which decides the first error a document reports: document
+    order, but the keys a preset leaves to the document come first."""
+    required = {f.name: f.default is MISSING
+                for f in fields(_SECTION_PARAMS[section])}
+    rows = [(path.partition(".")[2], field, required[field])
+            for path, (owner, field) in _FIELD_AXES.items() if owner == section]
+    return sorted(rows, key=lambda row: row[1] in _PRESET_FIELDS)
+
+
+_READ_ORDER = {section: _read_order(section) for section in _SECTION_PARAMS}
+
+
+def _number(path: str, value: Any) -> float:
     number = None
     if not isinstance(value, bool) and isinstance(value, (str, int, float)):
         # YAML 1.1 reads exponents without a sign ("1.5e6") as strings
@@ -232,11 +254,11 @@ def _number(section: str, mapping: dict, key: str, required: bool = False,
         except OverflowError:  # an integer beyond the float range
             number = math.inf
     if number is None:
-        raise ValidationError(f"{section}.{key}: expected a number, got "
-                              f"{value!r}", field=f"{section}.{key}")
+        raise ValidationError(f"{path}: expected a number, got {value!r}",
+                              field=path)
     if not math.isfinite(number):
-        raise ValidationError(f"{section}.{key}: must be finite, got "
-                              f"{value!r}", field=f"{section}.{key}")
+        raise ValidationError(f"{path}: must be finite, got {value!r}",
+                              field=path)
     return number
 
 
@@ -264,12 +286,6 @@ def _section(doc: dict, key: str) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(f"{key}: expected a mapping", field=key)
     return dict(value)
-
-
-def _wrap_field(section: str, exc: ValidationError) -> ValidationError:
-    msg = exc.args[0] if exc.args else str(exc)
-    field = f"{section}.{exc.field}" if exc.field else section
-    return ValidationError(f"{section}.{msg}", field=field)
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
@@ -317,120 +333,53 @@ def load_scenario(text: str) -> Scenario:
         raise ValidationError("name: must be a nonempty string", field="name")
     modification1 = _flag(doc, "modification1_enabled")
     include_base = _flag(doc, "include_base_latency")
-
-    work_map = _section(doc, "workload")
-    try:
-        workload = WorkloadParams(
-            arrival_rate=_number("workload", work_map, "arrival_rate_pps",
-                                 required=True),
-            packet_size=_number("workload", work_map, "packet_size_bits",
-                                required=True),
-        )
-    except ValidationError as exc:
-        if exc.field and "." not in exc.field:
-            raise _wrap_field("workload", exc) from exc
-        raise
-    _reject_unknown("workload", work_map)
-
-    fog_map = _section(doc, "fog")
-    try:
-        fog = FogNodeParams(
-            proc_capability=_number("fog", fog_map, "proc_capability_pps",
-                                    required=True),
-            energy_per_bit=_number("fog", fog_map, "energy_per_bit_j",
-                                   required=True),
-            idle_power=_number("fog", fog_map, "idle_power_w", required=True),
-            tdp=_number("fog", fog_map, "tdp_w", required=True),
-            tx_energy_per_bit=_number("fog", fog_map, "tx_energy_per_bit_j"),
-        )
-    except ValidationError as exc:
-        if exc.field and "." not in exc.field:
-            raise _wrap_field("fog", exc) from exc
-        raise
-    _reject_unknown("fog", fog_map)
-
-    net_map = _section(doc, "network")
-    try:
-        network = _load_network(net_map, include_base)
-    except ValidationError as exc:
-        if exc.field and "." not in exc.field:
-            raise _wrap_field("network", exc) from exc
-        raise
-    _reject_unknown("network", net_map)
-
-    cloud_map = _section(doc, "cloud")
-    try:
-        cloud = CloudParams(
-            proc_capability=_number("cloud", cloud_map, "proc_capability_bps",
-                                    required=True),
-        )
-    except ValidationError as exc:
-        if exc.field and "." not in exc.field:
-            raise _wrap_field("cloud", exc) from exc
-        raise
-    _reject_unknown("cloud", cloud_map)
-
+    sections = {section: _load_section(doc, section, include_base)
+                for section in _SECTION_PARAMS}
     _reject_unknown("", doc)
-    return Scenario(workload=workload, fog=fog, network=network, cloud=cloud,
-                    name=name, modification1_enabled=modification1,
+    return Scenario(**sections, name=name, modification1_enabled=modification1,
                     include_base_latency=include_base)
 
 
-def _load_network(net_map: dict, include_base: bool) -> NetworkParams:
-    noise_sigma = _number("network", net_map, "noise_sigma", default=0.0)
-    return_fraction = _number("network", net_map, "return_fraction", default=0.1)
-    if "preset" in net_map:
-        preset_name = net_map.pop("preset")
-        if not isinstance(preset_name, str):
-            raise ValidationError("preset: expected a preset name",
-                                  field="preset")
-        if preset_name not in CATALOG.networks:
-            raise ValidationError(f"preset: unknown network preset "
-                                  f"{preset_name!r}", field="preset")
-        return CATALOG.networks[preset_name].to_network_params(
-            include_base_latency=include_base,
-            noise_sigma=noise_sigma,
-            return_fraction=return_fraction,
-        )
-    return NetworkParams(
-        uplink_throughput=_number("network", net_map, "uplink_throughput_bps",
-                                  required=True),
-        downlink_throughput=_number("network", net_map,
-                                    "downlink_throughput_bps", required=True),
-        base_latency=_number("network", net_map, "base_latency_s", default=0.0),
-        noise_sigma=noise_sigma,
-        return_fraction=return_fraction,
-    )
+def _load_section(doc: dict, section: str, include_base: bool) -> Any:
+    mapping = _section(doc, section)
+    build, values = _SECTION_PARAMS[section], {}
+    for key, field, required in _READ_ORDER[section]:
+        if field in _PRESET_FIELDS and "preset" in mapping:
+            build = partial(_network_preset(mapping.pop("preset"))
+                            .to_network_params, include_base)
+            break
+        path = f"{section}.{key}"
+        if key in mapping:
+            values[field] = _number(path, mapping.pop(key))
+        elif required:
+            raise ValidationError(f"{path}: missing required key", field=path)
+    try:
+        params = build(**values)
+    except ValidationError as exc:  # a dataclass names only its own field
+        raise ValidationError(f"{section}.{exc}",
+                              field=f"{section}.{exc.field}") from exc
+    _reject_unknown(section, mapping)
+    return params
+
+
+def _network_preset(name: Any) -> NetworkPreset:
+    if not isinstance(name, str):
+        raise ValidationError("network.preset: expected a preset name",
+                              field="network.preset")
+    if name not in CATALOG.networks:
+        raise ValidationError(f"network.preset: unknown network preset "
+                              f"{name!r}", field="network.preset")
+    return CATALOG.networks[name]
 
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Schema-form dict with the network resolved to explicit values."""
-    return {
-        "name": s.name,
-        "modification1_enabled": s.modification1_enabled,
-        "include_base_latency": s.include_base_latency,
-        "workload": {
-            "arrival_rate_pps": s.workload.arrival_rate,
-            "packet_size_bits": s.workload.packet_size,
-        },
-        "fog": {
-            "proc_capability_pps": s.fog.proc_capability,
-            "energy_per_bit_j": s.fog.energy_per_bit,
-            "idle_power_w": s.fog.idle_power,
-            "tdp_w": s.fog.tdp,
-            "tx_energy_per_bit_j": s.fog.tx_energy_per_bit,
-        },
-        "network": {
-            "uplink_throughput_bps": s.network.uplink_throughput,
-            "downlink_throughput_bps": s.network.downlink_throughput,
-            "base_latency_s": s.network.base_latency,
-            "noise_sigma": s.network.noise_sigma,
-            "return_fraction": s.network.return_fraction,
-        },
-        "cloud": {
-            "proc_capability_bps": s.cloud.proc_capability,
-        },
-    }
+    doc = {"name": s.name, "modification1_enabled": s.modification1_enabled,
+           "include_base_latency": s.include_base_latency}
+    for path, (section, field) in _FIELD_AXES.items():
+        doc.setdefault(section, {})[path.partition(".")[2]] = \
+            getattr(getattr(s, section), field)
+    return doc
 
 
 def serialize_scenario(s: Scenario) -> str:
@@ -461,23 +410,6 @@ def default_scenario() -> Scenario:
 # ---------------------------------------------------------------------------
 # Sweep grids
 # ---------------------------------------------------------------------------
-
-# schema key -> (scenario attribute, dataclass field)
-_FIELD_AXES = {
-    "workload.arrival_rate_pps": ("workload", "arrival_rate"),
-    "workload.packet_size_bits": ("workload", "packet_size"),
-    "fog.proc_capability_pps": ("fog", "proc_capability"),
-    "fog.energy_per_bit_j": ("fog", "energy_per_bit"),
-    "fog.idle_power_w": ("fog", "idle_power"),
-    "fog.tdp_w": ("fog", "tdp"),
-    "fog.tx_energy_per_bit_j": ("fog", "tx_energy_per_bit"),
-    "network.uplink_throughput_bps": ("network", "uplink_throughput"),
-    "network.downlink_throughput_bps": ("network", "downlink_throughput"),
-    "network.base_latency_s": ("network", "base_latency"),
-    "network.noise_sigma": ("network", "noise_sigma"),
-    "network.return_fraction": ("network", "return_fraction"),
-    "cloud.proc_capability_bps": ("cloud", "proc_capability"),
-}
 
 GridAxes = list[tuple[str, list[str]]]
 
