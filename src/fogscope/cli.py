@@ -8,6 +8,7 @@ configuration (TDP or motor overload), 4 optimizer failure.
 
 from __future__ import annotations
 
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -27,6 +28,21 @@ from .scenario import (ParseError, Scenario, catalog_checksum, catalog_rows,
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_OPTIMIZER = 4
+
+
+class _FiniteFloat(click.ParamType):
+    """A float option value; nan and infinities are input errors."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        number = click.FLOAT.convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return number
+
+
+_FINITE_FLOAT = _FiniteFloat()
 
 
 def _fail(code: int, message: str) -> None:
@@ -70,7 +86,7 @@ def main():
 @main.command()
 @click.option("--scenario", "scenario_path", default=None,
               help="Scenario YAML file (defaults to the built-in scenario).")
-@click.option("--r", "r", type=float, required=True,
+@click.option("--r", "r", type=_FINITE_FLOAT, required=True,
               help="Fraction of arrivals accepted for fog processing.")
 def evaluate(scenario_path: Optional[str], r: float):
     """Evaluate the objective vector for one workload split."""
@@ -143,9 +159,9 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
 @click.option("--pop", type=int, default=100, show_default=True)
 @click.option("--gens", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--crossover-rate", type=float, default=0.9, show_default=True)
-@click.option("--mutation-rate", type=float, default=0.1, show_default=True)
-@click.option("--mutation-sigma", type=float, default=0.05, show_default=True)
+@click.option("--crossover-rate", type=_FINITE_FLOAT, default=0.9, show_default=True)
+@click.option("--mutation-rate", type=_FINITE_FLOAT, default=0.1, show_default=True)
+@click.option("--mutation-sigma", type=_FINITE_FLOAT, default=0.05, show_default=True)
 def optimize_cmd(scenario_path: Optional[str], pop: int, gens: int, seed: int,
                  crossover_rate: float, mutation_rate: float,
                  mutation_sigma: float):
@@ -180,11 +196,11 @@ def optimize_cmd(scenario_path: Optional[str], pop: int, gens: int, seed: int,
 @main.command()
 @click.option("--scenario", "scenario_path", default=None,
               help="Scenario YAML file (defaults to the built-in scenario).")
-@click.option("--local-prob", type=float, required=True,
+@click.option("--local-prob", type=_FINITE_FLOAT, required=True,
               help="Probability a packet is classified for local processing.")
-@click.option("--duration", type=float, required=True,
+@click.option("--duration", type=_FINITE_FLOAT, required=True,
               help="Simulated seconds.")
-@click.option("--warmup", type=float, default=None,
+@click.option("--warmup", type=_FINITE_FLOAT, default=None,
               help="Warmup seconds excluded from statistics "
                    "(default: 10% of duration).")
 @click.option("--seed", type=int, required=True)
@@ -234,9 +250,10 @@ def _float_list(text: str, option: str) -> list[float]:
     if not values:
         _fail(EXIT_INPUT, f"{option} needs at least one value")
     try:
-        return [float(v) for v in values]
-    except ValueError:
-        _fail(EXIT_INPUT, f"{option} must be a comma-separated number list")
+        return [_FINITE_FLOAT.convert(v, None, None) for v in values]
+    except click.BadParameter:
+        _fail(EXIT_INPUT,
+              f"{option} must be a comma-separated list of finite numbers")
 
 
 @main.command()
@@ -244,7 +261,7 @@ def _float_list(text: str, option: str) -> list[float]:
               help="Flight heights in meters, comma separated.")
 @click.option("--speeds", default="5,10", show_default=True,
               help="Ground speeds in m/s, comma separated.")
-@click.option("--dfov", type=float, default=94.0, show_default=True,
+@click.option("--dfov", type=_FINITE_FLOAT, default=94.0, show_default=True,
               help="Diagonal field of view in degrees.")
 @click.option("--aspect", default="3:2", show_default=True,
               help="Image aspect ratio W:H; the H side lies along-track.")
@@ -256,9 +273,11 @@ def fov(heights: str, speeds: str, dfov: float, aspect: str):
         _fail(EXIT_INPUT, "heights and speeds must be > 0")
     try:
         w_txt, _, h_txt = aspect.partition(":")
-        cam = flight.CameraParams(diagonal_fov_deg=dfov,
-                                  aspect_w=float(w_txt), aspect_h=float(h_txt))
-    except ValueError as exc:
+        cam = flight.CameraParams(
+            diagonal_fov_deg=dfov,
+            aspect_w=_FINITE_FLOAT.convert(w_txt, None, None),
+            aspect_h=_FINITE_FLOAT.convert(h_txt, None, None))
+    except (ValueError, click.BadParameter) as exc:
         _fail(EXIT_INPUT, f"--aspect/--dfov: {exc}")
     rows = []
     for h in height_values:
@@ -279,15 +298,15 @@ def fov(heights: str, speeds: str, dfov: float, aspect: str):
 @main.command()
 @click.option("--kind", type=click.Choice(["quad", "fixedwing"]),
               default="quad", show_default=True)
-@click.option("--mass-min", type=float, default=0.5, show_default=True)
-@click.option("--mass-max", type=float, default=3.0, show_default=True)
-@click.option("--step", type=float, default=0.25, show_default=True)
+@click.option("--mass-min", type=_FINITE_FLOAT, default=0.5, show_default=True)
+@click.option("--mass-max", type=_FINITE_FLOAT, default=3.0, show_default=True)
+@click.option("--step", type=_FINITE_FLOAT, default=0.25, show_default=True)
 @click.option("--motor", "motor_name", default="x2212", show_default=True)
-@click.option("--efficiency", type=float, default=1.0, show_default=True,
+@click.option("--efficiency", type=_FINITE_FLOAT, default=1.0, show_default=True,
               help="Overall drivetrain efficiency (1.0 = ideal model).")
-@click.option("--wing-area", type=float, default=0.72, show_default=True)
-@click.option("--drag-coeff", type=float, default=0.05, show_default=True)
-@click.option("--lift-coeff", type=float, default=0.3, show_default=True)
+@click.option("--wing-area", type=_FINITE_FLOAT, default=0.72, show_default=True)
+@click.option("--drag-coeff", type=_FINITE_FLOAT, default=0.05, show_default=True)
+@click.option("--lift-coeff", type=_FINITE_FLOAT, default=0.3, show_default=True)
 def power(kind: str, mass_min: float, mass_max: float, step: float,
           motor_name: str, efficiency: float, wing_area: float,
           drag_coeff: float, lift_coeff: float):
@@ -304,16 +323,19 @@ def power(kind: str, mass_min: float, mass_max: float, step: float,
         _fail(EXIT_INPUT, f"preset {motor_name!r} is not a motor")
 
     def aircraft(mass: float) -> flight.AircraftModel:
-        if kind == "quad":
-            return flight.AircraftModel(kind=flight.QUAD_ROTOR, mass_kg=mass,
-                                        motor=motor,
+        try:
+            if kind == "quad":
+                return flight.AircraftModel(kind=flight.QUAD_ROTOR,
+                                            mass_kg=mass, motor=motor,
+                                            overall_efficiency=efficiency)
+            return flight.AircraftModel(kind=flight.FIXED_WING_BIMOTOR,
+                                        mass_kg=mass, motor=motor,
+                                        wing_area_m2=wing_area,
+                                        drag_coeff=drag_coeff,
+                                        lift_coeff=lift_coeff,
                                         overall_efficiency=efficiency)
-        return flight.AircraftModel(kind=flight.FIXED_WING_BIMOTOR,
-                                    mass_kg=mass, motor=motor,
-                                    wing_area_m2=wing_area,
-                                    drag_coeff=drag_coeff,
-                                    lift_coeff=lift_coeff,
-                                    overall_efficiency=efficiency)
+        except ValueError as exc:
+            _fail(EXIT_INPUT, str(exc))
 
     power_fn = (flight.hover_power if kind == "quad"
                 else flight.fixed_wing_level_power)

@@ -12,6 +12,7 @@ non-dominated subset; it serves as the independent oracle for `optimize`.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -62,8 +63,8 @@ class OptConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValidationError(f"{name}: must be within [0, 1]",
                                       field=name)
-        if self.mutation_sigma <= 0:
-            raise ValidationError("mutation_sigma: must be > 0",
+        if not math.isfinite(self.mutation_sigma) or self.mutation_sigma <= 0:
+            raise ValidationError("mutation_sigma: must be finite and > 0",
                                   field="mutation_sigma")
 
 
