@@ -216,9 +216,7 @@ def simulate(scenario_path: Optional[str], local_prob: float, duration: float,
     except ValidationError as exc:
         _fail(EXIT_INPUT, str(exc))
     metrics, packets = simulation.simulate_trace(sim, seed)
-    split = model.DecisionState.from_ratio(scn.workload, local_prob)
-    analytic_b = model.throughput_to_cloud(scn.workload, split)
-    analytic_lat = model.fog_latency_linear(scn.fog, split)
+    (analytic,) = model.evaluate(scn, np.array([local_prob])).rows()
     table = ResultTable(
         columns=("local_prob", "duration_s", "warmup_s",
                  "mean_local_sojourn_s", "mean_forward_latency_s",
@@ -233,7 +231,7 @@ def simulate(scenario_path: Optional[str], local_prob: float, duration: float,
                metrics.mean_fog_power_w, metrics.local_queue_max,
                metrics.unstable, metrics.packets_generated,
                metrics.packets_local_done, metrics.packets_forwarded_done,
-               metrics.packets_in_flight, analytic_b, analytic_lat)])
+               metrics.packets_in_flight, analytic[1], analytic[3])])
     manifest = RunManifest.create("simulate", scenario_digest(scn), seed=seed)
     _emit("simulate.csv", manifest, table)
     if trace_path is not None:
