@@ -159,9 +159,12 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
 @click.option("--pop", type=int, default=100, show_default=True)
 @click.option("--gens", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--crossover-rate", type=_FINITE_FLOAT, default=0.9, show_default=True)
-@click.option("--mutation-rate", type=_FINITE_FLOAT, default=0.1, show_default=True)
-@click.option("--mutation-sigma", type=_FINITE_FLOAT, default=0.05, show_default=True)
+@click.option("--crossover-rate", type=_FINITE_FLOAT,
+              default=0.9, show_default=True)
+@click.option("--mutation-rate", type=_FINITE_FLOAT,
+              default=0.1, show_default=True)
+@click.option("--mutation-sigma", type=_FINITE_FLOAT,
+              default=0.05, show_default=True)
 def optimize_cmd(scenario_path: Optional[str], pop: int, gens: int, seed: int,
                  crossover_rate: float, mutation_rate: float,
                  mutation_sigma: float):
@@ -300,11 +303,15 @@ def fov(heights: str, speeds: str, dfov: float, aspect: str):
 @click.option("--mass-max", type=_FINITE_FLOAT, default=3.0, show_default=True)
 @click.option("--step", type=_FINITE_FLOAT, default=0.25, show_default=True)
 @click.option("--motor", "motor_name", default="x2212", show_default=True)
-@click.option("--efficiency", type=_FINITE_FLOAT, default=1.0, show_default=True,
+@click.option("--efficiency", type=_FINITE_FLOAT,
+              default=1.0, show_default=True,
               help="Overall drivetrain efficiency (1.0 = ideal model).")
-@click.option("--wing-area", type=_FINITE_FLOAT, default=0.72, show_default=True)
-@click.option("--drag-coeff", type=_FINITE_FLOAT, default=0.05, show_default=True)
-@click.option("--lift-coeff", type=_FINITE_FLOAT, default=0.3, show_default=True)
+@click.option("--wing-area", type=_FINITE_FLOAT,
+              default=0.72, show_default=True)
+@click.option("--drag-coeff", type=_FINITE_FLOAT,
+              default=0.05, show_default=True)
+@click.option("--lift-coeff", type=_FINITE_FLOAT,
+              default=0.3, show_default=True)
 def power(kind: str, mass_min: float, mass_max: float, step: float,
           motor_name: str, efficiency: float, wing_area: float,
           drag_coeff: float, lift_coeff: float):

@@ -236,7 +236,8 @@ def _read_order(section: str) -> list[tuple[str, str, bool]]:
     required = {f.name: f.default is MISSING
                 for f in fields(_SECTION_PARAMS[section])}
     rows = [(path.partition(".")[2], field, required[field])
-            for path, (owner, field) in _FIELD_AXES.items() if owner == section]
+            for path, (owner, field) in _FIELD_AXES.items()
+            if owner == section]
     return sorted(rows, key=lambda row: row[1] in _PRESET_FIELDS)
 
 

@@ -248,9 +248,6 @@ def load_error(doc: str) -> ValidationError:
 class TestSchemaKeys:
     """Pins every loader message and ``.field``, key by key."""
 
-    def test_schema_doc_is_the_minimal_document(self):
-        assert load_scenario(schema_doc({})) == load_scenario(MINIMAL_DOC)
-
     @pytest.mark.parametrize("path", REQUIRED_KEYS)
     def test_missing_required_key(self, path):
         exc = load_error(schema_doc({path: None}))
