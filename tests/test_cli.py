@@ -356,6 +356,20 @@ class TestPower:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize("option, args", [
+        ("--wing-area", ["--wing-area", "5"]),
+        ("--drag-coeff", ["--kind", "quad", "--drag-coeff", "0"]),
+        # its default value, but given on the command line
+        ("--lift-coeff", ["--lift-coeff", "0.3", "--kind", "quad"]),
+    ])
+    def test_fixed_wing_option_with_quad_exits_2(self, runner, out_dir,
+                                                 option, args):
+        result = runner.invoke(main, ["power", *args])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert option in result.stderr
+        assert not (out_dir / "power.csv").exists()
+
 
 class TestPresets:
     def test_contains_key_table_values(self, runner, out_dir):
