@@ -16,6 +16,7 @@ from typing import Optional
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import flight, model, reporting, simulation
 from .model import ValidationError
@@ -316,6 +317,12 @@ def power(kind: str, mass_min: float, mass_max: float, step: float,
           motor_name: str, efficiency: float, wing_area: float,
           drag_coeff: float, lift_coeff: float):
     """Aircraft power across a mass grid, with the +250 g payload delta."""
+    ctx = click.get_current_context()
+    for name in ("wing_area", "drag_coeff", "lift_coeff"):
+        source = ctx.get_parameter_source(name)
+        if kind == "quad" and source is ParameterSource.COMMANDLINE:
+            _fail(EXIT_INPUT, f"--{name.replace('_', '-')} applies to "
+                              f"--kind fixedwing only")
     if not 0.0 < mass_min <= mass_max <= 3.0:
         _fail(EXIT_INPUT, "mass range must lie within (0, 3.0] kg")
     if step <= 0:
