@@ -69,16 +69,16 @@ class NetworkPreset:
     latency_range_s: tuple[float, float]
 
     def to_network_params(self, include_base_latency: bool = False,
-                          noise_sigma: float = 0.0,
-                          return_fraction: float = 0.1) -> NetworkParams:
+                          **link: float) -> NetworkParams:
+        """The link of this standard; ``link`` holds the other
+        :class:`NetworkParams` fields (``noise_sigma``, ``return_fraction``)."""
         # downlink assumed symmetric; the source table reports uplink only
         base = (sum(self.latency_range_s) / 2.0) if include_base_latency else 0.0
         return NetworkParams(
             uplink_throughput=self.uplink_bps,
             downlink_throughput=self.uplink_bps,
             base_latency=base,
-            noise_sigma=noise_sigma,
-            return_fraction=return_fraction,
+            **link,
         )
 
 
