@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from dataclasses import astuple, fields
 from pathlib import Path
 from typing import Optional
 
@@ -223,19 +224,10 @@ def simulate(scenario_path: Optional[str], local_prob: float, duration: float,
     (analytic,) = model.evaluate(scn, np.array([local_prob])).rows()
     table = ResultTable(
         columns=("local_prob", "duration_s", "warmup_s",
-                 "mean_local_sojourn_s", "mean_forward_latency_s",
-                 "empirical_uplink_throughput_bps", "mean_fog_power_w",
-                 "local_queue_max", "unstable", "packets_generated",
-                 "packets_local_done", "packets_forwarded_done",
-                 "packets_in_flight", "analytic_throughput_bps",
-                 "analytic_fog_latency_s"),
-        rows=[(local_prob, duration, sim.warmup_s,
-               metrics.mean_local_sojourn_s, metrics.mean_forward_latency_s,
-               metrics.empirical_uplink_throughput_bps,
-               metrics.mean_fog_power_w, metrics.local_queue_max,
-               metrics.unstable, metrics.packets_generated,
-               metrics.packets_local_done, metrics.packets_forwarded_done,
-               metrics.packets_in_flight, analytic[1], analytic[3])])
+                 *(f.name for f in fields(simulation.SimMetrics)),
+                 "analytic_throughput_bps", "analytic_fog_latency_s"),
+        rows=[(local_prob, duration, sim.warmup_s, *astuple(metrics),
+               analytic[1], analytic[3])])
     manifest = RunManifest.create("simulate", scenario_digest(scn), seed=seed)
     _emit("simulate.csv", manifest, table)
     if trace_path is not None:
