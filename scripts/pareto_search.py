@@ -14,15 +14,16 @@ from pathlib import Path
 from fogscope.optimizer import (OptConfig, OptProblem, brute_force_front,
                                 hypervolume, optimize)
 from fogscope.reporting import ResultTable, RunManifest, render_artifact
-from fogscope.scenario import (CATALOG, default_scenario, scenario_digest)
+from fogscope.scenario import (CATALOG, default_scenario, load_scenario,
+                               scenario_digest)
 
+TX_TERM = Path(__file__).parents[1] / "scenarios" / "tx_term.yaml"
 FRONT_COLUMNS = ("r", "throughput_bps", "fog_power_w", "avg_latency_s")
 
 
 def configurations():
     base = default_scenario()
-    tx = replace(base, fog=replace(base.fog, tx_energy_per_bit=2e-8),
-                 modification1_enabled=True, name="tx-term")
+    tx = load_scenario(TX_TERM.read_text(encoding="utf-8"))
     # six 1080p streams at max bitrate over HSPA+, fog sized to the load
     rate = 6 * CATALOG.bitrates["1080p"].max_bps / base.workload.packet_size
     fleet = replace(

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -459,6 +460,42 @@ class TestNonFiniteOptions:
         result = runner.invoke(main, ["fov", *args])
         assert result.exit_code == 2
         assert not out_dir.exists()
+
+
+ROOT = Path(__file__).parents[1]
+
+
+def readme_experiments():
+    """(output directory, arguments) of each ``FOGSCOPE_OUT=... fogscope
+    ...`` line in the code block of README's "Experiments" section."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(
+        "## Experiments", 1)[1]
+    runs = []
+    for line in section.split("```")[1].splitlines():
+        words = shlex.split(line)
+        if words[:1] and words[0].startswith("FOGSCOPE_OUT=") \
+                and words[1] == "fogscope":
+            runs.append((words[0].partition("=")[2], words[2:]))
+    return runs
+
+
+README_RUNS = readme_experiments()
+
+
+class TestReadmeExperiments:
+    def test_block_lists_the_surfaces_and_budgets(self):
+        assert [args[0] for _, args in README_RUNS] \
+            == ["sweep"] * 4 + ["fov"] + ["power"] * 2
+
+    @pytest.mark.parametrize("out, args", README_RUNS,
+                             ids=[out for out, _ in README_RUNS])
+    def test_command_writes_its_artifact(self, runner, out_dir, monkeypatch,
+                                         out, args):
+        monkeypatch.chdir(ROOT)  # scenario paths are relative to the root
+        monkeypatch.setenv("FOGSCOPE_OUT", str(out_dir / out))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert (out_dir / out / f"{args[0]}.csv").is_file()
 
 
 class TestStartup:

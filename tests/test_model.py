@@ -13,7 +13,7 @@ from fogscope import model
 from fogscope.model import (CloudParams, DecisionState, FogNodeParams,
                             InstabilityWarning, NetworkParams, TdpExceeded,
                             ValidationError, WorkloadParams)
-from fogscope.scenario import default_scenario
+from fogscope.scenario import default_scenario, parse_grid_spec, sweep_grid
 
 
 # independent oracle: each formula written out once, straight-line
@@ -433,7 +433,11 @@ def kernel_rows(scn, r_values):
 
 def assert_kernel_is_scalar_path(scn, r_values):
     rows = kernel_rows(scn, r_values)
-    assert rows == [scalar_row(scn, r) for r in r_values]
+    scalar = [scalar_row(scn, r) for r in r_values]
+    assert rows == scalar
+    # -0.0 and 0.0 too; the scalar path keeps numpy scalars from R_GRID
+    assert [[repr(float(v)) for v in row] for row in rows] \
+        == [[repr(float(v)) for v in row] for row in scalar]
     for row in rows:
         if row[-1]:
             assert model.objectives(scn, row[0]).as_tuple() \
@@ -458,6 +462,17 @@ def scenario_with(**changes):
 R_GRID = list(np.linspace(0.0, 1.0, 2001)) + [random.Random(3).random()
                                             for _ in range(200)]
 
+# the members of the objective-surface families README's "Experiments"
+# sweeps: network standard, fog capability, uplink rate, tx term
+SURFACE_MEMBERS = [
+    member for spec in ("network=gsm,umts,hspa,hspa_plus",
+                        "v_fog_frac=0.25,0.5,0.75,1.0",
+                        "network.uplink_throughput_bps="
+                        "4e4,3.84e5,1.5e6,5.76e6,1.15e7")
+    for member in sweep_grid(default_scenario(), parse_grid_spec(spec))
+] + [replace(scenario_with(fog__tx_energy_per_bit=2e-8),
+             modification1_enabled=True, name="tx-term")]
+
 
 class TestEvaluateKernel:
     def test_r_grid_with_tx_term(self):
@@ -465,6 +480,11 @@ class TestEvaluateKernel:
                                     network__base_latency=0.05,
                                     network__return_fraction=0.137),
                       modification1_enabled=True)
+        rows = assert_kernel_is_scalar_path(scn, R_GRID)
+        assert all(row[-1] for row in rows)
+
+    @pytest.mark.parametrize("scn", SURFACE_MEMBERS, ids=lambda s: s.name)
+    def test_objective_surface_members(self, scn):
         rows = assert_kernel_is_scalar_path(scn, R_GRID)
         assert all(row[-1] for row in rows)
 

@@ -3,6 +3,7 @@
 import math
 import textwrap
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,8 @@ from fogscope.scenario import (_FIELD_AXES, CATALOG, ParseError,
 # pins the table transcription; update only on a deliberate catalog change
 CATALOG_CHECKSUM = \
     "15a0dbccf0819e03aa5d6415b40ebd215506b5618061ef39136f8058ab740228"
+
+SCENARIO_FILES = Path(__file__).parents[1] / "scenarios"
 
 MINIMAL_DOC = textwrap.dedent("""\
     workload:
@@ -144,6 +147,27 @@ class TestLoadScenario:
         assert load_scenario(serialize_scenario(s)) == s
         assert scenario_digest(s) == scenario_digest(
             load_scenario(serialize_scenario(s)))
+
+
+class TestScenarioFiles:
+    @staticmethod
+    def load(name):
+        return load_scenario((SCENARIO_FILES / name).read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in SCENARIO_FILES.glob("*.yaml")))
+    def test_loads(self, name):
+        assert self.load(name).name == name.removesuffix(".yaml").replace(
+            "_", "-")
+
+    def test_default_is_the_built_in_default(self):
+        assert self.load("default.yaml") == default_scenario()
+
+    def test_tx_term_is_the_default_with_the_tx_term_on(self):
+        base = default_scenario()
+        assert self.load("tx_term.yaml") == replace(
+            base, fog=replace(base.fog, tx_energy_per_bit=2e-8),
+            modification1_enabled=True, name="tx-term")
 
 
 class TestNonFiniteNumbers:
