@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import fogscope
+from fogscope import cli
 from fogscope.cli import main
 from fogscope.reporting import MANIFEST_PREFIX, RunManifest, strip_manifest
 from fogscope.scenario import catalog_checksum
@@ -370,6 +371,51 @@ class TestPower:
         assert result.stderr.startswith("error: ")
         assert option in result.stderr
         assert not (out_dir / "power.csv").exists()
+
+
+class TestGridCaps:
+    """An oversized r-grid or mass grid is an input error, found before any
+    grid is built.  Each test reads the cap first, so no test here runs an
+    oversized grid."""
+
+    @pytest.mark.parametrize("r_steps, code", [("101", 0), ("102", 2)],
+                             ids=["at-cap", "over-cap"])
+    def test_sweep_r_steps_at_and_over_the_cap(self, runner, out_dir,
+                                               monkeypatch, r_steps, code):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 101)
+        result = runner.invoke(main, ["sweep", "--r-steps", r_steps])
+        assert result.exit_code == code
+        assert (out_dir / "sweep.csv").exists() == (code == 0)
+
+    @pytest.mark.parametrize("cap, code", [(11, 0), (10, 2)],
+                             ids=["at-cap", "over-cap"])
+    def test_power_masses_at_and_over_the_cap(self, runner, out_dir,
+                                              monkeypatch, cap, code):
+        # the default mass grid, 0.5 to 3.0 kg in steps of 0.25, holds 11
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", cap)
+        result = runner.invoke(main, ["power"])
+        assert result.exit_code == code
+        assert (out_dir / "power.csv").exists() == (code == 0)
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--r-steps", "{over_cap}"],
+        ["sweep", "--r-steps", "100000000"],
+        ["power", "--step", "1e-12"],
+        # the mass span over this step is inf
+        ["power", "--step", "5e-324"],
+    ], ids=["sweep-cap+1", "sweep-1e8", "power-1e-12", "power-subnormal"])
+    def test_oversized_grid_exits_2(self, runner, out_dir, args):
+        over_cap = cli.MAX_GRID_POINTS + 1
+        assert over_cap <= 100_000_000
+        result = runner.invoke(main, [arg.format(over_cap=over_cap)
+                                      for arg in args])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert not out_dir.exists()
+
+    def test_cap_admits_the_benchmark_sweep(self):
+        # perfbench's sweep workload runs --r-steps 2001
+        assert cli.MAX_GRID_POINTS >= 2001
 
 
 class TestPresets:
