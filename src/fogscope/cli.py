@@ -30,6 +30,9 @@ from .scenario import (ParseError, Scenario, catalog_checksum, catalog_rows,
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_OPTIMIZER = 4
+# most points in a sweep r-grid or a power mass grid: an r spacing of 1e-5;
+# one sweep group at the cap peaks near 200 MiB
+MAX_GRID_POINTS = 100_001
 
 
 class _FiniteFloat(click.ParamType):
@@ -118,8 +121,8 @@ def evaluate(scenario_path: Optional[str], r: float):
 def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
     """Evaluate the objectives over a scenario grid times an r-grid."""
     scn = _load(scenario_path)
-    if r_steps < 2:
-        _fail(EXIT_INPUT, "--r-steps must be >= 2")
+    if not 2 <= r_steps <= MAX_GRID_POINTS:
+        _fail(EXIT_INPUT, f"--r-steps must be >= 2 and <= {MAX_GRID_POINTS}")
     try:
         scenarios = sweep_grid(scn, parse_grid_spec(grid_text))
     except ValidationError as exc:
@@ -319,6 +322,11 @@ def power(kind: str, mass_min: float, mass_max: float, step: float,
         _fail(EXIT_INPUT, "mass range must lie within (0, 3.0] kg")
     if step <= 0:
         _fail(EXIT_INPUT, "--step must be > 0")
+    # the grid holds int(span) + 1 masses; a tiny step makes span inf
+    span = (mass_max - mass_min) / step + 1e-9
+    if span >= MAX_GRID_POINTS:
+        _fail(EXIT_INPUT, f"--step {step!r} gives more than "
+                          f"{MAX_GRID_POINTS} masses")
     try:
         motor = preset(motor_name)
     except UnknownPreset:
@@ -343,10 +351,9 @@ def power(kind: str, mass_min: float, mass_max: float, step: float,
 
     power_fn = (flight.hover_power if kind == "quad"
                 else flight.fixed_wing_level_power)
-    count = int((mass_max - mass_min) / step + 1e-9) + 1
     rows = []
     try:
-        for i in range(count):
+        for i in range(int(span) + 1):
             mass = mass_min + i * step
             base = power_fn(aircraft(mass))
             delta = power_fn(aircraft(mass + 0.25)) - base
