@@ -316,6 +316,18 @@ class TestFov:
     def test_negative_speed_exit_2(self, runner):
         assert runner.invoke(main, ["fov", "--speeds", "-5"]).exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--heights", "1e308", "--speeds", "1e-300"],
+        ["--heights", "10,1e300", "--speeds", "5,1e-300"],
+    ], ids=["footprint-and-dwell", "dwell-only"])
+    def test_non_finite_footprint_or_dwell_exits_2(self, runner, out_dir,
+                                                   args):
+        # finite options whose footprint or dwell time overflows to inf
+        result = runner.invoke(main, ["fov", *args])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert not out_dir.exists()
+
 
 class TestPower:
     def test_quad_grid_strictly_increasing(self, runner, out_dir):
