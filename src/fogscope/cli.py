@@ -281,6 +281,10 @@ def fov(heights: str, speeds: str, dfov: float, aspect: str):
         along, _ = flight.ground_coverage(cam, h)
         for v in speed_values:
             dwell = flight.dwell_time(cam, h, v)
+            # an infinite footprint makes the dwell time infinite too
+            if not math.isfinite(dwell):
+                _fail(EXIT_INPUT, f"height {h!r} m at speed {v!r} m/s gives "
+                                  f"a non-finite footprint or dwell time")
             verdict = flight.latency_budget_verdict(dwell,
                                                     flight.CLOUD_ROUND_TRIP_S)
             rows.append((h, v, along, dwell, verdict.feasible))
