@@ -13,10 +13,9 @@ import sys
 import warnings
 from dataclasses import astuple, fields
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import click
-import numpy as np
 from click.core import ParameterSource
 
 from . import flight, model, reporting, simulation
@@ -26,6 +25,9 @@ from .reporting import ResultTable, RunManifest, write_artifact
 from .scenario import (ParseError, Scenario, catalog_checksum, catalog_rows,
                        default_scenario, load_scenario, parse_grid_spec,
                        preset, scenario_digest, sweep_grid, UnknownPreset)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
@@ -95,6 +97,7 @@ def main():
               help="Fraction of arrivals accepted for fog processing.")
 def evaluate(scenario_path: Optional[str], r: float):
     """Evaluate the objective vector for one workload split."""
+    import numpy as np
     scn = _load(scenario_path)
     if not 0.0 <= r <= 1.0:
         _fail(EXIT_INPUT, f"--r={r} violates the bound [0, 1]")
@@ -120,6 +123,7 @@ def evaluate(scenario_path: Optional[str], r: float):
               help="Number of evenly spaced r values in [0, 1].")
 def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
     """Evaluate the objectives over a scenario grid times an r-grid."""
+    import numpy as np
     scn = _load(scenario_path)
     if not 2 <= r_steps <= MAX_GRID_POINTS:
         _fail(EXIT_INPUT, f"--r-steps must be >= 2 and <= {MAX_GRID_POINTS}")
@@ -217,6 +221,7 @@ def optimize_cmd(scenario_path: Optional[str], pop: int, gens: int, seed: int,
 def simulate(scenario_path: Optional[str], local_prob: float, duration: float,
              warmup: Optional[float], seed: int, trace_path: Optional[str]):
     """Run the packet-level simulation once and compare with the model."""
+    import numpy as np
     scn = _load(scenario_path)
     try:
         sim = simulation.SimScenario(scenario=scn, local_prob=local_prob,

@@ -15,9 +15,9 @@ import warnings
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from .scenario import Scenario
 
 
@@ -312,6 +312,7 @@ def evaluate(scenario: "Scenario", r: np.ndarray) -> Evaluation:
     are flagged in ``feasible`` instead of raising TdpExceeded.  Emits one
     InstabilityWarning when any accepted rate reaches the fog capability.
     """
+    import numpy as np
     r = np.asarray(r, dtype=float)
     _require(bool(np.all((r >= 0.0) & (r <= 1.0))), "must be within [0, 1]",
              "r")

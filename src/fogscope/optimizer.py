@@ -17,12 +17,12 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-import numpy as np
-
 from . import model
 from .model import InstabilityWarning, ObjectiveVector, ValidationError
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .scenario import Scenario
 
 
@@ -91,6 +91,7 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
 
 def _dominance_matrix(objs: np.ndarray) -> np.ndarray:
     """Boolean matrix M with M[i, j] true iff point i dominates point j."""
+    import numpy as np
     n = objs.shape[0]
     le = np.ones((n, n), dtype=bool)
     eq = np.ones((n, n), dtype=bool)
@@ -103,6 +104,7 @@ def _dominance_matrix(objs: np.ndarray) -> np.ndarray:
 
 def _ranks_from_matrix(dom: np.ndarray) -> np.ndarray:
     """Peel non-dominated fronts off a dominance matrix."""
+    import numpy as np
     n = dom.shape[0]
     dominator_count = dom.sum(axis=0).astype(np.int64)
     ranks = np.full(n, -1, dtype=np.int64)
@@ -121,6 +123,7 @@ def _ranks_from_matrix(dom: np.ndarray) -> np.ndarray:
 
 def non_dominated_sort(points: Sequence[Sequence[float]]) -> list[int]:
     """Per-point non-domination rank; rank 0 is the non-dominated set."""
+    import numpy as np
     if len(points) == 0:
         raise ValueError("points must be nonempty")
     objs = np.asarray(points, dtype=float)
@@ -134,6 +137,7 @@ def crowding_distance(front: Sequence[Sequence[float]]) -> list[float]:
     the neighbor gaps normalized by the objective range.  An objective
     with zero range contributes nothing (avoids 0/0).
     """
+    import numpy as np
     n = len(front)
     if n == 0:
         return []
@@ -154,6 +158,7 @@ def crowding_distance(front: Sequence[Sequence[float]]) -> list[float]:
 
 def _crowding_by_rank(points: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Crowding distance of every point within its own rank."""
+    import numpy as np
     crowding = np.zeros(len(ranks))
     for rank in range(int(ranks.max()) + 1):
         idx = np.flatnonzero(ranks == rank)
@@ -163,6 +168,7 @@ def _crowding_by_rank(points: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
 def _rank_order(ranks: np.ndarray, crowding: np.ndarray) -> np.ndarray:
     """Indices sorted by (rank, -crowding), ties in index order."""
+    import numpy as np
     return np.lexsort((-crowding, ranks))
 
 
@@ -180,10 +186,12 @@ class _Population(NamedTuple):
         return _Population(*(field[idx] for field in self))
 
     def concat(self, other: "_Population") -> "_Population":
+        import numpy as np
         return _Population(*(np.concatenate(pair) for pair in zip(self, other)))
 
 
 def _evaluate(problem: OptProblem, r: np.ndarray) -> _Population:
+    import numpy as np
     # the search scans all of [0, 1]; crossing the fog stability
     # boundary is expected, so the warning is silenced here
     with warnings.catch_warnings():
@@ -201,6 +209,7 @@ def _constrained_dominance_matrix(pop: _Population) -> np.ndarray:
     member dominates by its objectives and dominates every infeasible
     one; an infeasible member dominates those with a larger violation,
     which excludes the feasible ones (violation 0)."""
+    import numpy as np
     dom = _dominance_matrix(pop.objs)
     if pop.feasible.all():
         return dom
@@ -210,6 +219,7 @@ def _constrained_dominance_matrix(pop: _Population) -> np.ndarray:
 
 
 def _rank_and_crowd(pop: _Population) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     ranks = _ranks_from_matrix(_constrained_dominance_matrix(pop))
     # infeasible members crowd by their violation alone
     points = np.where(pop.feasible[:, None], pop.objs, pop.violation[:, None])
@@ -252,6 +262,7 @@ def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
     Each generation's offspring are evaluated as one batch after all of
     them are drawn; evaluation draws nothing from the RNG.
     """
+    import numpy as np
     rng = np.random.default_rng(cfg.seed)
     lo, hi = problem.decision_bounds
     size = cfg.population_size
@@ -299,6 +310,7 @@ def brute_force_front(problem: OptProblem, grid_step: float) -> ParetoFront:
     both bounds.  Infeasible grid points are dropped; the result is
     empty when no grid point is feasible.
     """
+    import numpy as np
     if not 0 < grid_step <= 1:
         raise ValidationError("grid_step: must be within (0, 1]",
                               field="grid_step")

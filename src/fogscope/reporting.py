@@ -16,12 +16,12 @@ import csv
 import io
 import json
 import os
+import sys
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 TOOL_VERSION = "0.1.0"
 MANIFEST_PREFIX = "# fogscope: "
@@ -69,7 +69,8 @@ class RunManifest:
 
 
 def format_cell(value) -> str:
-    if isinstance(value, np.generic):
+    np = sys.modules.get("numpy")   # no numpy scalar exists without it
+    if np is not None and isinstance(value, np.generic):
         # numpy 2 reprs np.float64(0.1) as "np.float64(0.1)"; np.True_ is
         # no bool
         value = value.item()
@@ -91,7 +92,7 @@ _BOOL_CELLS = {True: "true", False: "false"}
 
 
 def _float_cells(column: tuple) -> list[str]:
-    keys = np.array(column, dtype=np.float64).view(np.uint64).tolist()
+    keys = array("Q", array("d", column).tobytes()).tolist()
     reprs = _FLOAT_REPRS
     missing = {k: v for k, v in zip(keys, column) if k not in reprs}
     if len(reprs) + len(missing) > FLOAT_REPR_CACHE_CAP:

@@ -20,13 +20,14 @@ import random
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import IO, Optional, Sequence
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Optional, Sequence
 
 from . import model
 from .model import ValidationError
 from .scenario import Scenario
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PATH_LOCAL = "local"
 PATH_FORWARDED = "forwarded"
@@ -282,6 +283,7 @@ class TrendComparison:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the mean of their ranks."""
+    import numpy as np
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     # [start, end) bounds of each run of equal values in sorted order
@@ -295,6 +297,7 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     """Spearman rank correlation with average ranks for ties; NaN when an
     input is constant or contains NaN."""
+    import numpy as np
     x, y = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if (np.isnan(x).any() or np.isnan(y).any()
             or (x == x[0]).all() or (y == y[0]).all()):
@@ -311,6 +314,7 @@ def trend_compare(sim: SimScenario, r_grid: list[float],
     latency and the empirical mean of the local and forward latencies.
     A split above the TDP gives a row with ``analytic_feasible`` false.
     """
+    import numpy as np
     if not r_grid:
         raise ValidationError("r_grid: must be nonempty", field="r_grid")
     scn = sim.scenario
