@@ -1,8 +1,10 @@
 """Command-line surface: outputs, exit codes, manifests, reproducibility."""
 
+import ast
 import csv
 import hashlib
 import io
+import json
 import os
 import shlex
 import subprocess
@@ -556,15 +558,103 @@ class TestReadmeExperiments:
         assert (out_dir / out / f"{args[0]}.csv").is_file()
 
 
+SRC = Path(fogscope.__file__).parents[1]
+
+
+def modules_loaded_by(code: str, package: str, **env: str) -> list[str]:
+    """The ``sys.modules`` keys of ``package`` after ``code`` runs in a
+    fresh interpreter."""
+    probe = (f"{code}\nimport json, sys\nprint(json.dumps(sorted("
+             f"m for m in sys.modules if m.split('.')[0] == {package!r})))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC), **env})
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _is_type_checking_block(node: ast.AST) -> bool:
+    return (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+            and node.test.id == "TYPE_CHECKING")
+
+
+def import_time_numpy_imports(source: str) -> list[int]:
+    """Lines that import numpy when the module is imported: outside every
+    function body and every ``if TYPE_CHECKING:`` block."""
+    lines = []
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if _is_type_checking_block(node):
+            pending.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if node.level == 0 else []
+        else:
+            names = []
+        if any(name.split(".")[0] == "numpy" for name in names):
+            lines.append(node.lineno)
+        pending.extend(ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
 class TestStartup:
     def test_cli_import_leaves_scipy_unloaded(self):
-        code = ("import sys, fogscope.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        src = str(Path(fogscope.__file__).parents[1])
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}).stdout
-        assert out.strip() == "[]"
+        assert modules_loaded_by("import fogscope.cli", "scipy") == []
+
+    @pytest.mark.parametrize("module", ["fogscope", "fogscope.cli"])
+    def test_import_leaves_numpy_unloaded(self, module):
+        assert modules_loaded_by(f"import {module}", "numpy") == []
+
+    @pytest.mark.parametrize("args", [
+        ["presets"],
+        ["fov"],
+        ["power", "--kind", "quad"],
+        ["power", "--kind", "fixedwing"],
+    ], ids=["presets", "fov", "power-quad", "power-fixedwing"])
+    def test_command_leaves_numpy_unloaded(self, tmp_path, args):
+        code = ("from fogscope.cli import main\n"
+                "try:\n"
+                f"    main({args!r})\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0, exc.code\n")
+        assert modules_loaded_by(code, "numpy",
+                                 FOGSCOPE_OUT=str(tmp_path)) == []
+        assert (tmp_path / f"{args[0]}.csv").is_file()
+
+    def test_evaluate_loads_numpy(self, tmp_path):
+        # the probe above would pass vacuously if it could not see numpy
+        code = ("from fogscope.cli import main\n"
+                "try:\n"
+                "    main(['evaluate', '--r', '0.5'])\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0, exc.code\n")
+        assert "numpy" in modules_loaded_by(code, "numpy",
+                                            FOGSCOPE_OUT=str(tmp_path))
+
+    @pytest.mark.parametrize("path", sorted((SRC / "fogscope").glob("*.py")),
+                             ids=lambda path: path.name)
+    def test_no_module_imports_numpy_at_import_time(self, path):
+        source = path.read_text(encoding="utf-8")
+        assert import_time_numpy_imports(source) == []
+
+    @pytest.mark.parametrize("source, lines", [
+        ("import numpy as np\n", [1]),
+        ("import os, numpy.linalg\n", [1]),
+        ("from numpy import array\n", [1]),
+        ("try:\n    import numpy\nexcept ImportError:\n    pass\n", [2]),
+        ("class A:\n    import numpy\n", [2]),
+        ("if TYPE_CHECKING:\n    pass\nelse:\n    import numpy\n", [4]),
+        ("if TYPE_CHECKING:\n    import numpy as np\n", []),
+        ("def f():\n    import numpy as np\n", []),
+        ("class A:\n    def f(self):\n        import numpy\n", []),
+        ("from .numpy import x\nimport numpyish\n", []),
+    ])
+    def test_import_scan_finds_import_time_numpy(self, source, lines):
+        assert import_time_numpy_imports(source) == lines
 
 
 TX_SCENARIO = (

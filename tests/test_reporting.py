@@ -4,6 +4,10 @@ the cell-at-a-time csv.writer path it replaced."""
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +107,53 @@ class TestToCsvText:
             table = ResultTable(("v",), [(v,) for v in values])
             assert table.to_csv_text() == oracle_csv_text(table)
             assert len(reporting._FLOAT_REPRS) <= 4
+
+
+# Runs in a fresh interpreter: _float_cells keys its cache by the IEEE-754
+# bits of each float without numpy, checked here against struct.
+FLOAT_KEYS_PROBE = """
+import struct, sys
+from fogscope import reporting
+
+def bits(x):
+    return int.from_bytes(struct.pack("<d", x), "little")
+
+def from_bits(key):
+    return struct.unpack("<d", key.to_bytes(8, "little"))[0]
+
+nans = [from_bits(k) for k in (0x7FF8000000000000, 0x7FF8000000000001,
+                               0xFFF8000000000000)]
+column = (0.0, -0.0, *nans, 0.1, 0.0)
+reporting._FLOAT_REPRS = {}
+assert reporting._float_cells(column) == list(map(repr, column))
+# -0.0 beside 0.0 and three NaN payloads: six keys for seven values
+assert sorted(reporting._FLOAT_REPRS) == sorted(set(map(bits, column)))
+assert len(reporting._FLOAT_REPRS) == 6
+
+# a hit reads the cache by bit pattern: a planted entry comes back
+reporting._FLOAT_REPRS[bits(-0.0)] = "planted"
+assert reporting._float_cells((0.0, -0.0)) == ["0.0", "planted"]
+
+# six cached and two missing overflow a cap of 7: cleared, then refilled
+reporting.FLOAT_REPR_CACHE_CAP = 7
+assert reporting._float_cells((1.5, 2.5, 1.5)) == ["1.5", "2.5", "1.5"]
+assert sorted(reporting._FLOAT_REPRS) == sorted(map(bits, (1.5, 2.5)))
+# more distinct values than the cap: cleared and used once
+wide = tuple(i / 7 for i in range(8))
+assert reporting._float_cells(wide) == list(map(repr, wide))
+assert reporting._FLOAT_REPRS == {}
+
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+
+
+class TestFloatCellsWithoutNumpy:
+    def test_bit_keys_cache_hits_and_clears(self):
+        src = Path(reporting.__file__).parents[1]
+        out = subprocess.run([sys.executable, "-c", FLOAT_KEYS_PROBE],
+                             check=True, capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout == "[]\n"
 
 
 class TestNumpyScalars:
