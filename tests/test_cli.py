@@ -572,11 +572,6 @@ def modules_loaded_by(code: str, package: str, **env: str) -> list[str]:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def _is_type_checking_block(node: ast.AST) -> bool:
-    return (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
-            and node.test.id == "TYPE_CHECKING")
-
-
 def import_time_numpy_imports(source: str) -> list[int]:
     """Lines that import numpy when the module is imported: outside every
     function body and every ``if TYPE_CHECKING:`` block."""
@@ -586,7 +581,8 @@ def import_time_numpy_imports(source: str) -> list[int]:
         node = pending.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if _is_type_checking_block(node):
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
             pending.extend(node.orelse)
             continue
         if isinstance(node, ast.Import):
