@@ -572,6 +572,15 @@ def modules_loaded_by(code: str, package: str, **env: str) -> list[str]:
     return json.loads(out.stdout.splitlines()[-1])
 
 
+def cli_code(args: list[str]) -> str:
+    """Code that runs the CLI on ``args`` and requires exit 0."""
+    return ("from fogscope.cli import main\n"
+            "try:\n"
+            f"    main({args!r})\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n")
+
+
 def import_time_numpy_imports(source: str) -> list[int]:
     """Lines that import numpy when the module is imported: outside every
     function body and every ``if TYPE_CHECKING:`` block."""
@@ -612,24 +621,15 @@ class TestStartup:
         ["power", "--kind", "fixedwing"],
     ], ids=["presets", "fov", "power-quad", "power-fixedwing"])
     def test_command_leaves_numpy_unloaded(self, tmp_path, args):
-        code = ("from fogscope.cli import main\n"
-                "try:\n"
-                f"    main({args!r})\n"
-                "except SystemExit as exc:\n"
-                "    assert exc.code == 0, exc.code\n")
-        assert modules_loaded_by(code, "numpy",
+        assert modules_loaded_by(cli_code(args), "numpy",
                                  FOGSCOPE_OUT=str(tmp_path)) == []
         assert (tmp_path / f"{args[0]}.csv").is_file()
 
     def test_evaluate_loads_numpy(self, tmp_path):
         # the probe above would pass vacuously if it could not see numpy
-        code = ("from fogscope.cli import main\n"
-                "try:\n"
-                "    main(['evaluate', '--r', '0.5'])\n"
-                "except SystemExit as exc:\n"
-                "    assert exc.code == 0, exc.code\n")
-        assert "numpy" in modules_loaded_by(code, "numpy",
-                                            FOGSCOPE_OUT=str(tmp_path))
+        assert "numpy" in modules_loaded_by(
+            cli_code(["evaluate", "--r", "0.5"]), "numpy",
+            FOGSCOPE_OUT=str(tmp_path))
 
     @pytest.mark.parametrize("path", sorted((SRC / "fogscope").glob("*.py")),
                              ids=lambda path: path.name)
