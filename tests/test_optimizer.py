@@ -1,6 +1,8 @@
 """Dominance tooling, NSGA-II contracts, grid oracle, hypervolume."""
 
+import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fogscope import model
 from fogscope.model import (CloudParams, FogNodeParams, NetworkParams,
                             ValidationError, WorkloadParams)
 from fogscope.optimizer import (NoFeasibleSolution, OptConfig, OptProblem,
@@ -299,3 +302,93 @@ def test_returned_rank_zero_never_dominated_property(points):
     rank0 = [p for p, rk in zip(points, ranks) if rk == 0]
     for a in rank0:
         assert not any(dominates(b, a) for b in points)
+
+
+@st.composite
+def eighths_point_sets(draw):
+    """2-D or 3-D points whose coordinates are multiples of 0.125 in [0, 1)."""
+    dim = draw(st.integers(min_value=2, max_value=3))
+    coord = st.integers(min_value=0, max_value=7).map(lambda k: k * 0.125)
+    return draw(st.lists(st.tuples(*[coord] * dim), max_size=12))
+
+
+def compressed_grid_volume(points, reference):
+    """Hypervolume by coordinate compression: the distinct coordinates of
+    each axis cut the box below the reference into cells, and a cell
+    counts when some point weakly dominates its lower corner."""
+    axes = [sorted({p[d] for p in points} | {reference[d]})
+            for d in range(len(reference))]
+    volume = 0.0
+    for cell in itertools.product(*[range(len(axis) - 1) for axis in axes]):
+        corner = [axis[k] for axis, k in zip(axes, cell)]
+        if any(all(v <= c for v, c in zip(p, corner)) for p in points):
+            size = 1.0
+            for axis, k in zip(axes, cell):
+                size *= axis[k + 1] - axis[k]
+            volume += size
+    return volume
+
+
+@settings(max_examples=200)
+@given(eighths_point_sets())
+def test_hypervolume_equals_the_compressed_grid_oracle(points):
+    # every width, product and sum here is a multiple of 2**-9 in [0, 1],
+    # so both sides are exact and must agree bit for bit
+    reference = (1.0,) * (len(points[0]) if points else 3)
+    assert hypervolume(points, reference) == \
+        compressed_grid_volume(points, reference)
+
+
+@st.composite
+def binding_tdp_scenarios(draw):
+    """Random scenarios, with or without the tx term, whose TDP lies
+    between the fog power at r = 0 and at r = 1."""
+    rate = draw(st.floats(min_value=1.0, max_value=1e3))
+    size = draw(st.floats(min_value=100.0, max_value=1e5))
+    gamma = draw(st.floats(min_value=1e-8, max_value=1e-5))
+    tx = draw(st.floats(min_value=1e-8, max_value=1e-5))
+    tx_enabled = draw(st.booleans())
+    bits = rate * size
+    p0 = (tx * bits if tx_enabled else 0.0) + 1.0
+    p1 = gamma * bits + 1.0
+    lo, hi = min(p0, p1), max(p0, p1)
+    tdp = lo + draw(st.floats(min_value=0.05, max_value=0.95)) * (hi - lo)
+    if tdp <= 1.0:  # both ends draw the same power; the TDP cannot bind
+        tdp = hi + 1.0
+    return Scenario(
+        workload=WorkloadParams(arrival_rate=rate, packet_size=size),
+        fog=FogNodeParams(
+            proc_capability=draw(st.floats(min_value=1.0, max_value=1e3)),
+            energy_per_bit=gamma, idle_power=1.0, tdp=tdp,
+            tx_energy_per_bit=tx),
+        network=NetworkParams(
+            uplink_throughput=draw(st.floats(min_value=1e4, max_value=1e7)),
+            downlink_throughput=draw(st.floats(min_value=1e4, max_value=1e7))),
+        cloud=CloudParams(
+            proc_capability=draw(st.floats(min_value=1e5, max_value=1e8))),
+        modification1_enabled=tx_enabled,
+        name="random",
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(binding_tdp_scenarios(),
+       st.sampled_from([0.5, 0.25, 0.1, 2.0 ** -6, 0.01]))
+def test_grid_oracle_keeps_exactly_the_non_dominated_feasible_points(
+        scn, step):
+    front = brute_force_front(OptProblem(scenario=scn), step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", model.InstabilityWarning)
+        ev = model.evaluate(scn, np.linspace(0.0, 1.0, round(1 / step) + 1))
+    feasible = {r: (b, p, lat) for r, b, p, lat, ok in zip(
+        ev.r.tolist(), ev.throughput_bps.tolist(), ev.fog_power_w.tolist(),
+        ev.avg_latency_s.tolist(), ev.feasible.tolist()) if ok}
+    members = {r: vec.as_tuple() for r, vec in front.members}
+    assert len(members) == len(front.members)
+    assert front.ranks == [0] * len(members)
+    for r, vec in members.items():
+        assert feasible[r] == vec
+        assert not any(dominates(other, vec) for other in feasible.values())
+    for r, vec in feasible.items():
+        if r not in members:
+            assert any(dominates(m, vec) for m in members.values())
