@@ -372,6 +372,19 @@ class TestPower:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize("args", [
+        ["--lift-coeff", "1e-300"],
+        ["--wing-area", "1e-300"],
+        ["--wing-area", "1e-300", "--lift-coeff", "1e-300"],
+        ["--efficiency", "5e-324"],
+    ], ids=["lift-coeff", "wing-area", "both", "efficiency"])
+    def test_fixed_wing_power_out_of_float_range_exits_2(self, runner,
+                                                         out_dir, args):
+        result = runner.invoke(main, ["power", "--kind", "fixedwing", *args])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert not (out_dir / "power.csv").exists()
+
     @pytest.mark.parametrize("option, args", [
         ("--wing-area", ["--wing-area", "5"]),
         ("--drag-coeff", ["--kind", "quad", "--drag-coeff", "0"]),

@@ -3,6 +3,7 @@ independent oracles (frustum ray casting, momentum theory, DC-motor
 arithmetic)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,6 +228,18 @@ class TestFixedWingPower:
         powers = [fixed_wing_level_power(fixed_wing(m))
                   for m in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)]
         assert all(b > a for a, b in zip(powers, powers[1:]))
+
+    @pytest.mark.parametrize("changes", [
+        {"lift_coeff": 1e-300},            # speed ** 3 overflows
+        {"wing_area_m2": 1e-300},
+        {"lift_coeff": 5e-324},            # the lift balance gives speed inf
+        {"wing_area_m2": 1e-300, "lift_coeff": 1e-300},  # divides by 0
+        {"overall_efficiency": 5e-324},    # the division overflows to inf
+    ], ids=["lift", "wing", "subnormal-lift", "zero-lift", "efficiency"])
+    def test_power_out_of_float_range_is_a_value_error(self, changes):
+        aircraft = replace(fixed_wing(1.0), **changes)
+        with pytest.raises(ValueError, match="not finite"):
+            fixed_wing_level_power(aircraft)
 
     def test_requires_wing_fields(self):
         with pytest.raises(ValueError):
