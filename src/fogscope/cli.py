@@ -369,6 +369,8 @@ def power(kind: str, mass_min: float, mass_max: float, step: float,
             rows.append((mass, base, delta))
     except flight.MotorOverload as exc:
         _fail(EXIT_INFEASIBLE, str(exc))
+    except ValueError as exc:
+        _fail(EXIT_INPUT, str(exc))
     table = ResultTable(
         columns=("mass_kg", "power_w", "delta_power_plus_250g_w"), rows=rows)
     manifest = RunManifest.create(

@@ -168,14 +168,26 @@ def fixed_wing_level_power(aircraft: AircraftModel) -> float:
     V = sqrt(2*m*g / (rho * S * Cl)); power is 0.5 * rho * V^3 * S * Cd
     divided by the overall efficiency.  A trend model only; absolute
     values depend strongly on the (unmodeled) propulsion matching.
+    Raises ValueError when the power is not a finite float.
     """
     if aircraft.kind != FIXED_WING_BIMOTOR:
         raise ValueError("fixed_wing_level_power applies to fixed-wing aircraft")
     rho = aircraft.air_density_kgpm3
-    speed = math.sqrt(2.0 * aircraft.mass_kg * GRAVITY_MPS2
-                      / (rho * aircraft.wing_area_m2 * aircraft.lift_coeff))
-    power = 0.5 * rho * speed ** 3 * aircraft.wing_area_m2 * aircraft.drag_coeff
-    return power / aircraft.overall_efficiency
+    try:
+        speed = math.sqrt(2.0 * aircraft.mass_kg * GRAVITY_MPS2
+                          / (rho * aircraft.wing_area_m2 * aircraft.lift_coeff))
+        power = (0.5 * rho * speed ** 3 * aircraft.wing_area_m2
+                 * aircraft.drag_coeff / aircraft.overall_efficiency)
+    except (OverflowError, ZeroDivisionError):
+        power = math.inf
+    if not math.isfinite(power):
+        raise ValueError(
+            f"fixed-wing level power is not finite at mass "
+            f"{aircraft.mass_kg!r} kg, wing area {aircraft.wing_area_m2!r} m^2, "
+            f"lift coefficient {aircraft.lift_coeff!r}, drag coefficient "
+            f"{aircraft.drag_coeff!r} and efficiency "
+            f"{aircraft.overall_efficiency!r}")
+    return power
 
 
 def motor_electrical_power(motor: MotorParams, torque_nm: float,
