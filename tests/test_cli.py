@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 import fogscope
-from fogscope import cli
+from fogscope import cli, optimizer
 from fogscope.cli import main
 from fogscope.reporting import MANIFEST_PREFIX, RunManifest, strip_manifest
 from fogscope.scenario import catalog_checksum
@@ -439,6 +439,18 @@ class TestGridCaps:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: ")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("pop, code", [("8", 0), ("10", 2)],
+                             ids=["at-cap", "over-cap"])
+    def test_optimize_population_at_and_over_the_cap(self, runner, out_dir,
+                                                     monkeypatch, pop, code):
+        monkeypatch.setattr(optimizer, "_MAX_POPULATION", 8)
+        result = runner.invoke(main, ["optimize", "--pop", pop, "--gens", "1",
+                                      "--seed", "1"])
+        assert result.exit_code == code
+        assert (out_dir / "optimize.csv").exists() == (code == 0)
+        if code:
+            assert result.stderr.startswith("error: population_size")
 
     def test_cap_admits_the_benchmark_sweep(self):
         # perfbench's sweep workload runs --r-steps 2001

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogscope import model
+from fogscope import model, optimizer
 from fogscope.model import (CloudParams, FogNodeParams, NetworkParams,
                             ValidationError, WorkloadParams)
 from fogscope.optimizer import (NoFeasibleSolution, OptConfig, OptProblem,
@@ -189,6 +189,26 @@ class TestOptimizeContracts:
             OptProblem(scenario=default_scenario(), decision_bounds=(0.5, 0.2))
         with pytest.raises(ValidationError):
             OptProblem(scenario=default_scenario(), decision_bounds=(-0.1, 1.0))
+
+
+class TestPopulationCap:
+    """Ranking builds matrices of (2 x population)^2 entries, so an
+    oversized population is an input error of OptConfig.  Each test reads
+    the cap first; none runs a population at the cap."""
+
+    def test_cap_admits_the_benchmark_and_readme_populations(self):
+        # perfbench's search workload runs --pop 200; README shows 100
+        assert optimizer._MAX_POPULATION >= 200
+
+    def test_population_at_the_cap_is_accepted(self):
+        cap = optimizer._MAX_POPULATION
+        assert OptConfig(population_size=cap).population_size == cap
+
+    @pytest.mark.parametrize("over", [1, 2])
+    def test_population_over_the_cap_is_rejected(self, over):
+        cap = optimizer._MAX_POPULATION
+        with pytest.raises(ValidationError, match=f"population_size: .*{cap}"):
+            OptConfig(population_size=cap + over)
 
 
 def _fixed_latency_scenario() -> Scenario:
