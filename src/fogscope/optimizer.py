@@ -26,6 +26,11 @@ if TYPE_CHECKING:
     from .scenario import Scenario
 
 
+# largest population: ranking compares every pair of the 2n parents and
+# children, and a generation at the cap peaks near 225 MiB
+_MAX_POPULATION = 4000
+
+
 class NoFeasibleSolution(Exception):
     """Every sampled workload split violated the TDP bound."""
 
@@ -53,9 +58,11 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 4 or self.population_size % 2:
-            raise ValidationError("population_size: must be >= 4 and even",
-                                  field="population_size")
+        if (not 4 <= self.population_size <= _MAX_POPULATION
+                or self.population_size % 2):
+            raise ValidationError(
+                f"population_size: must be even and within "
+                f"[4, {_MAX_POPULATION}]", field="population_size")
         if self.generations < 1:
             raise ValidationError("generations: must be >= 1",
                                   field="generations")
