@@ -38,14 +38,6 @@ class NoFeasibleSolution(Exception):
 @dataclass(frozen=True)
 class OptProblem:
     scenario: "Scenario"
-    decision_bounds: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self):
-        lo, hi = self.decision_bounds
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ValidationError(
-                "decision_bounds: must be a nonempty closed interval within "
-                "[0, 1]", field="decision_bounds")
 
 
 @dataclass(frozen=True)
@@ -173,12 +165,6 @@ def _crowding_by_rank(points: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return crowding
 
 
-def _rank_order(ranks: np.ndarray, crowding: np.ndarray) -> np.ndarray:
-    """Indices sorted by (rank, -crowding), ties in index order."""
-    import numpy as np
-    return np.lexsort((-crowding, ranks))
-
-
 # ---------------------------------------------------------------------------
 # NSGA-II machinery
 # ---------------------------------------------------------------------------
@@ -245,20 +231,20 @@ def _tournament(rng: np.random.Generator, ranks: list[int],
 
 
 def _blend_crossover(rng: np.random.Generator, a: float, b: float,
-                     rate: float, lo: float, hi: float) -> tuple[float, float]:
+                     rate: float) -> tuple[float, float]:
     if rng.random() < rate:
         spread = abs(a - b)
         low = min(a, b) - 0.5 * spread
         high = max(a, b) + 0.5 * spread
         a, b = rng.uniform(low, high, size=2)
-    return float(min(max(a, lo), hi)), float(min(max(b, lo), hi))
+    return float(min(max(a, 0.0), 1.0)), float(min(max(b, 0.0), 1.0))
 
 
-def _mutate(rng: np.random.Generator, x: float, rate: float, sigma: float,
-            lo: float, hi: float) -> float:
+def _mutate(rng: np.random.Generator, x: float, rate: float,
+            sigma: float) -> float:
     if rng.random() < rate:
-        x += rng.normal(0.0, sigma * (hi - lo))
-    return float(min(max(x, lo), hi))
+        x += rng.normal(0.0, sigma)
+    return float(min(max(x, 0.0), 1.0))
 
 
 def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
@@ -271,9 +257,8 @@ def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
     """
     import numpy as np
     rng = np.random.default_rng(cfg.seed)
-    lo, hi = problem.decision_bounds
     size = cfg.population_size
-    pop = _evaluate(problem, rng.uniform(lo, hi, size))
+    pop = _evaluate(problem, rng.uniform(0.0, 1.0, size))
 
     for _ in range(cfg.generations):
         ranks, crowding = _rank_and_crowd(pop)
@@ -284,24 +269,27 @@ def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
         while len(children) < size:
             p1 = parents[_tournament(rng, ranks, crowding)]
             p2 = parents[_tournament(rng, ranks, crowding)]
-            c1, c2 = _blend_crossover(rng, p1, p2, cfg.crossover_rate, lo, hi)
+            c1, c2 = _blend_crossover(rng, p1, p2, cfg.crossover_rate)
             children.append(_mutate(rng, c1, cfg.mutation_rate,
-                                    cfg.mutation_sigma, lo, hi))
+                                    cfg.mutation_sigma))
             children.append(_mutate(rng, c2, cfg.mutation_rate,
-                                    cfg.mutation_sigma, lo, hi))
+                                    cfg.mutation_sigma))
         combined = pop.concat(_evaluate(problem, np.array(children)))
-        pop = combined.take(_rank_order(*_rank_and_crowd(combined))[:size])
+        ranks, crowding = _rank_and_crowd(combined)
+        pop = combined.take(np.lexsort((-crowding, ranks))[:size])
 
     if not pop.feasible.any():
         raise NoFeasibleSolution(
             "no workload split within the TDP bound was found")
-    return _build_front(pop.take(pop.feasible))
+    pop = pop.take(pop.feasible)
+    return _build_front(pop, _ranks_from_matrix(_dominance_matrix(pop.objs)))
 
 
-def _build_front(pop: _Population) -> ParetoFront:
-    ranks = _ranks_from_matrix(_dominance_matrix(pop.objs))
+def _build_front(pop: _Population, ranks: np.ndarray) -> ParetoFront:
+    """Members sorted by (rank, -crowding), ties in index order."""
+    import numpy as np
     crowding = _crowding_by_rank(pop.objs, ranks)
-    order = _rank_order(ranks, crowding)
+    order = np.lexsort((-crowding, ranks))
     r, objs = pop.r[order].tolist(), pop.objs[order].tolist()
     return ParetoFront(
         members=[(x, ObjectiveVector(*vec)) for x, vec in zip(r, objs)],
@@ -313,21 +301,22 @@ def _build_front(pop: _Population) -> ParetoFront:
 def brute_force_front(problem: OptProblem, grid_step: float) -> ParetoFront:
     """Exact non-dominated subset of a regular r-grid (oracle path).
 
-    The grid is ``round(width/step) + 1`` evenly spaced points including
-    both bounds.  Infeasible grid points are dropped; the result is
-    empty when no grid point is feasible.
+    The grid is ``round(1/step) + 1`` evenly spaced points over [0, 1].
+    Infeasible grid points are dropped; the result is empty when no grid
+    point is feasible.
     """
     import numpy as np
     if not 0 < grid_step <= 1:
         raise ValidationError("grid_step: must be within (0, 1]",
                               field="grid_step")
-    lo, hi = problem.decision_bounds
-    steps = max(1, round((hi - lo) / grid_step))
-    pop = _evaluate(problem, np.linspace(lo, hi, steps + 1))
+    steps = max(1, round(1.0 / grid_step))
+    pop = _evaluate(problem, np.linspace(0.0, 1.0, steps + 1))
     pop = pop.take(pop.feasible)
     if not len(pop.r):
         return ParetoFront(members=[], ranks=[], crowding=[])
-    return _build_front(pop.take(~_dominance_matrix(pop.objs).any(axis=0)))
+    # the non-dominated subset is rank 0 by construction
+    pop = pop.take(~_dominance_matrix(pop.objs).any(axis=0))
+    return _build_front(pop, np.zeros(len(pop.r), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +359,15 @@ def hypervolume(points: Sequence[Sequence[float]],
            if all(v < r for v, r in zip(p, ref))]
     if not pts:
         return 0.0
-    dim = len(ref)
-    if dim == 2:
-        stairs: list[tuple[float, float]] = []
-        for p in pts:
-            _staircase_insert(stairs, p)
-        return _staircase_area(stairs, ref)
-    if dim != 3:
+    if len(ref) == 2:
+        # one slab of depth 1.0 at z = 0: its volume is the area, exactly
+        ref += (1.0,)
+        pts = [p + (0.0,) for p in pts]
+    if len(ref) != 3:
         raise ValueError("hypervolume supports 2 or 3 objectives")
     # sweep along the third objective, accumulating 2D slabs
     pts.sort(key=lambda p: p[2])
-    stairs = []
+    stairs: list[tuple[float, float]] = []
     total = 0.0
     prev_z = None
     i = 0

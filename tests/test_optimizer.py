@@ -184,12 +184,6 @@ class TestOptimizeContracts:
         with pytest.raises(ValidationError, match="mutation_sigma"):
             OptConfig(mutation_sigma=sigma)
 
-    def test_problem_invariants(self):
-        with pytest.raises(ValidationError):
-            OptProblem(scenario=default_scenario(), decision_bounds=(0.5, 0.2))
-        with pytest.raises(ValidationError):
-            OptProblem(scenario=default_scenario(), decision_bounds=(-0.1, 1.0))
-
 
 class TestPopulationCap:
     """Ranking builds matrices of (2 x population)^2 entries, so an
