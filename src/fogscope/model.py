@@ -90,7 +90,9 @@ class FogNodeParams:
     energy_per_bit: float       # J/bit spent on locally processed data
     idle_power: float           # W drawn with no load
     tdp: float                  # W, hard upper bound on sustained draw
-    tx_energy_per_bit: float = 0.0  # J/bit spent on uplink transmission; 0 disables
+    # J/bit spent on uplink transmission; counted only when the scenario
+    # sets modification1_enabled
+    tx_energy_per_bit: float = 0.0
 
     def __post_init__(self):
         _require_finite(self)
