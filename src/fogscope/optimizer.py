@@ -286,7 +286,6 @@ def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
 
 
 def _build_front(pop: _Population, ranks: np.ndarray) -> ParetoFront:
-    """Members sorted by (rank, -crowding), ties in index order."""
     import numpy as np
     crowding = _crowding_by_rank(pop.objs, ranks)
     order = np.lexsort((-crowding, ranks))
@@ -355,8 +354,10 @@ def hypervolume(points: Sequence[Sequence[float]],
     coordinate contribute nothing.
     """
     ref = tuple(float(v) for v in reference)
-    pts = [tuple(float(v) for v in p) for p in points
-           if all(v < r for v, r in zip(p, ref))]
+    pts = [tuple(float(v) for v in p) for p in points]
+    if any(len(p) != len(ref) for p in pts):
+        raise ValueError("points and reference must have equal length")
+    pts = [p for p in pts if all(v < r for v, r in zip(p, ref))]
     if not pts:
         return 0.0
     if len(ref) == 2:

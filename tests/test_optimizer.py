@@ -308,6 +308,15 @@ class TestHypervolume:
         with pytest.raises(ValueError):
             hypervolume([(1.0,) * 4], (2.0,) * 4)
 
+    @pytest.mark.parametrize("points, reference", [
+        ([(0.5, 0.5, 0.5)], (1.0, 1.0)),
+        ([(0.5, 0.5)], (1.0, 1.0, 1.0)),
+        ([(0.5, 0.5), (2.0, 0.5, 0.5)], (1.0, 1.0)),  # beyond the reference
+    ])
+    def test_point_and_reference_lengths_must_match(self, points, reference):
+        with pytest.raises(ValueError, match="equal length"):
+            hypervolume(points, reference)
+
 
 @settings(max_examples=25)
 @given(objective_sets())
