@@ -366,21 +366,18 @@ class TestPower:
         ["--efficiency", "2"],
         ["--kind", "fixedwing", "--wing-area", "-1"],
         ["--kind", "fixedwing", "--drag-coeff", "0"],
-    ], ids=["efficiency", "wing-area", "drag-coeff"])
-    def test_option_the_aircraft_model_rejects_exits_2(self, runner, args):
+        # the level-flight power is not a finite float
+        ["--kind", "fixedwing", "--lift-coeff", "1e-300"],
+        ["--kind", "fixedwing", "--wing-area", "1e-300"],
+        ["--kind", "fixedwing", "--wing-area", "1e-300",
+         "--lift-coeff", "1e-300"],
+        ["--kind", "fixedwing", "--efficiency", "5e-324"],
+    ], ids=["efficiency", "wing-area", "drag-coeff", "fixedwing-lift-overflow",
+            "fixedwing-wing-overflow", "fixedwing-zero-lift",
+            "fixedwing-efficiency-overflow"])
+    def test_option_the_aircraft_model_rejects_exits_2(self, runner, out_dir,
+                                                       args):
         result = runner.invoke(main, ["power", *args])
-        assert result.exit_code == 2
-        assert result.stderr.startswith("error: ")
-
-    @pytest.mark.parametrize("args", [
-        ["--lift-coeff", "1e-300"],
-        ["--wing-area", "1e-300"],
-        ["--wing-area", "1e-300", "--lift-coeff", "1e-300"],
-        ["--efficiency", "5e-324"],
-    ], ids=["lift-coeff", "wing-area", "both", "efficiency"])
-    def test_fixed_wing_power_out_of_float_range_exits_2(self, runner,
-                                                         out_dir, args):
-        result = runner.invoke(main, ["power", "--kind", "fixedwing", *args])
         assert result.exit_code == 2
         assert result.stderr.startswith("error: ")
         assert not (out_dir / "power.csv").exists()
