@@ -710,6 +710,22 @@ class TestSeededArtifactBytes:
             ["optimize", "--pop", "40", "--gens", "30", "--seed", "13"],
             0, {"optimize.csv": "32701e4e6cebbc09b3e6577b8461e06e"
                                 "333a3485aa6beaef98b75b3ccab047f3"}),
+        # the benchmark's search size
+        "optimize-pop200": (
+            None, ["optimize", "--pop", "200", "--gens", "100", "--seed", "14"],
+            0, {"optimize.csv": "9a635a23734254dcfd8b55be0184fb26"
+                                "4b97b19b8d4b92dc18bc06cbe2e05223"}),
+        # every child mutates, and many clamp to duplicates at 0 and 1
+        "optimize-mutate-all": (
+            None, ["optimize", "--pop", "40", "--gens", "30", "--seed", "15",
+                   "--mutation-rate", "1", "--mutation-sigma", "0.5"],
+            0, {"optimize.csv": "e5f1589c62cdb6e2de1bf03b36da64fc"
+                                "9f5608a36949f373de38e5f135f5a10f"}),
+        "optimize-no-crossover": (
+            None, ["optimize", "--pop", "40", "--gens", "30", "--seed", "16",
+                   "--crossover-rate", "0"],
+            0, {"optimize.csv": "eec40ddc597db73323fa79a3be8e12c1"
+                                "0fd16b6c7e78f4d693d7cd76c05aa891"}),
         "sweep": (
             None, ["sweep", "--grid", "network=gsm,hspa_plus;fog.tdp_w=2.0607,10",
                    "--r-steps", "201"],
