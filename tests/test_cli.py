@@ -449,6 +449,18 @@ class TestGridCaps:
         if code:
             assert result.stderr.startswith("error: population_size")
 
+    @pytest.mark.parametrize("gens, code", [("2", 0), ("3", 2)],
+                             ids=["at-cap", "over-cap"])
+    def test_optimize_generations_at_and_over_the_cap(self, runner, out_dir,
+                                                      monkeypatch, gens, code):
+        monkeypatch.setattr(optimizer, "_MAX_GENERATIONS", 2)
+        result = runner.invoke(main, ["optimize", "--pop", "8", "--gens", gens,
+                                      "--seed", "1"])
+        assert result.exit_code == code
+        assert (out_dir / "optimize.csv").exists() == (code == 0)
+        if code:
+            assert result.stderr.startswith("error: generations")
+
     def test_cap_admits_the_benchmark_sweep(self):
         # perfbench's sweep workload runs --r-steps 2001
         assert cli.MAX_GRID_POINTS >= 2001

@@ -205,6 +205,26 @@ class TestPopulationCap:
             OptConfig(population_size=cap + over)
 
 
+class TestGenerationCap:
+    """Each generation costs time in proportion to the population, so an
+    unbounded generation count runs until killed.  Each test reads the cap
+    first; none runs a search at the cap."""
+
+    def test_cap_admits_the_benchmark_and_readme_generations(self):
+        # perfbench's search workload and README both run --gens 100
+        assert optimizer._MAX_GENERATIONS >= 100
+
+    def test_generations_at_the_cap_are_accepted(self):
+        cap = optimizer._MAX_GENERATIONS
+        assert OptConfig(generations=cap).generations == cap
+
+    @pytest.mark.parametrize("over", [1, 100_000_000])
+    def test_generations_over_the_cap_are_rejected(self, over):
+        cap = optimizer._MAX_GENERATIONS
+        with pytest.raises(ValidationError, match=f"generations: .*{cap}"):
+            OptConfig(generations=cap + over)
+
+
 def _fixed_latency_scenario() -> Scenario:
     """Zero processing energy and r-independent average latency.
 
