@@ -29,6 +29,9 @@ if TYPE_CHECKING:
 # largest population: ranking compares every pair of the 2n parents and
 # children, and a generation at the cap peaks near 225 MiB
 _MAX_POPULATION = 4000
+# largest generation count: the loop has no other stop, so an unbounded
+# count runs until the process is killed
+_MAX_GENERATIONS = 100_000
 
 
 class NoFeasibleSolution(Exception):
@@ -55,9 +58,10 @@ class OptConfig:
             raise ValidationError(
                 f"population_size: must be even and within "
                 f"[4, {_MAX_POPULATION}]", field="population_size")
-        if self.generations < 1:
-            raise ValidationError("generations: must be >= 1",
-                                  field="generations")
+        if not 1 <= self.generations <= _MAX_GENERATIONS:
+            raise ValidationError(
+                f"generations: must be within [1, {_MAX_GENERATIONS}]",
+                field="generations")
         for name in ("crossover_rate", "mutation_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValidationError(f"{name}: must be within [0, 1]",
