@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from . import model
 from .model import InstabilityWarning, ObjectiveVector, ValidationError
@@ -93,16 +93,19 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
 
 
 def _dominance_matrix(objs: np.ndarray) -> np.ndarray:
-    """Boolean matrix M with M[i, j] true iff point i dominates point j."""
+    """Boolean matrix M with M[i, j] true iff point i dominates point j.
+
+    i dominates j when i is no worse everywhere (``le[i, j]``) and j is
+    not also no worse everywhere, which would make the two equal.
+    """
     import numpy as np
-    n = objs.shape[0]
-    le = np.ones((n, n), dtype=bool)
-    eq = np.ones((n, n), dtype=bool)
-    for col in objs.T:
-        a, b = col[:, None], col[None, :]
-        le &= a <= b
-        eq &= a == b
-    return le & ~eq
+    cols = np.ascontiguousarray(objs.T)
+    le = np.less_equal.outer(cols[0], cols[0])
+    for col in cols[1:]:
+        le &= np.less_equal.outer(col, col)
+    dom = np.invert(le.T, order="C")
+    dom &= le
+    return dom
 
 
 def _ranks_from_matrix(dom: np.ndarray) -> np.ndarray:
@@ -215,18 +218,39 @@ def _constrained_dominance_matrix(pop: _Population) -> np.ndarray:
                     viol[:, None] < viol[None, :])
 
 
-def _rank_and_crowd(pop: _Population) -> tuple[np.ndarray, np.ndarray]:
+def _crowd(pop: _Population, ranks: np.ndarray) -> np.ndarray:
     import numpy as np
-    ranks = _ranks_from_matrix(_constrained_dominance_matrix(pop))
     # infeasible members crowd by their violation alone
     points = np.where(pop.feasible[:, None], pop.objs, pop.violation[:, None])
-    return ranks, _crowding_by_rank(points, ranks)
+    return _crowding_by_rank(points, ranks)
 
 
-def _tournament(rng: np.random.Generator, ranks: list[int],
+def _index_draws(bitgen: np.random.BitGenerator,
+                 n: int) -> Iterator[int]:
+    """Uniform indices in [0, n), n >= 2, drawn from the bit generator's
+    raw 64-bit words exactly as ``Generator.integers(0, n)`` draws them.
+
+    numpy's PCG64 hands out each word as two 32-bit values, the low half
+    first, and keeps the high half for the next 32-bit request.  numpy
+    maps a 32-bit value v to ``(v * n) >> 32`` and rejects it while
+    ``(v * n) mod 2**32`` is below ``(2**32 - n) % n`` (Lemire, ACM TOMACS
+    2019).  The generator's float and normal draws take whole words and
+    never read the spare half, so they can be interleaved with these
+    draws on the same generator.
+    """
+    threshold = (2 ** 32 - n) % n
+    raw = bitgen.random_raw
+    while True:
+        word = raw()
+        for value in (word & 0xFFFFFFFF, word >> 32):
+            scaled = value * n
+            if scaled & 0xFFFFFFFF >= threshold:
+                yield scaled >> 32
+
+
+def _tournament(draw: Callable[[], int], ranks: list[int],
                 crowding: list[float]) -> int:
-    i, j = rng.integers(0, len(ranks), size=2)
-    i, j = int(i), int(j)
+    i, j = draw(), draw()
     if ranks[i] != ranks[j]:
         return i if ranks[i] < ranks[j] else j
     if crowding[i] != crowding[j]:
@@ -258,35 +282,45 @@ def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
     raises NoFeasibleSolution when the final population contains none.
     Each generation's offspring are evaluated as one batch after all of
     them are drawn; evaluation draws nothing from the RNG.
+
+    Ranks carry over from one generation's selection to the next: every
+    dominator of a selected member has a lower rank, so it is selected
+    too, and the member's rank among the selected is unchanged.  Only
+    crowding is recomputed.  Tournament indices come from the generator's
+    raw words (`_index_draws`), matching ``rng.integers`` draw for draw.
     """
     import numpy as np
     rng = np.random.default_rng(cfg.seed)
     size = cfg.population_size
+    draw = _index_draws(rng.bit_generator, size).__next__
     pop = _evaluate(problem, rng.uniform(0.0, 1.0, size))
+    ranks = _ranks_from_matrix(_constrained_dominance_matrix(pop))
 
     for _ in range(cfg.generations):
-        ranks, crowding = _rank_and_crowd(pop)
         # plain lists: the tournaments read single entries
-        ranks, crowding = ranks.tolist(), crowding.tolist()
+        rank_list = ranks.tolist()
+        crowding = _crowd(pop, ranks).tolist()
         parents = pop.r.tolist()
         children: list[float] = []
         while len(children) < size:
-            p1 = parents[_tournament(rng, ranks, crowding)]
-            p2 = parents[_tournament(rng, ranks, crowding)]
+            p1 = parents[_tournament(draw, rank_list, crowding)]
+            p2 = parents[_tournament(draw, rank_list, crowding)]
             c1, c2 = _blend_crossover(rng, p1, p2, cfg.crossover_rate)
             children.append(_mutate(rng, c1, cfg.mutation_rate,
                                     cfg.mutation_sigma))
             children.append(_mutate(rng, c2, cfg.mutation_rate,
                                     cfg.mutation_sigma))
         combined = pop.concat(_evaluate(problem, np.array(children)))
-        ranks, crowding = _rank_and_crowd(combined)
-        pop = combined.take(np.lexsort((-crowding, ranks))[:size])
+        ranks = _ranks_from_matrix(_constrained_dominance_matrix(combined))
+        keep = np.lexsort((-_crowd(combined, ranks), ranks))[:size]
+        pop, ranks = combined.take(keep), ranks[keep]
 
     if not pop.feasible.any():
         raise NoFeasibleSolution(
             "no workload split within the TDP bound was found")
-    pop = pop.take(pop.feasible)
-    return _build_front(pop, _ranks_from_matrix(_dominance_matrix(pop.objs)))
+    # infeasible members never dominate feasible ones, so the feasible
+    # members keep their ranks without the infeasible
+    return _build_front(pop.take(pop.feasible), ranks[pop.feasible])
 
 
 def _build_front(pop: _Population, ranks: np.ndarray) -> ParetoFront:

@@ -128,6 +128,23 @@ class TestOptimizeContracts:
         keys = list(zip(front.ranks, [-c for c in front.crowding]))
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("gens, kept", [(1, 14), (2, 16)])
+    def test_returned_ranks_are_those_of_the_members(self, gens, kept):
+        # each larger split dominates every smaller one here, and splits
+        # below 0.875 break the TDP, so early populations hold many ranks
+        # and some infeasible members, which must not shift those ranks
+        s = _fixed_latency_scenario()
+        scn = replace(s, modification1_enabled=True,
+                      fog=replace(s.fog, tx_energy_per_bit=2.0 ** -18,
+                                  tdp=2.5))
+        front = optimize(OptProblem(scenario=scn),
+                         OptConfig(population_size=16, generations=gens,
+                                   seed=4))
+        assert len(front.members) == kept
+        assert max(front.ranks) > 0
+        assert front.ranks == non_dominated_sort(
+            [vec.as_tuple() for _, vec in front.members])
+
     def test_rank_zero_satisfies_linear_tradeoff(self):
         s = default_scenario()
         prob = OptProblem(scenario=s)
@@ -435,3 +452,98 @@ def test_grid_oracle_keeps_exactly_the_non_dominated_feasible_points(
     for r, vec in feasible.items():
         if r not in members:
             assert any(dominates(m, vec) for m in members.values())
+
+
+class _CountingWords:
+    """Bit generator stand-in that counts the raw words drawn."""
+
+    def __init__(self, bitgen):
+        self.bitgen, self.words = bitgen, 0
+
+    def random_raw(self):
+        self.words += 1
+        return self.bitgen.random_raw()
+
+
+@pytest.mark.parametrize("n", [4, 200, 4000, 3 * 2 ** 30, 2 ** 31 + 1])
+@pytest.mark.parametrize("seed", range(50))
+def test_index_draws_match_generator_integers(seed, n):
+    # the tournament draws replace rng.integers(0, n, size=2) in a stream
+    # shared with random(), uniform() and normal(); a different bounded
+    # integer algorithm in numpy must fail here, not change fronts quietly
+    ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    words = _CountingWords(ours.bit_generator)
+    draw = optimizer._index_draws(words, n).__next__
+    script = np.random.default_rng(1000 + seed).integers(0, 4, size=300)
+    pairs = 0
+    for step in script.tolist():
+        if step == 0:
+            pairs += 1
+            expected = twin.integers(0, n, size=2).tolist()
+            assert [draw(), draw()] == expected, f"pair {pairs}"
+        elif step == 1:
+            assert ours.random() == twin.random()
+        elif step == 2:
+            assert (ours.uniform(0.25, 3.5, size=2).tolist()
+                    == twin.uniform(0.25, 3.5, size=2).tolist())
+        else:
+            assert ours.normal(0.0, 0.05) == twin.normal(0.0, 0.05)
+    assert ours.random() == twin.random()
+    # one word holds two draws, so a rejection shows as an extra word;
+    # for n > 2**31 about one 32-bit value in four (or two) is rejected
+    assert words.words >= pairs
+    if n > 2 ** 31:
+        assert words.words > pairs
+
+
+@st.composite
+def tied_point_sets(draw):
+    """Point sets with ties, duplicate rows and infinite coordinates."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    coord = st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 1.0, math.inf])
+    rows = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=10))
+    dupes = draw(st.lists(st.sampled_from(rows), max_size=4))
+    return draw(st.permutations(rows + dupes))
+
+
+@settings(max_examples=200)
+@given(tied_point_sets())
+def test_dominance_matrix_equals_pairwise_dominates(points):
+    dom = optimizer._dominance_matrix(np.array(points, dtype=float))
+    assert dom.tolist() == [[dominates(a, b) for b in points] for a in points]
+
+
+@st.composite
+def mixed_populations(draw):
+    """2n members, some infeasible, with tied objectives and violations."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    level = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    objs = draw(st.lists(st.tuples(level, level, level),
+                         min_size=2 * n, max_size=2 * n))
+    violation = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]),
+                              min_size=2 * n, max_size=2 * n))
+    crowding = draw(st.lists(
+        st.floats(min_value=0.0, max_value=2.0) | st.just(math.inf),
+        min_size=2 * n, max_size=2 * n))
+    viol = np.array(violation)
+    pop = optimizer._Population(np.linspace(0.0, 1.0, 2 * n),
+                                np.array(objs, dtype=float), viol == 0.0, viol)
+    return n, pop, np.array(crowding)
+
+
+@settings(max_examples=200)
+@given(mixed_populations())
+def test_selected_members_keep_their_ranks(case):
+    n, combined, crowding = case
+    ranks = optimizer._ranks_from_matrix(
+        optimizer._constrained_dominance_matrix(combined))
+    keep = np.lexsort((-crowding, ranks))[:n]
+    selected = combined.take(keep)
+    carried = ranks[keep]
+    assert carried.tolist() == optimizer._ranks_from_matrix(
+        optimizer._constrained_dominance_matrix(selected)).tolist()
+    # and the feasible members keep them once the infeasible are dropped
+    feasible = selected.take(selected.feasible)
+    if len(feasible.r):
+        assert carried[selected.feasible].tolist() == \
+            non_dominated_sort(feasible.objs.tolist())
