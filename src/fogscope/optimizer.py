@@ -227,8 +227,9 @@ def _crowd(pop: _Population, ranks: np.ndarray) -> np.ndarray:
 
 def _index_draws(bitgen: np.random.BitGenerator,
                  n: int) -> Iterator[int]:
-    """Uniform indices in [0, n), n >= 2, drawn from the bit generator's
-    raw 64-bit words exactly as ``Generator.integers(0, n)`` draws them.
+    """Uniform indices in [0, n), 2 <= n < 2**32, drawn from the bit
+    generator's raw 64-bit words exactly as ``Generator.integers(0, n)``
+    draws them.
 
     numpy's PCG64 hands out each word as two 32-bit values, the low half
     first, and keeps the high half for the next 32-bit request.  numpy

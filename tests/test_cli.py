@@ -724,7 +724,8 @@ class TestSeededArtifactBytes:
                                 "333a3485aa6beaef98b75b3ccab047f3"}),
         # the benchmark's search size
         "optimize-pop200": (
-            None, ["optimize", "--pop", "200", "--gens", "100", "--seed", "14"],
+            None,
+            ["optimize", "--pop", "200", "--gens", "100", "--seed", "14"],
             0, {"optimize.csv": "9a635a23734254dcfd8b55be0184fb26"
                                 "4b97b19b8d4b92dc18bc06cbe2e05223"}),
         # every child mutates, and many clamp to duplicates at 0 and 1

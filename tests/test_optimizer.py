@@ -223,9 +223,9 @@ class TestPopulationCap:
 
 
 class TestGenerationCap:
-    """Each generation costs time in proportion to the population, so an
-    unbounded generation count runs until killed.  Each test reads the cap
-    first; none runs a search at the cap."""
+    """The search runs every generation it is given, so an unbounded
+    generation count is an input error of OptConfig.  Each test reads the
+    cap first; none runs a search at the cap."""
 
     def test_cap_admits_the_benchmark_and_readme_generations(self):
         # perfbench's search workload and README both run --gens 100
@@ -468,7 +468,7 @@ class _CountingWords:
 @pytest.mark.parametrize("n", [4, 200, 4000, 3 * 2 ** 30, 2 ** 31 + 1])
 @pytest.mark.parametrize("seed", range(50))
 def test_index_draws_match_generator_integers(seed, n):
-    # the tournament draws replace rng.integers(0, n, size=2) in a stream
+    # the tournaments draw for rng.integers(0, n, size=2) in a stream
     # shared with random(), uniform() and normal(); a different bounded
     # integer algorithm in numpy must fail here, not change fronts quietly
     ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
