@@ -700,12 +700,14 @@ TDP_SCENARIO = (TX_SCENARIO.replace("tdp_w: 10.0", "tdp_w: 2.0607")
 # accepted rate 80 pkt/s at --local-prob 0.8, past the capability
 SLOW_FOG_SCENARIO = TX_SCENARIO.replace("proc_capability_pps: 100",
                                         "proc_capability_pps: 50")
+NOISE_SCENARIO = TX_SCENARIO.replace("network: {", "network: {noise_sigma: 0.3, ")
 
 
 class TestSeededArtifactBytes:
     """sha256 of seeded artifacts under SOURCE_DATE_EPOCH=1700000000,
     pinned from the scalar implementation; a change here is a change of
-    behaviour, not of speed."""
+    behaviour, not of speed.  ``{out}`` in an argument is the output
+    directory, so a trace written there is pinned with the CSVs."""
 
     CASES = {
         "optimize-default": (
@@ -754,9 +756,21 @@ class TestSeededArtifactBytes:
                                   "99918ce8669b2ab2ce84bdc4c57f27d0"}),
         "simulate-default": (
             None, ["simulate", "--local-prob", "0.5", "--duration", "50",
-                   "--seed", "21"],
+                   "--seed", "21", "--trace", "{out}/trace.csv"],
             0, {"simulate.csv": "c1efe51861d20b11ee3eadcaf7f202e3"
-                                "e53a5e0914d969854d0d091fc817684b"}),
+                                "e53a5e0914d969854d0d091fc817684b",
+                "trace.csv": "1a1d21dbd4f5eeef455b75cb05eb6e88"
+                             "3c00fb26bf9100d6fe78ccf03fc51918"}),
+        # every packet forwarded, each transfer scaled by a resampled
+        # Gaussian multiplier
+        "simulate-noise": (
+            NOISE_SCENARIO, ["simulate", "--local-prob", "0", "--duration",
+                             "50", "--seed", "23", "--trace",
+                             "{out}/trace.csv"],
+            0, {"simulate.csv": "93a13214319b234105f2bc1432918a5a"
+                                "4c7651eb748185464f886c3925991631",
+                "trace.csv": "5952e398ec212d4b04079c5db04f76a1"
+                             "a1b87d7fce10f52b711c6ef400f54de5"}),
         "simulate-tx": (
             TX_SCENARIO, ["simulate", "--local-prob", "0.3", "--duration",
                           "50", "--seed", "22"],
@@ -772,6 +786,7 @@ class TestSeededArtifactBytes:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_pinned_sha256(self, runner, out_dir, tmp_path, name):
         scenario, args, exit_code, expected = self.CASES[name]
+        args = [arg.replace("{out}", str(out_dir)) for arg in args]
         if scenario is not None:
             doc = tmp_path / "scenario.yaml"
             doc.write_text(scenario)
