@@ -141,6 +141,46 @@ class TestSimulate:
         assert with_tx - without_tx == pytest.approx(expected_extra, rel=0.15)
 
 
+class TestLindleyOracle:
+    """The uplink is a FIFO single server, so with noise_sigma = 0 each
+    forwarded packet follows Lindley's recursion C_n = max(A_n, C_{n-1})
+    + size / uplink and departs at C_n plus the fixed cloud/downlink tail,
+    bit for bit when the recursion keeps the event loop's operation
+    order."""
+
+    @pytest.mark.parametrize("rate, base_latency, local_prob, seed", [
+        (80.0, 0.0, 0.2, 41),
+        (100.0, 0.1, 0.3, 42),
+        (115.0, 0.3, 0.0, 43),
+        (130.0, 0.05, 0.5, 44),
+    ])
+    def test_forwarded_departures_follow_the_recursion(
+            self, rate, base_latency, local_prob, seed):
+        s = with_rate(rate)
+        s = replace(s, network=replace(s.network, base_latency=base_latency))
+        assert s.network.noise_sigma == 0.0
+        _, packets = simulate_trace(
+            SimScenario(scenario=s, local_prob=local_prob, duration_s=150.0),
+            seed=seed)
+        size, net = s.workload.packet_size, s.network
+        tail = (size / (2.0 * s.cloud.proc_capability)
+                + net.return_fraction * size / (2.0 * net.downlink_throughput)
+                + net.base_latency)
+        forwarded = [p for p in packets if p.important]
+        done = [p for p in forwarded if p.departure_time is not None]
+        # packets still queued or in transfer are the latest arrivals
+        assert all(p.departure_time is None for p in forwarded[len(done):])
+        completion = 0.0
+        waited = 0
+        for p in done:
+            waited += p.arrival_time < completion
+            completion = (max(p.arrival_time, completion)
+                          + size / net.uplink_throughput)
+            assert p.departure_time == completion + tail
+        # both branches of the max are taken
+        assert 0 < waited < len(done)
+
+
 class TestTrace:
     def test_trace_rows_and_columns(self):
         sim = SimScenario(scenario=default_scenario(), local_prob=0.5,
