@@ -243,7 +243,8 @@ def simulate(scenario_path: Optional[str], local_prob: float, duration: float,
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8", newline="") as stream:
             stream.write(manifest.to_comment_line() + "\n")
-            simulation.write_trace(stream, packets)
+            simulation.write_trace(stream, packets,
+                                   scn.workload.packet_size)
         click.echo(f"wrote {path}", err=True)
 
 

@@ -15,11 +15,12 @@ scaled by the mean-1 noise multiplier when noise_sigma > 0.
 from __future__ import annotations
 
 import csv
-import heapq
+import itertools
 import random
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import IO, TYPE_CHECKING, Optional, Sequence
 
 from . import model
@@ -28,9 +29,6 @@ from .scenario import Scenario
 
 if TYPE_CHECKING:
     import numpy as np
-
-PATH_LOCAL = "local"
-PATH_FORWARDED = "forwarded"
 
 _ARRIVAL, _LOCAL_DONE, _UPLINK_DONE, _SAMPLE = range(4)
 _QUEUE_SAMPLES = 32
@@ -57,13 +55,12 @@ class SimScenario:
                 field="duration_s")
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
-    id: int
+    """One generated packet; its id is its index in the trace."""
+
     arrival_time: float
-    size_bits: float
     important: bool
-    path: str
     departure_time: Optional[float] = None
 
 
@@ -106,26 +103,31 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet
     warmup = sim.warmup_s
     window = duration - warmup
 
-    events: list[tuple[float, int, int, Optional[Packet]]] = []
-    seq = 0
+    # (time, seq, kind); seq breaks ties in push order, and a sorted list
+    # is a heap
+    events = [(duration * i / _QUEUE_SAMPLES, i, _SAMPLE)
+              for i in range(1, _QUEUE_SAMPLES + 1)]
+    seq = itertools.count(_QUEUE_SAMPLES + 1)
 
-    def push(time: float, kind: int, packet: Optional[Packet] = None) -> None:
-        nonlocal seq
-        heapq.heappush(events, (time, seq, kind, packet))
-        seq += 1
+    def serve(now: float) -> None:
+        heappush(events, (now + rng.expovariate(fog.proc_capability),
+                          next(seq), _LOCAL_DONE))
 
-    for i in range(1, _QUEUE_SAMPLES + 1):
-        push(duration * i / _QUEUE_SAMPLES, _SAMPLE)
+    def transfer(now: float) -> None:
+        seconds = size / net.uplink_throughput
+        if net.noise_sigma > 0:
+            seconds *= model.sample_latency_noise(rng, net.noise_sigma)
+        heappush(events, (now + seconds, next(seq), _UPLINK_DONE))
+
     if workload.arrival_rate > 0:
-        push(rng.expovariate(workload.arrival_rate), _ARRIVAL)
+        heappush(events, (rng.expovariate(workload.arrival_rate), next(seq),
+                          _ARRIVAL))
 
     packets: list[Packet] = []
-    local_queue: deque[Packet] = deque()
-    server_busy = False
-    busy_since = 0.0
+    local: deque[Packet] = deque()
+    uplink: deque[Packet] = deque()
+    busy_since = 0.0         # start of the local head's service
     busy_time = 0.0          # server busy time inside the stats window
-    uplink_queue: deque[Packet] = deque()
-    channel_busy = False
 
     queue_samples: list[int] = []
     local_queue_max = 0
@@ -135,76 +137,56 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet
     local_done = 0
     forwarded_done = 0
 
-    def local_system_size() -> int:
-        return len(local_queue) + (1 if server_busy else 0)
-
-    def start_service(now: float) -> None:
-        nonlocal server_busy, busy_since
-        server_busy = True
-        busy_since = now
-        packet = local_queue[0]
-        push(now + rng.expovariate(fog.proc_capability), _LOCAL_DONE, packet)
-
-    def start_transfer(now: float) -> None:
-        nonlocal channel_busy
-        channel_busy = True
-        packet = uplink_queue[0]
-        transfer = packet.size_bits / net.uplink_throughput
-        if net.noise_sigma > 0:
-            transfer *= model.sample_latency_noise(rng, net.noise_sigma)
-        push(now + transfer, _UPLINK_DONE, packet)
-
     while events:
-        now, _, kind, packet = heapq.heappop(events)
+        now, _, kind = heappop(events)
         if now > duration:
             break
 
         if kind == _ARRIVAL:
-            important = rng.random() >= sim.local_prob
-            pkt = Packet(id=len(packets), arrival_time=now, size_bits=size,
-                         important=important,
-                         path=PATH_FORWARDED if important else PATH_LOCAL)
-            packets.append(pkt)
-            if important:
-                uplink_queue.append(pkt)
-                if not channel_busy:
-                    start_transfer(now)
+            packet = Packet(now, rng.random() >= sim.local_prob)
+            packets.append(packet)
+            if packet.important:
+                uplink.append(packet)
+                if len(uplink) == 1:
+                    transfer(now)
             else:
-                local_queue.append(pkt)
+                local.append(packet)
                 if now >= warmup:
-                    local_queue_max = max(local_queue_max, local_system_size())
-                if not server_busy:
-                    start_service(now)
-            push(now + rng.expovariate(workload.arrival_rate), _ARRIVAL)
+                    local_queue_max = max(local_queue_max,
+                                          len(local) + (len(local) > 1))
+                if len(local) == 1:
+                    busy_since = now
+                    serve(now)
+            heappush(events, (now + rng.expovariate(workload.arrival_rate),
+                              next(seq), _ARRIVAL))
 
         elif kind == _LOCAL_DONE:
-            local_queue.popleft()
+            packet = local.popleft()
             packet.departure_time = now
             local_done += 1
             if packet.arrival_time >= warmup:
                 local_sojourns.append(now - packet.arrival_time)
             busy_time += max(0.0, min(now, duration) - max(busy_since, warmup))
-            server_busy = False
-            if local_queue:
-                start_service(now)
+            if local:
+                busy_since = now
+                serve(now)
 
         elif kind == _UPLINK_DONE:
-            uplink_queue.popleft()
+            packet = uplink.popleft()
             packet.departure_time = now + tail
             forwarded_done += 1
             if now > warmup:
-                uplink_bits_window += packet.size_bits
+                uplink_bits_window += size
             if packet.arrival_time >= warmup:
                 forward_latencies.append(packet.departure_time
                                          - packet.arrival_time)
-            channel_busy = False
-            if uplink_queue:
-                start_transfer(now)
+            if uplink:
+                transfer(now)
 
         else:  # _SAMPLE
-            queue_samples.append(local_system_size())
+            queue_samples.append(len(local) + (len(local) > 0))
 
-    if server_busy:
+    if local:
         busy_time += max(0.0, duration - max(busy_since, warmup))
 
     mean_power = fog.idle_power
@@ -230,7 +212,7 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet
         packets_generated=len(packets),
         packets_local_done=local_done,
         packets_forwarded_done=forwarded_done,
-        packets_in_flight=len(packets) - local_done - forwarded_done,
+        packets_in_flight=len(local) + len(uplink),
     )
     return metrics, packets
 
@@ -241,18 +223,20 @@ def _mean(values: list[float]) -> float:
 
 TRACE_COLUMNS = ("id", "arrival_time", "important", "path", "departure_time",
                  "size_bits")
+_TRACE_CLASS = {True: ("true", "forwarded"), False: ("false", "local")}
 
 
-def write_trace(stream: IO[str], packets: list[Packet]) -> None:
-    """One CSV record per generated packet; in-flight packets get an empty
-    departure_time."""
+def write_trace(stream: IO[str], packets: list[Packet],
+                size_bits: float) -> None:
+    """One CSV record per generated packet, in arrival order; in-flight
+    packets get an empty departure_time."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(TRACE_COLUMNS)
-    for p in packets:
+    size = repr(size_bits)
+    for i, p in enumerate(packets):
         departure = repr(p.departure_time) if p.departure_time is not None else ""
-        writer.writerow([p.id, repr(p.arrival_time),
-                         "true" if p.important else "false", p.path,
-                         departure, repr(p.size_bits)])
+        writer.writerow([i, repr(p.arrival_time), *_TRACE_CLASS[p.important],
+                         departure, size])
 
 
 # ---------------------------------------------------------------------------

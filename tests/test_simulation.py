@@ -102,11 +102,17 @@ class TestSimulate:
         assert in_flight == metrics.packets_in_flight
 
     def test_paths_consistent_with_importance(self):
-        sim = SimScenario(scenario=default_scenario(), local_prob=0.4,
-                          duration_s=60.0)
+        scn = default_scenario()
+        sim = SimScenario(scenario=scn, local_prob=0.4, duration_s=60.0)
         _, packets = simulate_trace(sim, seed=21)
-        for p in packets:
-            assert (p.path == "forwarded") == p.important
+        buf = io.StringIO()
+        write_trace(buf, packets, scn.workload.packet_size)
+        rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+        assert len(rows) == len(packets)
+        for i, (p, row) in enumerate(zip(packets, rows)):
+            assert row["id"] == str(i)
+            assert (row["path"] == "forwarded") == p.important
+            assert row["important"] == ("true" if p.important else "false")
             if p.departure_time is not None:
                 assert p.departure_time >= p.arrival_time
 
@@ -187,13 +193,14 @@ class TestTrace:
                           duration_s=30.0)
         metrics, packets = simulate_trace(sim, seed=2)
         buf = io.StringIO()
-        write_trace(buf, packets)
+        write_trace(buf, packets, sim.scenario.workload.packet_size)
         rows = list(csv.reader(io.StringIO(buf.getvalue())))
         assert tuple(rows[0]) == TRACE_COLUMNS
         assert len(rows) - 1 == metrics.packets_generated
         first = rows[1]
         assert first[2] in ("true", "false")
         assert first[3] in ("local", "forwarded")
+        assert first[5] == repr(sim.scenario.workload.packet_size)
 
 
 class TestTrendCompare:
