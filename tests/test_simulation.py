@@ -125,6 +125,29 @@ class TestSimulate:
         assert metrics.mean_fog_power_w >= theta
         assert metrics.mean_fog_power_w <= theta + dynamic * 1.2
 
+    @pytest.mark.parametrize("rate, local_prob, seed, duration", [
+        (50.0, 0.5, 33, 200.0),
+        (150.0, 0.6, 34, 100.0),
+        (200.0, 0.55, 35, 60.0),
+        (0.5, 0.5, 36, 400.0),     # no queueing: every packet finds 0
+    ])
+    def test_local_queue_max_counts_local_packets_in_the_system(
+            self, rate, local_prob, seed, duration):
+        sim = SimScenario(scenario=with_rate(rate), local_prob=local_prob,
+                          duration_s=duration)
+        metrics, packets = simulate_trace(sim, seed=seed)
+        local = [p for p in packets if not p.important]
+        largest = 0
+        gone = 0     # FIFO: the departed packets are a prefix
+        for n, p in enumerate(local):
+            while (local[gone].departure_time is not None
+                   and local[gone].departure_time < p.arrival_time):
+                gone += 1
+            if p.arrival_time >= sim.warmup_s:
+                largest = max(largest, n + 1 - gone)
+        assert largest > 0
+        assert metrics.local_queue_max == largest
+
     def test_stable_queue_bounded_over_doubling_durations(self):
         s = with_rate(50.0)
         maxima = []
