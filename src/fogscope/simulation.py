@@ -152,8 +152,7 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet
             else:
                 local.append(packet)
                 if now >= warmup:
-                    local_queue_max = max(local_queue_max,
-                                          len(local) + (len(local) > 1))
+                    local_queue_max = max(local_queue_max, len(local))
                 if len(local) == 1:
                     busy_since = now
                     serve(now)
@@ -184,7 +183,7 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet
                 transfer(now)
 
         else:  # _SAMPLE
-            queue_samples.append(len(local) + (len(local) > 0))
+            queue_samples.append(len(local))
 
     if local:
         busy_time += max(0.0, duration - max(busy_since, warmup))

@@ -757,8 +757,8 @@ class TestSeededArtifactBytes:
         "simulate-default": (
             None, ["simulate", "--local-prob", "0.5", "--duration", "50",
                    "--seed", "21", "--trace", "{out}/trace.csv"],
-            0, {"simulate.csv": "c1efe51861d20b11ee3eadcaf7f202e3"
-                                "e53a5e0914d969854d0d091fc817684b",
+            0, {"simulate.csv": "ef4a9b10d526d6b6bba46f2d8b5055b4"
+                                "7f9ba3627df162fe6b1eb908846810ec",
                 "trace.csv": "1a1d21dbd4f5eeef455b75cb05eb6e88"
                              "3c00fb26bf9100d6fe78ccf03fc51918"}),
         # every packet forwarded, each transfer scaled by a resampled
@@ -774,13 +774,13 @@ class TestSeededArtifactBytes:
         "simulate-tx": (
             TX_SCENARIO, ["simulate", "--local-prob", "0.3", "--duration",
                           "50", "--seed", "22"],
-            0, {"simulate.csv": "d0c588e021f65cb9fba9ee6adabca8f5"
-                                "729c4cae941bdc3e5f81382c3c547bf4"}),
+            0, {"simulate.csv": "5df86731fac1f3c1acd77e87428f52de"
+                                "55f7db11e32b6c92263b7f257f491dc9"}),
         "simulate-slow-fog": (
             SLOW_FOG_SCENARIO, ["simulate", "--local-prob", "0.8",
                                 "--duration", "30", "--seed", "24"],
-            0, {"simulate.csv": "ad6310c830adf1d3ded9c1952270fdb7"
-                                "f02ddd2bb593e2cce5e086b1622d33f9"}),
+            0, {"simulate.csv": "b7538d9c1e257d74c04b16ec2d2a1c54"
+                                "40d3fff7313403bac635e5da9d5c9e74"}),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
