@@ -10,6 +10,11 @@ an independent oracle for the local queue.
 Cloud processing and the returned-fraction downlink are fixed per-packet
 delays (no cloud queue); the uplink serialization time is size/throughput
 scaled by the mean-1 noise multiplier when noise_sigma > 0.
+
+Both queues are FIFO single servers, so the packet in service is always
+the head of its queue and stays there until it completes.  A queue is
+busy exactly when it is non-empty, its length counts the packet in
+service, and a completion event pops the head.
 """
 
 from __future__ import annotations
