@@ -170,7 +170,7 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet
             local_done += 1
             if packet.arrival_time >= warmup:
                 local_sojourns.append(now - packet.arrival_time)
-            busy_time += max(0.0, min(now, duration) - max(busy_since, warmup))
+            busy_time += max(0.0, now - max(busy_since, warmup))
             if local:
                 busy_since = now
                 serve(now)
