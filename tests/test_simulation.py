@@ -129,7 +129,7 @@ class TestSimulate:
         (50.0, 0.5, 33, 200.0),
         (150.0, 0.6, 34, 100.0),
         (200.0, 0.55, 35, 60.0),
-        (0.5, 0.5, 36, 400.0),     # no queueing: every packet finds 0
+        (0.5, 0.5, 36, 400.0),     # no queueing: each finds an idle server
     ])
     def test_local_queue_max_counts_local_packets_in_the_system(
             self, rate, local_prob, seed, duration):
