@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
@@ -361,36 +362,15 @@ def brute_force_front(problem: OptProblem, grid_step: float) -> ParetoFront:
 # Hypervolume (minimization, 2 or 3 objectives)
 # ---------------------------------------------------------------------------
 
-def _staircase_insert(stairs: list[tuple[float, float]],
-                      point: tuple[float, float]) -> None:
-    """Insert into an x-ascending, y-descending non-dominated staircase."""
-    x, y = point
-    for sx, sy in stairs:
-        if sx <= x and sy <= y:
-            return  # dominated, no change
-    stairs[:] = [(sx, sy) for sx, sy in stairs if not (x <= sx and y <= sy)]
-    stairs.append((x, y))
-    stairs.sort()
-
-
-def _staircase_area(stairs: list[tuple[float, float]],
-                    ref: tuple[float, float]) -> float:
-    area = 0.0
-    prev_y = ref[1]
-    for x, y in stairs:
-        if x >= ref[0] or y >= prev_y:
-            continue
-        area += (ref[0] - x) * (prev_y - y)
-        prev_y = y
-    return area
-
-
 def hypervolume(points: Sequence[Sequence[float]],
                 reference: Sequence[float]) -> float:
     """Dominated hypervolume of a point set w.r.t. a reference (minimization).
 
     Supports 2 and 3 objectives; points at or beyond the reference in any
-    coordinate contribute nothing.
+    coordinate contribute nothing, and the others must be finite.  One
+    sweep in ascending third objective (Fonseca, Paquete & Lopez-Ibanez,
+    CEC 2006) keeps the 2-D staircase of the points seen so far and its
+    area, so a set of n points costs O(n log n) comparisons.
     """
     ref = tuple(float(v) for v in reference)
     pts = [tuple(float(v) for v in p) for p in points]
@@ -405,19 +385,32 @@ def hypervolume(points: Sequence[Sequence[float]],
         pts = [p + (0.0,) for p in pts]
     if len(ref) != 3:
         raise ValueError("hypervolume supports 2 or 3 objectives")
-    # sweep along the third objective, accumulating 2D slabs
     pts.sort(key=lambda p: p[2])
-    stairs: list[tuple[float, float]] = []
-    total = 0.0
-    prev_z = None
-    i = 0
-    while i < len(pts):
-        z = pts[i][2]
-        if prev_z is not None and stairs:
-            total += _staircase_area(stairs, ref[:2]) * (z - prev_z)
-        while i < len(pts) and pts[i][2] == z:
-            _staircase_insert(stairs, pts[i][:2])
-            i += 1
+    ref_x, ref_y, ref_z = ref
+    # the staircase: mutually non-dominated points, x ascending and so
+    # y descending
+    xs: list[float] = []
+    ys: list[float] = []
+    area = volume = 0.0
+    prev_z = pts[0][2]
+    for x, y, z in pts:
+        volume += area * (z - prev_z)
         prev_z = z
-    total += _staircase_area(stairs, ref[:2]) * (ref[2] - prev_z)
-    return total
+        lo = bisect_left(xs, x)
+        hi = bisect_right(xs, x, lo)
+        if hi and ys[hi - 1] <= y:
+            continue  # weakly dominated by a point with no larger x
+        # the area only this point covers, in vertical strips that end at
+        # the next staircase x: up to the left neighbour's y, then up to
+        # the y of each point it removes; no strip is negative, so the
+        # running area never cancels
+        top = ys[lo - 1] if lo else ref_y
+        left, end = x, lo
+        while end < len(xs) and ys[end] >= y:
+            area += (xs[end] - left) * (top - y)
+            left, top = xs[end], ys[end]
+            end += 1
+        area += ((xs[end] if end < len(xs) else ref_x) - left) * (top - y)
+        xs[lo:end] = [x]
+        ys[lo:end] = [y]
+    return volume + area * (ref_z - prev_z)

@@ -366,10 +366,17 @@ def test_returned_rank_zero_never_dominated_property(points):
 
 @st.composite
 def eighths_point_sets(draw):
-    """2-D or 3-D points whose coordinates are multiples of 0.125 in [0, 1)."""
+    """2-D or 3-D points whose coordinates are multiples of 0.125 in [0, 1).
+
+    The size is drawn first: left to itself, hypothesis keeps lists short.
+    """
     dim = draw(st.integers(min_value=2, max_value=3))
-    coord = st.integers(min_value=0, max_value=7).map(lambda k: k * 0.125)
-    return draw(st.lists(st.tuples(*[coord] * dim), max_size=12))
+    size = draw(st.integers(min_value=0, max_value=200))
+    # one draw per point: its coordinates are the octal digits of a code
+    codes = draw(st.lists(st.integers(min_value=0, max_value=8 ** dim - 1),
+                          min_size=size, max_size=size))
+    return [tuple(((code >> (3 * d)) & 7) * 0.125 for d in range(dim))
+            for code in codes]
 
 
 def compressed_grid_volume(points, reference):
