@@ -106,6 +106,22 @@ class TestEvaluate:
         assert result.exit_code == 2
         assert "fog.tdp_w" in result.stderr
 
+    def test_overflowing_objectives_exit_2(self, runner, out_dir, tmp_path):
+        # every key is finite; the throughput at r = 0 is not
+        doc = tmp_path / "huge.yaml"
+        doc.write_text(
+            "workload: {arrival_rate_pps: 1.0e+200, packet_size_bits: 1.0e+200}\n"
+            "fog: {proc_capability_pps: 1.0e+300, energy_per_bit_j: 1.0e-300,"
+            " idle_power_w: 2.0, tdp_w: 1.0e+308}\n"
+            "network: {uplink_throughput_bps: 1.5e+6,"
+            " downlink_throughput_bps: 1.5e+6}\n"
+            "cloud: {proc_capability_bps: 3.0e+6}\n")
+        result = runner.invoke(main, ["evaluate", "--scenario", str(doc),
+                                      "--r", "0.5"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: workload.arrival_rate_pps: ")
+        assert not out_dir.exists()
+
     def test_repeated_key_exits_2(self, runner, tmp_path):
         doc = tmp_path / "twice.yaml"
         doc.write_text("name: a\nname: b\n")
@@ -181,6 +197,13 @@ class TestSweep:
         assert all(group.startswith(head) for group in groups)
         assert combined == head + "".join(g[len(head):] for g in groups)
         assert [len(g.splitlines()) for g in groups] == [2 + 7] * 4
+
+    def test_overflowing_axis_value_exits_2(self, runner, out_dir):
+        result = runner.invoke(main, [
+            "sweep", "--grid", "workload.packet_size_bits=12000,1e307"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: workload.arrival_rate_pps: ")
+        assert not out_dir.exists()
 
     def test_bad_grid_exits_2(self, runner):
         result = runner.invoke(main, ["sweep", "--grid", "nope=1"])
@@ -647,6 +670,13 @@ class TestStartup:
     @pytest.mark.parametrize("module", ["fogscope", "fogscope.cli"])
     def test_import_leaves_numpy_unloaded(self, module):
         assert modules_loaded_by(f"import {module}", "numpy") == []
+
+    def test_scenario_checks_leave_numpy_unloaded(self):
+        # the loader checks that the objectives are finite in plain floats
+        code = ("from fogscope.scenario import (default_scenario,"
+                " load_scenario, serialize_scenario)\n"
+                "load_scenario(serialize_scenario(default_scenario()))")
+        assert modules_loaded_by(code, "numpy") == []
 
     @pytest.mark.parametrize("args", [
         ["presets"],

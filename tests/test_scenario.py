@@ -228,6 +228,67 @@ class TestNonFiniteNumbers:
             sweep_grid(default_scenario(), parse_grid_spec("fog.tdp_w=inf"))
 
 
+# finite keys whose objectives are not: each rewrites MINIMAL_DOC
+OVERFLOWING_DOCS = {
+    # throughput, cloud and average latency at r = 0
+    "throughput": {"arrival_rate_pps: 100": "arrival_rate_pps: 1.0e+200",
+                   "packet_size_bits: 12000": "packet_size_bits: 1.0e+200",
+                   "energy_per_bit_j: 1.0e-7": "energy_per_bit_j: 1.0e-300",
+                   "proc_capability_pps: 100": "proc_capability_pps: 1.0e+300",
+                   "tdp_w: 10.0": "tdp_w: 1.0e+308"},
+    # fog and average latency at r = 1
+    "fog-latency": {"arrival_rate_pps: 100": "arrival_rate_pps: 1.0e+10",
+                    "proc_capability_pps: 100":
+                        "proc_capability_pps: 1.0e-300"},
+    # the raw power of an infeasible split is reported too
+    "power": {"energy_per_bit_j: 1.0e-7": "energy_per_bit_j: 1.0e+303"},
+    # each latency is finite, their sum is not
+    "average-latency": {"arrival_rate_pps: 100": "arrival_rate_pps: 1.0e+10",
+                        "proc_capability_pps: 100":
+                            "proc_capability_pps: 1.0e-298",
+                        "uplink_throughput_bps: 1.5e6":
+                            "uplink_throughput_bps: 1.5e6\n"
+                            "  base_latency_s: 1.0e+308"},
+}
+
+
+class TestOverflowingObjectives:
+    """Every key is finite, but an objective overflows somewhere on
+    [0, 1]; the scenario is an input error naming the arrival rate, which
+    scales every objective."""
+
+    @pytest.mark.parametrize("name", OVERFLOWING_DOCS)
+    def test_loader_rejects_and_names_a_key(self, name):
+        doc = MINIMAL_DOC
+        for old, new in OVERFLOWING_DOCS[name].items():
+            assert old in doc
+            doc = doc.replace(old, new)
+        with pytest.raises(ValidationError) as exc:
+            load_scenario(doc)
+        assert exc.value.field == "workload.arrival_rate_pps"
+        assert str(exc.value).startswith("workload.arrival_rate_pps: ")
+        assert "not finite" in str(exc.value)
+
+    @pytest.mark.parametrize("spec", [
+        "workload.packet_size_bits=1e307",
+        "workload.arrival_rate_pps=1e305",
+        # a subnormal fog capability: the fog latency at r = 1 overflows
+        "v_fog_frac=1e-320",
+    ])
+    def test_grid_axis_value_rejected(self, spec):
+        with pytest.raises(ValidationError) as exc:
+            sweep_grid(default_scenario(), parse_grid_spec(spec))
+        assert exc.value.field == "workload.arrival_rate_pps"
+
+    def test_largest_finite_objectives_are_accepted(self):
+        # throughput 1e308 bits/s at r = 0; power, latencies finite
+        doc = (MINIMAL_DOC
+               .replace("arrival_rate_pps: 100", "arrival_rate_pps: 1.0e+304")
+               .replace("packet_size_bits: 12000", "packet_size_bits: 1.0e+4")
+               .replace("energy_per_bit_j: 1.0e-7", "energy_per_bit_j: 0.0"))
+        assert load_scenario(doc).workload.arrival_rate == 1e304
+
+
 # the schema as a reader of README sees it: section -> key -> YAML text in
 # the minimal document, None for a key with a default
 SCHEMA = {
