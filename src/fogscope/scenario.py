@@ -19,8 +19,10 @@ from typing import Any, Optional
 import yaml
 
 from .flight import MotorParams
-from .model import (CloudParams, FogNodeParams, NetworkParams, ValidationError,
-                    WorkloadParams)
+from .model import (CloudParams, DecisionState, FogNodeParams, NetworkParams,
+                    TdpExceeded, ValidationError, WorkloadParams, avg_latency,
+                    cloud_latency, fog_energy, fog_energy_with_tx,
+                    throughput_to_cloud)
 
 
 class ParseError(Exception):
@@ -54,6 +56,32 @@ class Scenario:
     def __post_init__(self):
         if not self.name:
             raise ValidationError("name: must be nonempty", field="name")
+        _require_finite_objectives(self)
+
+
+def _require_finite_objectives(s: Scenario) -> None:
+    """Each objective is affine in r, so it is finite over [0, 1] when it is
+    finite at both ends.  The error names the arrival rate, which scales
+    every objective.  Plain floats keep start-up free of numpy."""
+    energy = fog_energy_with_tx if s.modification1_enabled else fog_energy
+    for r in (0.0, 1.0):
+        split = DecisionState.from_ratio(s.workload, r)
+        try:
+            power = energy(s.workload, s.fog, split)
+        except TdpExceeded as exc:  # the raw draw is reported too
+            power = exc.power_w
+        # the kernel's linearized fog latency, without its warning
+        fog_latency = split.x1 / s.fog.proc_capability
+        cloud = cloud_latency(s.workload, s.network, s.cloud, split)
+        for name, value in (
+                ("throughput_bps", throughput_to_cloud(s.workload, split)),
+                ("fog_power_w", power), ("fog_latency_s", fog_latency),
+                ("cloud_latency_s", cloud),
+                ("avg_latency_s", avg_latency(fog_latency, cloud))):
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"workload.arrival_rate_pps: {name} at r={r!r} is not "
+                    f"finite", field="workload.arrival_rate_pps")
 
 
 # ---------------------------------------------------------------------------
