@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 import fogscope
-from fogscope import cli, optimizer
+from fogscope import cli, optimizer, simulation
 from fogscope.cli import main
 from fogscope.reporting import MANIFEST_PREFIX, RunManifest, strip_manifest
 from fogscope.scenario import catalog_checksum
@@ -483,6 +483,32 @@ class TestGridCaps:
         assert (out_dir / "optimize.csv").exists() == (code == 0)
         if code:
             assert result.stderr.startswith("error: generations")
+
+    @pytest.mark.parametrize("gens, code", [("2", 0), ("3", 2)],
+                             ids=["at-cap", "over-cap"])
+    def test_optimize_search_work_at_and_over_the_cap(self, runner, out_dir,
+                                                      monkeypatch, gens, code):
+        monkeypatch.setattr(optimizer, "_MAX_SEARCH_WORK", 8 ** 2 * 2)
+        result = runner.invoke(main, ["optimize", "--pop", "8", "--gens", gens,
+                                      "--seed", "1"])
+        assert result.exit_code == code
+        assert (out_dir / "optimize.csv").exists() == (code == 0)
+        if code:
+            assert result.stderr == ("error: generations: must be at most 2 "
+                                     "at population_size 8\n")
+
+    @pytest.mark.parametrize("duration, code", [("20", 0), ("20.5", 2)],
+                             ids=["at-cap", "over-cap"])
+    def test_simulate_arrivals_at_and_over_the_cap(self, runner, out_dir,
+                                                   monkeypatch, duration, code):
+        # the default scenario offers 100 packets/s
+        monkeypatch.setattr(simulation, "_MAX_ARRIVALS", 2000)
+        result = runner.invoke(main, ["simulate", "--local-prob", "0.5",
+                                      "--duration", duration, "--seed", "1"])
+        assert result.exit_code == code
+        assert (out_dir / "simulate.csv").exists() == (code == 0)
+        if code:
+            assert result.stderr.startswith("error: duration_s: ")
 
     def test_cap_admits_the_benchmark_sweep(self):
         # perfbench's sweep workload runs --r-steps 2001

@@ -242,6 +242,43 @@ class TestGenerationCap:
             OptConfig(generations=cap + over)
 
 
+class TestSearchWorkCap:
+    """Ranking compares about population^2 pairs per generation, so the
+    two caps alone admit runs of about a day (--pop 4000 --gens 100000);
+    population^2 x generations is an input error of OptConfig above a
+    third cap.  Each test reads the caps first; none runs a search."""
+
+    def test_cap_admits_the_benchmark_readme_and_either_cap(self):
+        cap = optimizer._MAX_SEARCH_WORK
+        # perfbench runs --pop 200 --gens 100; README shows 100 x 100, and
+        # each single cap is reached at the other's default of 100
+        assert 200 ** 2 * 100 <= cap
+        assert optimizer._MAX_POPULATION ** 2 * 100 <= cap
+        assert 100 ** 2 * optimizer._MAX_GENERATIONS <= cap
+
+    @pytest.mark.parametrize("pop", [4, 200, 1000])
+    def test_generations_at_the_cap_are_accepted(self, pop):
+        gens = min(optimizer._MAX_SEARCH_WORK // pop ** 2,
+                   optimizer._MAX_GENERATIONS)
+        cfg = OptConfig(population_size=pop, generations=gens)
+        assert cfg.generations == gens
+
+    @pytest.mark.parametrize("pop", [200, 1000, optimizer._MAX_POPULATION])
+    def test_generations_over_the_cap_are_rejected(self, pop):
+        limit = optimizer._MAX_SEARCH_WORK // pop ** 2
+        assert limit < optimizer._MAX_GENERATIONS
+        with pytest.raises(
+                ValidationError,
+                match=f"generations: must be at most {limit} at "
+                      f"population_size {pop}"):
+            OptConfig(population_size=pop, generations=limit + 1)
+
+    def test_both_caps_at_once_are_rejected(self):
+        with pytest.raises(ValidationError, match="generations: "):
+            OptConfig(population_size=optimizer._MAX_POPULATION,
+                      generations=optimizer._MAX_GENERATIONS)
+
+
 def _fixed_latency_scenario() -> Scenario:
     """Zero processing energy and r-independent average latency.
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from fogscope import simulation
 from fogscope.model import ValidationError
 from fogscope.scenario import default_scenario
 from fogscope.simulation import (SimScenario, simulate, simulate_trace,
@@ -33,6 +34,34 @@ class TestSimScenario:
         with pytest.raises(ValidationError):
             SimScenario(scenario=default_scenario(), local_prob=1.2,
                         duration_s=10.0)
+
+
+class TestArrivalCap:
+    """A run keeps every packet it generates, so the expected packet count,
+    arrival rate x duration, is an input error of SimScenario above a cap.
+    Each test reads the cap first; none runs a simulation near it."""
+
+    def test_cap_admits_the_benchmark_and_readme_runs(self):
+        # perfbench simulates 3000 s and README 1000 s, both at 100 pkt/s
+        assert simulation._MAX_ARRIVALS >= 100 * 3000
+
+    def test_duration_at_the_cap_is_accepted(self):
+        cap = simulation._MAX_ARRIVALS
+        sim = SimScenario(scenario=default_scenario(), local_prob=0.5,
+                          duration_s=cap / 100.0)
+        assert sim.duration_s == cap / 100.0
+
+    @pytest.mark.parametrize("duration", [None, 1e9], ids=["cap+1s", "1e9"])
+    def test_duration_over_the_cap_is_rejected(self, duration):
+        cap = simulation._MAX_ARRIVALS
+        with pytest.raises(ValidationError, match=f"duration_s: .*{cap}"):
+            SimScenario(scenario=default_scenario(), local_prob=0.5,
+                        duration_s=duration or cap / 100.0 + 1.0)
+
+    def test_zero_rate_admits_any_duration(self):
+        sim = SimScenario(scenario=with_rate(0.0), local_prob=0.5,
+                          duration_s=1e300)
+        assert sim.duration_s == 1e300
 
 
 class TestSimulate:
