@@ -33,6 +33,10 @@ _MAX_POPULATION = 4000
 # largest generation count: the loop has no other stop, so an unbounded
 # count runs until the process is killed
 _MAX_GENERATIONS = 100_000
+# largest population_size**2 * generations: a generation's ranking work
+# grows with the square of the population, so the two caps alone admit
+# about a day at the population cap; this admits 100 generations there
+_MAX_SEARCH_WORK = _MAX_POPULATION ** 2 * 100
 
 
 class NoFeasibleSolution(Exception):
@@ -63,6 +67,11 @@ class OptConfig:
             raise ValidationError(
                 f"generations: must be within [1, {_MAX_GENERATIONS}]",
                 field="generations")
+        limit = _MAX_SEARCH_WORK // self.population_size ** 2
+        if self.generations > limit:
+            raise ValidationError(
+                f"generations: must be at most {limit} at population_size "
+                f"{self.population_size}", field="generations")
         for name in ("crossover_rate", "mutation_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValidationError(f"{name}: must be within [0, 1]",

@@ -37,6 +37,9 @@ if TYPE_CHECKING:
 
 _ARRIVAL, _LOCAL_DONE, _UPLINK_DONE, _SAMPLE = range(4)
 _QUEUE_SAMPLES = 32
+# most expected packets, arrival rate x duration: a run keeps every packet
+# it generates, so an unbounded run grows until the process is killed
+_MAX_ARRIVALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,11 @@ class SimScenario:
             raise ValidationError(
                 "duration_s: duration must exceed warmup (warmup >= 0)",
                 field="duration_s")
+        rate = self.scenario.workload.arrival_rate
+        if rate * self.duration_s > _MAX_ARRIVALS:
+            raise ValidationError(
+                f"duration_s: arrival rate x duration must be at most "
+                f"{_MAX_ARRIVALS} packets", field="duration_s")
 
 
 @dataclass(slots=True)
