@@ -144,8 +144,10 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet
 
     queue_samples: list[int] = []
     local_queue_max = 0
-    local_sojourns: list[float] = []
-    forward_latencies: list[float] = []
+    # sums added left to right, as sum() does before Python 3.12, and
+    # counts of the packets that arrived after warmup
+    sojourn_sum = forward_sum = 0.0
+    sojourn_count = forward_count = 0
     uplink_bits_window = 0.0
     local_done = 0
     forwarded_done = 0
@@ -177,7 +179,8 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet
             packet.departure_time = now
             local_done += 1
             if packet.arrival_time >= warmup:
-                local_sojourns.append(now - packet.arrival_time)
+                sojourn_sum += now - packet.arrival_time
+                sojourn_count += 1
             busy_time += max(0.0, now - max(busy_since, warmup))
             if local:
                 busy_since = now
@@ -190,8 +193,8 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet
             if now > warmup:
                 uplink_bits_window += size
             if packet.arrival_time >= warmup:
-                forward_latencies.append(packet.departure_time
-                                         - packet.arrival_time)
+                forward_sum += packet.departure_time - packet.arrival_time
+                forward_count += 1
             if uplink:
                 transfer(now)
 
@@ -214,8 +217,10 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet
                 and half[-1] > half[0])
 
     metrics = SimMetrics(
-        mean_local_sojourn_s=_mean(local_sojourns),
-        mean_forward_latency_s=_mean(forward_latencies),
+        mean_local_sojourn_s=(sojourn_sum / sojourn_count
+                              if sojourn_count else 0.0),
+        mean_forward_latency_s=(forward_sum / forward_count
+                                if forward_count else 0.0),
         empirical_uplink_throughput_bps=(uplink_bits_window / window
                                          if window > 0 else 0.0),
         mean_fog_power_w=mean_power,
@@ -227,10 +232,6 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet
         packets_in_flight=len(local) + len(uplink),
     )
     return metrics, packets
-
-
-def _mean(values: list[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
 
 
 TRACE_COLUMNS = ("id", "arrival_time", "important", "path", "departure_time",
