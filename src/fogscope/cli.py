@@ -12,6 +12,7 @@ import math
 import sys
 import warnings
 from dataclasses import astuple, fields
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -344,29 +345,22 @@ def power(kind: str, mass_min: float, mass_max: float, step: float,
     if not isinstance(motor, flight.MotorParams):
         _fail(EXIT_INPUT, f"preset {motor_name!r} is not a motor")
 
-    def aircraft(mass: float) -> flight.AircraftModel:
-        try:
-            if kind == "quad":
-                return flight.AircraftModel(kind=flight.QUAD_ROTOR,
-                                            mass_kg=mass, motor=motor,
-                                            overall_efficiency=efficiency)
-            return flight.AircraftModel(kind=flight.FIXED_WING_BIMOTOR,
-                                        mass_kg=mass, motor=motor,
-                                        wing_area_m2=wing_area,
-                                        drag_coeff=drag_coeff,
-                                        lift_coeff=lift_coeff,
-                                        overall_efficiency=efficiency)
-        except ValueError as exc:
-            _fail(EXIT_INPUT, str(exc))
-
-    power_fn = (flight.hover_power if kind == "quad"
-                else flight.fixed_wing_level_power)
+    if kind == "quad":
+        airframe = {"kind": flight.QUAD_ROTOR}
+        power_fn = flight.hover_power
+    else:
+        airframe = {"kind": flight.FIXED_WING_BIMOTOR,
+                    "wing_area_m2": wing_area, "drag_coeff": drag_coeff,
+                    "lift_coeff": lift_coeff}
+        power_fn = flight.fixed_wing_level_power
+    aircraft = partial(flight.AircraftModel, motor=motor,
+                       overall_efficiency=efficiency, **airframe)
     rows = []
     try:
         for i in range(int(span) + 1):
             mass = mass_min + i * step
-            base = power_fn(aircraft(mass))
-            delta = power_fn(aircraft(mass + 0.25)) - base
+            base = power_fn(aircraft(mass_kg=mass))
+            delta = power_fn(aircraft(mass_kg=mass + 0.25)) - base
             rows.append((mass, base, delta))
     except flight.MotorOverload as exc:
         _fail(EXIT_INFEASIBLE, str(exc))
