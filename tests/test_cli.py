@@ -644,6 +644,28 @@ class TestReadmeExperiments:
 SRC = Path(fogscope.__file__).parents[1]
 
 
+def test_pareto_search_script_smoke(tmp_path):
+    # the script is the only caller of hypervolume outside the tests
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "pareto_search.py"),
+         "--pop", "20", "--gens", "5", "--grid-step", "1e-2",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 0, result.stderr
+    header, *rows = [line.split() for line in result.stdout.splitlines()
+                     if not line.startswith("  wrote ")]
+    assert header[-1] == "hv_ratio"
+    assert [row[0] for row in rows] == ["default", "tx-term", "fleet-1080p"]
+    assert all(0.0 < float(row[-1]) <= 1.0 for row in rows)
+    fronts = sorted(tmp_path.glob("front_*.csv"))
+    assert [path.name for path in fronts] == [
+        "front_default.csv", "front_fleet-1080p.csv", "front_tx-term.csv"]
+    for path in fronts:
+        assert manifest_of(path).command == "pareto-search"
+        assert read_rows(path)
+
+
 def modules_loaded_by(code: str, package: str, **env: str) -> list[str]:
     """The ``sys.modules`` keys of ``package`` after ``code`` runs in a
     fresh interpreter."""
