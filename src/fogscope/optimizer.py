@@ -33,9 +33,8 @@ _MAX_POPULATION = 4000
 # largest generation count: the loop has no other stop, so an unbounded
 # count runs until the process is killed
 _MAX_GENERATIONS = 100_000
-# largest population_size**2 * generations: a generation's ranking work
-# grows with the square of the population, so the two caps alone admit
-# about a day at the population cap; this admits 100 generations there
+# largest population_size**2 * generations, since ranking work grows with
+# the square of the population: 100 generations at the population cap
 _MAX_SEARCH_WORK = _MAX_POPULATION ** 2 * 100
 
 
@@ -395,31 +394,27 @@ def hypervolume(points: Sequence[Sequence[float]],
     if len(ref) != 3:
         raise ValueError("hypervolume supports 2 or 3 objectives")
     pts.sort(key=lambda p: p[2])
-    ref_x, ref_y, ref_z = ref
-    # the staircase: mutually non-dominated points, x ascending and so
-    # y descending
-    xs: list[float] = []
-    ys: list[float] = []
+    # the staircase: mutually non-dominated points, x ascending and y
+    # descending, between two sentinels that nothing dominates or removes
+    xs, ys = [-math.inf, ref[0]], [ref[1], -math.inf]
     area = volume = 0.0
     prev_z = pts[0][2]
     for x, y, z in pts:
         volume += area * (z - prev_z)
         prev_z = z
         lo = bisect_left(xs, x)
-        hi = bisect_right(xs, x, lo)
-        if hi and ys[hi - 1] <= y:
+        if ys[bisect_right(xs, x, lo) - 1] <= y:
             continue  # weakly dominated by a point with no larger x
         # the area only this point covers, in vertical strips that end at
         # the next staircase x: up to the left neighbour's y, then up to
         # the y of each point it removes; no strip is negative, so the
         # running area never cancels
-        top = ys[lo - 1] if lo else ref_y
-        left, end = x, lo
-        while end < len(xs) and ys[end] >= y:
+        top, left, end = ys[lo - 1], x, lo
+        while ys[end] >= y:
             area += (xs[end] - left) * (top - y)
             left, top = xs[end], ys[end]
             end += 1
-        area += ((xs[end] if end < len(xs) else ref_x) - left) * (top - y)
+        area += (xs[end] - left) * (top - y)
         xs[lo:end] = [x]
         ys[lo:end] = [y]
-    return volume + area * (ref_z - prev_z)
+    return volume + area * (ref[2] - prev_z)
