@@ -18,6 +18,7 @@ from click.testing import CliRunner
 import fogscope
 from fogscope import cli, optimizer, simulation
 from fogscope.cli import main
+from fogscope.model import InstabilityWarning
 from fogscope.reporting import MANIFEST_PREFIX, RunManifest, strip_manifest
 from fogscope.scenario import catalog_checksum
 
@@ -129,6 +130,14 @@ class TestEvaluate:
                                       "--r", "0.5"])
         assert result.exit_code == 2
         assert "line 2" in result.stderr
+
+    def test_stability_boundary_warns_once(self, runner):
+        with pytest.warns(InstabilityWarning) as record:
+            result = runner.invoke(main, ["evaluate", "--r", "1"])
+        assert result.exit_code == 0
+        assert [str(w.message) for w in record] == [
+            "accepted rate 100 pkt/s >= fog capability 100 pkt/s; "
+            "linearized latency is outside its stable region"]
 
     def test_tdp_breach_exits_3(self, runner, tmp_path):
         doc = tmp_path / "hot.yaml"
@@ -779,6 +788,8 @@ TDP_SCENARIO = (TX_SCENARIO.replace("tdp_w: 10.0", "tdp_w: 2.0607")
 SLOW_FOG_SCENARIO = TX_SCENARIO.replace("proc_capability_pps: 100",
                                         "proc_capability_pps: 50")
 NOISE_SCENARIO = TX_SCENARIO.replace("network: {", "network: {noise_sigma: 0.3, ")
+SCENARIO_FILE_TEXT = {path.stem: path.read_text(encoding="utf-8")
+                      for path in (ROOT / "scenarios").glob("*.yaml")}
 
 
 class TestSeededArtifactBytes:
@@ -819,6 +830,31 @@ class TestSeededArtifactBytes:
                    "--crossover-rate", "0"],
             0, {"optimize.csv": "eec40ddc597db73323fa79a3be8e12c1"
                                 "0fd16b6c7e78f4d693d7cd76c05aa891"}),
+        "evaluate-r0": (
+            None, ["evaluate", "--r", "0"],
+            0, {"evaluate.csv": "a5ae0c2704818c1aab953bd8e306cc55"
+                                "36221410e7881715a9e6ede789395d7b"}),
+        "evaluate-r0.3": (
+            None, ["evaluate", "--r", "0.3"],
+            0, {"evaluate.csv": "5b949b575cf4beca77d7c8ec9338bb1c"
+                                "1966f5df9ae2354a3340b398ae5f0ca8"}),
+        "evaluate-r0.999": (
+            None, ["evaluate", "--r", "0.999"],
+            0, {"evaluate.csv": "b73d9fc671f3cb748a598eec046f7016"
+                                "5760380c242c2a4e850ca123aa1512b4"}),
+        # on the stability boundary: the row is written with a warning
+        "evaluate-r1": (
+            None, ["evaluate", "--r", "1"],
+            0, {"evaluate.csv": "88c6af123672a7d9a5b4f684158b8725"
+                                "950484c504d107fa797b724e506c5435"}),
+        "evaluate-tx-term": (
+            SCENARIO_FILE_TEXT["tx_term"], ["evaluate", "--r", "0.3"],
+            0, {"evaluate.csv": "826816a6029ac2df30411e1bf634786d"
+                                "57773c16d7ca7d0b8f8e7fd43540649f"}),
+        "evaluate-hspa-plus-noisy": (
+            SCENARIO_FILE_TEXT["hspa_plus_noisy"], ["evaluate", "--r", "0.5"],
+            0, {"evaluate.csv": "aead388dfd91a4b6259e6eb611bc2aa2"
+                                "757e5e7339c7dccfeef58997bdadf270"}),
         "sweep": (
             None, ["sweep", "--grid", "network=gsm,hspa_plus;fog.tdp_w=2.0607,10",
                    "--r-steps", "201"],

@@ -2,6 +2,7 @@
 
 import math
 import textwrap
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -159,6 +160,15 @@ class TestScenarioFiles:
     def test_loads(self, name):
         assert self.load(name).name == name.removesuffix(".yaml").replace(
             "_", "-")
+
+    def test_build_without_a_warning(self):
+        # the objective check runs at r = 1, where the default scenario
+        # sits on the stability boundary
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            default_scenario()
+            for path in sorted(SCENARIO_FILES.glob("*.yaml")):
+                self.load(path.name)
 
     def test_default_is_the_built_in_default(self):
         assert self.load("default.yaml") == default_scenario()
