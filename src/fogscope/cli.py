@@ -98,19 +98,15 @@ def main():
               help="Fraction of arrivals accepted for fog processing.")
 def evaluate(scenario_path: Optional[str], r: float):
     """Evaluate the objective vector for one workload split."""
-    import numpy as np
     scn = _load(scenario_path)
     if not 0.0 <= r <= 1.0:
         _fail(EXIT_INPUT, f"--r={r} violates the bound [0, 1]")
-    (row,) = _objective_row(scn, np.array([r]))
+    row = model.evaluate_split(scn, r)
     if not row[-1]:
         _fail(EXIT_INFEASIBLE,
               f"fog power {row[2]:.6g} W exceeds TDP {scn.fog.tdp:.6g} W "
               f"at r={r}")
-    table = ResultTable(
-        columns=("r", "throughput_bps", "fog_power_w", "fog_latency_s",
-                 "cloud_latency_s", "avg_latency_s", "feasible"),
-        rows=[row])
+    table = ResultTable(columns=model.Evaluation._fields, rows=[row])
     manifest = RunManifest.create("evaluate", scenario_digest(scn))
     _emit("evaluate.csv", manifest, table)
 
@@ -133,8 +129,7 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
     except ValidationError as exc:
         _fail(EXIT_INPUT, str(exc))
     r_values = np.linspace(0.0, 1.0, r_steps)
-    columns = ("group", "scenario", "r", "throughput_bps", "fog_power_w",
-               "fog_latency_s", "cloud_latency_s", "avg_latency_s", "feasible")
+    columns = ("group", "scenario", *model.Evaluation._fields)
     manifest = RunManifest.create("sweep", scenario_digest(scn))
     # every group artifact is this manifest and header plus its rows, and
     # sweep.csv is the same head plus every group's rows in order; it is
@@ -222,7 +217,6 @@ def optimize_cmd(scenario_path: Optional[str], pop: int, gens: int, seed: int,
 def simulate(scenario_path: Optional[str], local_prob: float, duration: float,
              warmup: Optional[float], seed: int, trace_path: Optional[str]):
     """Run the packet-level simulation once and compare with the model."""
-    import numpy as np
     scn = _load(scenario_path)
     try:
         sim = simulation.SimScenario(scenario=scn, local_prob=local_prob,
@@ -230,7 +224,7 @@ def simulate(scenario_path: Optional[str], local_prob: float, duration: float,
     except ValidationError as exc:
         _fail(EXIT_INPUT, str(exc))
     metrics, packets = simulation.simulate_trace(sim, seed)
-    (analytic,) = model.evaluate(scn, np.array([local_prob])).rows()
+    analytic = model.evaluate_split(scn, local_prob)
     table = ResultTable(
         columns=("local_prob", "duration_s", "warmup_s",
                  *(f.name for f in fields(simulation.SimMetrics)),

@@ -309,8 +309,8 @@ class Evaluation(NamedTuple):
 def evaluate(scenario: "Scenario", r: np.ndarray) -> Evaluation:
     """Evaluate every split in ``r`` in one numpy pass.
 
-    Bit-identical to the scalar path (:func:`objectives` and the functions
-    it composes): every term keeps its operation order.  Infeasible splits
+    Bit-identical to :func:`evaluate_split`, split by split: every term
+    keeps its operation order.  Infeasible splits
     are flagged in ``feasible`` instead of raising TdpExceeded.  Emits one
     InstabilityWarning when any accepted rate reaches the fog capability.
     """
@@ -352,21 +352,32 @@ def evaluate(scenario: "Scenario", r: np.ndarray) -> Evaluation:
                       (fog_lat + cloud_lat) / 2.0, ~(power > fog.tdp))
 
 
-def objectives(scenario: "Scenario", r: float) -> ObjectiveVector:
-    """Evaluate the full objective vector for a workload split ``r``.
-
-    Composes throughput, fog power (with the transmission term when the
-    scenario enables it), and the mean of the linearized fog latency and
-    the cloud latency.  Propagates TdpExceeded.
+def evaluate_split(scenario: "Scenario", r: float) -> tuple:
+    """One split's row of :func:`evaluate` in plain floats, in
+    :class:`Evaluation` field order, composed from the scalar terms: no
+    numpy is loaded.  An infeasible split carries its raw power.  Emits an
+    InstabilityWarning when the accepted rate reaches the fog capability.
     """
-    split = DecisionState.from_ratio(scenario.workload, r)
-    throughput = throughput_to_cloud(scenario.workload, split)
-    if scenario.modification1_enabled:
-        power = fog_energy_with_tx(scenario.workload, scenario.fog, split)
-    else:
-        power = fog_energy(scenario.workload, scenario.fog, split)
-    latency = avg_latency(
-        fog_latency_linear(scenario.fog, split),
-        cloud_latency(scenario.workload, scenario.network, scenario.cloud, split),
-    )
+    w, fog = scenario.workload, scenario.fog
+    split = DecisionState.from_ratio(w, r)
+    energy = fog_energy_with_tx if scenario.modification1_enabled else fog_energy
+    try:
+        power, feasible = energy(w, fog, split), True
+    except TdpExceeded as exc:
+        power, feasible = exc.power_w, False
+    fog_lat = fog_latency_linear(fog, split)
+    cloud_lat = cloud_latency(w, scenario.network, scenario.cloud, split)
+    return (r, throughput_to_cloud(w, split), power, fog_lat, cloud_lat,
+            avg_latency(fog_lat, cloud_lat), feasible)
+
+
+def objectives(scenario: "Scenario", r: float) -> ObjectiveVector:
+    """The objective vector of :func:`evaluate_split`'s row for a workload
+    split ``r``: throughput, fog power (with the transmission term when the
+    scenario enables it), and the mean of the linearized fog latency and
+    the cloud latency.  Raises TdpExceeded for an infeasible split.
+    """
+    _, throughput, power, _, _, latency, feasible = evaluate_split(scenario, r)
+    if not feasible:
+        raise TdpExceeded(power, scenario.fog.tdp)
     return ObjectiveVector(throughput, power, latency)

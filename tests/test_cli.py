@@ -740,16 +740,26 @@ class TestStartup:
         ["fov"],
         ["power", "--kind", "quad"],
         ["power", "--kind", "fixedwing"],
-    ], ids=["presets", "fov", "power-quad", "power-fixedwing"])
+        ["evaluate", "--r", "0.5"],
+        # on the stability boundary, where the row warns
+        ["evaluate", "--r", "1"],
+        ["simulate", "--local-prob", "0.5", "--duration", "5", "--seed", "1"],
+        ["simulate", "--local-prob", "0.5", "--duration", "5", "--seed", "1",
+         "--trace", "{out}/trace.csv"],
+    ], ids=["presets", "fov", "power-quad", "power-fixedwing", "evaluate",
+            "evaluate-r1", "simulate", "simulate-trace"])
     def test_command_leaves_numpy_unloaded(self, tmp_path, args):
+        args = [arg.replace("{out}", str(tmp_path)) for arg in args]
         assert modules_loaded_by(cli_code(args), "numpy",
                                  FOGSCOPE_OUT=str(tmp_path)) == []
         assert (tmp_path / f"{args[0]}.csv").is_file()
+        if "--trace" in args:
+            assert (tmp_path / "trace.csv").is_file()
 
-    def test_evaluate_loads_numpy(self, tmp_path):
+    def test_sweep_loads_numpy(self, tmp_path):
         # the probe above would pass vacuously if it could not see numpy
         assert "numpy" in modules_loaded_by(
-            cli_code(["evaluate", "--r", "0.5"]), "numpy",
+            cli_code(["sweep", "--r-steps", "3"]), "numpy",
             FOGSCOPE_OUT=str(tmp_path))
 
     @pytest.mark.parametrize("path", sorted((SRC / "fogscope").glob("*.py")),

@@ -405,25 +405,6 @@ def test_stochastic_latency_deterministic_per_seed(r, seed):
 # The vectorized kernel against the scalar path, compared with ==
 # ---------------------------------------------------------------------------
 
-def scalar_row(scn, r):
-    """(r, throughput, power, fog latency, cloud latency, average latency,
-    feasible) from the scalar functions, one split at a time."""
-    import warnings as w_mod
-    split = DecisionState.from_ratio(scn.workload, r)
-    energy = (model.fog_energy_with_tx if scn.modification1_enabled
-              else model.fog_energy)
-    try:
-        power, feasible = energy(scn.workload, scn.fog, split), True
-    except TdpExceeded as exc:
-        power, feasible = exc.power_w, False
-    with w_mod.catch_warnings():
-        w_mod.simplefilter("ignore", InstabilityWarning)
-        fog_lat = model.fog_latency_linear(scn.fog, split)
-    cloud_lat = model.cloud_latency(scn.workload, scn.network, scn.cloud, split)
-    return (r, model.throughput_to_cloud(scn.workload, split), power, fog_lat,
-            cloud_lat, model.avg_latency(fog_lat, cloud_lat), feasible)
-
-
 def kernel_rows(scn, r_values):
     import warnings as w_mod
     with w_mod.catch_warnings():
@@ -431,9 +412,16 @@ def kernel_rows(scn, r_values):
         return model.evaluate(scn, np.asarray(r_values, dtype=float)).rows()
 
 
+def split_rows(scn, r_values):
+    import warnings as w_mod
+    with w_mod.catch_warnings():
+        w_mod.simplefilter("ignore", InstabilityWarning)
+        return [model.evaluate_split(scn, r) for r in r_values]
+
+
 def assert_kernel_is_scalar_path(scn, r_values):
     rows = kernel_rows(scn, r_values)
-    scalar = [scalar_row(scn, r) for r in r_values]
+    scalar = split_rows(scn, r_values)
     assert rows == scalar
     # -0.0 and 0.0 too; the scalar path keeps numpy scalars from R_GRID
     assert [[repr(float(v)) for v in row] for row in rows] \
@@ -542,7 +530,7 @@ class TestEvaluateKernel:
         from fogscope.cli import _objective_row
         scn = scenario_with(fog__tdp=2.0607)
         rows = _objective_row(scn, np.asarray(R_GRID))
-        assert rows == [scalar_row(scn, r) for r in R_GRID]
+        assert rows == split_rows(scn, R_GRID)
         # plain Python values, so the CSV cells format as before
         assert {type(v) for row in rows for v in row} == {float, bool}
 
