@@ -214,6 +214,22 @@ class TestSweep:
         assert result.stderr.startswith("error: workload.arrival_rate_pps: ")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("grid", ["fog.idle_power_w=20;fog.tdp_w=30",
+                                      "fog.tdp_w=30;fog.idle_power_w=20"])
+    def test_axis_order_does_not_decide_validity(self, runner, out_dir,
+                                                 grid):
+        result = runner.invoke(main, ["sweep", "--grid", grid,
+                                      "--r-steps", "3"])
+        assert result.exit_code == 0, result.stderr
+        assert len(read_rows(out_dir / "sweep.csv")) == 3
+
+    def test_invalid_combination_exits_2(self, runner, out_dir):
+        result = runner.invoke(main, ["sweep", "--grid",
+                                      "fog.idle_power_w=40;fog.tdp_w=30"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: fog.tdp: must exceed idle_power\n"
+        assert not out_dir.exists()
+
     def test_bad_grid_exits_2(self, runner):
         result = runner.invoke(main, ["sweep", "--grid", "nope=1"])
         assert result.exit_code == 2

@@ -512,6 +512,32 @@ class TestSweepGrid:
         assert s.workload.arrival_rate == pytest.approx(500.0)
         assert s.fog.proc_capability == pytest.approx(250.0)
 
+    def test_network_axis_keeps_the_other_link_fields(self):
+        base = default_scenario()
+        base = replace(base, include_base_latency=True, network=replace(
+            base.network, noise_sigma=0.3, return_fraction=0.2))
+        (s,) = sweep_grid(base, parse_grid_spec("network=gsm"))
+        assert s.network == NetworkParams(
+            uplink_throughput=40e3, downlink_throughput=40e3,
+            base_latency=0.675, noise_sigma=0.3, return_fraction=0.2)
+
+    def test_axis_order_does_not_decide_validity(self):
+        # the default's 10 W TDP lies below a 20 W idle power until the
+        # TDP axis applies
+        built = [sweep_grid(default_scenario(), parse_grid_spec(spec))
+                 for spec in ("fog.idle_power_w=20;fog.tdp_w=30",
+                              "fog.tdp_w=30;fog.idle_power_w=20")]
+        (first,), (second,) = built
+        assert (first.fog.idle_power, first.fog.tdp) == (20.0, 30.0)
+        assert replace(first, name="x") == replace(second, name="x")
+
+    def test_invalid_combination_names_its_section(self):
+        with pytest.raises(ValidationError) as exc:
+            sweep_grid(default_scenario(), parse_grid_spec(
+                "fog.tdp_w=30;fog.idle_power_w=20,40"))
+        assert str(exc.value) == "fog.tdp: must exceed idle_power"
+        assert exc.value.field == "fog.tdp"
+
     def test_size_is_product_of_axis_lengths(self):
         axes = parse_grid_spec(
             "network=gsm,umts,hspa;v_fog_frac=0.25,1.0;"
