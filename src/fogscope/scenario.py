@@ -14,7 +14,6 @@ import json
 import math
 import warnings
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import partial
 from typing import Any, Optional
 
 import yaml
@@ -87,18 +86,19 @@ class NetworkPreset:
     uplink_bps: float
     latency_range_s: tuple[float, float]
 
+    def link_fields(self, include_base_latency: bool = False) -> dict:
+        """The :class:`NetworkParams` fields this standard sets: both
+        throughputs and the base latency."""
+        # downlink assumed symmetric; the source table reports uplink only
+        base = (sum(self.latency_range_s) / 2.0) if include_base_latency else 0.0
+        return {"uplink_throughput": self.uplink_bps,
+                "downlink_throughput": self.uplink_bps, "base_latency": base}
+
     def to_network_params(self, include_base_latency: bool = False,
                           **link: float) -> NetworkParams:
         """The link of this standard; ``link`` holds the other
         :class:`NetworkParams` fields (``noise_sigma``, ``return_fraction``)."""
-        # downlink assumed symmetric; the source table reports uplink only
-        base = (sum(self.latency_range_s) / 2.0) if include_base_latency else 0.0
-        return NetworkParams(
-            uplink_throughput=self.uplink_bps,
-            downlink_throughput=self.uplink_bps,
-            base_latency=base,
-            **link,
-        )
+        return NetworkParams(**self.link_fields(include_base_latency), **link)
 
 
 @dataclass(frozen=True)
@@ -362,24 +362,28 @@ def load_scenario(text: str) -> Scenario:
 
 def _load_section(doc: dict, section: str, include_base: bool) -> Any:
     mapping = _section(doc, section)
-    build, values = _SECTION_PARAMS[section], {}
+    values = {}
     for key, field, required in _READ_ORDER[section]:
         if field in _PRESET_FIELDS and "preset" in mapping:
-            build = partial(_network_preset(mapping.pop("preset"))
-                            .to_network_params, include_base)
+            values.update(_network_preset(mapping.pop("preset"))
+                          .link_fields(include_base))
             break
         path = f"{section}.{key}"
         if key in mapping:
             values[field] = _number(path, mapping.pop(key))
         elif required:
             raise ValidationError(f"{path}: missing required key", field=path)
+    params = _build_section(section, values)
+    _reject_unknown(section, mapping)
+    return params
+
+
+def _build_section(section: str, values: dict) -> Any:
     try:
-        params = build(**values)
+        return _SECTION_PARAMS[section](**values)
     except ValidationError as exc:  # a dataclass names only its own field
         raise ValidationError(f"{section}.{exc}",
                               field=f"{section}.{exc.field}") from exc
-    _reject_unknown(section, mapping)
-    return params
 
 
 def _network_preset(name: Any) -> NetworkPreset:
@@ -479,46 +483,49 @@ def _bitrate_bps(value: str) -> float:
             f"value, got {value!r}", field="grid.bitrate") from None
 
 
-def _apply_axis(s: Scenario, axis: str, value: str) -> Scenario:
+def _apply_axis(sections: dict, include_base: bool, axis: str,
+                value: str) -> None:
+    """Set one axis value in a combination's per-section field values."""
     if axis == "network":
         if value not in CATALOG.networks:
             raise ValidationError(f"grid.network: unknown preset {value!r}",
                                   field="grid.network")
-        net = CATALOG.networks[value].to_network_params(
-            include_base_latency=s.include_base_latency,
-            noise_sigma=s.network.noise_sigma,
-            return_fraction=s.network.return_fraction,
-        )
-        return replace(s, network=net)
-    if axis == "bitrate":
-        rate = _bitrate_bps(value) / s.workload.packet_size
-        return replace(s, workload=replace(s.workload, arrival_rate=rate))
-    if axis == "v_fog_frac":
-        frac = _parse_float(axis, value)
-        capability = frac * s.workload.arrival_rate
-        return replace(s, fog=replace(s.fog, proc_capability=capability))
-    if axis in _FIELD_AXES:
-        attr, field = _FIELD_AXES[axis]
-        section = replace(getattr(s, attr), **{field: _parse_float(axis, value)})
-        return replace(s, **{attr: section})
-    raise ValidationError(f"grid: unknown axis {axis!r}", field="grid")
+        sections["network"].update(
+            CATALOG.networks[value].link_fields(include_base))
+    elif axis == "bitrate":
+        workload = sections["workload"]
+        workload["arrival_rate"] = _bitrate_bps(value) / workload["packet_size"]
+    elif axis == "v_fog_frac":
+        sections["fog"]["proc_capability"] = (
+            _parse_float(axis, value) * sections["workload"]["arrival_rate"])
+    elif axis in _FIELD_AXES:
+        section, field = _FIELD_AXES[axis]
+        sections[section][field] = _parse_float(axis, value)
+    else:
+        raise ValidationError(f"grid: unknown axis {axis!r}", field="grid")
 
 
 def sweep_grid(base: Scenario, axes: GridAxes) -> list[Scenario]:
     """Cartesian product of the axis values over the base scenario.
 
-    Axes apply left to right (so ``v_fog_frac`` sees the arrival rate a
-    preceding ``bitrate`` axis produced); ordering is lexicographic in
-    axis declaration order.  An empty axis list yields just the base.
+    Axes apply left to right to plain field values (so ``v_fog_frac`` sees
+    the arrival rate a preceding ``bitrate`` axis produced), and each
+    combination is validated once, whole, so the axis order does not
+    decide whether it is valid.  Ordering is lexicographic in axis
+    declaration order.  An empty axis list yields just the base.
     """
     if not axes:
         return [base]
     scenarios = []
     names = [axis for axis, _ in axes]
     for combo in itertools.product(*(values for _, values in axes)):
-        current = base
+        sections = {section: dict(vars(getattr(base, section)))
+                    for section in _SECTION_PARAMS}
         for axis, value in zip(names, combo):
-            current = _apply_axis(current, axis, value)
+            _apply_axis(sections, base.include_base_latency, axis, value)
         label = ",".join(f"{a}={v}" for a, v in zip(names, combo))
-        scenarios.append(replace(current, name=f"{base.name}[{label}]"))
+        scenarios.append(replace(
+            base, name=f"{base.name}[{label}]",
+            **{section: _build_section(section, values)
+               for section, values in sections.items()}))
     return scenarios
