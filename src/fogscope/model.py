@@ -310,8 +310,8 @@ def evaluate(scenario: "Scenario", r: np.ndarray) -> Evaluation:
     """Evaluate every split in ``r`` in one numpy pass.
 
     Bit-identical to :func:`evaluate_split`, split by split: every term
-    keeps its operation order.  Infeasible splits
-    are flagged in ``feasible`` instead of raising TdpExceeded.  Emits one
+    keeps its operation order.  Infeasible splits are flagged in
+    ``feasible`` instead of raising TdpExceeded.  Emits one
     InstabilityWarning when any accepted rate reaches the fog capability.
     """
     import numpy as np
@@ -353,11 +353,10 @@ def evaluate(scenario: "Scenario", r: np.ndarray) -> Evaluation:
 
 
 def evaluate_split(scenario: "Scenario", r: float) -> tuple:
-    """One split's row of :func:`evaluate` in plain floats, in
-    :class:`Evaluation` field order, composed from the scalar terms: no
-    numpy is loaded.  An infeasible split carries its raw power.  Emits an
-    InstabilityWarning when the accepted rate reaches the fog capability.
-    """
+    """The row of :func:`evaluate` for one split ``r``, composed from the
+    scalar terms in plain floats, without numpy.  An infeasible split is
+    flagged and carries its raw power.  Emits an InstabilityWarning when
+    the accepted rate reaches the fog capability."""
     w, fog = scenario.workload, scenario.fog
     split = DecisionState.from_ratio(w, r)
     energy = fog_energy_with_tx if scenario.modification1_enabled else fog_energy
@@ -372,11 +371,9 @@ def evaluate_split(scenario: "Scenario", r: float) -> tuple:
 
 
 def objectives(scenario: "Scenario", r: float) -> ObjectiveVector:
-    """The objective vector of :func:`evaluate_split`'s row for a workload
-    split ``r``: throughput, fog power (with the transmission term when the
-    scenario enables it), and the mean of the linearized fog latency and
-    the cloud latency.  Raises TdpExceeded for an infeasible split.
-    """
+    """Throughput, fog power and average latency from
+    :func:`evaluate_split`'s row; raises TdpExceeded for an infeasible
+    split."""
     _, throughput, power, _, _, latency, feasible = evaluate_split(scenario, r)
     if not feasible:
         raise TdpExceeded(power, scenario.fog.tdp)

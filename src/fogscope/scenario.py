@@ -87,8 +87,7 @@ class NetworkPreset:
     latency_range_s: tuple[float, float]
 
     def link_fields(self, include_base_latency: bool = False) -> dict:
-        """The :class:`NetworkParams` fields this standard sets: both
-        throughputs and the base latency."""
+        """The :class:`NetworkParams` fields this standard sets."""
         # downlink assumed symmetric; the source table reports uplink only
         base = (sum(self.latency_range_s) / 2.0) if include_base_latency else 0.0
         return {"uplink_throughput": self.uplink_bps,
@@ -508,10 +507,9 @@ def _apply_axis(sections: dict, include_base: bool, axis: str,
 def sweep_grid(base: Scenario, axes: GridAxes) -> list[Scenario]:
     """Cartesian product of the axis values over the base scenario.
 
-    Axes apply left to right to plain field values (so ``v_fog_frac`` sees
-    the arrival rate a preceding ``bitrate`` axis produced), and each
-    combination is validated once, whole, so the axis order does not
-    decide whether it is valid.  Ordering is lexicographic in axis
+    Axes apply left to right (so ``v_fog_frac`` sees the arrival rate a
+    preceding ``bitrate`` axis produced), and each combination is
+    validated once all its axes apply; ordering is lexicographic in axis
     declaration order.  An empty axis list yields just the base.
     """
     if not axes:
