@@ -592,6 +592,129 @@ class TestArtifactContract:
         assert not any(ch for ch in data_line if ord(ch) > 127)
 
 
+# scenario files for the rejected commands below, written to {tmp}
+ERROR_DOCS = {
+    "broken.yaml": "workload: [1, 2\n",
+    "empty.yaml": "",
+    "bad.yaml": "workload: {arrival_rate_pps: 1, packet_size_bits: 0}\n",
+    "nameless.yaml": "name: ''\n",
+    "flag.yaml": "modification1_enabled: 1\n",
+    "impossible.yaml":
+        "modification1_enabled: true\n"
+        "workload: {arrival_rate_pps: 100, packet_size_bits: 12000}\n"
+        "fog: {proc_capability_pps: 100, energy_per_bit_j: 1.0e-3,"
+        " idle_power_w: 2.0, tdp_w: 10.0, tx_energy_per_bit_j: 1.0e-3}\n"
+        "network: {preset: hspa}\n"
+        "cloud: {proc_capability_bps: 3.0e+6}\n",
+}
+SIM = ["simulate", "--local-prob", "0.5", "--duration", "10", "--seed", "1"]
+# (arguments, exit code, stderr) of commands that fail before any artifact
+ERROR_LINES = {
+    "yaml-broken": (
+        ["evaluate", "--scenario", "{tmp}/broken.yaml", "--r", "0.5"], 2,
+        "error: invalid scenario document: while parsing a flow sequence\n"
+        '  in "<unicode string>", line 1, column 11:\n'
+        "    workload: [1, 2\n"
+        "              ^\n"
+        "expected ',' or ']', but got '<stream end>'\n"
+        '  in "<unicode string>", line 2, column 1:\n'
+        "    \n"
+        "    ^ (line 2, column 1)\n"),
+    "yaml-empty": (["evaluate", "--scenario", "{tmp}/empty.yaml", "--r", "1"],
+                   2, "error: empty scenario document\n"),
+    "yaml-bad": (["evaluate", "--scenario", "{tmp}/bad.yaml", "--r", "0.5"], 2,
+                 "error: workload.packet_size: must be > 0\n"),
+    "yaml-name": (["evaluate", "--scenario", "{tmp}/nameless.yaml",
+                   "--r", "0.5"], 2,
+                  "error: name: must be a nonempty string\n"),
+    "yaml-flag": (["sweep", "--scenario", "{tmp}/flag.yaml"], 2,
+                  "error: modification1_enabled: expected true/false, "
+                  "got 1\n"),
+    "yaml-missing": (
+        ["evaluate", "--scenario", "{tmp}/missing.yaml", "--r", "0.5"], 2,
+        "error: cannot read scenario file: [Errno 2] No such file or "
+        "directory: '{tmp}/missing.yaml'\n"),
+    "r-bound": (["evaluate", "--r", "1.5"], 2,
+                "error: --r=1.5 violates the bound [0, 1]\n"),
+    "grid-malformed": (["sweep", "--grid", "v_fog_frac"], 2,
+                       "error: grid: malformed axis spec 'v_fog_frac'\n"),
+    "grid-axis": (["sweep", "--grid", "nope=1"], 2,
+                  "error: grid: unknown axis 'nope'\n"),
+    "grid-network": (["sweep", "--grid", "network=5g"], 2,
+                     "error: grid.network: unknown preset '5g'\n"),
+    "grid-number": (["sweep", "--grid", "fog.tdp_w=hot"], 2,
+                    "error: grid.fog.tdp_w: expected a number, got 'hot'\n"),
+    "grid-bitrate": (["sweep", "--grid", "bitrate=720p_mid"], 2,
+                     "error: grid.bitrate: expected <preset>_min, "
+                     "<preset>_max or a bits/s value, got '720p_mid'\n"),
+    "grid-combination": (["sweep", "--grid",
+                          "fog.idle_power_w=40;fog.tdp_w=30"], 2,
+                         "error: fog.tdp: must exceed idle_power\n"),
+    "optimize-pop": (["optimize", "--pop", "3", "--seed", "1"], 2,
+                     "error: population_size: must be even and within "
+                     "[4, 4000]\n"),
+    "optimize-gens": (["optimize", "--gens", "0", "--seed", "1"], 2,
+                      "error: generations: must be within [1, 100000]\n"),
+    "optimize-crossover": (["optimize", "--crossover-rate", "2", "--seed",
+                            "1"], 2,
+                           "error: crossover_rate: must be within [0, 1]\n"),
+    "optimize-sigma": (["optimize", "--mutation-sigma", "0", "--seed", "1"],
+                       2, "error: mutation_sigma: must be finite and > 0\n"),
+    "optimize-infeasible": (
+        ["optimize", "--scenario", "{tmp}/impossible.yaml", "--pop", "8",
+         "--gens", "3", "--seed", "1"], 4,
+        "error: no workload split within the TDP bound was found\n"),
+    "simulate-prob": (["simulate", "--local-prob", "2", "--duration", "10",
+                       "--seed", "1"], 2,
+                      "error: local_prob: must be within [0, 1]\n"),
+    "simulate-warmup": ([*SIM, "--warmup", "10"], 2,
+                        "error: duration_s: duration must exceed warmup "
+                        "(warmup >= 0)\n"),
+    "simulate-arrivals": ([*SIM, "--duration", "1e9"], 2,
+                          "error: duration_s: arrival rate x duration must be "
+                          "at most 1000000 packets\n"),
+    "simulate-yaml": ([*SIM, "--scenario", "{tmp}/bad.yaml"], 2,
+                      "error: workload.packet_size: must be > 0\n"),
+    "power-overload": (["power", "--efficiency", "0.01"], 3,
+                       "error: required power 2832.07 W exceeds the 1560 W "
+                       "envelope\n"),
+    "power-efficiency": (["power", "--efficiency", "2"], 2,
+                         "error: overall_efficiency must lie within (0, 1]\n"),
+    "power-not-a-motor": (["power", "--motor", "gsm"], 2,
+                          "error: preset 'gsm' is not a motor\n"),
+    "power-unknown-motor": (["power", "--motor", "nope"], 2,
+                            "error: unknown motor preset 'nope'\n"),
+    "fov-aspect": (["fov", "--aspect", "0:1"], 2,
+                   "error: --aspect/--dfov: aspect components must be > 0\n"),
+}
+
+
+class TestErrorLines:
+    """Each rejected command's exit code and exact ``error:`` line."""
+
+    @pytest.mark.parametrize("name", sorted(ERROR_LINES))
+    def test_exit_code_and_message(self, runner, out_dir, tmp_path, name):
+        args, code, stderr = ERROR_LINES[name]
+        for doc, text in ERROR_DOCS.items():
+            (tmp_path / doc).write_text(text, encoding="utf-8")
+        result = runner.invoke(main, [arg.format(tmp=tmp_path)
+                                      for arg in args])
+        assert result.exit_code == code
+        assert result.stderr == stderr.format(tmp=tmp_path)
+        assert result.stdout == ""
+        assert not out_dir.exists()
+
+    def test_other_exceptions_propagate(self, runner, out_dir, monkeypatch):
+        # a bug is no input error: it must end in a traceback, not exit 2
+        def broken(*args):
+            raise RuntimeError("bug")
+        monkeypatch.setattr(cli, "sweep_grid", broken)
+        result = runner.invoke(main, ["sweep"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, RuntimeError)
+        assert result.stderr == ""
+
+
 # the options each command needs besides the one under test
 REQUIRED_ARGS = {
     "evaluate": ["--r", "0.5"],

@@ -201,6 +201,23 @@ class TestOptimizeContracts:
         with pytest.raises(ValidationError):
             OptConfig(mutation_sigma=0.0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"population_size": 11},
+         "population_size: must be even and within [4, 4000]"),
+        ({"generations": 0}, "generations: must be within [1, 100000]"),
+        ({"population_size": 4000, "generations": 101},
+         "generations: must be at most 100 at population_size 4000"),
+        ({"crossover_rate": 1.2}, "crossover_rate: must be within [0, 1]"),
+        ({"mutation_rate": -0.1}, "mutation_rate: must be within [0, 1]"),
+        ({"mutation_sigma": math.nan},
+         "mutation_sigma: must be finite and > 0"),
+    ], ids=["pop", "gens", "work", "crossover", "mutation", "sigma"])
+    def test_error_names_its_field(self, kwargs, message):
+        with pytest.raises(ValidationError) as exc:
+            OptConfig(**kwargs)
+        assert str(exc.value) == message
+        assert exc.value.field == message.partition(":")[0]
+
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_mutation_sigma_must_be_finite(self, sigma):
         with pytest.raises(ValidationError, match="mutation_sigma"):
@@ -338,12 +355,13 @@ class TestBruteForceFront:
                                   for a, b in zip(scaled_p, scaled_g)))
                 assert not beyond
 
-    def test_step_bounds(self):
+    @pytest.mark.parametrize("step", [0.0, 1.5])
+    def test_step_bounds(self, step):
         prob = OptProblem(scenario=default_scenario())
-        with pytest.raises(ValidationError):
-            brute_force_front(prob, 0.0)
-        with pytest.raises(ValidationError):
-            brute_force_front(prob, 1.5)
+        with pytest.raises(ValidationError) as exc:
+            brute_force_front(prob, step)
+        assert str(exc.value) == "grid_step: must be within (0, 1]"
+        assert exc.value.field == "grid_step"
 
 
 class TestHypervolume:

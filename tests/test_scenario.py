@@ -421,6 +421,20 @@ class TestSchemaKeys:
         assert str(exc) == message
         assert exc.field == field
 
+    @pytest.mark.parametrize("doc,message,field", [
+        ("name: ''\n", "name: must be a nonempty string", "name"),
+        ("name: [a]\n", "name: must be a nonempty string", "name"),
+        ("include_base_latency: yes please\n",
+         "include_base_latency: expected true/false, got 'yes please'",
+         "include_base_latency"),
+        ("{}\n", "workload: missing required section", "workload"),
+        ("workload: 3\n", "workload: expected a mapping", "workload"),
+    ], ids=["empty-name", "list-name", "flag", "no-section", "scalar-section"])
+    def test_document_level_fault(self, doc, message, field):
+        exc = load_error(doc)
+        assert str(exc) == message
+        assert exc.field == field
+
     def test_table_covers_every_parameter_field_once(self):
         rows = list(_FIELD_AXES.values())
         expected = [(section, f.name) for section, params in (
@@ -552,6 +566,25 @@ class TestSweepGrid:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValidationError):
             sweep_grid(default_scenario(), parse_grid_spec("warp_factor=9"))
+
+    @pytest.mark.parametrize("spec,message,field", [
+        ("warp_factor", "grid: malformed axis spec 'warp_factor'", "grid"),
+        ("=1", "grid: malformed axis spec '=1'", "grid"),
+        ("network=", "grid: malformed axis spec 'network='", "grid"),
+        ("network=5g", "grid.network: unknown preset '5g'", "grid.network"),
+        ("warp_factor=9", "grid: unknown axis 'warp_factor'", "grid"),
+    ], ids=["no-equals", "no-axis", "no-values", "network", "unknown-axis"])
+    def test_error_names_its_field(self, spec, message, field):
+        with pytest.raises(ValidationError) as exc:
+            sweep_grid(default_scenario(), parse_grid_spec(spec))
+        assert str(exc.value) == message
+        assert exc.value.field == field
+
+    def test_empty_name_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            replace(default_scenario(), name="")
+        assert str(exc.value) == "name: must be nonempty"
+        assert exc.value.field == "name"
 
     def test_invalid_value_raises_validation_error(self):
         axes = parse_grid_spec("v_fog_frac=0.0")

@@ -36,6 +36,22 @@ class TestSimScenario:
                         duration_s=10.0)
 
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"local_prob": -0.5, "duration_s": 10.0},
+         "local_prob: must be within [0, 1]"),
+        ({"local_prob": 0.5, "duration_s": 10.0, "warmup_s": -1.0},
+         "duration_s: duration must exceed warmup (warmup >= 0)"),
+        ({"local_prob": 0.5, "duration_s": 1e9},
+         "duration_s: arrival rate x duration must be at most 1000000 "
+         "packets"),
+    ], ids=["local-prob", "warmup", "arrivals"])
+    def test_error_names_its_field(self, kwargs, message):
+        with pytest.raises(ValidationError) as exc:
+            SimScenario(scenario=default_scenario(), **kwargs)
+        assert str(exc.value) == message
+        assert exc.value.field == message.partition(":")[0]
+
+
 class TestArrivalCap:
     """A run keeps every packet it generates, so the expected packet count,
     arrival rate x duration, is an input error of SimScenario above a cap.
@@ -297,8 +313,10 @@ class TestTrendCompare:
     def test_empty_grid_rejected(self):
         sim = SimScenario(scenario=default_scenario(), local_prob=0.0,
                           duration_s=50.0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as exc:
             trend_compare(sim, [], seed=1)
+        assert str(exc.value) == "r_grid: must be nonempty"
+        assert exc.value.field == "r_grid"
 
 
 class TestSpearman:
