@@ -20,7 +20,7 @@ from fogscope import cli, optimizer, simulation
 from fogscope.cli import main
 from fogscope.model import InstabilityWarning
 from fogscope.reporting import MANIFEST_PREFIX, RunManifest, strip_manifest
-from fogscope.scenario import catalog_checksum
+from fogscope.scenario import catalog_checksum, sweep_grid
 
 pytestmark = pytest.mark.usefixtures("out_dir")
 
@@ -535,9 +535,36 @@ class TestGridCaps:
         if code:
             assert result.stderr.startswith("error: duration_s: ")
 
+    @pytest.mark.parametrize("grid, code", [
+        ("v_fog_frac=0.5,1.0;network=gsm,umts,hspa", 0),
+        ("v_fog_frac=0.5,1.0;network=gsm,umts,hspa,hspa_plus", 2),
+    ], ids=["at-cap", "over-cap"])
+    def test_sweep_rows_at_and_over_the_cap(self, runner, out_dir,
+                                            monkeypatch, grid, code):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return sweep_grid(*args)
+        monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 6 * 3)
+        monkeypatch.setattr(cli, "sweep_grid", counted)
+        result = runner.invoke(main, ["sweep", "--grid", grid,
+                                      "--r-steps", "3"])
+        assert result.exit_code == code
+        assert out_dir.exists() == (code == 0)
+        # the rows are counted before any scenario is built
+        assert bool(built) == (code == 0)
+        if code:
+            assert result.stderr == ("error: --grid gives 8 configurations x "
+                                     "--r-steps 3 = 24 rows, more than 18\n")
+
+    def test_sweep_rows_cap_admits_one_group_at_the_r_steps_cap(self):
+        assert cli.MAX_SWEEP_ROWS >= cli.MAX_GRID_POINTS
+
     def test_cap_admits_the_benchmark_sweep(self):
-        # perfbench's sweep workload runs --r-steps 2001
+        # perfbench's sweep workload runs 32 configurations at --r-steps 2001
         assert cli.MAX_GRID_POINTS >= 2001
+        assert cli.MAX_SWEEP_ROWS >= 32 * 2001
 
 
 class TestPresets:
