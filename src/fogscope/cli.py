@@ -65,10 +65,7 @@ def _load(scenario_path: Optional[str]) -> Scenario:
         text = Path(scenario_path).read_text(encoding="utf-8")
     except OSError as exc:
         _fail(EXIT_INPUT, f"cannot read scenario file: {exc}")
-    try:
-        return load_scenario(text)
-    except (ParseError, ValidationError) as exc:
-        _fail(EXIT_INPUT, str(exc))
+    return load_scenario(text)
 
 
 def _emit(filename: str, manifest: RunManifest, table: ResultTable) -> None:
@@ -85,7 +82,23 @@ def _objective_row(scn: Scenario, r: np.ndarray) -> list[tuple]:
     return model.evaluate(scn, r).rows()
 
 
-@click.group()
+class _ExitCodes(click.Group):
+    """Ends a command that raises an input, infeasibility or search error
+    with its exit code and an ``error:`` line; any other exception
+    propagates."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ParseError, ValidationError) as exc:
+            _fail(EXIT_INPUT, str(exc))
+        except flight.MotorOverload as exc:
+            _fail(EXIT_INFEASIBLE, str(exc))
+        except NoFeasibleSolution as exc:
+            _fail(EXIT_OPTIMIZER, str(exc))
+
+
+@click.group(cls=_ExitCodes)
 @click.version_option(version=reporting.TOOL_VERSION, prog_name="fogscope")
 def main():
     """Fog-cloud workload splitting feasibility toolkit for UAV fleets."""
@@ -124,10 +137,7 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
     scn = _load(scenario_path)
     if not 2 <= r_steps <= MAX_GRID_POINTS:
         _fail(EXIT_INPUT, f"--r-steps must be >= 2 and <= {MAX_GRID_POINTS}")
-    try:
-        scenarios = sweep_grid(scn, parse_grid_spec(grid_text))
-    except ValidationError as exc:
-        _fail(EXIT_INPUT, str(exc))
+    scenarios = sweep_grid(scn, parse_grid_spec(grid_text))
     r_values = np.linspace(0.0, 1.0, r_steps)
     columns = ("group", "scenario", *model.Evaluation._fields)
     manifest = RunManifest.create("sweep", scenario_digest(scn))
@@ -175,18 +185,10 @@ def optimize_cmd(scenario_path: Optional[str], pop: int, gens: int, seed: int,
                  mutation_sigma: float):
     """Search for the Pareto front of workload splits."""
     scn = _load(scenario_path)
-    try:
-        cfg = OptConfig(population_size=pop, generations=gens,
-                        crossover_rate=crossover_rate,
-                        mutation_rate=mutation_rate,
-                        mutation_sigma=mutation_sigma, seed=seed)
-        problem = OptProblem(scenario=scn)
-    except ValidationError as exc:
-        _fail(EXIT_INPUT, str(exc))
-    try:
-        front = optimize(problem, cfg)
-    except NoFeasibleSolution as exc:
-        _fail(EXIT_OPTIMIZER, str(exc))
+    cfg = OptConfig(population_size=pop, generations=gens,
+                    crossover_rate=crossover_rate, mutation_rate=mutation_rate,
+                    mutation_sigma=mutation_sigma, seed=seed)
+    front = optimize(OptProblem(scenario=scn), cfg)
     members = [(r, vec, crowd)
                for (r, vec), rank, crowd in zip(front.members, front.ranks,
                                                 front.crowding)
@@ -218,11 +220,8 @@ def simulate(scenario_path: Optional[str], local_prob: float, duration: float,
              warmup: Optional[float], seed: int, trace_path: Optional[str]):
     """Run the packet-level simulation once and compare with the model."""
     scn = _load(scenario_path)
-    try:
-        sim = simulation.SimScenario(scenario=scn, local_prob=local_prob,
-                                     duration_s=duration, warmup_s=warmup)
-    except ValidationError as exc:
-        _fail(EXIT_INPUT, str(exc))
+    sim = simulation.SimScenario(scenario=scn, local_prob=local_prob,
+                                 duration_s=duration, warmup_s=warmup)
     metrics, packets = simulation.simulate_trace(sim, seed)
     analytic = model.evaluate_split(scn, local_prob)
     table = ResultTable(
@@ -356,8 +355,6 @@ def power(kind: str, mass_min: float, mass_max: float, step: float,
             base = power_fn(aircraft(mass_kg=mass))
             delta = power_fn(aircraft(mass_kg=mass + 0.25)) - base
             rows.append((mass, base, delta))
-    except flight.MotorOverload as exc:
-        _fail(EXIT_INFEASIBLE, str(exc))
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
     table = ResultTable(
