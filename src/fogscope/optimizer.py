@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from . import model
-from .model import InstabilityWarning, ObjectiveVector, ValidationError
+from .model import InstabilityWarning, ObjectiveVector, _require
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,27 +57,20 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if (not 4 <= self.population_size <= _MAX_POPULATION
-                or self.population_size % 2):
-            raise ValidationError(
-                f"population_size: must be even and within "
-                f"[4, {_MAX_POPULATION}]", field="population_size")
-        if not 1 <= self.generations <= _MAX_GENERATIONS:
-            raise ValidationError(
-                f"generations: must be within [1, {_MAX_GENERATIONS}]",
-                field="generations")
+        _require(4 <= self.population_size <= _MAX_POPULATION
+                 and not self.population_size % 2,
+                 f"must be even and within [4, {_MAX_POPULATION}]",
+                 "population_size")
+        _require(1 <= self.generations <= _MAX_GENERATIONS,
+                 f"must be within [1, {_MAX_GENERATIONS}]", "generations")
         limit = _MAX_SEARCH_WORK // self.population_size ** 2
-        if self.generations > limit:
-            raise ValidationError(
-                f"generations: must be at most {limit} at population_size "
-                f"{self.population_size}", field="generations")
+        _require(self.generations <= limit, f"must be at most {limit} at "
+                 f"population_size {self.population_size}", "generations")
         for name in ("crossover_rate", "mutation_rate"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValidationError(f"{name}: must be within [0, 1]",
-                                      field=name)
-        if not math.isfinite(self.mutation_sigma) or self.mutation_sigma <= 0:
-            raise ValidationError("mutation_sigma: must be finite and > 0",
-                                  field="mutation_sigma")
+            _require(0.0 <= getattr(self, name) <= 1.0,
+                     "must be within [0, 1]", name)
+        _require(math.isfinite(self.mutation_sigma) and self.mutation_sigma > 0,
+                 "must be finite and > 0", "mutation_sigma")
 
 
 @dataclass(frozen=True)
@@ -353,9 +346,7 @@ def brute_force_front(problem: OptProblem, grid_step: float) -> ParetoFront:
     point is feasible.
     """
     import numpy as np
-    if not 0 < grid_step <= 1:
-        raise ValidationError("grid_step: must be within (0, 1]",
-                              field="grid_step")
+    _require(0 < grid_step <= 1, "must be within (0, 1]", "grid_step")
     steps = max(1, round(1.0 / grid_step))
     pop = _evaluate(problem, np.linspace(0.0, 1.0, steps + 1))
     pop = pop.take(pop.feasible)

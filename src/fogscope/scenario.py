@@ -21,7 +21,7 @@ import yaml
 from .flight import MotorParams
 from .model import (CloudParams, Evaluation, FogNodeParams, InstabilityWarning,
                     NetworkParams, ValidationError, WorkloadParams,
-                    evaluate_split)
+                    _require, evaluate_split)
 
 
 class ParseError(Exception):
@@ -53,8 +53,7 @@ class Scenario:
     include_base_latency: bool = False
 
     def __post_init__(self):
-        if not self.name:
-            raise ValidationError("name: must be nonempty", field="name")
+        _require(bool(self.name), "must be nonempty", "name")
         _require_finite_objectives(self)
 
 
@@ -68,10 +67,9 @@ def _require_finite_objectives(s: Scenario) -> None:
         rows = [evaluate_split(s, r) for r in (0.0, 1.0)]
     for row in rows:
         for name, value in zip(Evaluation._fields[1:-1], row[1:-1]):
-            if not math.isfinite(value):
-                raise ValidationError(
-                    f"workload.arrival_rate_pps: {name} at r={row[0]!r} is "
-                    f"not finite", field="workload.arrival_rate_pps")
+            _require(math.isfinite(value),
+                     f"{name} at r={row[0]!r} is not finite",
+                     "workload.arrival_rate_pps")
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +270,8 @@ def _number(path: str, value: Any) -> float:
             pass
         except OverflowError:  # an integer beyond the float range
             number = math.inf
-    if number is None:
-        raise ValidationError(f"{path}: expected a number, got {value!r}",
-                              field=path)
-    if not math.isfinite(number):
-        raise ValidationError(f"{path}: must be finite, got {value!r}",
-                              field=path)
+    _require(number is not None, f"expected a number, got {value!r}", path)
+    _require(math.isfinite(number), f"must be finite, got {value!r}", path)
     return number
 
 
@@ -285,9 +279,8 @@ def _flag(mapping: dict, key: str, default: bool = False) -> bool:
     if key not in mapping:
         return default
     value = mapping.pop(key)
-    if not isinstance(value, bool):
-        raise ValidationError(f"{key}: expected true/false, got {value!r}",
-                              field=key)
+    _require(isinstance(value, bool), f"expected true/false, got {value!r}",
+             key)
     return value
 
 
@@ -299,11 +292,9 @@ def _reject_unknown(section: str, mapping: dict) -> None:
 
 
 def _section(doc: dict, key: str) -> dict:
-    if key not in doc:
-        raise ValidationError(f"{key}: missing required section", field=key)
+    _require(key in doc, "missing required section", key)
     value = doc.pop(key)
-    if not isinstance(value, dict):
-        raise ValidationError(f"{key}: expected a mapping", field=key)
+    _require(isinstance(value, dict), "expected a mapping", key)
     return dict(value)
 
 
@@ -348,8 +339,8 @@ def load_scenario(text: str) -> Scenario:
     doc = dict(doc)
 
     name = doc.pop("name", "scenario")
-    if not isinstance(name, str) or not name:
-        raise ValidationError("name: must be a nonempty string", field="name")
+    _require(isinstance(name, str) and name != "",
+             "must be a nonempty string", "name")
     modification1 = _flag(doc, "modification1_enabled")
     include_base = _flag(doc, "include_base_latency")
     sections = {section: _load_section(doc, section, include_base)
@@ -370,8 +361,8 @@ def _load_section(doc: dict, section: str, include_base: bool) -> Any:
         path = f"{section}.{key}"
         if key in mapping:
             values[field] = _number(path, mapping.pop(key))
-        elif required:
-            raise ValidationError(f"{path}: missing required key", field=path)
+        else:
+            _require(not required, "missing required key", path)
     params = _build_section(section, values)
     _reject_unknown(section, mapping)
     return params
@@ -386,12 +377,10 @@ def _build_section(section: str, values: dict) -> Any:
 
 
 def _network_preset(name: Any) -> NetworkPreset:
-    if not isinstance(name, str):
-        raise ValidationError("network.preset: expected a preset name",
-                              field="network.preset")
-    if name not in CATALOG.networks:
-        raise ValidationError(f"network.preset: unknown network preset "
-                              f"{name!r}", field="network.preset")
+    _require(isinstance(name, str), "expected a preset name",
+             "network.preset")
+    _require(name in CATALOG.networks, f"unknown network preset {name!r}",
+             "network.preset")
     return CATALOG.networks[name]
 
 
@@ -453,9 +442,8 @@ def parse_grid_spec(text: str) -> GridAxes:
         axis, sep, raw = part.partition("=")
         axis = axis.strip()
         values = [v.strip() for v in raw.split(",") if v.strip()]
-        if not sep or not axis or not values:
-            raise ValidationError(f"grid: malformed axis spec {part!r}",
-                                  field="grid")
+        _require(bool(sep and axis and values),
+                 f"malformed axis spec {part!r}", "grid")
         axes.append((axis, values))
     return axes
 
@@ -486,9 +474,8 @@ def _apply_axis(sections: dict, include_base: bool, axis: str,
                 value: str) -> None:
     """Set one axis value in a combination's per-section field values."""
     if axis == "network":
-        if value not in CATALOG.networks:
-            raise ValidationError(f"grid.network: unknown preset {value!r}",
-                                  field="grid.network")
+        _require(value in CATALOG.networks, f"unknown preset {value!r}",
+                 "grid.network")
         sections["network"].update(
             CATALOG.networks[value].link_fields(include_base))
     elif axis == "bitrate":

@@ -29,7 +29,7 @@ from heapq import heappop, heappush
 from typing import IO, TYPE_CHECKING, Optional, Sequence
 
 from . import model
-from .model import ValidationError
+from .model import _require
 from .scenario import Scenario
 
 if TYPE_CHECKING:
@@ -52,20 +52,17 @@ class SimScenario:
     warmup_s: Optional[float] = None
 
     def __post_init__(self):
-        if not 0.0 <= self.local_prob <= 1.0:
-            raise ValidationError("local_prob: must be within [0, 1]",
-                                  field="local_prob")
+        _require(0.0 <= self.local_prob <= 1.0, "must be within [0, 1]",
+                 "local_prob")
         if self.warmup_s is None:
             object.__setattr__(self, "warmup_s", 0.1 * self.duration_s)
-        if not 0.0 <= self.warmup_s < self.duration_s:
-            raise ValidationError(
-                "duration_s: duration must exceed warmup (warmup >= 0)",
-                field="duration_s")
+        _require(0.0 <= self.warmup_s < self.duration_s,
+                 "duration must exceed warmup (warmup >= 0)", "duration_s")
         rate = self.scenario.workload.arrival_rate
-        if rate * self.duration_s > _MAX_ARRIVALS:
-            raise ValidationError(
-                f"duration_s: arrival rate x duration must be at most "
-                f"{_MAX_ARRIVALS} packets", field="duration_s")
+        # 0 packets/s over an infinite duration expects nan packets: admitted
+        _require(not rate * self.duration_s > _MAX_ARRIVALS,
+                 f"arrival rate x duration must be at most {_MAX_ARRIVALS} "
+                 f"packets", "duration_s")
 
 
 @dataclass(slots=True)
@@ -312,8 +309,7 @@ def trend_compare(sim: SimScenario, r_grid: list[float],
     A split above the TDP gives a row with ``analytic_feasible`` false.
     """
     import numpy as np
-    if not r_grid:
-        raise ValidationError("r_grid: must be nonempty", field="r_grid")
+    _require(bool(r_grid), "must be nonempty", "r_grid")
     scn = sim.scenario
     with warnings.catch_warnings():
         # grid scans cross the stability boundary on purpose
