@@ -36,6 +36,8 @@ EXIT_OPTIMIZER = 4
 # most points in a sweep r-grid or a power mass grid: an r spacing of 1e-5;
 # one sweep group at the cap peaks near 200 MiB
 MAX_GRID_POINTS = 100_001
+# most rows in a sweep, configurations x r-steps: one group at the r-step cap
+MAX_SWEEP_ROWS = MAX_GRID_POINTS
 
 
 class _FiniteFloat(click.ParamType):
@@ -137,7 +139,13 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
     scn = _load(scenario_path)
     if not 2 <= r_steps <= MAX_GRID_POINTS:
         _fail(EXIT_INPUT, f"--r-steps must be >= 2 and <= {MAX_GRID_POINTS}")
-    scenarios = sweep_grid(scn, parse_grid_spec(grid_text))
+    axes = parse_grid_spec(grid_text)
+    groups = math.prod(len(values) for _, values in axes)
+    if groups * r_steps > MAX_SWEEP_ROWS:
+        _fail(EXIT_INPUT, f"--grid gives {groups} configurations x --r-steps "
+                          f"{r_steps} = {groups * r_steps} rows, more than "
+                          f"{MAX_SWEEP_ROWS}")
+    scenarios = sweep_grid(scn, axes)
     r_values = np.linspace(0.0, 1.0, r_steps)
     columns = ("group", "scenario", *model.Evaluation._fields)
     manifest = RunManifest.create("sweep", scenario_digest(scn))
