@@ -19,7 +19,6 @@ service, and a completion event pops the head.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import random
 import warnings
@@ -233,20 +232,20 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet
 
 TRACE_COLUMNS = ("id", "arrival_time", "important", "path", "departure_time",
                  "size_bits")
-_TRACE_CLASS = {True: ("true", "forwarded"), False: ("false", "local")}
+_TRACE_CLASS = {True: "true,forwarded", False: "false,local"}
 
 
 def write_trace(stream: IO[str], packets: list[Packet],
                 size_bits: float) -> None:
     """One CSV record per generated packet, in arrival order; in-flight
-    packets get an empty departure_time."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(TRACE_COLUMNS)
+    packets get an empty departure_time.  No field needs CSV quoting: each
+    is an int, a float repr or a fixed word."""
+    stream.write(",".join(TRACE_COLUMNS) + "\n")
     size = repr(size_bits)
     for i, p in enumerate(packets):
         departure = repr(p.departure_time) if p.departure_time is not None else ""
-        writer.writerow([i, repr(p.arrival_time), *_TRACE_CLASS[p.important],
-                         departure, size])
+        stream.write(f"{i},{p.arrival_time!r},{_TRACE_CLASS[p.important]},"
+                     f"{departure},{size}\n")
 
 
 # ---------------------------------------------------------------------------
