@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -51,13 +51,8 @@ class RunManifest:
                    version=TOOL_VERSION, timestamp=manifest_timestamp())
 
     def to_comment_line(self) -> str:
-        payload = json.dumps({
-            "command": self.command,
-            "scenario_digest": self.scenario_digest,
-            "seed": self.seed,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }, sort_keys=True, separators=(", ", ": "))
+        payload = json.dumps(asdict(self), sort_keys=True,
+                             separators=(", ", ": "))
         return MANIFEST_PREFIX + payload
 
     @classmethod
