@@ -266,6 +266,13 @@ class TestOptimize:
         assert bs == sorted(bs)
         assert all(row["rank"] == "0" for row in rows)
 
+    def test_each_split_listed_once(self, runner, out_dir):
+        # README's run; children clamped to 0 or 1 used to repeat a split
+        args = ["optimize", "--pop", "100", "--gens", "100", "--seed", "42"]
+        assert runner.invoke(main, args).exit_code == 0
+        rs = [row["r"] for row in read_rows(out_dir / "optimize.csv")]
+        assert len(rs) == len(set(rs))
+
     def test_seed_is_required(self, runner):
         result = runner.invoke(main, ["optimize", "--pop", "24"])
         assert result.exit_code == 2
@@ -838,7 +845,8 @@ def test_pareto_search_script_smoke(tmp_path):
         "front_default.csv", "front_fleet-1080p.csv", "front_tx-term.csv"]
     for path in fronts:
         assert manifest_of(path).command == "pareto-search"
-        assert read_rows(path)
+        rs = [row["r"] for row in read_rows(path)]
+        assert rs and len(rs) == len(set(rs))
 
 
 def modules_loaded_by(code: str, package: str, **env: str) -> list[str]:

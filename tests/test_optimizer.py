@@ -150,6 +150,16 @@ class TestOptimizeContracts:
         assert front.ranks == non_dominated_sort(
             [vec.as_tuple() for _, vec in front.members])
 
+    def test_members_have_distinct_splits(self):
+        # every child mutates with a wide sigma, so many clamp to 0 or 1
+        front = optimize(OptProblem(scenario=default_scenario()),
+                         OptConfig(population_size=40, generations=30,
+                                   mutation_rate=1.0, mutation_sigma=0.5,
+                                   seed=15))
+        rs = [r for r, _ in front.members]
+        assert {0.0, 1.0} <= set(rs)
+        assert len(rs) == len(set(rs))
+
     def test_rank_zero_satisfies_linear_tradeoff(self):
         s = default_scenario()
         prob = OptProblem(scenario=s)
