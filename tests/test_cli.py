@@ -629,6 +629,8 @@ class TestArtifactContract:
 # scenario files for the rejected commands below, written to {tmp}
 ERROR_DOCS = {
     "broken.yaml": "workload: [1, 2\n",
+    "control.yaml": "name: a\x01\n",
+    "twice.yaml": "name: a\nname: b\n",
     "empty.yaml": "",
     "bad.yaml": "workload: {arrival_rate_pps: 1, packet_size_bits: 0}\n",
     "nameless.yaml": "name: ''\n",
@@ -646,14 +648,18 @@ SIM = ["simulate", "--local-prob", "0.5", "--duration", "10", "--seed", "1"]
 ERROR_LINES = {
     "yaml-broken": (
         ["evaluate", "--scenario", "{tmp}/broken.yaml", "--r", "0.5"], 2,
-        "error: invalid scenario document: while parsing a flow sequence\n"
-        '  in "<unicode string>", line 1, column 11:\n'
-        "    workload: [1, 2\n"
-        "              ^\n"
-        "expected ',' or ']', but got '<stream end>'\n"
-        '  in "<unicode string>", line 2, column 1:\n'
-        "    \n"
-        "    ^ (line 2, column 1)\n"),
+        "error: invalid scenario document: expected ',' or ']', but got "
+        "'<stream end>' (line 2, column 1)\n"),
+    # the reader's errors carry no mark, so PyYAML's text is kept
+    "yaml-control": (
+        ["evaluate", "--scenario", "{tmp}/control.yaml", "--r", "0.5"], 2,
+        "error: invalid scenario document: unacceptable character #x0001: "
+        'special characters are not allowed\n  in "<unicode string>", '
+        "position 7\n"),
+    "yaml-repeated": (
+        ["evaluate", "--scenario", "{tmp}/twice.yaml", "--r", "0.5"], 2,
+        "error: invalid scenario document: found duplicate key 'name' "
+        "(line 2, column 1)\n"),
     "yaml-empty": (["evaluate", "--scenario", "{tmp}/empty.yaml", "--r", "1"],
                    2, "error: empty scenario document\n"),
     "yaml-bad": (["evaluate", "--scenario", "{tmp}/bad.yaml", "--r", "0.5"], 2,
