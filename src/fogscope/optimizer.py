@@ -13,10 +13,11 @@ non-dominated subset; it serves as the independent oracle for `optimize`.
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import model
 from .model import InstabilityWarning, ObjectiveVector, _require
@@ -227,33 +228,12 @@ def _crowd(pop: _Population, ranks: np.ndarray) -> np.ndarray:
     return _crowding_by_rank(points, ranks)
 
 
-def _index_draws(bitgen: np.random.BitGenerator,
-                 n: int) -> Iterator[int]:
-    """Uniform indices in [0, n), 2 <= n < 2**32, drawn from the bit
-    generator's raw 64-bit words exactly as ``Generator.integers(0, n)``
-    draws them.
-
-    numpy's PCG64 hands out each word as two 32-bit values, the low half
-    first, and keeps the high half for the next 32-bit request.  numpy
-    maps a 32-bit value v to ``(v * n) >> 32`` and rejects it while
-    ``(v * n) mod 2**32`` is below ``(2**32 - n) % n`` (Lemire, ACM TOMACS
-    2019).  The generator's float and normal draws take whole words and
-    never read the spare half, so they can be interleaved with these
-    draws on the same generator.
-    """
-    threshold = (2 ** 32 - n) % n
-    raw = bitgen.random_raw
-    while True:
-        word = raw()
-        for value in (word & 0xFFFFFFFF, word >> 32):
-            scaled = value * n
-            if scaled & 0xFFFFFFFF >= threshold:
-                yield scaled >> 32
-
-
-def _tournament(draw: Callable[[], int], ranks: list[int],
+def _tournament(rng: random.Random, ranks: list[int],
                 crowding: list[float]) -> int:
-    i, j = draw(), draw()
+    # int(random() * n) is uniform up to a relative bias of order
+    # n / 2**53, below 2**-41 at the population cap
+    n = len(ranks)
+    i, j = int(rng.random() * n), int(rng.random() * n)
     if ranks[i] != ranks[j]:
         return i if ranks[i] < ranks[j] else j
     if crowding[i] != crowding[j]:
@@ -261,42 +241,43 @@ def _tournament(draw: Callable[[], int], ranks: list[int],
     return i
 
 
-def _blend_crossover(rng: np.random.Generator, a: float, b: float,
+def _blend_crossover(rng: random.Random, a: float, b: float,
                      rate: float) -> tuple[float, float]:
     if rng.random() < rate:
         spread = abs(a - b)
         low = min(a, b) - 0.5 * spread
-        high = max(a, b) + 0.5 * spread
-        a, b = rng.uniform(low, high, size=2)
-    return float(min(max(a, 0.0), 1.0)), float(min(max(b, 0.0), 1.0))
+        width = max(a, b) + 0.5 * spread - low
+        a, b = low + width * rng.random(), low + width * rng.random()
+    return min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0)
 
 
-def _mutate(rng: np.random.Generator, x: float, rate: float,
+def _mutate(rng: random.Random, x: float, rate: float,
             sigma: float) -> float:
     if rng.random() < rate:
-        x += rng.normal(0.0, sigma)
-    return float(min(max(x, 0.0), 1.0))
+        x += rng.gauss(0.0, sigma)
+    return min(max(x, 0.0), 1.0)
 
 
 def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
     """Run the NSGA-II loop and return the ranked final population.
 
-    Deterministic given cfg.seed.  Only feasible members are returned;
-    raises NoFeasibleSolution when the final population contains none.
+    Deterministic given cfg.seed.  Only feasible members are returned,
+    one per split; raises NoFeasibleSolution when the final population
+    contains none.
     Each generation's offspring are evaluated as one batch after all of
     them are drawn; evaluation draws nothing from the RNG.
 
     Ranks carry over from one generation's selection to the next: every
     dominator of a selected member has a lower rank, so it is selected
     too, and the member's rank among the selected is unchanged.  Only
-    crowding is recomputed.  Tournament indices come from the generator's
-    raw words (`_index_draws`), matching ``rng.integers`` draw for draw.
+    crowding is recomputed.  Every draw comes from one
+    ``random.Random(cfg.seed)``, whose stream CPython keeps across
+    versions, so the result does not depend on the numpy version.
     """
     import numpy as np
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     size = cfg.population_size
-    draw = _index_draws(rng.bit_generator, size).__next__
-    pop = _evaluate(problem, rng.uniform(0.0, 1.0, size))
+    pop = _evaluate(problem, np.array([rng.random() for _ in range(size)]))
     ranks = _ranks_from_matrix(_constrained_dominance_matrix(pop))
 
     for _ in range(cfg.generations):
@@ -306,8 +287,8 @@ def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
         parents = pop.r.tolist()
         children: list[float] = []
         while len(children) < size:
-            p1 = parents[_tournament(draw, rank_list, crowding)]
-            p2 = parents[_tournament(draw, rank_list, crowding)]
+            p1 = parents[_tournament(rng, rank_list, crowding)]
+            p2 = parents[_tournament(rng, rank_list, crowding)]
             c1, c2 = _blend_crossover(rng, p1, p2, cfg.crossover_rate)
             children.append(_mutate(rng, c1, cfg.mutation_rate,
                                     cfg.mutation_sigma))
@@ -322,8 +303,11 @@ def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
         raise NoFeasibleSolution(
             "no workload split within the TDP bound was found")
     # infeasible members never dominate feasible ones, so the feasible
-    # members keep their ranks without the infeasible
-    return _build_front(pop.take(pop.feasible), ranks[pop.feasible])
+    # members keep their ranks without the infeasible; nor does a member
+    # dominate its twin at the same split, so dropping repeats keeps them
+    pop, ranks = pop.take(pop.feasible), ranks[pop.feasible]
+    first = np.unique(pop.r, return_index=True)[1]
+    return _build_front(pop.take(first), ranks[first])
 
 
 def _build_front(pop: _Population, ranks: np.ndarray) -> ParetoFront:

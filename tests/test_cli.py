@@ -991,35 +991,35 @@ class TestSeededArtifactBytes:
     CASES = {
         "optimize-default": (
             None, ["optimize", "--pop", "40", "--gens", "30", "--seed", "11"],
-            0, {"optimize.csv": "d29455c89ef21b832ba6536132697e65"
-                                "ffd0f6eff57d4eced942390f05d50fcf"}),
+            0, {"optimize.csv": "f099f3011c97d971d82b48c1a1d5bab0"
+                                "e80a07d364c7b1455b368416f5fa0c29"}),
         "optimize-tx": (
             TX_SCENARIO,
             ["optimize", "--pop", "40", "--gens", "30", "--seed", "12"],
-            0, {"optimize.csv": "ce38c123ed6632c97f7488d8a0d903fc"
-                                "c1e066a94a1853d99d7593e3d241fa12"}),
+            0, {"optimize.csv": "092464c86cfc898d1b0505c457aab31b"
+                                "6df3a24f7f70d7e623275992db056f6a"}),
         "optimize-tdp": (
             TDP_SCENARIO,
             ["optimize", "--pop", "40", "--gens", "30", "--seed", "13"],
-            0, {"optimize.csv": "32701e4e6cebbc09b3e6577b8461e06e"
-                                "333a3485aa6beaef98b75b3ccab047f3"}),
+            0, {"optimize.csv": "c978d9f488735a014387e0c88e99498a"
+                                "7267f42d05e9989591e0010aa0f3eecc"}),
         # the benchmark's search size
         "optimize-pop200": (
             None,
             ["optimize", "--pop", "200", "--gens", "100", "--seed", "14"],
-            0, {"optimize.csv": "9a635a23734254dcfd8b55be0184fb26"
-                                "4b97b19b8d4b92dc18bc06cbe2e05223"}),
-        # every child mutates, and many clamp to duplicates at 0 and 1
+            0, {"optimize.csv": "2c2ec375d6278de5f72953d21248c0f6"
+                                "156703476d3c7ce79616f4f1d49f5076"}),
+        # every child mutates, and many clamp to 0 or 1: each is listed once
         "optimize-mutate-all": (
             None, ["optimize", "--pop", "40", "--gens", "30", "--seed", "15",
                    "--mutation-rate", "1", "--mutation-sigma", "0.5"],
-            0, {"optimize.csv": "e5f1589c62cdb6e2de1bf03b36da64fc"
-                                "9f5608a36949f373de38e5f135f5a10f"}),
+            0, {"optimize.csv": "5ebee33d1c81cdf378041f19880442a1"
+                                "bc9e2374acabeafb11826981ed3a27f6"}),
         "optimize-no-crossover": (
             None, ["optimize", "--pop", "40", "--gens", "30", "--seed", "16",
                    "--crossover-rate", "0"],
-            0, {"optimize.csv": "eec40ddc597db73323fa79a3be8e12c1"
-                                "0fd16b6c7e78f4d693d7cd76c05aa891"}),
+            0, {"optimize.csv": "43d057958398a550eb22867a37336da0"
+                                "4c9aac364b2d7e45f265f0e8f279f51e"}),
         "evaluate-r0": (
             None, ["evaluate", "--r", "0"],
             0, {"evaluate.csv": "a5ae0c2704818c1aab953bd8e306cc55"
