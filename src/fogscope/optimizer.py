@@ -72,6 +72,8 @@ class OptConfig:
                      "must be within [0, 1]", name)
         _require(math.isfinite(self.mutation_sigma) and self.mutation_sigma > 0,
                  "must be finite and > 0", "mutation_sigma")
+        # random.Random seeds with abs(seed): -1 would repeat seed 1's run
+        _require(self.seed >= 0, "must be >= 0", "seed")
 
 
 @dataclass(frozen=True)

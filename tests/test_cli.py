@@ -700,6 +700,8 @@ ERROR_LINES = {
                            "error: crossover_rate: must be within [0, 1]\n"),
     "optimize-sigma": (["optimize", "--mutation-sigma", "0", "--seed", "1"],
                        2, "error: mutation_sigma: must be finite and > 0\n"),
+    "optimize-seed": (["optimize", "--seed", "-1"], 2,
+                      "error: seed: must be >= 0\n"),
     "optimize-infeasible": (
         ["optimize", "--scenario", "{tmp}/impossible.yaml", "--pop", "8",
          "--gens", "3", "--seed", "1"], 4,

@@ -221,7 +221,8 @@ class TestOptimizeContracts:
         ({"mutation_rate": -0.1}, "mutation_rate: must be within [0, 1]"),
         ({"mutation_sigma": math.nan},
          "mutation_sigma: must be finite and > 0"),
-    ], ids=["pop", "gens", "work", "crossover", "mutation", "sigma"])
+        ({"seed": -1}, "seed: must be >= 0"),
+    ], ids=["pop", "gens", "work", "crossover", "mutation", "sigma", "seed"])
     def test_error_names_its_field(self, kwargs, message):
         with pytest.raises(ValidationError) as exc:
             OptConfig(**kwargs)
