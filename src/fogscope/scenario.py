@@ -329,7 +329,7 @@ def load_scenario(text: str) -> Scenario:
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
-            raise ParseError(f"invalid scenario document: {exc}",
+            raise ParseError(f"invalid scenario document: {exc.problem}",
                              line=mark.line + 1, column=mark.column + 1) from exc
         raise ParseError(f"invalid scenario document: {exc}") from exc
     if doc is None:
