@@ -966,6 +966,58 @@ class TestStartup:
         assert import_time_numpy_imports(source) == lines
 
 
+def numpy_random_uses(source: str) -> list[int]:
+    """Lines that import ``numpy.random`` or read the attribute
+    ``random`` of a name bound to numpy."""
+    tree = ast.parse(source)
+    numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "numpy"}
+
+    def in_numpy_random(name):
+        return name.split(".")[:2] == ["numpy", "random"]
+
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(in_numpy_random(alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = node.level == 0 and (in_numpy_random(module) or any(
+                in_numpy_random(f"{module}.{alias.name}")
+                for alias in node.names))
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "random"
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id in numpy_names)
+        if hit:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+class TestNoNumpyRandom:
+    """numpy promises no stream across its versions (NEP 19), so a draw
+    from ``numpy.random`` would tie the seeded artifacts to it."""
+
+    @pytest.mark.parametrize("path", sorted((SRC / "fogscope").glob("*.py")),
+                             ids=lambda path: path.name)
+    def test_no_module_uses_numpy_random(self, path):
+        assert numpy_random_uses(path.read_text(encoding="utf-8")) == []
+
+    @pytest.mark.parametrize("source, lines", [
+        ("import numpy as np\nnp.random.default_rng(1)\n", [2]),
+        ("def f():\n    import numpy\n    return numpy.random.Generator\n",
+         [3]),
+        ("import numpy.random\n", [1]),
+        ("from numpy.random import default_rng\n", [1]),
+        ("from numpy import random as npr\n", [1]),
+        ("import random\nrandom.Random(1).random()\n", []),
+        ("import numpy as np\nnp.linalg.norm(rng.random(3))\n", []),
+    ])
+    def test_scan_finds_numpy_random(self, source, lines):
+        assert numpy_random_uses(source) == lines
+
+
 TX_SCENARIO = (
     "modification1_enabled: true\n"
     "workload: {arrival_rate_pps: 100, packet_size_bits: 12000}\n"
