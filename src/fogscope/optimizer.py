@@ -273,8 +273,9 @@ def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
     dominator of a selected member has a lower rank, so it is selected
     too, and the member's rank among the selected is unchanged.  Only
     crowding is recomputed.  Every draw comes from one
-    ``random.Random(cfg.seed)``, whose stream CPython keeps across
-    versions, so the result does not depend on the numpy version.
+    ``random.Random(cfg.seed)``, so the result does not depend on the
+    numpy version.  CPython keeps ``random()``'s sequence for a seed;
+    mutation also relies on ``gauss``, as `simulate`'s noisy uplink does.
     """
     import numpy as np
     rng = random.Random(cfg.seed)
@@ -305,8 +306,8 @@ def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
         raise NoFeasibleSolution(
             "no workload split within the TDP bound was found")
     # infeasible members never dominate feasible ones, so the feasible
-    # members keep their ranks without the infeasible; nor does a member
-    # dominate its twin at the same split, so dropping repeats keeps them
+    # members keep their ranks without the infeasible; a repeated split
+    # has its first member's objectives, so dropping it moves no rank
     pop, ranks = pop.take(pop.feasible), ranks[pop.feasible]
     first = np.unique(pop.r, return_index=True)[1]
     return _build_front(pop.take(first), ranks[first])
