@@ -1,7 +1,9 @@
 """Dominance tooling, NSGA-II contracts, grid oracle, hypervolume."""
 
+import collections
 import itertools
 import math
+import random
 import warnings
 from dataclasses import replace
 
@@ -530,6 +532,53 @@ def test_grid_oracle_keeps_exactly_the_non_dominated_feasible_points(
     for r, vec in feasible.items():
         if r not in members:
             assert any(dominates(m, vec) for m in members.values())
+
+
+class _RecordingRanks:
+    """Rank list stand-in of any length: rank i is i; reads are recorded."""
+
+    def __init__(self, n):
+        self.n, self.reads = n, []
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return i
+
+
+@pytest.mark.parametrize("n", [4, 200, 4000, 3 * 2 ** 30, 2 ** 31 + 1])
+@pytest.mark.parametrize("seed", range(50))
+def test_index_draws_match_generator_integers(seed, n):
+    # each tournament draws its two indices as int(u * n) of the next two
+    # random() values u, in a stream shared with the blend and the
+    # mutation; a draw that reads other bits (randrange, choice) or more
+    # than one value per index must fail here, not change fronts quietly
+    ours, twin = random.Random(seed), random.Random(seed)
+    script = random.Random(1000 + seed).choices(range(4), k=300)
+    for k, step in enumerate(script):
+        if step == 0:
+            ranks = _RecordingRanks(n)
+            winner = optimizer._tournament(ours, ranks,
+                                           collections.defaultdict(float))
+            expected = [int(twin.random() * n), int(twin.random() * n)]
+            assert ranks.reads[:2] == expected, f"step {k}"
+            assert all(0 <= i < n for i in expected)
+            assert winner == min(expected)
+        elif step == 1:
+            assert ours.random() == twin.random()
+        elif step == 2:
+            # parents 0.25 and 0.75 blend over [0, 1] exactly
+            twin.random()
+            expected = (twin.random(), twin.random())
+            assert optimizer._blend_crossover(ours, 0.25, 0.75,
+                                              1.0) == expected
+        else:
+            twin.random()
+            expected = min(max(0.5 + twin.gauss(0.0, 0.05), 0.0), 1.0)
+            assert optimizer._mutate(ours, 0.5, 1.0, 0.05) == expected
+    assert ours.random() == twin.random()
 
 
 @st.composite
