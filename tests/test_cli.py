@@ -650,12 +650,11 @@ ERROR_LINES = {
         ["evaluate", "--scenario", "{tmp}/broken.yaml", "--r", "0.5"], 2,
         "error: invalid scenario document: expected ',' or ']', but got "
         "'<stream end>' (line 2, column 1)\n"),
-    # the reader's errors carry no mark, so PyYAML's text is kept
+    # the reader's errors carry a character offset, given as a line and column
     "yaml-control": (
         ["evaluate", "--scenario", "{tmp}/control.yaml", "--r", "0.5"], 2,
         "error: invalid scenario document: unacceptable character #x0001: "
-        'special characters are not allowed\n  in "<unicode string>", '
-        "position 7\n"),
+        "special characters are not allowed (line 1, column 8)\n"),
     "yaml-repeated": (
         ["evaluate", "--scenario", "{tmp}/twice.yaml", "--r", "0.5"], 2,
         "error: invalid scenario document: found duplicate key 'name' "
@@ -715,6 +714,7 @@ ERROR_LINES = {
     "simulate-arrivals": ([*SIM, "--duration", "1e9"], 2,
                           "error: duration_s: arrival rate x duration must be "
                           "at most 1000000 packets\n"),
+    "simulate-seed": ([*SIM[:-1], "-1"], 2, "error: seed: must be >= 0\n"),
     "simulate-yaml": ([*SIM, "--scenario", "{tmp}/bad.yaml"], 2,
                       "error: workload.packet_size: must be > 0\n"),
     "power-overload": (["power", "--efficiency", "0.01"], 3,

@@ -101,6 +101,25 @@ class TestLoadScenario:
             load_scenario("workload: [unclosed\n  arrival_rate_pps: 1\n")
         assert exc.value.line is not None
 
+    @pytest.mark.parametrize("doc, line, column", [
+        ("name: a\x01\n", 1, 8),
+        ("\x01", 1, 1),
+        ("a: 1\nb: c\x01\n", 2, 5),
+        ("a: 1\r\nb: 2\n\x7f", 3, 1),
+        # YAML's other line breaks: a lone CR, NEL and LS
+        ("a: 1\rb: 2\x85c: 3\u2028d: x\x02", 4, 5),
+        # a byte-order mark takes no column, in marked errors too
+        ("\ufeffa: \x03", 1, 4),
+        ("a: b\ufeff\ufeff\x03", 1, 5),
+    ])
+    def test_unreadable_character_reports_position(self, doc, line, column):
+        with pytest.raises(ParseError) as exc:
+            load_scenario(doc)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert str(exc.value).count("\n") == 0
+        assert str(exc.value).startswith("invalid scenario document: "
+                                         "unacceptable character #x")
+
     def test_non_mapping_document(self):
         with pytest.raises(ParseError):
             load_scenario("- just\n- a\n- list\n")

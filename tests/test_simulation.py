@@ -135,6 +135,15 @@ class TestSimulate:
         c = simulate(sim, seed=6)
         assert c != a
 
+    def test_negative_seed_rejected(self):
+        # random.Random seeds with abs(seed): -1 would repeat seed 1's run
+        sim = SimScenario(scenario=default_scenario(), local_prob=0.5,
+                          duration_s=10.0)
+        with pytest.raises(ValidationError) as exc:
+            simulate_trace(sim, seed=-1)
+        assert str(exc.value) == "seed: must be >= 0"
+        assert simulate_trace(sim, seed=0)[0] != simulate_trace(sim, seed=1)[0]
+
     def test_packet_conservation(self):
         sim = SimScenario(scenario=default_scenario(), local_prob=0.3,
                           duration_s=120.0)
@@ -309,6 +318,12 @@ class TestTrendCompare:
         assert not infeasible.analytic_feasible
         assert infeasible.analytic_fog_power_w > 2.0607
         assert infeasible.r == 0.75
+
+    def test_negative_seed_rejected(self):
+        sim = SimScenario(scenario=default_scenario(), local_prob=0.0,
+                          duration_s=10.0)
+        with pytest.raises(ValidationError, match="^seed: must be >= 0$"):
+            trend_compare(sim, [0.25, 0.75], seed=-1)
 
     def test_empty_grid_rejected(self):
         sim = SimScenario(scenario=default_scenario(), local_prob=0.0,
