@@ -331,6 +331,14 @@ def load_scenario(text: str) -> Scenario:
         if mark is not None:
             raise ParseError(f"invalid scenario document: {exc.problem}",
                              line=mark.line + 1, column=mark.column + 1) from exc
+        if isinstance(exc, yaml.reader.ReaderError):
+            # the offset of the first unprintable character, counted as
+            # YAML's marks count: by line break, with no column for a BOM
+            head = text[:exc.position].replace("\ufeff", "")
+            lines = (head + "^").splitlines()
+            raise ParseError("invalid scenario document: unacceptable "
+                             f"character #x{exc.character:04x}: {exc.reason}",
+                             line=len(lines), column=len(lines[-1])) from exc
         raise ParseError(f"invalid scenario document: {exc}") from exc
     if doc is None:
         raise ParseError("empty scenario document")

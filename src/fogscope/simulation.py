@@ -95,6 +95,8 @@ def simulate(sim: SimScenario, seed: int) -> SimMetrics:
 
 def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet]]:
     """Like :func:`simulate` but also returns the per-packet trace."""
+    # random.Random seeds with abs(seed): -1 would repeat seed 1's run
+    _require(seed >= 0, "must be >= 0", "seed")
     rng = random.Random(seed)
     workload = sim.scenario.workload
     fog = sim.scenario.fog
