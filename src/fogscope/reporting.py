@@ -21,7 +21,7 @@ from array import array
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 TOOL_VERSION = "0.1.0"
 MANIFEST_PREFIX = "# fogscope: "
@@ -78,25 +78,29 @@ def format_cell(value) -> str:
     return str(value)
 
 
-# repr of each float seen, keyed by its IEEE-754 bit pattern so that -0.0,
-# 0.0 and NaN payloads stay apart.  A pure function of the key, so sharing
-# it between renders in one process changes no output; cleared when full.
-_FLOAT_REPRS: dict[int, str] = {}
+# the repr cells of each float column seen, keyed by its IEEE-754 bytes so
+# that -0.0, 0.0 and NaN payloads stay apart.  A pure function of the key,
+# so sharing it between renders in one process changes no output; cleared
+# before it would hold more than FLOAT_REPR_CACHE_CAP cells.
+_FLOAT_COLUMNS: dict[bytes, tuple[str, ...]] = {}
+_float_cells_kept = 0
 FLOAT_REPR_CACHE_CAP = 1 << 17
 _BOOL_CELLS = {True: "true", False: "false"}
 
 
-def _float_cells(column: tuple) -> list[str]:
-    keys = array("Q", array("d", column).tobytes()).tolist()
-    reprs = _FLOAT_REPRS
-    missing = {k: v for k, v in zip(keys, column) if k not in reprs}
-    if len(reprs) + len(missing) > FLOAT_REPR_CACHE_CAP:
-        reprs.clear()
-        missing = dict(zip(keys, column))
-        if len(missing) > FLOAT_REPR_CACHE_CAP:
-            reprs = {}              # too many to keep: use them once
-    reprs.update(zip(missing, map(repr, missing.values())))
-    return list(map(reprs.__getitem__, keys))
+def _float_cells(column: tuple) -> tuple[str, ...]:
+    global _float_cells_kept
+    key = array("d", column).tobytes()
+    cells = _FLOAT_COLUMNS.get(key)
+    if cells is None:
+        cells = tuple(map(repr, column))
+        if len(cells) <= FLOAT_REPR_CACHE_CAP:    # a longer one: used once
+            if _float_cells_kept + len(cells) > FLOAT_REPR_CACHE_CAP:
+                _FLOAT_COLUMNS.clear()
+                _float_cells_kept = 0
+            _FLOAT_COLUMNS[key] = cells
+            _float_cells_kept += len(cells)
+    return cells
 
 
 def _csv_fields(texts) -> dict[str, str]:
@@ -113,7 +117,7 @@ def _csv_fields(texts) -> dict[str, str]:
     return fields
 
 
-def _column_cells(column: tuple) -> list[str]:
+def _column_cells(column: tuple) -> Sequence[str]:
     """The cells of one column, formatted as format_cell would, quoted."""
     kinds = set(map(type, column))
     if kinds == {float}:
@@ -158,13 +162,9 @@ def render_artifact(manifest: RunManifest, table: ResultTable) -> str:
     return manifest.to_comment_line() + "\n" + table.to_csv_text()
 
 
-def output_dir() -> Path:
-    return Path(os.environ.get("FOGSCOPE_OUT", "."))
-
-
 def artifact_path(filename: str) -> Path:
     """Where an artifact goes in the output directory, which is made."""
-    path = output_dir() / filename
+    path = Path(os.environ.get("FOGSCOPE_OUT", ".")) / filename
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 

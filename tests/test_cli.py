@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 import fogscope
-from fogscope import cli, optimizer, simulation
+from fogscope import cli, optimizer, reporting, simulation
 from fogscope.cli import main
 from fogscope.model import InstabilityWarning
 from fogscope.reporting import MANIFEST_PREFIX, RunManifest, strip_manifest
@@ -1143,6 +1143,20 @@ class TestSeededArtifactBytes:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_pinned_sha256(self, runner, out_dir, tmp_path, name):
+        self.check_case(runner, out_dir, tmp_path, name)
+
+    def test_sweep_from_a_cleared_and_a_warm_memo(self, runner, out_dir,
+                                                  tmp_path, monkeypatch):
+        # rendered float columns are memoized for the life of the process
+        monkeypatch.setattr(reporting, "_FLOAT_COLUMNS", {})
+        monkeypatch.setattr(reporting, "_float_cells_kept", 0)
+        self.check_case(runner, out_dir, tmp_path, "sweep")
+        memo = dict(reporting._FLOAT_COLUMNS)
+        assert memo
+        self.check_case(runner, out_dir, tmp_path, "sweep")
+        assert reporting._FLOAT_COLUMNS == memo     # every column a hit
+
+    def check_case(self, runner, out_dir, tmp_path, name):
         scenario, args, exit_code, expected = self.CASES[name]
         args = [arg.replace("{out}", str(out_dir)) for arg in args]
         if scenario is not None:

@@ -5,6 +5,7 @@ import csv
 import io
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -78,7 +79,17 @@ class TestToCsvText:
     @example(table=ResultTable(("",), [("",)]))
     @example(table=ResultTable((), [(), ()]))
     def test_matches_the_csv_writer_path(self, table):
-        assert table.to_csv_text() == oracle_csv_text(table)
+        # every render shares the process's column memo, which holds the
+        # columns of earlier examples too: render the table, its mirror
+        # (the same columns in reverse order) and the table again, at a
+        # cap that clears the memo often and at the default cap
+        mirror = ResultTable(table.columns[::-1],
+                             [row[::-1] for row in table.rows])
+        for cap in (4, reporting.FLOAT_REPR_CACHE_CAP):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(reporting, "FLOAT_REPR_CACHE_CAP", cap)
+                for rendered in (table, mirror, table):
+                    assert rendered.to_csv_text() == oracle_csv_text(rendered)
 
     def test_renders_keep_signed_zeros_apart_through_the_cache(self):
         first = ResultTable(("v",), [(0.0,)]).to_csv_text()
@@ -99,58 +110,113 @@ class TestToCsvText:
             ResultTable(("a", "b"), rows).to_csv_text()
 
     def test_full_cache_is_cleared_and_output_unchanged(self, monkeypatch):
-        monkeypatch.setattr(reporting, "_FLOAT_REPRS", {})
+        monkeypatch.setattr(reporting, "_FLOAT_COLUMNS", {})
+        monkeypatch.setattr(reporting, "_float_cells_kept", 0)
         monkeypatch.setattr(reporting, "FLOAT_REPR_CACHE_CAP", 4)
-        # the third overflows with one value cached, the fourth alone
-        for values in ([0.5, 1.5, 0.5], [2.5, 3.5, 0.5], [0.5, 4.5],
-                       [float(i) / 7 for i in range(9)], [-0.0, 0.5]):
-            table = ResultTable(("v",), [(v,) for v in values])
+        sevenths = [float(i) / 7 for i in range(9)]
+        # (column, the columns kept after it is rendered) at a cap of 4 cells
+        steps = [
+            ([0.5, 1.5, 0.5], [[0.5, 1.5, 0.5]]),
+            ([2.5], [[0.5, 1.5, 0.5], [2.5]]),          # 4 cells: at the cap
+            ([0.5, 1.5, 0.5], [[0.5, 1.5, 0.5], [2.5]]),  # a hit
+            ([3.5, 4.5], [[3.5, 4.5]]),                 # 6 cells: cleared
+            (sevenths, [[3.5, 4.5]]),                   # longer than the cap
+            ([-0.0, 0.5], [[3.5, 4.5], [-0.0, 0.5]]),
+            ([0.0, 0.5], [[0.0, 0.5]]),                 # not -0.0's column
+        ]
+        for values, kept in steps:
+            table = ResultTable(("v", "n"), [(v, 1) for v in values])
             assert table.to_csv_text() == oracle_csv_text(table)
-            assert len(reporting._FLOAT_REPRS) <= 4
+            assert list(reporting._FLOAT_COLUMNS) == [column_key(c)
+                                                      for c in kept]
+            assert reporting._float_cells_kept == sum(map(len, kept))
 
 
-# Runs in a fresh interpreter: _float_cells keys its cache by the IEEE-754
-# bits of each float without numpy, checked here against struct.
-FLOAT_KEYS_PROBE = """
+def column_key(column) -> bytes:
+    """The memo key of a float column: its IEEE-754 doubles in native byte
+    order, packed by struct rather than by the array module."""
+    return struct.pack(f"={len(column)}d", *column)
+
+
+# Each runs in a fresh interpreter, whose memo is empty and which must
+# never load numpy; the script prints the numpy modules loaded.
+MEMO_PROBE_HEAD = """
 import struct, sys
 from fogscope import reporting
+from fogscope.reporting import ResultTable
 
-def bits(x):
-    return int.from_bytes(struct.pack("<d", x), "little")
+def key(column):
+    return struct.pack(f"={len(column)}d", *column)
 
-def from_bits(key):
-    return struct.unpack("<d", key.to_bytes(8, "little"))[0]
-
-nans = [from_bits(k) for k in (0x7FF8000000000000, 0x7FF8000000000001,
-                               0xFFF8000000000000)]
-column = (0.0, -0.0, *nans, 0.1, 0.0)
-reporting._FLOAT_REPRS = {}
-assert reporting._float_cells(column) == list(map(repr, column))
-# -0.0 beside 0.0 and three NaN payloads: six keys for seven values
-assert sorted(reporting._FLOAT_REPRS) == sorted(set(map(bits, column)))
-assert len(reporting._FLOAT_REPRS) == 6
-
-# a hit reads the cache by bit pattern: a planted entry comes back
-reporting._FLOAT_REPRS[bits(-0.0)] = "planted"
-assert reporting._float_cells((0.0, -0.0)) == ["0.0", "planted"]
-
-# six cached and two missing overflow a cap of 7: cleared, then refilled
-reporting.FLOAT_REPR_CACHE_CAP = 7
-assert reporting._float_cells((1.5, 2.5, 1.5)) == ["1.5", "2.5", "1.5"]
-assert sorted(reporting._FLOAT_REPRS) == sorted(map(bits, (1.5, 2.5)))
-# more distinct values than the cap: cleared and used once
-wide = tuple(i / 7 for i in range(8))
-assert reporting._float_cells(wide) == list(map(repr, wide))
-assert reporting._FLOAT_REPRS == {}
-
+def from_bits(bits):
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+"""
+MEMO_PROBE_TAIL = """
 print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
 """
+MEMO_PROBES = {
+    # 0.0 beside -0.0 and three NaN payloads: five columns, five entries
+    "signed-zeros-and-nans": """
+nans = [from_bits(b) for b in (0x7FF8000000000000, 0x7FF8000000000001,
+                               0xFFF8000000000000)]
+columns = [(0.0,), (-0.0,), *((nan,) for nan in nans)]
+for column in columns + columns:
+    assert reporting._float_cells(column) == (repr(column[0]),)
+assert sorted(reporting._FLOAT_COLUMNS) == sorted(map(key, columns))
+assert ResultTable(("v",), [(0.0,)]).to_csv_text() == "v\\n0.0\\n"
+assert ResultTable(("v",), [(-0.0,)]).to_csv_text() == "v\\n-0.0\\n"
+""",
+    # a hit is read by the column's bytes: a planted entry comes back
+    "planted-entry": """
+reporting._FLOAT_COLUMNS[key((-0.0, 1.5))] = ("planted", "cells")
+assert reporting._float_cells((-0.0, 1.5)) == ("planted", "cells")
+assert reporting._float_cells((0.0, 1.5)) == ("0.0", "1.5")
+table = ResultTable(("v", "n"), [(-0.0, 1), (1.5, 2)])
+assert table.to_csv_text() == "v,n\\nplanted,1\\ncells,2\\n"
+""",
+    # five cells fit a cap of 5; a sixth clears the memo, which refills
+    "cap-clears": """
+reporting.FLOAT_REPR_CACHE_CAP = 5
+reporting._float_cells((1.0, 2.0))
+reporting._float_cells((3.0, 4.0, 5.0))
+assert reporting._float_cells((1.0, 2.0)) == ("1.0", "2.0")
+assert list(reporting._FLOAT_COLUMNS) == [key((1.0, 2.0)),
+                                          key((3.0, 4.0, 5.0))]
+assert reporting._float_cells((6.0,)) == ("6.0",)
+assert list(reporting._FLOAT_COLUMNS) == [key((6.0,))]
+reporting._float_cells((7.0, 8.0, 9.0, 10.0))
+assert list(reporting._FLOAT_COLUMNS) == [key((6.0,)),
+                                          key((7.0, 8.0, 9.0, 10.0))]
+""",
+    # a column longer than the cap is rendered and not kept, and the memo
+    # keeps what it held
+    "long-column": """
+reporting.FLOAT_REPR_CACHE_CAP = 3
+reporting._float_cells((1.0,))
+wide = (0.5, 1.5, 2.5, 3.5)
+assert reporting._float_cells(wide) == ("0.5", "1.5", "2.5", "3.5")
+assert list(reporting._FLOAT_COLUMNS) == [key((1.0,))]
+reporting._float_cells((2.0, 3.0))
+assert list(reporting._FLOAT_COLUMNS) == [key((1.0,)), key((2.0, 3.0))]
+""",
+    # a one-column table quotes an empty cell; the memo's cells stay as
+    # they were, and a wider table writes them unquoted
+    "one-column-rule": """
+reporting._FLOAT_COLUMNS[key((1.0, 2.0))] = ("", "x")
+assert ResultTable(("v",), [(1.0,), (2.0,)]).to_csv_text() == 'v\\n""\\nx\\n'
+assert reporting._FLOAT_COLUMNS[key((1.0, 2.0))] == ("", "x")
+wide = ResultTable(("v", "n"), [(1.0, 1), (2.0, 2)])
+assert wide.to_csv_text() == "v,n\\n,1\\nx,2\\n"
+""",
+}
 
 
-class TestFloatCellsWithoutNumpy:
-    def test_bit_keys_cache_hits_and_clears(self):
+class TestFloatColumnMemoWithoutNumpy:
+    @pytest.mark.parametrize("name", sorted(MEMO_PROBES))
+    def test_memo_probe(self, name):
         src = Path(reporting.__file__).parents[1]
-        out = subprocess.run([sys.executable, "-c", FLOAT_KEYS_PROBE],
+        script = MEMO_PROBE_HEAD + MEMO_PROBES[name] + MEMO_PROBE_TAIL
+        out = subprocess.run([sys.executable, "-c", script],
                              check=True, capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(src)})
         assert out.stdout == "[]\n"
