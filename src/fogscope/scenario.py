@@ -332,8 +332,8 @@ def load_scenario(text: str) -> Scenario:
             raise ParseError(f"invalid scenario document: {exc.problem}",
                              line=mark.line + 1, column=mark.column + 1) from exc
         if isinstance(exc, yaml.reader.ReaderError):
-            # the offset of the first unprintable character, counted as
-            # YAML's marks count: by line break, with no column for a BOM
+            # splitlines' breaks before the first unprintable character are
+            # YAML's (its others are unprintable); a BOM takes no column
             head = text[:exc.position].replace("\ufeff", "")
             lines = (head + "^").splitlines()
             raise ParseError("invalid scenario document: unacceptable "
