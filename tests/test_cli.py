@@ -728,6 +728,35 @@ ERROR_LINES = {
                             "error: unknown motor preset 'nope'\n"),
     "fov-aspect": (["fov", "--aspect", "0:1"], 2,
                    "error: --aspect/--dfov: aspect components must be > 0\n"),
+    "epoch-word": (["presets"], 2, "error: SOURCE_DATE_EPOCH: must be an "
+                                   "integer number of seconds, got 'abc'\n"),
+    "epoch-empty": (["evaluate", "--r", "0.5"], 2,
+                    "error: SOURCE_DATE_EPOCH: must be an integer number of "
+                    "seconds, got ''\n"),
+    "epoch-float": (["sweep"], 2, "error: SOURCE_DATE_EPOCH: must be an "
+                                  "integer number of seconds, got '1e9'\n"),
+    "epoch-range": ([*SIM], 2, "error: SOURCE_DATE_EPOCH: must be a "
+                               "representable date, got "
+                               "'99999999999999999'\n"),
+    "out-is-file": (["evaluate", "--r", "0.5"], 2,
+                    "error: cannot write artifact: [Errno 17] File exists: "
+                    "'{tmp}/broken.yaml'\n"),
+    "out-is-file-sweep": (["sweep"], 2,
+                          "error: cannot write artifact: [Errno 17] File "
+                          "exists: '{tmp}/broken.yaml'\n"),
+    "trace-is-dir": ([*SIM, "--trace", "{tmp}"], 2,
+                     "error: cannot write trace file: [Errno 21] Is a "
+                     "directory: '{tmp}'\n"),
+}
+# the environment the cases above run under, over the out_dir fixture's
+ERROR_ENV = {
+    "epoch-word": {"SOURCE_DATE_EPOCH": "abc"},
+    "epoch-empty": {"SOURCE_DATE_EPOCH": ""},
+    "epoch-float": {"SOURCE_DATE_EPOCH": "1e9"},
+    "epoch-range": {"SOURCE_DATE_EPOCH": "99999999999999999"},
+    # an existing file where the output directory should be
+    "out-is-file": {"FOGSCOPE_OUT": "{tmp}/broken.yaml"},
+    "out-is-file-sweep": {"FOGSCOPE_OUT": "{tmp}/broken.yaml"},
 }
 
 
@@ -739,8 +768,10 @@ class TestErrorLines:
         args, code, stderr = ERROR_LINES[name]
         for doc, text in ERROR_DOCS.items():
             (tmp_path / doc).write_text(text, encoding="utf-8")
+        env = {key: value.format(tmp=tmp_path)
+               for key, value in ERROR_ENV.get(name, {}).items()}
         result = runner.invoke(main, [arg.format(tmp=tmp_path)
-                                      for arg in args])
+                                      for arg in args], env=env)
         assert result.exit_code == code
         assert result.stderr == stderr.format(tmp=tmp_path)
         assert result.stdout == ""

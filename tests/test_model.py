@@ -190,6 +190,17 @@ class TestStochasticCloudLatency:
         b = model.cloud_latency_stochastic(self.w, n, self.c, self.split, 42)
         assert a == b
 
+    def test_negative_seed_rejected(self):
+        # random.Random seeds with abs(seed): -7 would alias 7
+        scn = default_scenario()
+        n = replace(scn.network, noise_sigma=0.3)
+        split = DecisionState.from_ratio(scn.workload, 0.5)
+        with pytest.raises(ValidationError) as exc:
+            model.cloud_latency_stochastic(scn.workload, n, scn.cloud, split,
+                                           -7)
+        assert exc.value.field == "seed"
+        assert str(exc.value) == "seed: must be >= 0"
+
     def test_sample_mean_tracks_deterministic_uplink(self):
         n = NetworkParams(1.5e6, 1.5e6, noise_sigma=0.15)
         det = model.cloud_latency(self.w, n, self.c, self.split)
