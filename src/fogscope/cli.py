@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from contextlib import ExitStack, contextmanager
 from dataclasses import astuple, fields
 from functools import partial
 from pathlib import Path
@@ -70,9 +71,20 @@ def _load(scenario_path: Optional[str]) -> Scenario:
     return load_scenario(text)
 
 
+@contextmanager
+def _writing(what: str):
+    """Ends the command with exit 2 and one ``error:`` line when writing
+    ``what`` raises OSError."""
+    try:
+        yield
+    except OSError as exc:
+        _fail(EXIT_INPUT, f"cannot write {what}: {exc}")
+
+
 def _emit(filename: str, manifest: RunManifest, table: ResultTable) -> None:
     text = reporting.render_artifact(manifest, table)
-    path = write_artifact(filename, text)
+    with _writing("artifact"):
+        path = write_artifact(filename, text)
     click.echo(text, nl=False)
     click.echo(f"wrote {path}", err=True)
 
@@ -154,8 +166,10 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
     # written and echoed a group at a time
     head = reporting.render_artifact(manifest, ResultTable(columns, []))
     infeasible = 0
-    path = reporting.artifact_path("sweep.csv")
-    with path.open("w", encoding="utf-8") as combined:
+    with _writing("artifact"):
+        path = reporting.artifact_path("sweep.csv")
+        combined = path.open("w", encoding="utf-8")
+    with combined:
         combined.write(head)
         click.echo(head, nl=False)
         for gid, member in enumerate(scenarios):
@@ -166,7 +180,8 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
             infeasible += sum(1 for row in rows if not row[-1])
             text = reporting.render_artifact(manifest, ResultTable(
                 columns, [(gid, member.name) + row for row in rows]))
-            write_artifact(f"sweep_g{gid:03d}.csv", text)
+            with _writing("artifact"):
+                write_artifact(f"sweep_g{gid:03d}.csv", text)
             body = text[len(head):]
             combined.write(body)
             click.echo(body, nl=False)
@@ -230,23 +245,31 @@ def simulate(scenario_path: Optional[str], local_prob: float, duration: float,
     scn = _load(scenario_path)
     sim = simulation.SimScenario(scenario=scn, local_prob=local_prob,
                                  duration_s=duration, warmup_s=warmup)
-    metrics, packets = simulation.simulate_trace(sim, seed)
-    analytic = model.evaluate_split(scn, local_prob)
-    table = ResultTable(
-        columns=("local_prob", "duration_s", "warmup_s",
-                 *(f.name for f in fields(simulation.SimMetrics)),
-                 "analytic_throughput_bps", "analytic_fog_latency_s"),
-        rows=[(local_prob, duration, sim.warmup_s, *astuple(metrics),
-               analytic[1], analytic[3])])
     manifest = RunManifest.create("simulate", scenario_digest(scn), seed=seed)
-    _emit("simulate.csv", manifest, table)
+    with ExitStack() as stack:
+        if trace_path is not None:
+            # opened before the run, so that a path it cannot write fails
+            # before any output
+            path = Path(trace_path)
+            with _writing("trace file"):
+                path.parent.mkdir(parents=True, exist_ok=True)
+                stream = stack.enter_context(
+                    path.open("w", encoding="utf-8", newline=""))
+        metrics, packets = simulation.simulate_trace(sim, seed)
+        analytic = model.evaluate_split(scn, local_prob)
+        table = ResultTable(
+            columns=("local_prob", "duration_s", "warmup_s",
+                     *(f.name for f in fields(simulation.SimMetrics)),
+                     "analytic_throughput_bps", "analytic_fog_latency_s"),
+            rows=[(local_prob, duration, sim.warmup_s, *astuple(metrics),
+                   analytic[1], analytic[3])])
+        _emit("simulate.csv", manifest, table)
+        if trace_path is not None:
+            with _writing("trace file"):
+                stream.write(manifest.to_comment_line() + "\n")
+                simulation.write_trace(stream, packets,
+                                       scn.workload.packet_size)
     if trace_path is not None:
-        path = Path(trace_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8", newline="") as stream:
-            stream.write(manifest.to_comment_line() + "\n")
-            simulation.write_trace(stream, packets,
-                                   scn.workload.packet_size)
         click.echo(f"wrote {path}", err=True)
 
 

@@ -275,6 +275,8 @@ def cloud_latency_stochastic(workload: WorkloadParams, network: NetworkParams,
     at 0.01 by resampling.  Deterministic given the seed; with
     noise_sigma == 0 this returns :func:`cloud_latency` exactly.
     """
+    # random.Random seeds with abs(seed), so -7 would alias 7
+    _require(seed >= 0, "must be >= 0", "seed")
     if network.noise_sigma == 0:
         return cloud_latency(workload, network, cloud, split)
     uplink, downlink, processing = _cloud_latency_terms(workload, network,

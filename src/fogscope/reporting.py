@@ -23,16 +23,30 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .model import ValidationError
+
 TOOL_VERSION = "0.1.0"
 MANIFEST_PREFIX = "# fogscope: "
 
 
 def manifest_timestamp() -> str:
+    """Now, or SOURCE_DATE_EPOCH when set; a value that is no integer or
+    no representable date raises ValidationError."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
-        moment = datetime.now(tz=timezone.utc)
+    if epoch is None:
+        return datetime.now(tz=timezone.utc).isoformat(timespec="seconds")
+    try:
+        seconds = int(epoch)
+    except ValueError:
+        raise ValidationError(f"SOURCE_DATE_EPOCH: must be an integer number "
+                              f"of seconds, got {epoch!r}",
+                              field="SOURCE_DATE_EPOCH") from None
+    try:
+        moment = datetime.fromtimestamp(seconds, tz=timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise ValidationError(f"SOURCE_DATE_EPOCH: must be a representable "
+                              f"date, got {epoch!r}",
+                              field="SOURCE_DATE_EPOCH") from None
     return moment.isoformat(timespec="seconds")
 
 
