@@ -140,7 +140,8 @@ class DecisionState:
 
     ``x1`` is the locally accepted rate and ``x2`` the rate forwarded to
     the cloud, both in packets/s.  Built via :meth:`from_ratio` so that
-    ``x1 + x2`` equals the arrival rate exactly.
+    ``x1 + x2`` equals the arrival rate exactly.  :func:`evaluate` builds
+    one whose fields are numpy arrays, one entry per split.
     """
 
     r: float
@@ -176,6 +177,27 @@ def throughput_to_cloud(workload: WorkloadParams, split: DecisionState) -> float
     return workload.arrival_rate * (1.0 - split.r) * workload.packet_size
 
 
+def _local_power(workload: WorkloadParams, fog: FogNodeParams,
+                 split: DecisionState) -> float:
+    """The draw of :func:`fog_energy`, TDP unchecked."""
+    return (fog.energy_per_bit * workload.arrival_rate * workload.packet_size
+            * split.r + fog.idle_power)
+
+
+def _power_with_tx(workload: WorkloadParams, fog: FogNodeParams,
+                   split: DecisionState) -> float:
+    """The draw of :func:`fog_energy_with_tx`, TDP unchecked."""
+    return (fog.energy_per_bit * workload.bit_rate * split.r
+            + fog.tx_energy_per_bit * workload.bit_rate * (1.0 - split.r)
+            + fog.idle_power)
+
+
+def _within_tdp(power: float, fog: FogNodeParams) -> float:
+    if power > fog.tdp:
+        raise TdpExceeded(power, fog.tdp)
+    return power
+
+
 def fog_energy(workload: WorkloadParams, fog: FogNodeParams,
                split: DecisionState) -> float:
     """Fog power draw in watts for locally accepted traffic.
@@ -183,11 +205,7 @@ def fog_energy(workload: WorkloadParams, fog: FogNodeParams,
     power = energy_per_bit * arrival_rate * packet_size * r + idle_power.
     Raises TdpExceeded when the draw lands above the TDP bound.
     """
-    power = (fog.energy_per_bit * workload.arrival_rate * workload.packet_size
-             * split.r + fog.idle_power)
-    if power > fog.tdp:
-        raise TdpExceeded(power, fog.tdp)
-    return power
+    return _within_tdp(_local_power(workload, fog, split), fog)
 
 
 def fog_energy_with_tx(workload: WorkloadParams, fog: FogNodeParams,
@@ -198,13 +216,22 @@ def fog_energy_with_tx(workload: WorkloadParams, fog: FogNodeParams,
     of the local-processing draw; identical to :func:`fog_energy` when
     tx_energy_per_bit is 0.
     """
-    rate_bits = workload.arrival_rate * workload.packet_size
-    power = (fog.energy_per_bit * rate_bits * split.r
-             + fog.tx_energy_per_bit * rate_bits * (1.0 - split.r)
-             + fog.idle_power)
-    if power > fog.tdp:
-        raise TdpExceeded(power, fog.tdp)
-    return power
+    return _within_tdp(_power_with_tx(workload, fog, split), fog)
+
+
+def _warn_if_unstable(fog: FogNodeParams, peak_x1: float) -> None:
+    """Warn, at the line that called the caller, when the accepted rate
+    ``peak_x1`` reaches or exceeds the fog processing capability."""
+    if peak_x1 >= fog.proc_capability:
+        warnings.warn(f"accepted rate {peak_x1:.6g} pkt/s >= fog capability "
+                      f"{fog.proc_capability:.6g} pkt/s; linearized latency "
+                      "is outside its stable region", InstabilityWarning,
+                      stacklevel=3)
+
+
+def _linear_latency(fog: FogNodeParams, split: DecisionState) -> float:
+    """:func:`fog_latency_linear` without the stability check."""
+    return split.x1 / fog.proc_capability
 
 
 def fog_latency_linear(fog: FogNodeParams, split: DecisionState) -> float:
@@ -213,15 +240,8 @@ def fog_latency_linear(fog: FogNodeParams, split: DecisionState) -> float:
     Emits an InstabilityWarning (not an error) when the accepted rate
     reaches or exceeds the processing capability.
     """
-    if split.x1 >= fog.proc_capability:
-        warnings.warn(
-            f"accepted rate {split.x1:.6g} pkt/s >= fog capability "
-            f"{fog.proc_capability:.6g} pkt/s; linearized latency is "
-            "outside its stable region",
-            InstabilityWarning,
-            stacklevel=2,
-        )
-    return split.x1 / fog.proc_capability
+    _warn_if_unstable(fog, split.x1)
+    return _linear_latency(fog, split)
 
 
 def fog_latency_exact(fog: FogNodeParams, split: DecisionState) -> float:
@@ -230,19 +250,19 @@ def fog_latency_exact(fog: FogNodeParams, split: DecisionState) -> float:
     Note the zero-load baseline is 1, not 0; kept for diagnostics, the
     linear form drives the combined objective.
     """
-    return 2.0 ** (split.x1 / fog.proc_capability)
+    return 2.0 ** _linear_latency(fog, split)
 
 
-def _cloud_latency_terms(workload: WorkloadParams, network: NetworkParams,
-                         cloud: CloudParams,
-                         split: DecisionState) -> tuple[float, float, float]:
-    """(uplink, downlink, processing) latency terms for the offloaded volume."""
+def _cloud_latency(workload: WorkloadParams, network: NetworkParams,
+                   cloud: CloudParams, split: DecisionState,
+                   uplink_factor: float) -> float:
+    """:func:`cloud_latency` with its uplink term times ``uplink_factor``."""
     offload_bits = workload.packet_size * workload.arrival_rate * (1.0 - split.r)
-    uplink = offload_bits / (2.0 * network.uplink_throughput)
-    downlink = (network.return_fraction * offload_bits
-                / (2.0 * network.downlink_throughput))
-    processing = offload_bits / (2.0 * cloud.proc_capability)
-    return uplink, downlink, processing
+    return (offload_bits / (2.0 * network.uplink_throughput) * uplink_factor
+            + network.return_fraction * offload_bits
+            / (2.0 * network.downlink_throughput)
+            + offload_bits / (2.0 * cloud.proc_capability)
+            + network.base_latency)
 
 
 def cloud_latency(workload: WorkloadParams, network: NetworkParams,
@@ -252,9 +272,7 @@ def cloud_latency(workload: WorkloadParams, network: NetworkParams,
     Sum of the uplink transfer, returned-fraction downlink, and cloud
     processing terms, plus the optional base latency.
     """
-    uplink, downlink, processing = _cloud_latency_terms(workload, network,
-                                                        cloud, split)
-    return uplink + downlink + processing + network.base_latency
+    return _cloud_latency(workload, network, cloud, split, 1.0)
 
 
 def sample_latency_noise(rng: random.Random, sigma: float) -> float:
@@ -279,10 +297,8 @@ def cloud_latency_stochastic(workload: WorkloadParams, network: NetworkParams,
     _require(seed >= 0, "must be >= 0", "seed")
     if network.noise_sigma == 0:
         return cloud_latency(workload, network, cloud, split)
-    uplink, downlink, processing = _cloud_latency_terms(workload, network,
-                                                        cloud, split)
     f = sample_latency_noise(random.Random(seed), network.noise_sigma)
-    return uplink * f + downlink + processing + network.base_latency
+    return _cloud_latency(workload, network, cloud, split, f)
 
 
 def avg_latency(fog_latency_s: float, cloud_latency_s: float) -> float:
@@ -308,75 +324,48 @@ class Evaluation(NamedTuple):
         return list(zip(*(column.tolist() for column in self)))
 
 
-def evaluate(scenario: "Scenario", r: np.ndarray) -> Evaluation:
-    """Evaluate every split in ``r`` in one numpy pass.
+def _row(scenario: "Scenario", split: DecisionState) -> tuple:
+    """The :class:`Evaluation` fields of ``split``, elementwise when its
+    fields are arrays: the raw draw, flagged against the TDP, no warning."""
+    w, fog = scenario.workload, scenario.fog
+    power = (_power_with_tx if scenario.modification1_enabled
+             else _local_power)(w, fog, split)
+    fog_lat = _linear_latency(fog, split)
+    cloud_lat = cloud_latency(w, scenario.network, scenario.cloud, split)
+    return (split.r, throughput_to_cloud(w, split), power, fog_lat, cloud_lat,
+            avg_latency(fog_lat, cloud_lat), power <= fog.tdp)
 
-    Bit-identical to :func:`evaluate_split`, split by split: every term
-    keeps its operation order.  Infeasible splits are flagged in
-    ``feasible`` instead of raising TdpExceeded.  Emits one
-    InstabilityWarning when any accepted rate reaches the fog capability.
-    """
+
+def evaluate(scenario: "Scenario", r: np.ndarray) -> Evaluation:
+    """Evaluate every split in ``r`` in one numpy pass: the composition of
+    :func:`evaluate_split` over a DecisionState of arrays, so bit-identical
+    to it split by split.  Emits one InstabilityWarning when any accepted
+    rate reaches the fog capability."""
     import numpy as np
     r = np.asarray(r, dtype=float)
     _require(bool(np.all((r >= 0.0) & (r <= 1.0))), "must be within [0, 1]",
              "r")
-    w, fog, net = scenario.workload, scenario.fog, scenario.network
-    rate = w.arrival_rate
+    rate = scenario.workload.arrival_rate
     x1 = rate * r
     x2 = rate - x1
     # half-ulp rounding tie; resync so the split sums exactly
     x1 = np.where(x1 + x2 != rate, rate - x2, x1)
-    throughput = w.arrival_rate * (1.0 - r) * w.packet_size
-    if scenario.modification1_enabled:
-        rate_bits = w.arrival_rate * w.packet_size
-        power = (fog.energy_per_bit * rate_bits * r
-                 + fog.tx_energy_per_bit * rate_bits * (1.0 - r)
-                 + fog.idle_power)
-    else:
-        power = (fog.energy_per_bit * w.arrival_rate * w.packet_size * r
-                 + fog.idle_power)
-    if np.any(x1 >= fog.proc_capability):
-        warnings.warn(
-            f"accepted rate {x1.max():.6g} pkt/s >= fog capability "
-            f"{fog.proc_capability:.6g} pkt/s; linearized latency is "
-            "outside its stable region",
-            InstabilityWarning,
-            stacklevel=2,
-        )
-    fog_lat = x1 / fog.proc_capability
-    offload_bits = w.packet_size * w.arrival_rate * (1.0 - r)
-    cloud_lat = (offload_bits / (2.0 * net.uplink_throughput)
-                 + net.return_fraction * offload_bits
-                 / (2.0 * net.downlink_throughput)
-                 + offload_bits / (2.0 * scenario.cloud.proc_capability)
-                 + net.base_latency)
-    return Evaluation(r, throughput, power, fog_lat, cloud_lat,
-                      (fog_lat + cloud_lat) / 2.0, ~(power > fog.tdp))
+    _warn_if_unstable(scenario.fog, x1.max(initial=-math.inf))
+    return Evaluation(*_row(scenario, DecisionState(r, x1, x2)))
 
 
 def evaluate_split(scenario: "Scenario", r: float) -> tuple:
-    """The row of :func:`evaluate` for one split ``r``, composed from the
-    scalar terms in plain floats, without numpy.  An infeasible split is
-    flagged and carries its raw power.  Emits an InstabilityWarning when
-    the accepted rate reaches the fog capability."""
-    w, fog = scenario.workload, scenario.fog
-    split = DecisionState.from_ratio(w, r)
-    energy = fog_energy_with_tx if scenario.modification1_enabled else fog_energy
-    try:
-        power, feasible = energy(w, fog, split), True
-    except TdpExceeded as exc:
-        power, feasible = exc.power_w, False
-    fog_lat = fog_latency_linear(fog, split)
-    cloud_lat = cloud_latency(w, scenario.network, scenario.cloud, split)
-    return (r, throughput_to_cloud(w, split), power, fog_lat, cloud_lat,
-            avg_latency(fog_lat, cloud_lat), feasible)
+    """The row of :func:`evaluate` for one split ``r``, without numpy.
+    Emits an InstabilityWarning when the accepted rate reaches the fog
+    capability."""
+    split = DecisionState.from_ratio(scenario.workload, r)
+    _warn_if_unstable(scenario.fog, split.x1)
+    return _row(scenario, split)
 
 
 def objectives(scenario: "Scenario", r: float) -> ObjectiveVector:
-    """Throughput, fog power and average latency from
-    :func:`evaluate_split`'s row; raises TdpExceeded for an infeasible
-    split."""
-    _, throughput, power, _, _, latency, feasible = evaluate_split(scenario, r)
-    if not feasible:
-        raise TdpExceeded(power, scenario.fog.tdp)
-    return ObjectiveVector(throughput, power, latency)
+    """Throughput, fog power and average latency of the split ``r``;
+    raises TdpExceeded for an infeasible split."""
+    _, throughput, power, _, _, latency, _ = evaluate_split(scenario, r)
+    return ObjectiveVector(throughput, _within_tdp(power, scenario.fog),
+                           latency)
