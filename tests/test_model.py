@@ -2,11 +2,13 @@
 
 import math
 import random
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fogscope import model
@@ -554,3 +556,70 @@ class TestEvaluateKernel:
         with pytest.warns(InstabilityWarning) as record:
             model.evaluate(scn, np.array([0.5, 1.0, 1.0]))
         assert len(record) == 1
+
+
+# ---------------------------------------------------------------------------
+# The kernel against the named terms, one split at a time
+# ---------------------------------------------------------------------------
+
+def term_rows(scn, r_values):
+    """evaluate's rows, each built from the public term functions alone;
+    unlike evaluate_split, this does not go through the composition that
+    evaluate shares with it."""
+    w, fog, net = scn.workload, scn.fog, scn.network
+    energy = (model.fog_energy_with_tx if scn.modification1_enabled
+              else model.fog_energy)
+    rows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InstabilityWarning)
+        for r in r_values:
+            split = DecisionState.from_ratio(w, r)
+            try:
+                power, feasible = energy(w, fog, split), True
+            except TdpExceeded as exc:
+                power, feasible = exc.power_w, False
+            fog_lat = model.fog_latency_linear(fog, split)
+            cloud_lat = model.cloud_latency(w, net, scn.cloud, split)
+            rows.append((r, model.throughput_to_cloud(w, split), power,
+                         fog_lat, cloud_lat,
+                         model.avg_latency(fog_lat, cloud_lat), feasible))
+    return rows
+
+
+class TestEvaluateAgainstTerms:
+    @settings(max_examples=80)
+    @given(delta=st.floats(min_value=0.0, max_value=1e4),
+           size=st.floats(min_value=1.0, max_value=1e5),
+           gamma=st.floats(min_value=0.0, max_value=1e-5),
+           rho=st.floats(min_value=0.0, max_value=1e-5),
+           tx=st.booleans(),
+           base=st.floats(min_value=0.0, max_value=2.0),
+           back=st.floats(min_value=0.0, max_value=1.0),
+           r_values=st.lists(fractions, min_size=1, max_size=20),
+           at=st.integers(min_value=0, max_value=19))
+    # the half-ulp tie of test_from_ratio_resync
+    @example(delta=12.345, size=12000.0, gamma=1e-7, rho=0.0, tx=False,
+             base=0.0, back=0.1, r_values=[0.33019721859799855, 0.5], at=1)
+    def test_columns_are_the_named_terms(self, delta, size, gamma, rho, tx,
+                                         base, back, r_values, at):
+        scn = replace(scenario_with(workload__arrival_rate=delta,
+                                    workload__packet_size=size,
+                                    fog__energy_per_bit=gamma,
+                                    fog__tx_energy_per_bit=rho,
+                                    fog__idle_power=1.0,
+                                    fog__tdp=sys.float_info.max,
+                                    network__base_latency=base,
+                                    network__return_fraction=back),
+                      modification1_enabled=tx)
+        # the TDP is the draw at one of the splits, so that split lies on
+        # the bound and every split that draws more lies past it
+        draw = term_rows(scn, [r_values[at % len(r_values)]])[0][2]
+        tdp = draw if draw > scn.fog.idle_power else 1.5
+        scn = replace(scn, fog=replace(scn.fog, tdp=tdp))
+        expected = term_rows(scn, r_values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InstabilityWarning)
+            rows = model.evaluate(scn, np.asarray(r_values)).rows()
+        assert rows == expected
+        assert [list(map(repr, row)) for row in rows] \
+            == [list(map(repr, row)) for row in expected]
