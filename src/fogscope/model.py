@@ -339,8 +339,9 @@ def _row(scenario: "Scenario", split: DecisionState) -> tuple:
 def evaluate(scenario: "Scenario", r: np.ndarray) -> Evaluation:
     """Evaluate every split in ``r`` in one numpy pass: the composition of
     :func:`evaluate_split` over a DecisionState of arrays, so bit-identical
-    to it split by split.  Emits one InstabilityWarning when any accepted
-    rate reaches the fog capability."""
+    to it split by split.  Infeasible splits are flagged in ``feasible``.
+    Emits one InstabilityWarning when any accepted rate reaches the fog
+    capability."""
     import numpy as np
     r = np.asarray(r, dtype=float)
     _require(bool(np.all((r >= 0.0) & (r <= 1.0))), "must be within [0, 1]",

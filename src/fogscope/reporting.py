@@ -36,17 +36,11 @@ def manifest_timestamp() -> str:
     if epoch is None:
         return datetime.now(tz=timezone.utc).isoformat(timespec="seconds")
     try:
-        seconds = int(epoch)
-    except ValueError:
-        raise ValidationError(f"SOURCE_DATE_EPOCH: must be an integer number "
-                              f"of seconds, got {epoch!r}",
-                              field="SOURCE_DATE_EPOCH") from None
-    try:
-        moment = datetime.fromtimestamp(seconds, tz=timezone.utc)
+        moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
     except (ValueError, OverflowError, OSError):
-        raise ValidationError(f"SOURCE_DATE_EPOCH: must be a representable "
-                              f"date, got {epoch!r}",
-                              field="SOURCE_DATE_EPOCH") from None
+        raise ValidationError(f"SOURCE_DATE_EPOCH: must be an integer number "
+                              f"of seconds giving a representable date, got "
+                              f"{epoch!r}", field="SOURCE_DATE_EPOCH") from None
     return moment.isoformat(timespec="seconds")
 
 

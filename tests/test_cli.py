@@ -644,6 +644,8 @@ ERROR_DOCS = {
         "cloud: {proc_capability_bps: 3.0e+6}\n",
 }
 SIM = ["simulate", "--local-prob", "0.5", "--duration", "10", "--seed", "1"]
+EPOCH_ERROR = ("error: SOURCE_DATE_EPOCH: must be an integer number of "
+               "seconds giving a representable date, got {}\n")
 # (arguments, exit code, stderr) of commands that fail before any artifact
 ERROR_LINES = {
     "yaml-broken": (
@@ -728,16 +730,10 @@ ERROR_LINES = {
                             "error: unknown motor preset 'nope'\n"),
     "fov-aspect": (["fov", "--aspect", "0:1"], 2,
                    "error: --aspect/--dfov: aspect components must be > 0\n"),
-    "epoch-word": (["presets"], 2, "error: SOURCE_DATE_EPOCH: must be an "
-                                   "integer number of seconds, got 'abc'\n"),
-    "epoch-empty": (["evaluate", "--r", "0.5"], 2,
-                    "error: SOURCE_DATE_EPOCH: must be an integer number of "
-                    "seconds, got ''\n"),
-    "epoch-float": (["sweep"], 2, "error: SOURCE_DATE_EPOCH: must be an "
-                                  "integer number of seconds, got '1e9'\n"),
-    "epoch-range": ([*SIM], 2, "error: SOURCE_DATE_EPOCH: must be a "
-                               "representable date, got "
-                               "'99999999999999999'\n"),
+    "epoch-word": (["presets"], 2, EPOCH_ERROR.format("'abc'")),
+    "epoch-empty": (["evaluate", "--r", "0.5"], 2, EPOCH_ERROR.format("''")),
+    "epoch-float": (["sweep"], 2, EPOCH_ERROR.format("'1e9'")),
+    "epoch-range": ([*SIM], 2, EPOCH_ERROR.format("'99999999999999999'")),
     "out-is-file": (["evaluate", "--r", "0.5"], 2,
                     "error: cannot write artifact: [Errno 17] File exists: "
                     "'{tmp}/broken.yaml'\n"),
