@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import astuple, fields
 from functools import partial
 from pathlib import Path
@@ -245,30 +245,26 @@ def simulate(scenario_path: Optional[str], local_prob: float, duration: float,
     scn = _load(scenario_path)
     sim = simulation.SimScenario(scenario=scn, local_prob=local_prob,
                                  duration_s=duration, warmup_s=warmup)
+    metrics, packets = simulation.simulate_trace(sim, seed)
+    analytic = model.evaluate_split(scn, local_prob)
+    table = ResultTable(
+        columns=("local_prob", "duration_s", "warmup_s",
+                 *(f.name for f in fields(simulation.SimMetrics)),
+                 "analytic_throughput_bps", "analytic_fog_latency_s"),
+        rows=[(local_prob, duration, sim.warmup_s, *astuple(metrics),
+               analytic[1], analytic[3])])
     manifest = RunManifest.create("simulate", scenario_digest(scn), seed=seed)
-    with ExitStack() as stack:
-        if trace_path is not None:
-            # opened before the run, so that a path it cannot write fails
-            # before any output
-            path = Path(trace_path)
-            with _writing("trace file"):
-                path.parent.mkdir(parents=True, exist_ok=True)
-                stream = stack.enter_context(
-                    path.open("w", encoding="utf-8", newline=""))
-        metrics, packets = simulation.simulate_trace(sim, seed)
-        analytic = model.evaluate_split(scn, local_prob)
-        table = ResultTable(
-            columns=("local_prob", "duration_s", "warmup_s",
-                     *(f.name for f in fields(simulation.SimMetrics)),
-                     "analytic_throughput_bps", "analytic_fog_latency_s"),
-            rows=[(local_prob, duration, sim.warmup_s, *astuple(metrics),
-                   analytic[1], analytic[3])])
-        _emit("simulate.csv", manifest, table)
-        if trace_path is not None:
-            with _writing("trace file"):
+    if trace_path is not None:
+        # written before simulate.csv, so that a path it cannot write fails
+        # before any output
+        path = Path(trace_path)
+        with _writing("trace file"):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with path.open("w", encoding="utf-8", newline="") as stream:
                 stream.write(manifest.to_comment_line() + "\n")
                 simulation.write_trace(stream, packets,
                                        scn.workload.packet_size)
+    _emit("simulate.csv", manifest, table)
     if trace_path is not None:
         click.echo(f"wrote {path}", err=True)
 
