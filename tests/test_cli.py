@@ -733,7 +733,7 @@ ERROR_LINES = {
     "epoch-word": (["presets"], 2, EPOCH_ERROR.format("'abc'")),
     "epoch-empty": (["evaluate", "--r", "0.5"], 2, EPOCH_ERROR.format("''")),
     "epoch-float": (["sweep"], 2, EPOCH_ERROR.format("'1e9'")),
-    "epoch-range": ([*SIM], 2, EPOCH_ERROR.format("'99999999999999999'")),
+    "epoch-range": (SIM, 2, EPOCH_ERROR.format("'99999999999999999'")),
     "out-is-file": (["evaluate", "--r", "0.5"], 2,
                     "error: cannot write artifact: [Errno 17] File exists: "
                     "'{tmp}/broken.yaml'\n"),
