@@ -734,6 +734,17 @@ ERROR_LINES = {
     "epoch-empty": (["evaluate", "--r", "0.5"], 2, EPOCH_ERROR.format("''")),
     "epoch-float": (["sweep"], 2, EPOCH_ERROR.format("'1e9'")),
     "epoch-range": (SIM, 2, EPOCH_ERROR.format("'99999999999999999'")),
+    "epoch-spaces": (["presets"], 2, EPOCH_ERROR.format("' 12 '")),
+    "epoch-newline": (["presets"], 2, EPOCH_ERROR.format("'12\\n'")),
+    "epoch-plus": (["presets"], 2, EPOCH_ERROR.format("'+12'")),
+    "epoch-underscore": (["presets"], 2,
+                         EPOCH_ERROR.format("'1_700_000_000'")),
+    "epoch-arabic-digits": (["presets"], 2,
+                            EPOCH_ERROR.format("'\u0661\u0662'")),
+    "epoch-fullwidth-digits": (["presets"], 2,
+                               EPOCH_ERROR.format("'\uff11\uff12'")),
+    "epoch-minus-only": (["presets"], 2, EPOCH_ERROR.format("'-'")),
+    "epoch-double-minus": (["presets"], 2, EPOCH_ERROR.format("'--12'")),
     "out-is-file": (["evaluate", "--r", "0.5"], 2,
                     "error: cannot write artifact: [Errno 17] File exists: "
                     "'{tmp}/broken.yaml'\n"),
@@ -750,6 +761,16 @@ ERROR_ENV = {
     "epoch-empty": {"SOURCE_DATE_EPOCH": ""},
     "epoch-float": {"SOURCE_DATE_EPOCH": "1e9"},
     "epoch-range": {"SOURCE_DATE_EPOCH": "99999999999999999"},
+    # int() takes each of these; the reproducible-builds convention asks
+    # for ASCII digits, and `date +%s` prints at most a leading "-"
+    "epoch-spaces": {"SOURCE_DATE_EPOCH": " 12 "},
+    "epoch-newline": {"SOURCE_DATE_EPOCH": "12\n"},
+    "epoch-plus": {"SOURCE_DATE_EPOCH": "+12"},
+    "epoch-underscore": {"SOURCE_DATE_EPOCH": "1_700_000_000"},
+    "epoch-arabic-digits": {"SOURCE_DATE_EPOCH": "\u0661\u0662"},
+    "epoch-fullwidth-digits": {"SOURCE_DATE_EPOCH": "\uff11\uff12"},
+    "epoch-minus-only": {"SOURCE_DATE_EPOCH": "-"},
+    "epoch-double-minus": {"SOURCE_DATE_EPOCH": "--12"},
     # an existing file where the output directory should be
     "out-is-file": {"FOGSCOPE_OUT": "{tmp}/broken.yaml"},
     "out-is-file-sweep": {"FOGSCOPE_OUT": "{tmp}/broken.yaml"},

@@ -558,6 +558,22 @@ class TestEvaluateKernel:
         assert len(record) == 1
 
 
+# each entry point, called from this file at a split past the stability
+# boundary
+UNSTABLE_CALLS = {
+    "objectives": lambda: model.objectives(default_scenario(), 1.0),
+    "evaluate_split": lambda: model.evaluate_split(default_scenario(), 1.0),
+    "evaluate": lambda: model.evaluate(default_scenario(), np.array([1.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSTABLE_CALLS))
+def test_instability_warning_names_the_caller(name):
+    with pytest.warns(InstabilityWarning) as record:
+        UNSTABLE_CALLS[name]()
+    assert [w.filename for w in record] == [__file__]
+
+
 # ---------------------------------------------------------------------------
 # The kernel against the named terms, one split at a time
 # ---------------------------------------------------------------------------

@@ -222,6 +222,19 @@ class TestFloatColumnMemoWithoutNumpy:
         assert out.stdout == "[]\n"
 
 
+class TestManifestTimestamp:
+    @pytest.mark.parametrize("epoch,stamp", [
+        ("0", "1970-01-01T00:00:00+00:00"),
+        ("012", "1970-01-01T00:00:12+00:00"),
+        ("-12", "1969-12-31T23:59:48+00:00"),
+        ("1700000000", "2023-11-14T22:13:20+00:00"),
+    ])
+    def test_ascii_digits_with_an_optional_minus(self, monkeypatch, epoch,
+                                                 stamp):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        assert reporting.manifest_timestamp() == stamp
+
+
 class TestNumpyScalars:
     def test_format_cell_uses_the_python_value(self):
         assert format_cell(np.float64(0.1)) == "0.1"
