@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from array import array
 from dataclasses import asdict, dataclass
@@ -30,12 +31,14 @@ MANIFEST_PREFIX = "# fogscope: "
 
 
 def manifest_timestamp() -> str:
-    """Now, or SOURCE_DATE_EPOCH when set; a value that is no integer or
-    no representable date raises ValidationError."""
+    """Now, or SOURCE_DATE_EPOCH when set; a value that is not ASCII digits
+    after at most a "-", or no representable date, raises ValidationError."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is None:
         return datetime.now(tz=timezone.utc).isoformat(timespec="seconds")
     try:
+        if re.fullmatch("-?[0-9]+", epoch) is None:    # int() takes " +1_2 "
+            raise ValueError(epoch)
         moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
     except (ValueError, OverflowError, OSError):
         raise ValidationError(f"SOURCE_DATE_EPOCH: must be an integer number "
