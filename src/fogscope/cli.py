@@ -89,11 +89,11 @@ def _emit(filename: str, manifest: RunManifest, table: ResultTable) -> None:
     click.echo(f"wrote {path}", err=True)
 
 
-def _objective_row(scn: Scenario, r: np.ndarray) -> list[tuple]:
-    """One (r, throughput, power, fog latency, cloud latency, average
-    latency, feasible) row per split in ``r``; infeasible rows carry the
-    raw power.  perfbench's traced replay spans calls to this name."""
-    return model.evaluate(scn, r).rows()
+def _objective_row(scn: Scenario, r: np.ndarray) -> model.Evaluation:
+    """The kernel's columns for each split in ``r``; infeasible splits
+    carry the raw power.  perfbench's traced replay spans calls to this
+    name."""
+    return model.evaluate(scn, r)
 
 
 class _ExitCodes(click.Group):
@@ -176,10 +176,11 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
             with warnings.catch_warnings():
                 # sweeps scan past the stability boundary by design
                 warnings.simplefilter("ignore", model.InstabilityWarning)
-                rows = _objective_row(member, r_values)
-            infeasible += sum(1 for row in rows if not row[-1])
+                evaluation = _objective_row(member, r_values)
+            infeasible += r_steps - int(evaluation.feasible.sum())
             text = reporting.render_artifact(manifest, ResultTable(
-                columns, [(gid, member.name) + row for row in rows]))
+                columns, cells=([gid] * r_steps, [member.name] * r_steps,
+                                *evaluation)))
             with _writing("artifact"):
                 write_artifact(f"sweep_g{gid:03d}.csv", text)
             body = text[len(head):]

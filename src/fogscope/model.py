@@ -318,11 +318,6 @@ class Evaluation(NamedTuple):
     avg_latency_s: np.ndarray
     feasible: np.ndarray
 
-    def rows(self) -> list[tuple]:
-        """One tuple per split, in field order, of plain Python floats and
-        bools: numpy scalars do not ``repr`` as plain floats."""
-        return list(zip(*(column.tolist() for column in self)))
-
 
 def _row(scenario: "Scenario", split: DecisionState) -> tuple:
     """The :class:`Evaluation` fields of ``split``, elementwise when its

@@ -99,12 +99,15 @@ FLOAT_REPR_CACHE_CAP = 1 << 17
 _BOOL_CELLS = {True: "true", False: "false"}
 
 
-def _float_cells(column: tuple) -> tuple[str, ...]:
+def _float_cells(column) -> tuple[str, ...]:
+    """The repr cells of Python floats, or of a float64 numpy array: its
+    bytes are ``array("d", ...)``'s of the same floats."""
     global _float_cells_kept
-    key = array("d", column).tobytes()
+    doubles = column if hasattr(column, "tobytes") else array("d", column)
+    key = doubles.tobytes()
     cells = _FLOAT_COLUMNS.get(key)
     if cells is None:
-        cells = tuple(map(repr, column))
+        cells = tuple(map(repr, doubles.tolist()))
         if len(cells) <= FLOAT_REPR_CACHE_CAP:    # a longer one: used once
             if _float_cells_kept + len(cells) > FLOAT_REPR_CACHE_CAP:
                 _FLOAT_COLUMNS.clear()
@@ -128,8 +131,13 @@ def _csv_fields(texts) -> dict[str, str]:
     return fields
 
 
-def _column_cells(column: tuple) -> Sequence[str]:
+def _column_cells(column: Sequence) -> Sequence[str]:
     """The cells of one column, formatted as format_cell would, quoted."""
+    np = sys.modules.get("numpy")   # no numpy array exists without it
+    if np is not None and isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            return _float_cells(column)
+        column = column.tolist()    # a bool array maps through _BOOL_CELLS
     kinds = set(map(type, column))
     if kinds == {float}:
         return _float_cells(column)
@@ -141,30 +149,32 @@ def _column_cells(column: tuple) -> Sequence[str]:
     return list(map(_csv_fields(texts).__getitem__, texts))
 
 
-@dataclass(frozen=True)
 class ResultTable:
-    columns: tuple[str, ...]
-    rows: list[tuple]
+    """A header and its cells, one sequence per column: ``cells`` as given,
+    Python values or numpy arrays, or ``rows`` transposed once.  A row or
+    column count that is not the header's raises ValueError."""
+
+    def __init__(self, columns: Sequence[str], rows: Sequence[tuple] = (),
+                 *, cells: Optional[Sequence[Sequence]] = None):
+        self.columns = tuple(columns)
+        self.cells = list(zip(*rows, strict=True)) if cells is None else cells
+        if self.cells and len(self.cells) != len(self.columns):
+            raise ValueError(f"{len(self.cells)} columns of cells, the "
+                             f"header {len(self.columns)}")
+        self.n_rows = len(self.cells[0]) if self.cells else len(rows)
 
     def to_csv_text(self) -> str:
         """The header and rows as CSV; the cells are format_cell's, quoted
-        as the csv module quotes them.  Rendered a column at a time; a row
-        whose width is not the header's raises ValueError."""
+        as the csv module quotes them.  Rendered a column at a time."""
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow(self.columns)
-        if not self.rows:
-            return buf.getvalue()
-        columns = list(zip(*self.rows, strict=True))
-        if len(columns) != len(self.columns):
-            raise ValueError(f"rows have {len(columns)} cells, the header "
-                             f"{len(self.columns)}")
-        if not columns:
-            return buf.getvalue() + "\n" * len(self.rows)
-        cells = [_column_cells(column) for column in columns]
+        if not self.n_rows or not self.cells:
+            return buf.getvalue() + "\n" * self.n_rows
+        cells = [_column_cells(column) for column in self.cells]
         if len(cells) == 1:
             # csv quotes a row of one empty field, as a blank line is no row
             cells = [['""' if c == "" else c for c in cells[0]]]
-        buf.write("\n".join(map(",".join, zip(*cells))))
+        buf.write("\n".join(map(",".join, zip(*cells, strict=True))))
         buf.write("\n")
         return buf.getvalue()
 

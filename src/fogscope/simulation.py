@@ -315,7 +315,8 @@ def trend_compare(sim: SimScenario, r_grid: list[float],
     with warnings.catch_warnings():
         # grid scans cross the stability boundary on purpose
         warnings.simplefilter("ignore", model.InstabilityWarning)
-        analytic = model.evaluate(scn, np.array(r_grid, dtype=float)).rows()
+        analytic = list(zip(*(column.tolist() for column in model.evaluate(
+            scn, np.array(r_grid, dtype=float)))))
     rows = []
     for i, r in enumerate(r_grid):
         _, throughput, power, fog_lat, cloud_lat, avg_lat, feasible = analytic[i]

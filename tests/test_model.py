@@ -422,7 +422,8 @@ def kernel_rows(scn, r_values):
     import warnings as w_mod
     with w_mod.catch_warnings():
         w_mod.simplefilter("ignore", InstabilityWarning)
-        return model.evaluate(scn, np.asarray(r_values, dtype=float)).rows()
+        evaluation = model.evaluate(scn, np.asarray(r_values, dtype=float))
+    return list(zip(*(column.tolist() for column in evaluation)))
 
 
 def split_rows(scn, r_values):
@@ -542,10 +543,14 @@ class TestEvaluateKernel:
     def test_cli_rows_are_the_scalar_path(self):
         from fogscope.cli import _objective_row
         scn = scenario_with(fog__tdp=2.0607)
-        rows = _objective_row(scn, np.asarray(R_GRID))
-        assert rows == split_rows(scn, R_GRID)
-        # plain Python values, so the CSV cells format as before
-        assert {type(v) for row in rows for v in row} == {float, bool}
+        evaluation = _objective_row(scn, np.asarray(R_GRID))
+        assert isinstance(evaluation, model.Evaluation)
+        # the arrays sweep hands to the renderer, which reads float64 and
+        # bool arrays as they are
+        assert [column.dtype for column in evaluation] \
+            == [np.dtype(np.float64)] * 6 + [np.dtype(np.bool_)]
+        columns = [column.tolist() for column in evaluation]
+        assert columns == [list(c) for c in zip(*split_rows(scn, R_GRID))]
 
     def test_r_outside_unit_interval_rejected(self):
         with pytest.raises(ValidationError):
@@ -635,7 +640,8 @@ class TestEvaluateAgainstTerms:
         expected = term_rows(scn, r_values)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", InstabilityWarning)
-            rows = model.evaluate(scn, np.asarray(r_values)).rows()
+            evaluation = model.evaluate(scn, np.asarray(r_values))
+        rows = list(zip(*(column.tolist() for column in evaluation)))
         assert rows == expected
         assert [list(map(repr, row)) for row in rows] \
             == [list(map(repr, row)) for row in expected]

@@ -1,5 +1,6 @@
 """CSV rendering of result tables: the column-at-a-time renderer against
-the cell-at-a-time csv.writer path it replaced."""
+the cell-at-a-time csv.writer path it replaced, and tables built from
+columns against the same cells given as rows."""
 
 import csv
 import io
@@ -8,7 +9,9 @@ import os
 import struct
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -27,7 +30,13 @@ def oracle_format_cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def oracle_csv_text(table: ResultTable) -> str:
+class Rows(NamedTuple):
+    """A header and its cells as rows, as a test draws them."""
+    columns: tuple
+    rows: list
+
+
+def oracle_csv_text(table: Rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.columns)
@@ -63,33 +72,32 @@ def tables(draw):
     n_rows = draw(st.integers(min_value=0, max_value=12))
     columns = tuple(draw(texts) for _ in kinds)
     rows = [tuple(draw(CELLS[kind]) for kind in kinds) for _ in range(n_rows)]
-    return ResultTable(columns, rows)
+    return Rows(columns, rows)
 
 
 class TestToCsvText:
     @given(table=tables())
-    @example(table=ResultTable(("only",), [("",), (None,), (1.5,)]))
-    @example(table=ResultTable(("flag", "x"), [(True, -0.0), (1, 0.0),
-                                               (None, math.nan), ("", 5e-324)]))
-    @example(table=ResultTable(("a", "b,c"), [("a,b", 'say "hi"'),
-                                              ("\r", "\n")]))
-    @example(table=ResultTable(("r", "v"), [(1e16, 1e-4), (1e15, 1e-5),
-                                            (math.inf, -math.inf)]))
-    @example(table=ResultTable(("empty",), []))
-    @example(table=ResultTable(("",), [("",)]))
-    @example(table=ResultTable((), [(), ()]))
+    @example(table=Rows(("only",), [("",), (None,), (1.5,)]))
+    @example(table=Rows(("flag", "x"), [(True, -0.0), (1, 0.0),
+                                        (None, math.nan), ("", 5e-324)]))
+    @example(table=Rows(("a", "b,c"), [("a,b", 'say "hi"'), ("\r", "\n")]))
+    @example(table=Rows(("r", "v"), [(1e16, 1e-4), (1e15, 1e-5),
+                                     (math.inf, -math.inf)]))
+    @example(table=Rows(("empty",), []))
+    @example(table=Rows(("",), [("",)]))
+    @example(table=Rows((), [(), ()]))
     def test_matches_the_csv_writer_path(self, table):
         # every render shares the process's column memo, which holds the
         # columns of earlier examples too: render the table, its mirror
         # (the same columns in reverse order) and the table again, at a
         # cap that clears the memo often and at the default cap
-        mirror = ResultTable(table.columns[::-1],
-                             [row[::-1] for row in table.rows])
+        mirror = Rows(table.columns[::-1], [row[::-1] for row in table.rows])
         for cap in (4, reporting.FLOAT_REPR_CACHE_CAP):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(reporting, "FLOAT_REPR_CACHE_CAP", cap)
                 for rendered in (table, mirror, table):
-                    assert rendered.to_csv_text() == oracle_csv_text(rendered)
+                    assert ResultTable(*rendered).to_csv_text() \
+                        == oracle_csv_text(rendered)
 
     def test_renders_keep_signed_zeros_apart_through_the_cache(self):
         first = ResultTable(("v",), [(0.0,)]).to_csv_text()
@@ -125,8 +133,8 @@ class TestToCsvText:
             ([0.0, 0.5], [[0.0, 0.5]]),                 # not -0.0's column
         ]
         for values, kept in steps:
-            table = ResultTable(("v", "n"), [(v, 1) for v in values])
-            assert table.to_csv_text() == oracle_csv_text(table)
+            table = Rows(("v", "n"), [(v, 1) for v in values])
+            assert ResultTable(*table).to_csv_text() == oracle_csv_text(table)
             assert list(reporting._FLOAT_COLUMNS) == [column_key(c)
                                                       for c in kept]
             assert reporting._float_cells_kept == sum(map(len, kept))
@@ -136,6 +144,88 @@ def column_key(column) -> bytes:
     """The memo key of a float column: its IEEE-754 doubles in native byte
     order, packed by struct rather than by the array module."""
     return struct.pack(f"={len(column)}d", *column)
+
+
+def quiet_nan(payload: int) -> float:
+    return struct.unpack("<d", struct.pack(
+        "<Q", 0x7FF8000000000000 | payload))[0]
+
+
+# float cells with NaN payloads beside the special floats; numpy copies a
+# double's bits, so an array keeps the payload
+payloads = st.integers(min_value=0, max_value=(1 << 51) - 1)
+column_floats = st.one_of(floats, payloads.map(quiet_nan),
+                          payloads.map(lambda p: -quiet_nan(p)))
+# the cells of each kind of column the renderer takes, and the form the
+# column is given in: numpy arrays, read as they are, or Python values
+COLUMN_CELLS = {**CELLS, "float": column_floats,
+                "float64-array": column_floats, "bool-array": st.booleans()}
+AS_COLUMN = {"float64-array": partial(np.array, dtype=np.float64),
+             "bool-array": partial(np.array, dtype=bool), "float": tuple}
+
+
+@st.composite
+def column_tables(draw):
+    """(header, cells by column), of one to five columns"""
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_CELLS)), min_size=1,
+                          max_size=5))
+    n_rows = draw(st.integers(min_value=0, max_value=12))
+    return (tuple(draw(texts) for _ in kinds),
+            [AS_COLUMN.get(kind, list)(draw(st.lists(
+                COLUMN_CELLS[kind], min_size=n_rows, max_size=n_rows)))
+             for kind in kinds])
+
+
+def as_rows(cells) -> list[tuple]:
+    """The same cells a row at a time; an array's cells are numpy scalars,
+    which go through format_cell."""
+    return list(zip(*cells))
+
+
+class TestColumnsAgainstRows:
+    @given(table=column_tables())
+    @example(table=(("x", "ok"), [np.array([-0.0, 0.0, math.nan,
+                                            quiet_nan(1), -quiet_nan(7)]),
+                                  np.array([True, False, True, True, False])]))
+    @example(table=(("n", "say"), [(1, -2, 10 ** 30), ["a,b", 'say "hi"',
+                                                       "\r\n"]]))
+    @example(table=(("only",), [["", None, "x", ""]]))
+    @example(table=(("only",), [np.array([], dtype=float)]))
+    def test_columns_render_as_the_same_rows(self, table):
+        header, cells = table
+        text = ResultTable(header, cells=cells).to_csv_text()
+        assert text == ResultTable(header, as_rows(cells)).to_csv_text()
+        python_rows = as_rows([c.tolist() if isinstance(c, np.ndarray)
+                               else c for c in cells])
+        assert text == oracle_csv_text(Rows(header, python_rows))
+
+    @pytest.mark.parametrize("cells", [
+        [(1.0, 2.0), (3.0,)],
+        [(1.0,), (2.0,), (3.0,)],
+    ])
+    def test_column_count_or_length_mismatch_raises(self, cells):
+        with pytest.raises(ValueError):
+            ResultTable(("a", "b"), cells=cells).to_csv_text()
+
+    def test_array_and_equal_tuple_share_one_memo_entry(self, monkeypatch):
+        monkeypatch.setattr(reporting, "_FLOAT_COLUMNS", {})
+        monkeypatch.setattr(reporting, "_float_cells_kept", 0)
+        values = (0.1, -0.0, quiet_nan(3), 1e16)
+        from_tuple = ResultTable(("v",), cells=[values]).to_csv_text()
+        from_array = ResultTable(("v",), cells=[np.array(values)]).to_csv_text()
+        assert from_tuple == from_array == "v\n0.1\n-0.0\nnan\n1e+16\n"
+        assert list(reporting._FLOAT_COLUMNS) == [column_key(values)]
+        assert reporting._float_cells_kept == len(values)
+
+    def test_array_hit_is_read_without_tolist(self, monkeypatch):
+        class NoList(np.ndarray):
+            def tolist(self):
+                raise AssertionError("an array's memo hit called tolist")
+        monkeypatch.setattr(reporting, "_FLOAT_COLUMNS",
+                            {column_key((-0.0, 1.5)): ("planted", "cells")})
+        column = np.array([-0.0, 1.5]).view(NoList)
+        table = ResultTable(("v", "n"), cells=[column, (1, 2)])
+        assert table.to_csv_text() == "v,n\nplanted,1\ncells,2\n"
 
 
 # Each runs in a fresh interpreter, whose memo is empty and which must
