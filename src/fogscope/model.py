@@ -361,8 +361,7 @@ def evaluate_split(scenario: "Scenario", r: float) -> tuple:
 
 def objectives(scenario: "Scenario", r: float) -> ObjectiveVector:
     """Throughput, fog power and average latency of the split ``r``;
-    raises TdpExceeded for an infeasible split.  Emits an InstabilityWarning
-    as :func:`evaluate_split` does."""
+    raises TdpExceeded for an infeasible split."""
     split = DecisionState.from_ratio(scenario.workload, r)
     _warn_if_unstable(scenario.fog, split.x1)
     _, throughput, power, _, _, latency, _ = _row(scenario, split)

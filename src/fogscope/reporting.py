@@ -90,9 +90,10 @@ def format_cell(value) -> str:
 
 
 # the repr cells of each float column seen, keyed by its IEEE-754 bytes so
-# that -0.0, 0.0 and NaN payloads stay apart.  A pure function of the key,
-# so sharing it between renders in one process changes no output; cleared
-# before it would hold more than FLOAT_REPR_CACHE_CAP cells.
+# that -0.0, 0.0 and NaN payloads stay apart (a float64 array shares the key
+# of its floats).  A pure function of the key, so sharing it between renders
+# in one process changes no output; cleared before it would hold more than
+# FLOAT_REPR_CACHE_CAP cells.
 _FLOAT_COLUMNS: dict[bytes, tuple[str, ...]] = {}
 _float_cells_kept = 0
 FLOAT_REPR_CACHE_CAP = 1 << 17
@@ -100,8 +101,7 @@ _BOOL_CELLS = {True: "true", False: "false"}
 
 
 def _float_cells(column) -> tuple[str, ...]:
-    """The repr cells of Python floats, or of a float64 numpy array: its
-    bytes are ``array("d", ...)``'s of the same floats."""
+    """The repr cells of Python floats or of a float64 numpy array."""
     global _float_cells_kept
     doubles = column if hasattr(column, "tobytes") else array("d", column)
     key = doubles.tobytes()
@@ -159,8 +159,7 @@ class ResultTable:
         self.columns = tuple(columns)
         self.cells = list(zip(*rows, strict=True)) if cells is None else cells
         if self.cells and len(self.cells) != len(self.columns):
-            raise ValueError(f"{len(self.cells)} columns of cells, the "
-                             f"header {len(self.columns)}")
+            raise ValueError("the cells' column count is not the header's")
         self.n_rows = len(self.cells[0]) if self.cells else len(rows)
 
     def to_csv_text(self) -> str:

@@ -315,11 +315,10 @@ def trend_compare(sim: SimScenario, r_grid: list[float],
     with warnings.catch_warnings():
         # grid scans cross the stability boundary on purpose
         warnings.simplefilter("ignore", model.InstabilityWarning)
-        analytic = list(zip(*(column.tolist() for column in model.evaluate(
-            scn, np.array(r_grid, dtype=float)))))
+        analytic = model.evaluate(scn, np.array(r_grid, dtype=float))
     rows = []
-    for i, r in enumerate(r_grid):
-        _, throughput, power, fog_lat, cloud_lat, avg_lat, feasible = analytic[i]
+    for i, (r, _, throughput, power, fog_lat, cloud_lat, avg_lat, feasible) \
+            in enumerate(zip(r_grid, *(c.tolist() for c in analytic))):
         run = SimScenario(scenario=scn, local_prob=r, duration_s=sim.duration_s,
                           warmup_s=sim.warmup_s)
         metrics = simulate(run, seed + i)
