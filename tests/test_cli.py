@@ -805,6 +805,54 @@ class TestErrorLines:
         assert result.stderr == ""
 
 
+class _Counted:
+    """Stands in for a module that cli calls through, as perfbench's traced
+    replay does: calls of one function are counted, every other name is
+    the module's own."""
+
+    def __init__(self, module, name):
+        self._module = module
+        self.calls = 0
+        function = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return function(*args, **kwargs)
+        setattr(self, name, counted)
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+
+class TestBenchmarkSpanPoints:
+    """The benchmark's traced replay counts sweep's evaluations
+    (model.points) by calls of cli._objective_row, and times its rendering
+    (reporting.render_s) by calls of reporting.render_artifact through
+    cli.reporting.  A sweep that went round either would skew the metric,
+    and the replay would not notice."""
+
+    def test_sweep_calls_each_span_point_per_configuration(
+            self, runner, out_dir, monkeypatch):
+        # the benchmark sweep's shape, 2 configurations x 3 steps
+        objective_row = cli._objective_row
+        evaluated = []
+
+        def counted(scn, r):
+            evaluated.append(len(r))
+            return objective_row(scn, r)
+        monkeypatch.setattr(cli, "_objective_row", counted)
+        rendering = _Counted(reporting, "render_artifact")
+        monkeypatch.setattr(cli, "reporting", rendering)
+        result = runner.invoke(main, ["sweep", "--grid", "fog.tdp_w=2.0607,10",
+                                      "--r-steps", "3"])
+        assert result.exit_code == 3
+        assert result.stderr.endswith(
+            "error: 1 grid point(s) exceed the TDP bound\n")
+        assert evaluated == [3, 3]
+        assert rendering.calls == 2 + 1     # each configuration, the head
+        assert len(strip_manifest(result.stdout).splitlines()) == 1 + 2 * 3
+
+
 # the options each command needs besides the one under test
 REQUIRED_ARGS = {
     "evaluate": ["--r", "0.5"],

@@ -434,12 +434,14 @@ def split_rows(scn, r_values):
 
 
 def assert_kernel_is_scalar_path(scn, r_values):
+    """evaluate's rows are those built from the named terms, and those of
+    evaluate_split; objectives agrees with them or raises TdpExceeded."""
     rows = kernel_rows(scn, r_values)
-    scalar = split_rows(scn, r_values)
-    assert rows == scalar
-    # -0.0 and 0.0 too; the scalar path keeps numpy scalars from R_GRID
-    assert [[repr(float(v)) for v in row] for row in rows] \
-        == [[repr(float(v)) for v in row] for row in scalar]
+    for scalar in (term_rows(scn, r_values), split_rows(scn, r_values)):
+        assert rows == scalar
+        # -0.0 and 0.0 too; the scalar paths keep numpy scalars from R_GRID
+        assert [[repr(float(v)) for v in row] for row in rows] \
+            == [[repr(float(v)) for v in row] for row in scalar]
     for row in rows:
         if row[-1]:
             assert model.objectives(scn, row[0]).as_tuple() \
@@ -498,9 +500,12 @@ class TestEvaluateKernel:
         assert all((row[2] <= 2.0607) == row[-1] for row in rows)
 
     def test_zero_arrival_rate(self):
-        scn = scenario_with(workload__arrival_rate=0.0)
+        # a base latency keeps the cloud latency apart from the fog's 0
+        scn = scenario_with(workload__arrival_rate=0.0,
+                            network__base_latency=0.05)
         rows = assert_kernel_is_scalar_path(scn, R_GRID)
         assert {row[1] for row in rows} == {0.0}
+        assert {(row[3], row[4]) for row in rows} == {(0.0, 0.05)}
 
     def test_from_ratio_resync(self):
         rate, r = 12.345, 0.33019721859799855
@@ -550,7 +555,7 @@ class TestEvaluateKernel:
         assert [column.dtype for column in evaluation] \
             == [np.dtype(np.float64)] * 6 + [np.dtype(np.bool_)]
         columns = [column.tolist() for column in evaluation]
-        assert columns == [list(c) for c in zip(*split_rows(scn, R_GRID))]
+        assert columns == [list(c) for c in zip(*term_rows(scn, R_GRID))]
 
     def test_r_outside_unit_interval_rejected(self):
         with pytest.raises(ValidationError):

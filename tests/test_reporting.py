@@ -201,6 +201,7 @@ class TestColumnsAgainstRows:
 
     @pytest.mark.parametrize("cells", [
         [(1.0, 2.0), (3.0,)],
+        [(1.0,), ()],
         [(1.0,), (2.0,), (3.0,)],
     ])
     def test_column_count_or_length_mismatch_raises(self, cells):
