@@ -685,9 +685,17 @@ ERROR_LINES = {
                      "error: grid.network: unknown preset '5g'\n"),
     "grid-number": (["sweep", "--grid", "fog.tdp_w=hot"], 2,
                     "error: grid.fog.tdp_w: expected a number, got 'hot'\n"),
+    "grid-infinite": (["sweep", "--grid", "fog.tdp_w=inf"], 2,
+                      "error: grid.fog.tdp_w: must be finite, got 'inf'\n"),
+    "grid-fraction-nan": (["sweep", "--grid", "v_fog_frac=nan"], 2,
+                          "error: grid.v_fog_frac: must be finite, "
+                          "got 'nan'\n"),
     "grid-bitrate": (["sweep", "--grid", "bitrate=720p_mid"], 2,
                      "error: grid.bitrate: expected <preset>_min, "
                      "<preset>_max or a bits/s value, got '720p_mid'\n"),
+    "grid-bitrate-inf": (["sweep", "--grid", "bitrate=inf"], 2,
+                         "error: grid.bitrate: expected <preset>_min, "
+                         "<preset>_max or a bits/s value, got 'inf'\n"),
     "grid-combination": (["sweep", "--grid",
                           "fog.idle_power_w=40;fog.tdp_w=30"], 2,
                          "error: fog.tdp: must exceed idle_power\n"),
@@ -724,6 +732,11 @@ ERROR_LINES = {
                        "envelope\n"),
     "power-efficiency": (["power", "--efficiency", "2"], 2,
                          "error: overall_efficiency must lie within (0, 1]\n"),
+    "power-lift-overflow": (
+        ["power", "--kind", "fixedwing", "--lift-coeff", "1e-300"], 2,
+        "error: aircraft: fixed-wing level power is not finite at mass 0.5 "
+        "kg, wing area 0.72 m^2, lift coefficient 1e-300, drag coefficient "
+        "0.05 and efficiency 1.0\n"),
     "power-not-a-motor": (["power", "--motor", "gsm"], 2,
                           "error: preset 'gsm' is not a motor\n"),
     "power-unknown-motor": (["power", "--motor", "nope"], 2,
@@ -1112,6 +1125,36 @@ class TestNoNumpyRandom:
     ])
     def test_scan_finds_numpy_random(self, source, lines):
         assert numpy_random_uses(source) == lines
+
+
+def post_init_raises(source: str) -> list[int]:
+    """Lines of ``raise`` statements inside a ``__post_init__``."""
+    return sorted(node.lineno
+                  for method in ast.walk(ast.parse(source))
+                  if isinstance(method, ast.FunctionDef)
+                  and method.name == "__post_init__"
+                  for node in ast.walk(method) if isinstance(node, ast.Raise))
+
+
+class TestChecksThroughRequire:
+    """A dataclass checks its fields through ``model._require``, which
+    names the field and rejects NaN; a hand-written ``if bad: raise``
+    lets NaN through."""
+
+    @pytest.mark.parametrize("path", sorted((SRC / "fogscope").glob("*.py")),
+                             ids=lambda path: path.name)
+    def test_no_post_init_raises(self, path):
+        assert post_init_raises(path.read_text(encoding="utf-8")) == []
+
+    @pytest.mark.parametrize("source, lines", [
+        ("class A:\n    def __post_init__(self):\n"
+         "        if self.x <= 0:\n            raise ValueError\n", [4]),
+        ("class A:\n    def __post_init__(self):\n"
+         "        _require(self.x > 0, 'must be > 0', 'x')\n", []),
+        ("def f(x):\n    raise ValueError(x)\n", []),
+    ])
+    def test_scan_finds_post_init_raises(self, source, lines):
+        assert post_init_raises(source) == lines
 
 
 TX_SCENARIO = (

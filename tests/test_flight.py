@@ -3,7 +3,8 @@ independent oracles (frustum ray casting, momentum theory, DC-motor
 arithmetic)."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import Optional, get_type_hints
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fogscope.flight import (AircraftModel, CameraParams, MotorOverload,
                              fixed_wing_level_power, ground_coverage,
                              hover_power, latency_budget_verdict,
                              motor_electrical_power)
+from fogscope.model import ValidationError
 from fogscope.scenario import preset
 
 PHANTOM_CAM = CameraParams(diagonal_fov_deg=94.0, aspect_w=3, aspect_h=2)
@@ -280,3 +282,79 @@ class TestMotorElectricalPower:
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             motor_electrical_power(preset("x2212"), -0.1, 100.0)
+
+
+# a valid instance of each parameter dataclass, and valid arguments of each
+# checked function; every float in them is swapped for NaN in turn below
+VALID_PARAMS = {CameraParams: PHANTOM_CAM, MotorParams: preset("x2212"),
+                AircraftModel: fixed_wing(1.0)}
+VALID_ARGS = {
+    ground_coverage: {"cam": PHANTOM_CAM, "height_m": 10.0},
+    dwell_time: {"cam": PHANTOM_CAM, "height_m": 10.0,
+                 "ground_speed_mps": 5.0},
+    latency_budget_verdict: {"dwell_s": 2.0, "pipeline_latency_s": 1.68},
+    motor_electrical_power: {"motor": preset("x2212"), "torque_nm": 0.05,
+                             "speed_rpm": 4000.0},
+}
+
+
+def is_float(hint):
+    return hint in (float, Optional[float])
+
+
+FLOAT_FIELDS = [(cls, f.name) for cls in VALID_PARAMS for f in fields(cls)
+                if is_float(get_type_hints(cls)[f.name])]
+FLOAT_ARGS = [(fn, name) for fn in VALID_ARGS
+              for name, hint in get_type_hints(fn).items()
+              if name != "return" and is_float(hint)]
+
+
+class TestNanRejected:
+    """NaN fails every comparison, so a check written as ``if bad: raise``
+    lets it through; each must name the offending parameter."""
+
+    @pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
+                             ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+    def test_dataclass_field(self, cls, name):
+        with pytest.raises(ValidationError) as info:
+            replace(VALID_PARAMS[cls], **{name: math.nan})
+        assert info.value.field == name
+
+    @pytest.mark.parametrize("end", [0, 1], ids=["low", "high"])
+    def test_efficiency_range_end(self, end):
+        bounds = [0.75, 0.85]
+        bounds[end] = math.nan
+        with pytest.raises(ValidationError) as info:
+            replace(preset("x2212"), efficiency_range=tuple(bounds))
+        assert info.value.field == "efficiency_range"
+
+    @pytest.mark.parametrize("fn, name", FLOAT_ARGS,
+                             ids=[f"{f.__name__}.{n}" for f, n in FLOAT_ARGS])
+    def test_function_argument(self, fn, name):
+        with pytest.raises(ValidationError) as info:
+            fn(**{**VALID_ARGS[fn], name: math.nan})
+        assert info.value.field == name
+
+    def test_every_float_is_covered(self):
+        # a type hint the enumeration misread would drop its case silently
+        assert len(FLOAT_FIELDS) == 3 + 6 + 6
+        assert len(FLOAT_ARGS) == 1 + 2 + 2 + 2
+
+    def test_nan_speed_is_zero_speed(self):
+        with pytest.raises(ZeroSpeed):
+            dwell_time(PHANTOM_CAM, 10.0, math.nan)
+
+
+class TestAirDensity:
+    @pytest.mark.parametrize("density", [0.0, -1.0])
+    @pytest.mark.parametrize("build", [quad, fixed_wing],
+                             ids=["quad", "fixedwing"])
+    def test_non_positive_density_rejected_when_built(self, build, density):
+        with pytest.raises(ValidationError) as info:
+            replace(build(1.0), air_density_kgpm3=density)
+        assert info.value.field == "air_density_kgpm3"
+
+    def test_thinner_air_needs_more_hover_power(self):
+        thin = replace(quad(1.0), air_density_kgpm3=1.225 / 4)
+        assert hover_power(thin) == pytest.approx(2 * hover_power(quad(1.0)),
+                                                  rel=1e-12)
