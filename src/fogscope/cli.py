@@ -377,14 +377,11 @@ def power(kind: str, mass_min: float, mass_max: float, step: float,
     aircraft = partial(flight.AircraftModel, motor=motor,
                        overall_efficiency=efficiency, **airframe)
     rows = []
-    try:
-        for i in range(int(span) + 1):
-            mass = mass_min + i * step
-            base = power_fn(aircraft(mass_kg=mass))
-            delta = power_fn(aircraft(mass_kg=mass + 0.25)) - base
-            rows.append((mass, base, delta))
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
+    for i in range(int(span) + 1):
+        mass = mass_min + i * step
+        base = power_fn(aircraft(mass_kg=mass))
+        delta = power_fn(aircraft(mass_kg=mass + 0.25)) - base
+        rows.append((mass, base, delta))
     table = ResultTable(
         columns=("mass_kg", "power_w", "delta_power_plus_250g_w"), rows=rows)
     manifest = RunManifest.create(

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .model import ValidationError, _require
+
 GRAVITY_MPS2 = 9.81
 SEA_LEVEL_AIR_DENSITY = 1.225  # kg/m^3
 CLOUD_ROUND_TRIP_S = 1.68      # two-hop sensor-data latency, up and back
@@ -20,7 +22,7 @@ QUAD_ROTOR = "quad_rotor"
 FIXED_WING_BIMOTOR = "fixed_wing_bimotor"
 
 
-class ZeroSpeed(ValueError):
+class ZeroSpeed(ValidationError):
     """Ground speed must be strictly positive."""
 
 
@@ -47,10 +49,10 @@ class CameraParams:
     aspect_h: float
 
     def __post_init__(self):
-        if not 0 < self.diagonal_fov_deg < 180:
-            raise ValueError("diagonal_fov_deg must be within (0, 180)")
-        if self.aspect_w <= 0 or self.aspect_h <= 0:
-            raise ValueError("aspect components must be > 0")
+        _require(0 < self.diagonal_fov_deg < 180, "must be within (0, 180)",
+                 "diagonal_fov_deg")
+        _require(self.aspect_w > 0, "must be > 0", "aspect_w")
+        _require(self.aspect_h > 0, "must be > 0", "aspect_h")
 
 
 @dataclass(frozen=True)
@@ -68,11 +70,10 @@ class MotorParams:
     def __post_init__(self):
         for name in ("kv_rpm_per_v", "no_load_current_a", "resistance_ohm",
                      "max_power_w", "prop_diameter_m", "prop_pitch_m"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            _require(getattr(self, name) > 0, "must be > 0", name)
         lo, hi = self.efficiency_range
-        if not (0 < lo <= hi <= 1):
-            raise ValueError("efficiency_range must lie within (0, 1]")
+        _require(0 < lo <= hi <= 1, "must lie within (0, 1]",
+                 "efficiency_range")
 
 
 @dataclass(frozen=True)
@@ -89,21 +90,21 @@ class AircraftModel:
     overall_efficiency: float = 0.8
 
     def __post_init__(self):
-        if self.kind not in (QUAD_ROTOR, FIXED_WING_BIMOTOR):
-            raise ValueError(f"unknown aircraft kind {self.kind!r}")
-        if self.mass_kg <= 0:
-            raise ValueError("mass_kg must be > 0")
-        if not 0 < self.overall_efficiency <= 1:
-            raise ValueError("overall_efficiency must lie within (0, 1]")
+        _require(self.kind in (QUAD_ROTOR, FIXED_WING_BIMOTOR),
+                 f"unknown aircraft kind {self.kind!r}", "kind")
+        for name in ("mass_kg", "air_density_kgpm3"):
+            _require(getattr(self, name) > 0, "must be > 0", name)
+        _require(0 < self.overall_efficiency <= 1, "must lie within (0, 1]",
+                 "overall_efficiency")
         if self.kind == FIXED_WING_BIMOTOR:
-            if self.wing_area_m2 is None or self.drag_coeff is None:
-                raise ValueError("fixed-wing aircraft need wing_area_m2 and "
-                                 "drag_coeff")
-            if self.wing_area_m2 <= 0 or self.drag_coeff <= 0 or self.lift_coeff <= 0:
-                raise ValueError("wing_area_m2, drag_coeff and lift_coeff must "
-                                 "be > 0")
-        elif self.wing_area_m2 is not None:
-            raise ValueError("wing_area_m2 only applies to fixed-wing aircraft")
+            for name in ("wing_area_m2", "drag_coeff", "lift_coeff"):
+                value = getattr(self, name)
+                _require(value is not None, "required for fixed-wing aircraft",
+                         name)
+                _require(value > 0, "must be > 0", name)
+        else:
+            _require(self.wing_area_m2 is None,
+                     "only applies to fixed-wing aircraft", "wing_area_m2")
 
 
 def ground_coverage(cam: CameraParams, height_m: float) -> tuple[float, float]:
@@ -112,8 +113,7 @@ def ground_coverage(cam: CameraParams, height_m: float) -> tuple[float, float]:
     Decomposes the diagonal FOV onto the image axes: each full extent is
     2 * height * tan(fov/2) * axis / sqrt(w^2 + h^2).
     """
-    if height_m < 0:
-        raise ValueError("height_m must be >= 0")
+    _require(height_m >= 0, "must be >= 0", "height_m")
     full_diagonal = 2.0 * height_m * math.tan(math.radians(cam.diagonal_fov_deg) / 2.0)
     diag = math.hypot(cam.aspect_w, cam.aspect_h)
     along = full_diagonal * cam.aspect_h / diag
@@ -123,8 +123,9 @@ def ground_coverage(cam: CameraParams, height_m: float) -> tuple[float, float]:
 
 def dwell_time(cam: CameraParams, height_m: float, ground_speed_mps: float) -> float:
     """Seconds a point target stays in frame on a straight nadir pass."""
-    if ground_speed_mps <= 0:
-        raise ZeroSpeed("ground_speed_mps must be > 0")
+    if not ground_speed_mps > 0:
+        raise ZeroSpeed("ground_speed_mps: must be > 0",
+                        field="ground_speed_mps")
     along, _ = ground_coverage(cam, height_m)
     return along / ground_speed_mps
 
@@ -137,8 +138,8 @@ class BudgetVerdict:
 
 def latency_budget_verdict(dwell_s: float, pipeline_latency_s: float) -> BudgetVerdict:
     """Feasible iff the processing pipeline finishes within the dwell window."""
-    if dwell_s < 0 or pipeline_latency_s < 0:
-        raise ValueError("dwell and pipeline latency must be >= 0")
+    _require(dwell_s >= 0, "must be >= 0", "dwell_s")
+    _require(pipeline_latency_s >= 0, "must be >= 0", "pipeline_latency_s")
     return BudgetVerdict(feasible=pipeline_latency_s <= dwell_s,
                          margin_s=dwell_s - pipeline_latency_s)
 
@@ -149,8 +150,8 @@ def hover_power(aircraft: AircraftModel) -> float:
     Per rotor: P = T^1.5 / sqrt(2 * rho * disk_area) with T = m*g/4;
     summed over four rotors and divided by the overall efficiency.
     """
-    if aircraft.kind != QUAD_ROTOR:
-        raise ValueError("hover_power applies to quad_rotor aircraft")
+    _require(aircraft.kind == QUAD_ROTOR,
+             "hover_power applies to quad_rotor aircraft", "kind")
     thrust = aircraft.mass_kg * GRAVITY_MPS2 / 4.0
     disk_area = math.pi * (aircraft.motor.prop_diameter_m / 2.0) ** 2
     per_rotor = thrust ** 1.5 / math.sqrt(2.0 * aircraft.air_density_kgpm3 * disk_area)
@@ -168,10 +169,10 @@ def fixed_wing_level_power(aircraft: AircraftModel) -> float:
     V = sqrt(2*m*g / (rho * S * Cl)); power is 0.5 * rho * V^3 * S * Cd
     divided by the overall efficiency.  A trend model only; absolute
     values depend strongly on the (unmodeled) propulsion matching.
-    Raises ValueError when the power is not a finite float.
+    Raises ValidationError when the power is not a finite float.
     """
-    if aircraft.kind != FIXED_WING_BIMOTOR:
-        raise ValueError("fixed_wing_level_power applies to fixed-wing aircraft")
+    _require(aircraft.kind == FIXED_WING_BIMOTOR,
+             "fixed_wing_level_power applies to fixed-wing aircraft", "kind")
     rho = aircraft.air_density_kgpm3
     try:
         speed = math.sqrt(2.0 * aircraft.mass_kg * GRAVITY_MPS2
@@ -180,13 +181,12 @@ def fixed_wing_level_power(aircraft: AircraftModel) -> float:
                  * aircraft.drag_coeff / aircraft.overall_efficiency)
     except (OverflowError, ZeroDivisionError):
         power = math.inf
-    if not math.isfinite(power):
-        raise ValueError(
-            f"fixed-wing level power is not finite at mass "
-            f"{aircraft.mass_kg!r} kg, wing area {aircraft.wing_area_m2!r} m^2, "
-            f"lift coefficient {aircraft.lift_coeff!r}, drag coefficient "
-            f"{aircraft.drag_coeff!r} and efficiency "
-            f"{aircraft.overall_efficiency!r}")
+    _require(math.isfinite(power),
+             f"fixed-wing level power is not finite at mass "
+             f"{aircraft.mass_kg!r} kg, wing area {aircraft.wing_area_m2!r} "
+             f"m^2, lift coefficient {aircraft.lift_coeff!r}, drag "
+             f"coefficient {aircraft.drag_coeff!r} and efficiency "
+             f"{aircraft.overall_efficiency!r}", "aircraft")
     return power
 
 
@@ -198,8 +198,8 @@ def motor_electrical_power(motor: MotorParams, torque_nm: float,
     V = speed/Kv + I*R; returns V*I.  Raises MotorOverload above the
     motor's maximum power.
     """
-    if torque_nm < 0 or speed_rpm < 0:
-        raise ValueError("torque and speed must be >= 0")
+    _require(torque_nm >= 0, "must be >= 0", "torque_nm")
+    _require(speed_rpm >= 0, "must be >= 0", "speed_rpm")
     kv_rad = motor.kv_rpm_per_v * 2.0 * math.pi / 60.0
     current = torque_nm * kv_rad + motor.no_load_current_a
     speed_rad = speed_rpm * 2.0 * math.pi / 60.0

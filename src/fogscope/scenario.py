@@ -456,26 +456,18 @@ def parse_grid_spec(text: str) -> GridAxes:
     return axes
 
 
-def _parse_float(axis: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ValidationError(f"grid.{axis}: expected a number, got {value!r}",
-                              field=f"grid.{axis}") from None
-
-
 def _bitrate_bps(value: str) -> float:
-    if "_" in value:
-        name, _, bound = value.rpartition("_")
-        if name in CATALOG.bitrates and bound in ("min", "max"):
-            br = CATALOG.bitrates[name]
-            return br.min_bps if bound == "min" else br.max_bps
+    name, _, bound = value.rpartition("_")
+    if name in CATALOG.bitrates and bound in ("min", "max"):
+        br = CATALOG.bitrates[name]
+        return br.min_bps if bound == "min" else br.max_bps
     try:
-        return float(value)
+        bps = float(value)
     except ValueError:
-        raise ValidationError(
-            f"grid.bitrate: expected <preset>_min, <preset>_max or a bits/s "
-            f"value, got {value!r}", field="grid.bitrate") from None
+        bps = math.nan
+    _require(math.isfinite(bps), f"expected <preset>_min, <preset>_max or a "
+             f"bits/s value, got {value!r}", "grid.bitrate")
+    return bps
 
 
 def _apply_axis(sections: dict, include_base: bool, axis: str,
@@ -491,10 +483,11 @@ def _apply_axis(sections: dict, include_base: bool, axis: str,
         workload["arrival_rate"] = _bitrate_bps(value) / workload["packet_size"]
     elif axis == "v_fog_frac":
         sections["fog"]["proc_capability"] = (
-            _parse_float(axis, value) * sections["workload"]["arrival_rate"])
+            _number(f"grid.{axis}", value)
+            * sections["workload"]["arrival_rate"])
     elif axis in _FIELD_AXES:
         section, field = _FIELD_AXES[axis]
-        sections[section][field] = _parse_float(axis, value)
+        sections[section][field] = _number(f"grid.{axis}", value)
     else:
         raise ValidationError(f"grid: unknown axis {axis!r}", field="grid")
 

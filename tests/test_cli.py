@@ -731,7 +731,8 @@ ERROR_LINES = {
                        "error: required power 2832.07 W exceeds the 1560 W "
                        "envelope\n"),
     "power-efficiency": (["power", "--efficiency", "2"], 2,
-                         "error: overall_efficiency must lie within (0, 1]\n"),
+                         "error: overall_efficiency: must lie within "
+                         "(0, 1]\n"),
     "power-lift-overflow": (
         ["power", "--kind", "fixedwing", "--lift-coeff", "1e-300"], 2,
         "error: aircraft: fixed-wing level power is not finite at mass 0.5 "
@@ -742,7 +743,7 @@ ERROR_LINES = {
     "power-unknown-motor": (["power", "--motor", "nope"], 2,
                             "error: unknown motor preset 'nope'\n"),
     "fov-aspect": (["fov", "--aspect", "0:1"], 2,
-                   "error: --aspect/--dfov: aspect components must be > 0\n"),
+                   "error: --aspect/--dfov: aspect_w: must be > 0\n"),
     "epoch-word": (["presets"], 2, EPOCH_ERROR.format("'abc'")),
     "epoch-empty": (["evaluate", "--r", "0.5"], 2, EPOCH_ERROR.format("''")),
     "epoch-float": (["sweep"], 2, EPOCH_ERROR.format("'1e9'")),
