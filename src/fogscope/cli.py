@@ -129,10 +129,9 @@ def evaluate(scenario_path: Optional[str], r: float):
     if not 0.0 <= r <= 1.0:
         _fail(EXIT_INPUT, f"--r={r} violates the bound [0, 1]")
     row = model.evaluate_split(scn, r)
-    if not row[-1]:
-        _fail(EXIT_INFEASIBLE,
-              f"fog power {row[2]:.6g} W exceeds TDP {scn.fog.tdp:.6g} W "
-              f"at r={r}")
+    if not row.feasible:
+        _fail(EXIT_INFEASIBLE, f"fog power {row.fog_power_w:.6g} W exceeds "
+                               f"TDP {scn.fog.tdp:.6g} W at r={r}")
     table = ResultTable(columns=model.Evaluation._fields, rows=[row])
     manifest = RunManifest.create("evaluate", scenario_digest(scn))
     _emit("evaluate.csv", manifest, table)
@@ -253,7 +252,7 @@ def simulate(scenario_path: Optional[str], local_prob: float, duration: float,
                  *(f.name for f in fields(simulation.SimMetrics)),
                  "analytic_throughput_bps", "analytic_fog_latency_s"),
         rows=[(local_prob, duration, sim.warmup_s, *astuple(metrics),
-               analytic[1], analytic[3])])
+               analytic.throughput_bps, analytic.fog_latency_s)])
     manifest = RunManifest.create("simulate", scenario_digest(scn), seed=seed)
     if trace_path is not None:
         # written before simulate.csv, so that a path it cannot write fails

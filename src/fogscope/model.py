@@ -307,8 +307,9 @@ def avg_latency(fog_latency_s: float, cloud_latency_s: float) -> float:
 
 
 class Evaluation(NamedTuple):
-    """Per-split objective terms from :func:`evaluate`, one array entry per
-    ``r``; ``fog_power_w`` is the raw draw, also where it exceeds the TDP."""
+    """Per-split objective terms: from :func:`evaluate`, one array entry per
+    ``r``; from :func:`evaluate_split`, floats and a bool.  ``fog_power_w``
+    is the raw draw, also where it exceeds the TDP."""
 
     r: np.ndarray
     throughput_bps: np.ndarray
@@ -319,16 +320,17 @@ class Evaluation(NamedTuple):
     feasible: np.ndarray
 
 
-def _row(scenario: "Scenario", split: DecisionState) -> tuple:
-    """The :class:`Evaluation` fields of ``split``, elementwise when its
-    fields are arrays: the raw draw, flagged against the TDP, no warning."""
+def _row(scenario: "Scenario", split: DecisionState) -> Evaluation:
+    """The :class:`Evaluation` of ``split``, elementwise when its fields are
+    arrays: the raw draw, flagged against the TDP, no warning."""
     w, fog = scenario.workload, scenario.fog
     power = (_power_with_tx if scenario.modification1_enabled
              else _local_power)(w, fog, split)
     fog_lat = _linear_latency(fog, split)
     cloud_lat = cloud_latency(w, scenario.network, scenario.cloud, split)
-    return (split.r, throughput_to_cloud(w, split), power, fog_lat, cloud_lat,
-            avg_latency(fog_lat, cloud_lat), power <= fog.tdp)
+    return Evaluation(split.r, throughput_to_cloud(w, split), power, fog_lat,
+                      cloud_lat, avg_latency(fog_lat, cloud_lat),
+                      power <= fog.tdp)
 
 
 def evaluate(scenario: "Scenario", r: np.ndarray) -> Evaluation:
@@ -347,10 +349,10 @@ def evaluate(scenario: "Scenario", r: np.ndarray) -> Evaluation:
     # half-ulp rounding tie; resync so the split sums exactly
     x1 = np.where(x1 + x2 != rate, rate - x2, x1)
     _warn_if_unstable(scenario.fog, x1.max(initial=-math.inf))
-    return Evaluation(*_row(scenario, DecisionState(r, x1, x2)))
+    return _row(scenario, DecisionState(r, x1, x2))
 
 
-def evaluate_split(scenario: "Scenario", r: float) -> tuple:
+def evaluate_split(scenario: "Scenario", r: float) -> Evaluation:
     """The row of :func:`evaluate` for one split ``r``, without numpy.
     Emits an InstabilityWarning when the accepted rate reaches the fog
     capability."""
@@ -364,6 +366,7 @@ def objectives(scenario: "Scenario", r: float) -> ObjectiveVector:
     raises TdpExceeded for an infeasible split."""
     split = DecisionState.from_ratio(scenario.workload, r)
     _warn_if_unstable(scenario.fog, split.x1)
-    _, throughput, power, _, _, latency, _ = _row(scenario, split)
-    return ObjectiveVector(throughput, _within_tdp(power, scenario.fog),
-                           latency)
+    row = _row(scenario, split)
+    return ObjectiveVector(row.throughput_bps,
+                           _within_tdp(row.fog_power_w, scenario.fog),
+                           row.avg_latency_s)

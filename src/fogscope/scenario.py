@@ -68,7 +68,7 @@ def _require_finite_objectives(s: Scenario) -> None:
     for row in rows:
         for name, value in zip(Evaluation._fields[1:-1], row[1:-1]):
             _require(math.isfinite(value),
-                     f"{name} at r={row[0]!r} is not finite",
+                     f"{name} at r={row.r!r} is not finite",
                      "workload.arrival_rate_pps")
 
 
