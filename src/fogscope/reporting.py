@@ -97,7 +97,6 @@ def format_cell(value) -> str:
 _FLOAT_COLUMNS: dict[bytes, tuple[str, ...]] = {}
 _float_cells_kept = 0
 FLOAT_REPR_CACHE_CAP = 1 << 17
-_BOOL_CELLS = {True: "true", False: "false"}
 
 
 def _float_cells(column) -> tuple[str, ...]:
@@ -117,17 +116,17 @@ def _float_cells(column) -> tuple[str, ...]:
     return cells
 
 
-def _csv_fields(texts) -> dict[str, str]:
-    """Each distinct text as the csv module writes it as one field of a
-    row of several (minimal quoting)."""
+def _csv_fields(values) -> dict:
+    """Each distinct value's format_cell text as the csv module writes it as
+    one field of a row of several (minimal quoting)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     fields = {}
-    for text in set(texts):
+    for value in set(values):
         buf.seek(0)
         buf.truncate()
-        writer.writerow((text, ""))
-        fields[text] = buf.getvalue()[:-2]   # drop the "," and the "\n"
+        writer.writerow((format_cell(value), ""))
+        fields[value] = buf.getvalue()[:-2]   # drop the "," and the "\n"
     return fields
 
 
@@ -137,16 +136,14 @@ def _column_cells(column: Sequence) -> Sequence[str]:
     if np is not None and isinstance(column, np.ndarray):
         if column.dtype == np.float64:
             return _float_cells(column)
-        column = column.tolist()    # a bool array maps through _BOOL_CELLS
+        column = column.tolist()
     kinds = set(map(type, column))
     if kinds == {float}:
         return _float_cells(column)
-    if kinds == {bool}:
-        return list(map(_BOOL_CELLS.__getitem__, column))
-    if kinds == {int}:
-        return list(map(str, column))
-    texts = column if kinds == {str} else list(map(format_cell, column))
-    return list(map(_csv_fields(texts).__getitem__, texts))
+    if len(kinds) != 1 or not kinds <= {bool, int, str}:
+        # 1 == 1.0 == True and -0.0 == 0.0: key these cells by their text
+        column = list(map(format_cell, column))
+    return list(map(_csv_fields(column).__getitem__, column))
 
 
 class ResultTable:

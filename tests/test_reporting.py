@@ -80,6 +80,9 @@ class TestToCsvText:
     @example(table=Rows(("only",), [("",), (None,), (1.5,)]))
     @example(table=Rows(("flag", "x"), [(True, -0.0), (1, 0.0),
                                         (None, math.nan), ("", 5e-324)]))
+    # equal values of different types, which a cell keyed by value would merge
+    @example(table=Rows(("v",), [(1,), (1.0,), (True,), (0,), (-0.0,), (0.0,),
+                                 (False,)]))
     @example(table=Rows(("a", "b,c"), [("a,b", 'say "hi"'), ("\r", "\n")]))
     @example(table=Rows(("r", "v"), [(1e16, 1e-4), (1e15, 1e-5),
                                      (math.inf, -math.inf)]))
