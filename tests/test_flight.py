@@ -287,7 +287,8 @@ class TestMotorElectricalPower:
 
 
 # a valid instance of each parameter dataclass, and valid arguments of each
-# checked function; every float in them is swapped for NaN in turn below
+# checked function; every float in them is swapped for NaN, inf and -inf in
+# turn below
 VALID_PARAMS = {CameraParams: PHANTOM_CAM, MotorParams: preset("x2212"),
                 AircraftModel: fixed_wing(1.0)}
 VALID_ARGS = {
@@ -309,32 +310,45 @@ FLOAT_FIELDS = [(cls, f.name) for cls in VALID_PARAMS for f in fields(cls)
 FLOAT_ARGS = [(fn, name) for fn in VALID_ARGS
               for name, hint in get_type_hints(fn).items()
               if name != "return" and is_float(hint)]
+# the id suffix of each non-finite value; NaN keeps the bare case id
+NON_FINITE = {"": math.nan, "=inf": math.inf, "=-inf": -math.inf}
+
+
+def each_non_finite(argnames, cases, case_id):
+    """Parametrize ``argnames`` over ``cases``, each with every value of
+    NON_FINITE in turn as the argument ``value``."""
+    return pytest.mark.parametrize(
+        f"{argnames}, value",
+        [(*case, value) for case in cases for value in NON_FINITE.values()],
+        ids=[case_id(*case) + suffix for case in cases
+             for suffix in NON_FINITE])
 
 
 class TestNanRejected:
     """NaN fails every comparison, so a check written as ``if bad: raise``
-    lets it through; each must name the offending parameter."""
+    lets it through, and an infinity passes every lower bound; each must
+    name the offending parameter."""
 
-    @pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
-                             ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
-    def test_dataclass_field(self, cls, name):
+    @each_non_finite("cls, name", FLOAT_FIELDS,
+                     lambda cls, name: f"{cls.__name__}.{name}")
+    def test_dataclass_field(self, cls, name, value):
         with pytest.raises(ValidationError) as info:
-            replace(VALID_PARAMS[cls], **{name: math.nan})
+            replace(VALID_PARAMS[cls], **{name: value})
         assert info.value.field == name
 
-    @pytest.mark.parametrize("end", [0, 1], ids=["low", "high"])
-    def test_efficiency_range_end(self, end):
+    @each_non_finite("end", [(0,), (1,)], lambda end: ["low", "high"][end])
+    def test_efficiency_range_end(self, end, value):
         bounds = [0.75, 0.85]
-        bounds[end] = math.nan
+        bounds[end] = value
         with pytest.raises(ValidationError) as info:
             replace(preset("x2212"), efficiency_range=tuple(bounds))
         assert info.value.field == "efficiency_range"
 
-    @pytest.mark.parametrize("fn, name", FLOAT_ARGS,
-                             ids=[f"{f.__name__}.{n}" for f, n in FLOAT_ARGS])
-    def test_function_argument(self, fn, name):
+    @each_non_finite("fn, name", FLOAT_ARGS,
+                     lambda fn, name: f"{fn.__name__}.{name}")
+    def test_function_argument(self, fn, name, value):
         with pytest.raises(ValidationError) as info:
-            fn(**{**VALID_ARGS[fn], name: math.nan})
+            fn(**{**VALID_ARGS[fn], name: value})
         assert info.value.field == name
 
     def test_every_float_is_covered(self):
