@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import ValidationError, _require
+from .model import ValidationError, _require, _require_finite
 
 GRAVITY_MPS2 = 9.81
 SEA_LEVEL_AIR_DENSITY = 1.225  # kg/m^3
@@ -49,6 +49,7 @@ class CameraParams:
     aspect_h: float
 
     def __post_init__(self):
+        _require_finite(**vars(self))
         _require(0 < self.diagonal_fov_deg < 180, "must be within (0, 180)",
                  "diagonal_fov_deg")
         _require(self.aspect_w > 0, "must be > 0", "aspect_w")
@@ -68,6 +69,7 @@ class MotorParams:
     efficiency_range: tuple[float, float]
 
     def __post_init__(self):
+        _require_finite(**vars(self))
         for name in ("kv_rpm_per_v", "no_load_current_a", "resistance_ohm",
                      "max_power_w", "prop_diameter_m", "prop_pitch_m"):
             _require(getattr(self, name) > 0, "must be > 0", name)
@@ -92,6 +94,7 @@ class AircraftModel:
     def __post_init__(self):
         _require(self.kind in (QUAD_ROTOR, FIXED_WING_BIMOTOR),
                  f"unknown aircraft kind {self.kind!r}", "kind")
+        _require_finite(**vars(self))
         for name in ("mass_kg", "air_density_kgpm3"):
             _require(getattr(self, name) > 0, "must be > 0", name)
         _require(0 < self.overall_efficiency <= 1, "must lie within (0, 1]",
@@ -113,6 +116,7 @@ def ground_coverage(cam: CameraParams, height_m: float) -> tuple[float, float]:
     Decomposes the diagonal FOV onto the image axes: each full extent is
     2 * height * tan(fov/2) * axis / sqrt(w^2 + h^2).
     """
+    _require_finite(height_m=height_m)
     _require(height_m >= 0, "must be >= 0", "height_m")
     full_diagonal = 2.0 * height_m * math.tan(math.radians(cam.diagonal_fov_deg) / 2.0)
     diag = math.hypot(cam.aspect_w, cam.aspect_h)
@@ -126,6 +130,7 @@ def dwell_time(cam: CameraParams, height_m: float, ground_speed_mps: float) -> f
     if not ground_speed_mps > 0:
         raise ZeroSpeed("ground_speed_mps: must be > 0",
                         field="ground_speed_mps")
+    _require_finite(ground_speed_mps=ground_speed_mps)
     along, _ = ground_coverage(cam, height_m)
     return along / ground_speed_mps
 
@@ -138,6 +143,7 @@ class BudgetVerdict:
 
 def latency_budget_verdict(dwell_s: float, pipeline_latency_s: float) -> BudgetVerdict:
     """Feasible iff the processing pipeline finishes within the dwell window."""
+    _require_finite(dwell_s=dwell_s, pipeline_latency_s=pipeline_latency_s)
     _require(dwell_s >= 0, "must be >= 0", "dwell_s")
     _require(pipeline_latency_s >= 0, "must be >= 0", "pipeline_latency_s")
     return BudgetVerdict(feasible=pipeline_latency_s <= dwell_s,
@@ -198,6 +204,7 @@ def motor_electrical_power(motor: MotorParams, torque_nm: float,
     V = speed/Kv + I*R; returns V*I.  Raises MotorOverload above the
     motor's maximum power.
     """
+    _require_finite(torque_nm=torque_nm, speed_rpm=speed_rpm)
     _require(torque_nm >= 0, "must be >= 0", "torque_nm")
     _require(speed_rpm >= 0, "must be >= 0", "speed_rpm")
     kv_rad = motor.kv_rpm_per_v * 2.0 * math.pi / 60.0

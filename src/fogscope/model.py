@@ -10,9 +10,10 @@ packets/s, packet sizes in bits, power in watts.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 if TYPE_CHECKING:
@@ -56,12 +57,12 @@ def _require(condition: bool, message: str, field: str) -> None:
         raise ValidationError(f"{field}: {message}", field=field)
 
 
-def _require_finite(params) -> None:
-    """Every field of a parameter dataclass must be a finite number."""
-    for f in fields(params):
-        value = getattr(params, f.name)
-        _require(math.isfinite(value), f"must be finite, got {value!r}",
-                 f.name)
+def _require_finite(**values) -> None:
+    """Every real number among ``values`` must be finite; other values are
+    left to the checks that follow."""
+    for name, value in values.items():
+        _require(not isinstance(value, numbers.Real) or math.isfinite(value),
+                 f"must be finite, got {value!r}", name)
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class WorkloadParams:
     packet_size: float   # bits/packet
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(**vars(self))
         _require(self.arrival_rate >= 0, "must be >= 0", "arrival_rate")
         _require(self.packet_size > 0, "must be > 0", "packet_size")
 
@@ -95,7 +96,7 @@ class FogNodeParams:
     tx_energy_per_bit: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(**vars(self))
         _require(self.proc_capability > 0, "must be > 0", "proc_capability")
         _require(self.energy_per_bit >= 0, "must be >= 0", "energy_per_bit")
         _require(self.idle_power >= 0, "must be >= 0", "idle_power")
@@ -114,7 +115,7 @@ class NetworkParams:
     return_fraction: float = 0.1  # fraction of the uplinked volume sent back down
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(**vars(self))
         _require(self.uplink_throughput > 0, "must be > 0", "uplink_throughput")
         _require(self.downlink_throughput > 0, "must be > 0", "downlink_throughput")
         _require(self.base_latency >= 0, "must be >= 0", "base_latency")
@@ -130,7 +131,7 @@ class CloudParams:
     proc_capability: float  # bits/s
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(**vars(self))
         _require(self.proc_capability > 0, "must be > 0", "proc_capability")
 
 
