@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from contextlib import contextmanager
 from dataclasses import astuple, fields
 from functools import partial
@@ -172,10 +171,7 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
         combined.write(head)
         click.echo(head, nl=False)
         for gid, member in enumerate(scenarios):
-            with warnings.catch_warnings():
-                # sweeps scan past the stability boundary by design
-                warnings.simplefilter("ignore", model.InstabilityWarning)
-                evaluation = _objective_row(member, r_values)
+            evaluation = _objective_row(member, r_values)
             infeasible += r_steps - int(evaluation.feasible.sum())
             text = reporting.render_artifact(manifest, ResultTable(
                 columns, cells=([gid] * r_steps, [member.name] * r_steps,

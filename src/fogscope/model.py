@@ -220,11 +220,11 @@ def fog_energy_with_tx(workload: WorkloadParams, fog: FogNodeParams,
     return _within_tdp(_power_with_tx(workload, fog, split), fog)
 
 
-def _warn_if_unstable(fog: FogNodeParams, peak_x1: float) -> None:
+def _warn_if_unstable(fog: FogNodeParams, x1: float) -> None:
     """Warn, at the line that called the caller, when the accepted rate
-    ``peak_x1`` reaches or exceeds the fog processing capability."""
-    if peak_x1 >= fog.proc_capability:
-        warnings.warn(f"accepted rate {peak_x1:.6g} pkt/s >= fog capability "
+    ``x1`` reaches or exceeds the fog processing capability."""
+    if x1 >= fog.proc_capability:
+        warnings.warn(f"accepted rate {x1:.6g} pkt/s >= fog capability "
                       f"{fog.proc_capability:.6g} pkt/s; linearized latency "
                       "is outside its stable region", InstabilityWarning,
                       stacklevel=3)
@@ -338,8 +338,7 @@ def evaluate(scenario: "Scenario", r: np.ndarray) -> Evaluation:
     """Evaluate every split in ``r`` in one numpy pass: the composition of
     :func:`evaluate_split` over a DecisionState of arrays, so bit-identical
     to it split by split.  Infeasible splits are flagged in ``feasible``.
-    Emits one InstabilityWarning when any accepted rate reaches the fog
-    capability."""
+    A scan may cross the fog stability boundary and warns of none."""
     import numpy as np
     r = np.asarray(r, dtype=float)
     _require(bool(np.all((r >= 0.0) & (r <= 1.0))), "must be within [0, 1]",
@@ -349,7 +348,6 @@ def evaluate(scenario: "Scenario", r: np.ndarray) -> Evaluation:
     x2 = rate - x1
     # half-ulp rounding tie; resync so the split sums exactly
     x1 = np.where(x1 + x2 != rate, rate - x2, x1)
-    _warn_if_unstable(scenario.fog, x1.max(initial=-math.inf))
     return _row(scenario, DecisionState(r, x1, x2))
 
 

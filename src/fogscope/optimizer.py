@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import model
-from .model import InstabilityWarning, ObjectiveVector, _require
+from .model import ObjectiveVector, _require
 
 if TYPE_CHECKING:
     import numpy as np
@@ -197,11 +196,7 @@ class _Population(NamedTuple):
 
 def _evaluate(problem: OptProblem, r: np.ndarray) -> _Population:
     import numpy as np
-    # the search scans all of [0, 1]; crossing the fog stability
-    # boundary is expected, so the warning is silenced here
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", InstabilityWarning)
-        ev = model.evaluate(problem.scenario, r)
+    ev = model.evaluate(problem.scenario, r)
     objs = np.column_stack((ev.throughput_bps, ev.fog_power_w,
                             ev.avg_latency_s))
     violation = np.where(ev.feasible, 0.0,

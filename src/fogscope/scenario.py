@@ -12,16 +12,15 @@ import hashlib
 import itertools
 import json
 import math
-import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Any, Optional
 
 import yaml
 
 from .flight import MotorParams
-from .model import (CloudParams, Evaluation, FogNodeParams, InstabilityWarning,
-                    NetworkParams, ValidationError, WorkloadParams,
-                    _require, evaluate_split)
+from .model import (CloudParams, DecisionState, Evaluation, FogNodeParams,
+                    NetworkParams, ValidationError, WorkloadParams, _require,
+                    _row)
 
 
 class ParseError(Exception):
@@ -60,12 +59,10 @@ class Scenario:
 def _require_finite_objectives(s: Scenario) -> None:
     """Each objective is affine in r, so it is finite over [0, 1] when it is
     finite at both ends.  The error names the arrival rate, which scales
-    every objective.  Plain floats keep start-up free of numpy."""
-    with warnings.catch_warnings():
-        # r = 1 may lie past the stability boundary by design
-        warnings.simplefilter("ignore", InstabilityWarning)
-        rows = [evaluate_split(s, r) for r in (0.0, 1.0)]
-    for row in rows:
+    every objective.  Plain floats keep start-up free of numpy, and the
+    bare composition warns of no split past the stability boundary."""
+    for r in (0.0, 1.0):
+        row = _row(s, DecisionState.from_ratio(s.workload, r))
         for name, value in zip(Evaluation._fields[1:-1], row[1:-1]):
             _require(math.isfinite(value),
                      f"{name} at r={row.r!r} is not finite",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -312,10 +311,7 @@ def trend_compare(sim: SimScenario, r_grid: list[float],
     import numpy as np
     _require(bool(r_grid), "must be nonempty", "r_grid")
     scn = sim.scenario
-    with warnings.catch_warnings():
-        # grid scans cross the stability boundary on purpose
-        warnings.simplefilter("ignore", model.InstabilityWarning)
-        analytic = model.evaluate(scn, np.array(r_grid, dtype=float))
+    analytic = model.evaluate(scn, np.array(r_grid, dtype=float))
     rows = []
     for i, (r, _, throughput, power, fog_lat, cloud_lat, avg_lat, feasible) \
             in enumerate(zip(r_grid, *(c.tolist() for c in analytic))):

@@ -9,6 +9,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -20,7 +21,7 @@ from fogscope import cli, optimizer, reporting, simulation
 from fogscope.cli import main
 from fogscope.model import InstabilityWarning
 from fogscope.reporting import MANIFEST_PREFIX, RunManifest, strip_manifest
-from fogscope.scenario import catalog_checksum, sweep_grid
+from fogscope.scenario import catalog_checksum, default_scenario, sweep_grid
 
 pytestmark = pytest.mark.usefixtures("out_dir")
 
@@ -1156,6 +1157,69 @@ class TestChecksThroughRequire:
     ])
     def test_scan_finds_post_init_raises(self, source, lines):
         assert post_init_raises(source) == lines
+
+
+def sweep_default_scenario():
+    result = CliRunner().invoke(main, ["sweep", "--r-steps", "11"])
+    assert result.exit_code == 0, result.output
+
+
+# each grid scan, run across the fog stability boundary: on the default
+# scenario the accepted rate reaches the capability at r = 1
+GRID_SCANS = {
+    "sweep": sweep_default_scenario,
+    "optimize": lambda: optimizer.optimize(
+        optimizer.OptProblem(default_scenario()),
+        optimizer.OptConfig(population_size=20, generations=5, seed=1)),
+    "brute_force_front": lambda: optimizer.brute_force_front(
+        optimizer.OptProblem(default_scenario()), 0.25),
+    "trend_compare": lambda: simulation.trend_compare(
+        simulation.SimScenario(default_scenario(), 0.5, duration_s=5.0),
+        [0.5, 1.0], seed=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_SCANS))
+def test_grid_scan_does_not_warn(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        GRID_SCANS[name]()
+
+
+WARNING_FILTERS = {"catch_warnings", "simplefilter", "filterwarnings",
+                   "resetwarnings"}
+
+
+def warning_filter_calls(source: str) -> list[int]:
+    """Lines that call a function named as one of WARNING_FILTERS, bare or
+    as an attribute, so ``warnings.simplefilter`` under any alias."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (node.func.attr if isinstance(node.func, ast.Attribute)
+             else getattr(node.func, "id", None)) in WARNING_FILTERS)
+
+
+class TestNoWarningFilters:
+    """Whether a call warns is decided in ``model`` alone: a grid scan
+    does not warn and a single split does.  A module that filters
+    warnings would hide a single split's warning from its caller."""
+
+    @pytest.mark.parametrize("path", sorted((SRC / "fogscope").glob("*.py")),
+                             ids=lambda path: path.name)
+    def test_no_module_filters_warnings(self, path):
+        assert warning_filter_calls(path.read_text(encoding="utf-8")) == []
+
+    @pytest.mark.parametrize("source, lines", [
+        ("import warnings\nwith warnings.catch_warnings():\n"
+         "    warnings.simplefilter('ignore')\n", [2, 3]),
+        ("import warnings as w\nw.filterwarnings('error')\n", [2]),
+        ("from warnings import resetwarnings\nresetwarnings()\n", [2]),
+        ("import warnings\nwarnings.warn('x', UserWarning, stacklevel=2)\n",
+         []),
+    ])
+    def test_scan_finds_warning_filters(self, source, lines):
+        assert warning_filter_calls(source) == lines
 
 
 TX_SCENARIO = (

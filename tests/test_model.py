@@ -419,10 +419,7 @@ def test_stochastic_latency_deterministic_per_seed(r, seed):
 # ---------------------------------------------------------------------------
 
 def kernel_rows(scn, r_values):
-    import warnings as w_mod
-    with w_mod.catch_warnings():
-        w_mod.simplefilter("ignore", InstabilityWarning)
-        evaluation = model.evaluate(scn, np.asarray(r_values, dtype=float))
+    evaluation = model.evaluate(scn, np.asarray(r_values, dtype=float))
     return list(zip(*(column.tolist() for column in evaluation)))
 
 
@@ -561,19 +558,19 @@ class TestEvaluateKernel:
         with pytest.raises(ValidationError):
             model.evaluate(default_scenario(), np.array([0.5, 1.5]))
 
-    def test_warns_once_when_any_split_is_unstable(self):
-        scn = default_scenario()
-        with pytest.warns(InstabilityWarning) as record:
-            model.evaluate(scn, np.array([0.5, 1.0, 1.0]))
-        assert len(record) == 1
+    def test_no_warning_when_any_split_is_unstable(self):
+        # a grid scan crosses the stability boundary by design; only a
+        # single split warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model.evaluate(default_scenario(), np.array([0.5, 1.0, 1.0]))
 
 
-# each entry point, called from this file at a split past the stability
-# boundary
+# each single-split entry point, called from this file at a split past the
+# stability boundary
 UNSTABLE_CALLS = {
     "objectives": lambda: model.objectives(default_scenario(), 1.0),
     "evaluate_split": lambda: model.evaluate_split(default_scenario(), 1.0),
-    "evaluate": lambda: model.evaluate(default_scenario(), np.array([1.0])),
 }
 
 
@@ -643,9 +640,7 @@ class TestEvaluateAgainstTerms:
         tdp = draw if draw > scn.fog.idle_power else 1.5
         scn = replace(scn, fog=replace(scn.fog, tdp=tdp))
         expected = term_rows(scn, r_values)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", InstabilityWarning)
-            evaluation = model.evaluate(scn, np.asarray(r_values))
+        evaluation = model.evaluate(scn, np.asarray(r_values))
         rows = list(zip(*(column.tolist() for column in evaluation)))
         assert rows == expected
         assert [list(map(repr, row)) for row in rows] \

@@ -4,7 +4,6 @@ import collections
 import itertools
 import math
 import random
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -517,9 +516,7 @@ def binding_tdp_scenarios(draw):
 def test_grid_oracle_keeps_exactly_the_non_dominated_feasible_points(
         scn, step):
     front = brute_force_front(OptProblem(scenario=scn), step)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", model.InstabilityWarning)
-        ev = model.evaluate(scn, np.linspace(0.0, 1.0, round(1 / step) + 1))
+    ev = model.evaluate(scn, np.linspace(0.0, 1.0, round(1 / step) + 1))
     feasible = {r: (b, p, lat) for r, b, p, lat, ok in zip(
         ev.r.tolist(), ev.throughput_bps.tolist(), ev.fog_power_w.tolist(),
         ev.avg_latency_s.tolist(), ev.feasible.tolist()) if ok}
