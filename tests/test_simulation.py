@@ -2,6 +2,7 @@
 
 import io
 import csv
+import math
 from dataclasses import replace
 
 import pytest
@@ -50,6 +51,26 @@ class TestSimScenario:
             SimScenario(scenario=default_scenario(), **kwargs)
         assert str(exc.value) == message
         assert exc.value.field == message.partition(":")[0]
+
+    @pytest.mark.parametrize("duration, warmup, field, value", [
+        (math.inf, 0.0, "duration_s", math.inf),
+        (math.inf, None, "duration_s", math.inf),
+        (-math.inf, 0.0, "duration_s", -math.inf),
+        (math.nan, None, "duration_s", math.nan),
+        (10.0, math.inf, "warmup_s", math.inf),
+        (10.0, -math.inf, "warmup_s", -math.inf),
+        (10.0, math.nan, "warmup_s", math.nan),
+    ], ids=["duration-inf", "duration-inf-default-warmup", "duration-minus-inf",
+            "duration-nan", "warmup-inf", "warmup-minus-inf", "warmup-nan"])
+    def test_non_finite_duration_or_warmup_rejected(self, duration, warmup,
+                                                    field, value):
+        # at 0 packets/s the arrival cap admits any duration, so only the
+        # finiteness check stands between an infinite duration and a run
+        with pytest.raises(ValidationError) as exc:
+            SimScenario(scenario=with_rate(0.0), local_prob=0.5,
+                        duration_s=duration, warmup_s=warmup)
+        assert str(exc.value) == f"{field}: must be finite, got {value!r}"
+        assert exc.value.field == field
 
 
 class TestArrivalCap:
