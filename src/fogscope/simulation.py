@@ -27,7 +27,7 @@ from heapq import heappop, heappush
 from typing import IO, TYPE_CHECKING, Optional, Sequence
 
 from . import model
-from .model import _require
+from .model import _require, _require_finite
 from .scenario import Scenario
 
 if TYPE_CHECKING:
@@ -54,11 +54,12 @@ class SimScenario:
                  "local_prob")
         if self.warmup_s is None:
             object.__setattr__(self, "warmup_s", 0.1 * self.duration_s)
+        # a run ends at its duration, so an infinite one would never end
+        _require_finite(duration_s=self.duration_s, warmup_s=self.warmup_s)
         _require(0.0 <= self.warmup_s < self.duration_s,
                  "duration must exceed warmup (warmup >= 0)", "duration_s")
-        rate = self.scenario.workload.arrival_rate
-        # 0 packets/s over an infinite duration expects nan packets: admitted
-        _require(not rate * self.duration_s > _MAX_ARRIVALS,
+        _require(self.scenario.workload.arrival_rate * self.duration_s
+                 <= _MAX_ARRIVALS,
                  f"arrival rate x duration must be at most {_MAX_ARRIVALS} "
                  f"packets", "duration_s")
 
