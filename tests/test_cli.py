@@ -636,6 +636,7 @@ ERROR_DOCS = {
     "bad.yaml": "workload: {arrival_rate_pps: 1, packet_size_bits: 0}\n",
     "nameless.yaml": "name: ''\n",
     "flag.yaml": "modification1_enabled: 1\n",
+    "huge.yaml": "workload: {arrival_rate_pps: 1" + "0" * 5000 + "}\n",
     "impossible.yaml":
         "modification1_enabled: true\n"
         "workload: {arrival_rate_pps: 100, packet_size_bits: 12000}\n"
@@ -662,6 +663,11 @@ ERROR_LINES = {
         ["evaluate", "--scenario", "{tmp}/twice.yaml", "--r", "0.5"], 2,
         "error: invalid scenario document: found duplicate key 'name' "
         "(line 2, column 1)\n"),
+    # an int past Python's int-string limit of 4300 digits
+    "yaml-huge-int": (
+        ["evaluate", "--scenario", "{tmp}/huge.yaml", "--r", "0.5"], 2,
+        "error: invalid scenario document: unreadable int scalar "
+        "(line 1, column 30)\n"),
     "yaml-empty": (["evaluate", "--scenario", "{tmp}/empty.yaml", "--r", "1"],
                    2, "error: empty scenario document\n"),
     "yaml-bad": (["evaluate", "--scenario", "{tmp}/bad.yaml", "--r", "0.5"], 2,

@@ -120,6 +120,18 @@ class TestLoadScenario:
         assert str(exc.value).startswith("invalid scenario document: "
                                          "unacceptable character #x")
 
+    @pytest.mark.parametrize("doc, kind, column", [
+        ("workload: {arrival_rate_pps: 1" + "0" * 5000 + "}\n", "int", 30),
+        ("name: 2001-13-01\n", "timestamp", 7),
+    ], ids=["int-of-5001-digits", "month-13"])
+    def test_unconvertible_scalar_reports_position(self, doc, kind, column):
+        # the resolver tags each scalar, and its conversion raises
+        # ValueError: Python's int-string limit, a month past 12
+        with pytest.raises(ParseError) as exc:
+            load_scenario(doc)
+        assert str(exc.value) == (f"invalid scenario document: unreadable "
+                                  f"{kind} scalar (line 1, column {column})")
+
     def test_non_mapping_document(self):
         with pytest.raises(ParseError):
             load_scenario("- just\n- a\n- list\n")
