@@ -297,7 +297,18 @@ def _section(doc: dict, key: str) -> dict:
 
 class _UniqueKeyLoader(yaml.SafeLoader):
     """SafeLoader that refuses a key repeated within one mapping, which
-    plain YAML loading resolves silently in favour of the last value."""
+    plain YAML loading resolves silently in favour of the last value, and
+    a scalar it cannot convert."""
+
+    def construct_object(self, node, deep=False):
+        # the resolver tags a scalar by its form alone: an int past Python's
+        # 4300-digit limit or a month 13 raises ValueError when converted
+        try:
+            return super().construct_object(node, deep=deep)
+        except ValueError as exc:
+            raise yaml.constructor.ConstructorError(
+                None, None, f"unreadable {node.tag.rpartition(':')[2]} scalar",
+                node.start_mark) from exc
 
     def construct_mapping(self, node, deep=False):
         seen = set()
