@@ -298,6 +298,17 @@ class TestValidation:
         with pytest.raises(ValidationError):
             NetworkParams(1.0, 1.0, return_fraction=1.5)
 
+    @pytest.mark.parametrize("value", [10 ** 400, -(10 ** 400), 10 ** 5000],
+                             ids=["1e400", "-1e400", "1e5000"])
+    def test_int_beyond_the_float_range_rejected(self, value):
+        # float() of each overflows, and the repr of 10 ** 5000 passes
+        # Python's int-string limit, so the message must not show it
+        with pytest.raises(ValidationError) as exc:
+            WorkloadParams(value, 12000.0)
+        assert str(exc.value) == ("arrival_rate: must be finite, got an "
+                                  "integer beyond the float range")
+        assert exc.value.field == "arrival_rate"
+
     def test_split_bounds(self):
         w = WorkloadParams(10.0, 100.0)
         with pytest.raises(ValidationError):

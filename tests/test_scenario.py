@@ -233,6 +233,16 @@ class TestNonFiniteNumbers:
         assert exc.value.field == field
         assert "finite" in str(exc.value)
 
+    def test_int_past_the_repr_limit_rejected(self):
+        # YAML reads a hex int past Python's 4300-digit int-string limit,
+        # and a message showing it could not be built
+        with pytest.raises(ValidationError) as exc:
+            load_scenario(MINIMAL_DOC.replace(
+                "packet_size_bits: 12000", "packet_size_bits: 0x1" + "0" * 4000))
+        assert str(exc.value) == ("workload.packet_size_bits: must be finite, "
+                                  "got an integer beyond the float range")
+        assert exc.value.field == "workload.packet_size_bits"
+
     @pytest.mark.parametrize("build", [
         lambda v: WorkloadParams(arrival_rate=v, packet_size=12000.0),
         lambda v: WorkloadParams(arrival_rate=100.0, packet_size=v),
