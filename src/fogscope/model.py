@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional
@@ -58,11 +59,17 @@ def _require(condition: bool, message: str, field: str) -> None:
 
 
 def _require_finite(**values) -> None:
-    """Every real number among ``values`` must be finite; other values are
-    left to the checks that follow."""
+    """Every real number among ``values`` must be finite as a float; other
+    values are left to the checks that follow."""
     for name, value in values.items():
-        _require(not isinstance(value, numbers.Real) or math.isfinite(value),
-                 f"must be finite, got {value!r}", name)
+        if isinstance(value, numbers.Integral):
+            # the repr of an int past 4300 digits raises ValueError
+            _require(abs(value) <= sys.float_info.max,
+                     "must be finite, got an integer beyond the float range",
+                     name)
+        elif isinstance(value, numbers.Real):
+            _require(math.isfinite(value), f"must be finite, got {value!r}",
+                     name)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import yaml
 from .flight import MotorParams
 from .model import (CloudParams, DecisionState, Evaluation, FogNodeParams,
                     NetworkParams, ValidationError, WorkloadParams, _require,
-                    _row)
+                    _require_finite, _row)
 
 
 class ParseError(Exception):
@@ -260,13 +260,13 @@ _READ_ORDER = {section: _read_order(section) for section in _SECTION_PARAMS}
 def _number(path: str, value: Any) -> float:
     number = None
     if not isinstance(value, bool) and isinstance(value, (str, int, float)):
+        # before any message shows an int past the float range
+        _require_finite(**{path: value})
         # YAML 1.1 reads exponents without a sign ("1.5e6") as strings
         try:
             number = float(value)
         except ValueError:
             pass
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
     _require(number is not None, f"expected a number, got {value!r}", path)
     _require(math.isfinite(number), f"must be finite, got {value!r}", path)
     return number
