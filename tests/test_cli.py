@@ -751,6 +751,12 @@ ERROR_LINES = {
                             "error: unknown motor preset 'nope'\n"),
     "fov-aspect": (["fov", "--aspect", "0:1"], 2,
                    "error: --aspect/--dfov: aspect_w: must be > 0\n"),
+    "fov-footprint": (["fov", "--heights", "1e308", "--speeds", "1e-300"], 2,
+                      "error: height_m: ground footprint is not finite at "
+                      "height 1e+308 m\n"),
+    "fov-dwell": (["fov", "--heights", "10,1e300", "--speeds", "5,1e-300"], 2,
+                  "error: ground_speed_mps: dwell time is not finite at "
+                  "height 1e+300 m and ground speed 1e-300 m/s\n"),
     "epoch-word": (["presets"], 2, EPOCH_ERROR.format("'abc'")),
     "epoch-empty": (["evaluate", "--r", "0.5"], 2, EPOCH_ERROR.format("''")),
     "epoch-float": (["sweep"], 2, EPOCH_ERROR.format("'1e9'")),

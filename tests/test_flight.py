@@ -97,6 +97,18 @@ class TestGroundCoverage:
             CameraParams(94.0, 0, 2)
 
 
+    @pytest.mark.parametrize("cam, height", [
+        (PHANTOM_CAM, 1e308),
+        (CameraParams(94.0, 1e308, 1.0), 10.0),
+    ], ids=["along-and-across", "across-only"])
+    def test_non_finite_footprint_rejected(self, cam, height):
+        with pytest.raises(ValidationError) as info:
+            ground_coverage(cam, height)
+        assert str(info.value) == (f"height_m: ground footprint is not finite "
+                                   f"at height {height!r} m")
+        assert info.value.field == "height_m"
+
+
 class TestDwellTime:
     def test_ten_meters_five_mps(self):
         assert dwell_time(PHANTOM_CAM, 10.0, 5.0) \
@@ -123,6 +135,16 @@ class TestDwellTime:
             dwell_time(PHANTOM_CAM, 10.0, -3.0)
         with pytest.raises(ZeroSpeed):
             dwell_time(PHANTOM_CAM, 10.0, math.nan)
+
+
+    def test_non_finite_dwell_rejected(self):
+        # a finite footprint over a subnormal speed overflows
+        with pytest.raises(ValidationError) as info:
+            dwell_time(PHANTOM_CAM, 1e300, 1e-300)
+        assert str(info.value) == ("ground_speed_mps: dwell time is not finite "
+                                   "at height 1e+300 m and ground speed "
+                                   "1e-300 m/s")
+        assert info.value.field == "ground_speed_mps"
 
 
 class TestLatencyBudget:
