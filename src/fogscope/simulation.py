@@ -20,10 +20,10 @@ service, and a completion event pops the head.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
-from dataclasses import dataclass
-from heapq import heappop, heappush
+from dataclasses import dataclass, replace
 from typing import IO, TYPE_CHECKING, Optional, Sequence
 
 from . import model
@@ -33,7 +33,6 @@ from .scenario import Scenario
 if TYPE_CHECKING:
     import numpy as np
 
-_ARRIVAL, _LOCAL_DONE, _UPLINK_DONE, _SAMPLE = range(4)
 _QUEUE_SAMPLES = 32
 # most expected packets, arrival rate x duration: a run keeps every packet
 # it generates, so an unbounded run grows until the process is killed
@@ -100,39 +99,37 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet
     rng = random.Random(seed)
     workload = sim.scenario.workload
     fog = sim.scenario.fog
+    rate, mu = workload.arrival_rate, fog.proc_capability
     net = sim.scenario.network
-    cloud = sim.scenario.cloud
 
     size = workload.packet_size
     # fixed per-packet tail after the uplink: cloud processing plus the
     # returned-fraction downlink, mirroring the analytic latency terms
-    tail = (size / (2.0 * cloud.proc_capability)
+    tail = (size / (2.0 * sim.scenario.cloud.proc_capability)
             + net.return_fraction * size / (2.0 * net.downlink_throughput)
             + net.base_latency)
 
-    duration = sim.duration_s
-    warmup = sim.warmup_s
+    duration, warmup = sim.duration_s, sim.warmup_s
     window = duration - warmup
 
-    # (time, seq, kind); seq breaks ties in push order, and a sorted list
-    # is a heap
-    events = [(duration * i / _QUEUE_SAMPLES, i, _SAMPLE)
-              for i in range(1, _QUEUE_SAMPLES + 1)]
-    seq = itertools.count(_QUEUE_SAMPLES + 1)
+    # the pending event of each source as (time, seq): seq counts scheduled
+    # events, so a tie goes to the earlier one; an idle source waits at inf.
+    # The queue is sampled just before the first event at or after each
+    # sample time; the list holds them latest first, the duration itself.
+    seq = itertools.count()
+    idle = (math.inf, 0)
+    samples = [duration * i / _QUEUE_SAMPLES
+               for i in range(_QUEUE_SAMPLES, 0, -1)]
 
-    def serve(now: float) -> None:
-        heappush(events, (now + rng.expovariate(fog.proc_capability),
-                          next(seq), _LOCAL_DONE))
-
-    def transfer(now: float) -> None:
+    def transfer(now: float) -> tuple[float, int]:
         seconds = size / net.uplink_throughput
         if net.noise_sigma > 0:
             seconds *= model.sample_latency_noise(rng, net.noise_sigma)
-        heappush(events, (now + seconds, next(seq), _UPLINK_DONE))
+        return now + seconds, next(seq)
 
-    if workload.arrival_rate > 0:
-        heappush(events, (rng.expovariate(workload.arrival_rate), next(seq),
-                          _ARRIVAL))
+    arrival = local_done_at = uplink_done_at = idle
+    if rate > 0:
+        arrival = rng.expovariate(rate), next(seq)
 
     packets: list[Packet] = []
     local: deque[Packet] = deque()
@@ -147,32 +144,34 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet
     sojourn_sum = forward_sum = 0.0
     sojourn_count = forward_count = 0
     uplink_bits_window = 0.0
-    local_done = 0
-    forwarded_done = 0
+    local_done = forwarded_done = 0
 
-    while events:
-        now, _, kind = heappop(events)
+    while True:
+        event = min(arrival, local_done_at, uplink_done_at)
+        now = event[0]
+        while samples and samples[-1] <= now:
+            samples.pop()
+            queue_samples.append(len(local))
         if now > duration:
             break
 
-        if kind == _ARRIVAL:
+        if event is arrival:
             packet = Packet(now, rng.random() >= sim.local_prob)
             packets.append(packet)
             if packet.important:
                 uplink.append(packet)
                 if len(uplink) == 1:
-                    transfer(now)
+                    uplink_done_at = transfer(now)
             else:
                 local.append(packet)
                 if now >= warmup:
                     local_queue_max = max(local_queue_max, len(local))
                 if len(local) == 1:
                     busy_since = now
-                    serve(now)
-            heappush(events, (now + rng.expovariate(workload.arrival_rate),
-                              next(seq), _ARRIVAL))
+                    local_done_at = now + rng.expovariate(mu), next(seq)
+            arrival = now + rng.expovariate(rate), next(seq)
 
-        elif kind == _LOCAL_DONE:
+        elif event is local_done_at:
             packet = local.popleft()
             packet.departure_time = now
             local_done += 1
@@ -180,11 +179,11 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet
                 sojourn_sum += now - packet.arrival_time
                 sojourn_count += 1
             busy_time += max(0.0, now - max(busy_since, warmup))
-            if local:
-                busy_since = now
-                serve(now)
+            busy_since = now
+            local_done_at = ((now + rng.expovariate(mu), next(seq)) if local
+                             else idle)
 
-        elif kind == _UPLINK_DONE:
+        else:
             packet = uplink.popleft()
             packet.departure_time = now + tail
             forwarded_done += 1
@@ -193,34 +192,27 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet
             if packet.arrival_time >= warmup:
                 forward_sum += packet.departure_time - packet.arrival_time
                 forward_count += 1
-            if uplink:
-                transfer(now)
-
-        else:  # _SAMPLE
-            queue_samples.append(len(local))
+            uplink_done_at = transfer(now) if uplink else idle
 
     if local:
         busy_time += max(0.0, duration - max(busy_since, warmup))
 
-    mean_power = fog.idle_power
-    if window > 0:
-        mean_power += (fog.energy_per_bit * size * fog.proc_capability
-                       * busy_time / window)
-        if sim.scenario.modification1_enabled:
-            mean_power += fog.tx_energy_per_bit * uplink_bits_window / window
+    # warmup < duration, both finite, so the window is positive
+    mean_power = fog.idle_power + fog.energy_per_bit * size * mu * busy_time / window
+    if sim.scenario.modification1_enabled:
+        mean_power += fog.tx_energy_per_bit * uplink_bits_window / window
 
     half = queue_samples[len(queue_samples) // 2:]
-    unstable = (len(half) >= 2
-                and all(b >= a for a, b in zip(half, half[1:]))
-                and half[-1] > half[0])
+    # every run takes the first sample, so half is never empty
+    unstable = (half[-1] > half[0]
+                and all(b >= a for a, b in zip(half, half[1:])))
 
     metrics = SimMetrics(
         mean_local_sojourn_s=(sojourn_sum / sojourn_count
                               if sojourn_count else 0.0),
         mean_forward_latency_s=(forward_sum / forward_count
                                 if forward_count else 0.0),
-        empirical_uplink_throughput_bps=(uplink_bits_window / window
-                                         if window > 0 else 0.0),
+        empirical_uplink_throughput_bps=uplink_bits_window / window,
         mean_fog_power_w=mean_power,
         local_queue_max=local_queue_max,
         unstable=unstable,
@@ -311,14 +303,11 @@ def trend_compare(sim: SimScenario, r_grid: list[float],
     """
     import numpy as np
     _require(bool(r_grid), "must be nonempty", "r_grid")
-    scn = sim.scenario
-    analytic = model.evaluate(scn, np.array(r_grid, dtype=float))
+    analytic = model.evaluate(sim.scenario, np.array(r_grid, dtype=float))
     rows = []
     for i, (r, _, throughput, power, fog_lat, cloud_lat, avg_lat, feasible) \
             in enumerate(zip(r_grid, *(c.tolist() for c in analytic))):
-        run = SimScenario(scenario=scn, local_prob=r, duration_s=sim.duration_s,
-                          warmup_s=sim.warmup_s)
-        metrics = simulate(run, seed + i)
+        metrics = simulate(replace(sim, local_prob=r), seed + i)
         rows.append(TrendRow(
             r=r,
             analytic_throughput_bps=throughput,
@@ -333,11 +322,8 @@ def trend_compare(sim: SimScenario, r_grid: list[float],
             sim_fog_power_w=metrics.mean_fog_power_w,
             sim_unstable=metrics.unstable,
         ))
-    if len(rows) < 2:
-        rho = float("nan")
-    else:
-        empirical = [model.avg_latency(row.sim_local_sojourn_s,
-                                       row.sim_forward_latency_s)
-                     for row in rows]
-        rho = spearman([row.analytic_avg_latency_s for row in rows], empirical)
+    # one row is a constant input, whose correlation is NaN
+    empirical = [model.avg_latency(row.sim_local_sojourn_s,
+                                   row.sim_forward_latency_s) for row in rows]
+    rho = spearman([row.analytic_avg_latency_s for row in rows], empirical)
     return TrendComparison(rows=rows, spearman_avg_latency=rho)

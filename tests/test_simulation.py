@@ -327,6 +327,7 @@ class TestTrendCompare:
         cmp = trend_compare(sim, [0.0], seed=1)
         assert len(cmp.rows) == 1
         assert cmp.rows[0].r == 0.0
+        assert math.isnan(cmp.spearman_avg_latency)
 
     def test_infeasible_split_gives_a_flagged_row(self):
         s = default_scenario()
