@@ -114,8 +114,7 @@ def ground_coverage(cam: CameraParams, height_m: float) -> tuple[float, float]:
     """Ground footprint extents (along_track, across_track) in meters.
 
     Decomposes the diagonal FOV onto the image axes: each full extent is
-    2 * height * tan(fov/2) * axis / sqrt(w^2 + h^2).  Raises
-    ValidationError when an extent is not a finite float.
+    2 * height * tan(fov/2) * axis / sqrt(w^2 + h^2).
     """
     _require_finite(height_m=height_m)
     _require(height_m >= 0, "must be >= 0", "height_m")
@@ -124,23 +123,20 @@ def ground_coverage(cam: CameraParams, height_m: float) -> tuple[float, float]:
     along = full_diagonal * cam.aspect_h / diag
     across = full_diagonal * cam.aspect_w / diag
     _require(math.isfinite(along) and math.isfinite(across),
-             f"ground footprint is not finite at height {height_m!r} m",
-             "height_m")
+             f"ground footprint is not finite at height {height_m!r} m", "height_m")
     return along, across
 
 
 def dwell_time(cam: CameraParams, height_m: float, ground_speed_mps: float) -> float:
-    """Seconds a point target stays in frame on a straight nadir pass;
-    raises ValidationError when that is not a finite float."""
+    """Seconds a point target stays in frame on a straight nadir pass."""
     if not ground_speed_mps > 0:
         raise ZeroSpeed("ground_speed_mps: must be > 0",
                         field="ground_speed_mps")
     _require_finite(ground_speed_mps=ground_speed_mps)
     along, _ = ground_coverage(cam, height_m)
     dwell = along / ground_speed_mps
-    _require(math.isfinite(dwell),
-             f"dwell time is not finite at height {height_m!r} m and ground "
-             f"speed {ground_speed_mps!r} m/s", "ground_speed_mps")
+    _require(math.isfinite(dwell), f"dwell time is not finite at height {height_m!r} "
+             f"m and ground speed {ground_speed_mps!r} m/s", "ground_speed_mps")
     return dwell
 
 

@@ -62,14 +62,11 @@ def _require_finite(**values) -> None:
     """Every real number among ``values`` must be finite as a float; other
     values are left to the checks that follow."""
     for name, value in values.items():
-        if isinstance(value, numbers.Integral):
-            # the repr of an int past 4300 digits raises ValueError
+        if isinstance(value, numbers.Integral):  # repr fails past 4300 digits
             _require(abs(value) <= sys.float_info.max,
-                     "must be finite, got an integer beyond the float range",
-                     name)
+                     "must be finite, got an integer beyond the float range", name)
         elif isinstance(value, numbers.Real):
-            _require(math.isfinite(value), f"must be finite, got {value!r}",
-                     name)
+            _require(math.isfinite(value), f"must be finite, got {value!r}", name)
 
 
 @dataclass(frozen=True)

@@ -260,8 +260,7 @@ _READ_ORDER = {section: _read_order(section) for section in _SECTION_PARAMS}
 def _number(path: str, value: Any) -> float:
     number = None
     if not isinstance(value, bool) and isinstance(value, (str, int, float)):
-        # before any message shows an int past the float range
-        _require_finite(**{path: value})
+        _require_finite(**{path: value})  # before a message shows a huge int
         # YAML 1.1 reads exponents without a sign ("1.5e6") as strings
         try:
             number = float(value)
@@ -297,18 +296,15 @@ def _section(doc: dict, key: str) -> dict:
 
 class _UniqueKeyLoader(yaml.SafeLoader):
     """SafeLoader that refuses a key repeated within one mapping, which
-    plain YAML loading resolves silently in favour of the last value, and
-    a scalar it cannot convert."""
+    plain YAML loading resolves silently in favour of the last value."""
 
     def construct_object(self, node, deep=False):
-        # the resolver tags a scalar by its form alone: an int past Python's
-        # 4300-digit limit or a month 13 raises ValueError when converted
-        try:
+        try:  # an int past 4300 digits or a month 13 fails to convert
             return super().construct_object(node, deep=deep)
         except ValueError as exc:
+            kind = node.tag.rpartition(":")[2]
             raise yaml.constructor.ConstructorError(
-                None, None, f"unreadable {node.tag.rpartition(':')[2]} scalar",
-                node.start_mark) from exc
+                None, None, f"unreadable {kind} scalar", node.start_mark) from exc
 
     def construct_mapping(self, node, deep=False):
         seen = set()
