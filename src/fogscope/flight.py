@@ -135,8 +135,8 @@ def dwell_time(cam: CameraParams, height_m: float, ground_speed_mps: float) -> f
     _require_finite(ground_speed_mps=ground_speed_mps)
     along, _ = ground_coverage(cam, height_m)
     dwell = along / ground_speed_mps
-    _require(math.isfinite(dwell), f"dwell time is not finite at height {height_m!r} "
-             f"m and ground speed {ground_speed_mps!r} m/s", "ground_speed_mps")
+    _require(math.isfinite(dwell), f"dwell time is not finite at height {height_m!r}"
+             f" m and ground speed {ground_speed_mps!r} m/s", "ground_speed_mps")
     return dwell
 
 
