@@ -53,7 +53,7 @@ class SimScenario:
                  "local_prob")
         if self.warmup_s is None:
             object.__setattr__(self, "warmup_s", 0.1 * self.duration_s)
-        # a run ends at its duration, so an infinite one would never end
+        # a run stops at its first event past the duration; none is past inf
         _require_finite(duration_s=self.duration_s, warmup_s=self.warmup_s)
         _require(0.0 <= self.warmup_s < self.duration_s,
                  "duration must exceed warmup (warmup >= 0)", "duration_s")
@@ -112,10 +112,10 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet
     duration, warmup = sim.duration_s, sim.warmup_s
     window = duration - warmup
 
-    # the pending event of each source as (time, seq): seq counts scheduled
-    # events, so a tie goes to the earlier one; an idle source waits at inf.
-    # The queue is sampled just before the first event at or after each
-    # sample time; the list holds them latest first, the duration itself.
+    # The pending event of each source as (time, seq): seq counts scheduled
+    # events, so a tie goes to the earlier one, and an idle source waits at
+    # inf.  The queue is sampled just before the first event at or after
+    # each sample time; `samples` holds those times latest first.
     seq = itertools.count()
     idle = (math.inf, 0)
     samples = [duration * i / _QUEUE_SAMPLES
