@@ -637,6 +637,10 @@ ERROR_DOCS = {
     "nameless.yaml": "name: ''\n",
     "flag.yaml": "modification1_enabled: 1\n",
     "huge.yaml": "workload: {arrival_rate_pps: 1" + "0" * 5000 + "}\n",
+    # YAML reads hex ints past the int-string limit, which repr then fails
+    "hex-flag.yaml": "modification1_enabled: 0x1" + "0" * 4000 + "\n",
+    "hex-list.yaml": "workload: {arrival_rate_pps: [0x1" + "0" * 4000 + "]}\n",
+    "nested.yaml": "workload: " + "[" * 2000 + "]" * 2000 + "\n",
     "impossible.yaml":
         "modification1_enabled: true\n"
         "workload: {arrival_rate_pps: 100, packet_size_bits: 12000}\n"
@@ -668,6 +672,18 @@ ERROR_LINES = {
         ["evaluate", "--scenario", "{tmp}/huge.yaml", "--r", "0.5"], 2,
         "error: invalid scenario document: unreadable int scalar "
         "(line 1, column 30)\n"),
+    "yaml-hex-flag": (
+        ["evaluate", "--scenario", "{tmp}/hex-flag.yaml", "--r", "0.5"], 2,
+        "error: modification1_enabled: expected true/false, got a value too "
+        "long to show (int)\n"),
+    "yaml-hex-list": (
+        ["evaluate", "--scenario", "{tmp}/hex-list.yaml", "--r", "0.5"], 2,
+        "error: workload.arrival_rate_pps: expected a number, got a value too "
+        "long to show (list)\n"),
+    # PyYAML composes nested nodes recursively
+    "yaml-nested": (
+        ["evaluate", "--scenario", "{tmp}/nested.yaml", "--r", "0.5"], 2,
+        "error: invalid scenario document: nested too deeply\n"),
     "yaml-empty": (["evaluate", "--scenario", "{tmp}/empty.yaml", "--r", "1"],
                    2, "error: empty scenario document\n"),
     "yaml-bad": (["evaluate", "--scenario", "{tmp}/bad.yaml", "--r", "0.5"], 2,
