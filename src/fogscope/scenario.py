@@ -8,14 +8,12 @@ motor tables used throughout; its values are pinned by a checksum test.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import cache
 from typing import Any, Optional
-
-import yaml
 
 from .flight import MotorParams
 from .model import (CloudParams, DecisionState, Evaluation, FogNodeParams,
@@ -206,6 +204,7 @@ def catalog_rows() -> list[tuple[str, str, str, str, str]]:
 
 def catalog_checksum() -> str:
     """sha256 over the canonical JSON form of the catalog rows."""
+    import hashlib
     payload = json.dumps(catalog_rows(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -257,6 +256,16 @@ def _read_order(section: str) -> list[tuple[str, str, bool]]:
 _READ_ORDER = {section: _read_order(section) for section in _SECTION_PARAMS}
 
 
+def _shown(value: Any) -> str:
+    """A document value for a message: its repr, or its type where the repr
+    fails on an int past Python's int-string limit, which YAML reads from
+    hex without that limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a value too long to show ({type(value).__name__})"
+
+
 def _number(path: str, value: Any) -> float:
     number = None
     if not isinstance(value, bool) and isinstance(value, (str, int, float)):
@@ -266,7 +275,8 @@ def _number(path: str, value: Any) -> float:
             number = float(value)
         except ValueError:
             pass
-    _require(number is not None, f"expected a number, got {value!r}", path)
+    _require(number is not None, f"expected a number, got {_shown(value)}",
+             path)
     _require(math.isfinite(number), f"must be finite, got {value!r}", path)
     return number
 
@@ -275,8 +285,8 @@ def _flag(mapping: dict, key: str, default: bool = False) -> bool:
     if key not in mapping:
         return default
     value = mapping.pop(key)
-    _require(isinstance(value, bool), f"expected true/false, got {value!r}",
-             key)
+    _require(isinstance(value, bool),
+             f"expected true/false, got {_shown(value)}", key)
     return value
 
 
@@ -294,32 +304,40 @@ def _section(doc: dict, key: str) -> dict:
     return dict(value)
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
+@cache
+def _unique_key_loader() -> type:
     """SafeLoader that refuses a key repeated within one mapping, which
-    plain YAML loading resolves silently in favour of the last value."""
+    plain YAML loading resolves silently in favour of the last value.  It
+    is built on first use, so commands that read no document start
+    without PyYAML."""
+    import yaml
 
-    def construct_object(self, node, deep=False):
-        try:  # an int past 4300 digits or a month 13 fails to convert
-            return super().construct_object(node, deep=deep)
-        except ValueError as exc:
-            kind = node.tag.rpartition(":")[2]
-            raise yaml.constructor.ConstructorError(
-                None, None, f"unreadable {kind} scalar", node.start_mark) from exc
-
-    def construct_mapping(self, node, deep=False):
-        seen = set()
-        for key_node, _ in node.value:
-            # "<<" merge keys may be overridden by the mapping's own keys
-            if (not isinstance(key_node, yaml.ScalarNode)
-                    or key_node.tag == "tag:yaml.org,2002:merge"):
-                continue
-            key = self.construct_object(key_node, deep=deep)
-            if key in seen:
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def construct_object(self, node, deep=False):
+            try:  # an int past 4300 digits or a month 13 fails to convert
+                return super().construct_object(node, deep=deep)
+            except ValueError as exc:
+                kind = node.tag.rpartition(":")[2]
                 raise yaml.constructor.ConstructorError(
-                    "while constructing a mapping", node.start_mark,
-                    f"found duplicate key {key!r}", key_node.start_mark)
-            seen.add(key)
-        return super().construct_mapping(node, deep=deep)
+                    None, None, f"unreadable {kind} scalar",
+                    node.start_mark) from exc
+
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                # "<<" merge keys may be overridden by the mapping's own keys
+                if (not isinstance(key_node, yaml.ScalarNode)
+                        or key_node.tag == "tag:yaml.org,2002:merge"):
+                    continue
+                key = self.construct_object(key_node, deep=deep)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+            return super().construct_mapping(node, deep=deep)
+
+    return UniqueKeyLoader
 
 
 def load_scenario(text: str) -> Scenario:
@@ -328,8 +346,11 @@ def load_scenario(text: str) -> Scenario:
     Raises ParseError for malformed YAML and ValidationError (naming the
     offending field) for schema or invariant violations.
     """
+    import yaml
     try:
-        doc = yaml.load(text, Loader=_UniqueKeyLoader)
+        doc = yaml.load(text, Loader=_unique_key_loader())
+    except RecursionError as exc:  # PyYAML composes nested nodes recursively
+        raise ParseError("invalid scenario document: nested too deeply") from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -408,12 +429,14 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 def serialize_scenario(s: Scenario) -> str:
     """Canonical YAML form; load_scenario(serialize_scenario(s)) == s."""
+    import yaml
     return yaml.safe_dump(scenario_to_dict(s), sort_keys=False,
                           default_flow_style=False)
 
 
 def scenario_digest(s: Scenario) -> str:
     """Short checksum identifying the scenario contents."""
+    import hashlib
     blob = serialize_scenario(s).encode("utf-8")
     return "sha256:" + hashlib.sha256(blob).hexdigest()[:16]
 

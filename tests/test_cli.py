@@ -1077,6 +1077,24 @@ class TestStartup:
         if "--trace" in args:
             assert (tmp_path / "trace.csv").is_file()
 
+    @pytest.mark.parametrize("args", [
+        ["presets"],
+        ["fov"],
+        ["power", "--kind", "quad"],
+        ["power", "--kind", "fixedwing"],
+    ], ids=["presets", "fov", "power-quad", "power-fixedwing"])
+    def test_command_without_a_scenario_leaves_yaml_unloaded(self, tmp_path,
+                                                             args):
+        assert modules_loaded_by(cli_code(args), "yaml",
+                                 FOGSCOPE_OUT=str(tmp_path)) == []
+        assert (tmp_path / f"{args[0]}.csv").is_file()
+
+    def test_evaluate_loads_yaml(self, tmp_path):
+        # the probe above would pass vacuously if it could not see yaml
+        assert "yaml" in modules_loaded_by(
+            cli_code(["evaluate", "--r", "0.5"]), "yaml",
+            FOGSCOPE_OUT=str(tmp_path))
+
     def test_sweep_loads_numpy(self, tmp_path):
         # the probe above would pass vacuously if it could not see numpy
         assert "numpy" in modules_loaded_by(
