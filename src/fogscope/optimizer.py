@@ -96,27 +96,57 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return not_worse and strictly_better
 
 
+def _count_dtype(n: int) -> type:
+    """The narrowest of int16 and int32 that holds every count up to n."""
+    import numpy as np
+    return np.int16 if n <= np.iinfo(np.int16).max else np.int32
+
+
+def _dense_ranks(values: np.ndarray) -> np.ndarray:
+    """Each value's rank among the distinct values: equal values share a
+    rank, and the ranks order as the values do."""
+    import numpy as np
+    inverse = np.unique(values, return_inverse=True)[1]
+    return inverse.astype(_count_dtype(len(values)))
+
+
+def _no_worse_matrix(objs: np.ndarray) -> np.ndarray:
+    """Boolean matrix M with M[i, j] true iff point i is no worse than
+    point j in every objective.
+
+    Each objective is compared through its dense ranks, which order as the
+    values do and compare faster than floats.  A point with a NaN
+    coordinate is no worse than none and none is no worse than it, as
+    float comparisons give, so it neither dominates nor is dominated.
+    """
+    import numpy as np
+    ranks = [_dense_ranks(col) for col in objs.T]
+    le = np.less_equal.outer(ranks[0], ranks[0])
+    for col in ranks[1:]:
+        le &= np.less_equal.outer(col, col)
+    nan = np.isnan(objs).any(axis=1)
+    if nan.any():
+        le[nan] = False
+        le[:, nan] = False
+    return le
+
+
 def _dominance_matrix(objs: np.ndarray) -> np.ndarray:
     """Boolean matrix M with M[i, j] true iff point i dominates point j.
 
     i dominates j when i is no worse everywhere (``le[i, j]``) and j is
     not also no worse everywhere, which would make the two equal.
     """
-    import numpy as np
-    cols = np.ascontiguousarray(objs.T)
-    le = np.less_equal.outer(cols[0], cols[0])
-    for col in cols[1:]:
-        le &= np.less_equal.outer(col, col)
-    dom = np.invert(le.T, order="C")
-    dom &= le
-    return dom
+    le = _no_worse_matrix(objs)
+    return le & ~le.T
 
 
 def _ranks_from_matrix(dom: np.ndarray) -> np.ndarray:
     """Peel non-dominated fronts off a dominance matrix."""
     import numpy as np
     n = dom.shape[0]
-    dominator_count = dom.sum(axis=0).astype(np.int64)
+    # a bool sums as int64; its uint8 view sums into the narrow counts
+    dominator_count = dom.view(np.uint8).sum(axis=0, dtype=_count_dtype(n))
     ranks = np.full(n, -1, dtype=np.int64)
     current = 0
     remaining = n
@@ -125,10 +155,28 @@ def _ranks_from_matrix(dom: np.ndarray) -> np.ndarray:
         if not front.any():  # pragma: no cover - defensive
             raise RuntimeError("non-dominated sort failed to make progress")
         ranks[front] = current
-        dominator_count -= dom[front].sum(axis=0)
-        remaining -= int(front.sum())
+        remaining -= int(np.count_nonzero(front))
+        if remaining:
+            dominator_count -= dom[front].view(np.uint8).sum(
+                axis=0, dtype=dominator_count.dtype)
         current += 1
     return ranks
+
+
+def _objective_ranks(objs: np.ndarray) -> np.ndarray:
+    """Non-domination rank of each point; rank 0 is the non-dominated set.
+
+    A point's weak dominators (``le[i, j]``) are itself, its copies and
+    its dominators.  When every weak dominator is also weakly dominated,
+    as in a generation whose splits all trade one objective for another,
+    nothing is dominated, and the dominance matrix and the peel are
+    skipped.
+    """
+    import numpy as np
+    le = _no_worse_matrix(objs)
+    if np.array_equal(le, le.T):
+        return np.zeros(len(objs), dtype=np.int64)
+    return _ranks_from_matrix(le & ~le.T)
 
 
 def non_dominated_sort(points: Sequence[Sequence[float]]) -> list[int]:
@@ -136,8 +184,7 @@ def non_dominated_sort(points: Sequence[Sequence[float]]) -> list[int]:
     import numpy as np
     if len(points) == 0:
         raise ValueError("points must be nonempty")
-    objs = np.asarray(points, dtype=float)
-    return _ranks_from_matrix(_dominance_matrix(objs)).tolist()
+    return _objective_ranks(np.asarray(points, dtype=float)).tolist()
 
 
 def crowding_distance(front: Sequence[Sequence[float]]) -> list[float]:
@@ -169,8 +216,11 @@ def crowding_distance(front: Sequence[Sequence[float]]) -> list[float]:
 def _crowding_by_rank(points: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Crowding distance of every point within its own rank."""
     import numpy as np
+    top = int(ranks.max())
+    if top == 0:
+        return np.array(crowding_distance(points))
     crowding = np.zeros(len(ranks))
-    for rank in range(int(ranks.max()) + 1):
+    for rank in range(top + 1):
         idx = np.flatnonzero(ranks == rank)
         crowding[idx] = crowding_distance(points[idx])
     return crowding
@@ -204,18 +254,26 @@ def _evaluate(problem: OptProblem, r: np.ndarray) -> _Population:
     return _Population(ev.r, objs, ev.feasible, violation)
 
 
-def _constrained_dominance_matrix(pop: _Population) -> np.ndarray:
-    """Deb-style constrained dominance across a population: a feasible
-    member dominates by its objectives and dominates every infeasible
-    one; an infeasible member dominates those with a larger violation,
-    which excludes the feasible ones (violation 0)."""
+def _constrained_ranks(pop: _Population) -> np.ndarray:
+    """Non-domination ranks under Deb-style constrained dominance: a
+    feasible member dominates by its objectives and dominates every
+    infeasible one; an infeasible member dominates those with a larger
+    violation, which excludes the feasible ones (violation 0).
+
+    So the feasible members rank by their objectives alone, and the
+    infeasible ones follow the last feasible rank in the order of their
+    violations, equal violations sharing a rank: the ranks that peeling
+    the constrained dominance matrix gives.
+    """
     import numpy as np
-    dom = _dominance_matrix(pop.objs)
-    if pop.feasible.all():
-        return dom
-    viol = pop.violation
-    return np.where(pop.feasible[:, None], dom | ~pop.feasible[None, :],
-                    viol[:, None] < viol[None, :])
+    feasible = pop.feasible
+    if feasible.all():
+        return _objective_ranks(pop.objs)
+    ranks = np.empty(len(feasible), dtype=np.int64)
+    ranks[feasible] = _objective_ranks(pop.objs[feasible])
+    first = ranks[feasible].max(initial=-1) + 1
+    ranks[~feasible] = first + _dense_ranks(pop.violation[~feasible])
+    return ranks
 
 
 def _crowd(pop: _Population, ranks: np.ndarray) -> np.ndarray:
@@ -276,7 +334,7 @@ def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
     rng = random.Random(cfg.seed)
     size = cfg.population_size
     pop = _evaluate(problem, np.array([rng.random() for _ in range(size)]))
-    ranks = _ranks_from_matrix(_constrained_dominance_matrix(pop))
+    ranks = _constrained_ranks(pop)
 
     for _ in range(cfg.generations):
         # plain lists: the tournaments read single entries
@@ -293,7 +351,7 @@ def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
             children.append(_mutate(rng, c2, cfg.mutation_rate,
                                     cfg.mutation_sigma))
         combined = pop.concat(_evaluate(problem, np.array(children)))
-        ranks = _ranks_from_matrix(_constrained_dominance_matrix(combined))
+        ranks = _constrained_ranks(combined)
         keep = np.lexsort((-_crowd(combined, ranks), ranks))[:size]
         pop, ranks = combined.take(keep), ranks[keep]
 

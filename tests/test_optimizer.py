@@ -580,9 +580,10 @@ def test_index_draws_match_generator_integers(seed, n):
 
 @st.composite
 def tied_point_sets(draw):
-    """Point sets with ties, duplicate rows and infinite coordinates."""
+    """Point sets with ties, duplicate rows, infinite and NaN coordinates."""
     dim = draw(st.integers(min_value=1, max_value=3))
-    coord = st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 1.0, math.inf])
+    coord = st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 1.0, math.inf,
+                             math.nan])
     rows = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=10))
     dupes = draw(st.lists(st.sampled_from(rows), max_size=4))
     return draw(st.permutations(rows + dupes))
@@ -595,14 +596,24 @@ def test_dominance_matrix_equals_pairwise_dominates(points):
     assert dom.tolist() == [[dominates(a, b) for b in points] for a in points]
 
 
+def test_dense_ranks_hold_40000_distinct_values():
+    # int16 ranks hold 32,767 points; a fine grid oracle ranks more
+    values = np.arange(40_000.0)[::-1]
+    assert optimizer._dense_ranks(values).tolist() == \
+        list(range(39_999, -1, -1))
+
+
 @st.composite
 def mixed_populations(draw):
-    """2n members, some infeasible, with tied objectives and violations."""
+    """2n members with tied objectives and violations: some infeasible,
+    all feasible or all infeasible."""
     n = draw(st.integers(min_value=1, max_value=8))
     level = st.sampled_from([0.0, 1.0, 2.0, 3.0])
     objs = draw(st.lists(st.tuples(level, level, level),
                          min_size=2 * n, max_size=2 * n))
-    violation = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]),
+    violations = draw(st.sampled_from([[0.0, 0.0, 0.5, 1.0, 2.0], [0.0],
+                                       [0.5, 1.0, 2.0]]))
+    violation = draw(st.lists(st.sampled_from(violations),
                               min_size=2 * n, max_size=2 * n))
     crowding = draw(st.lists(
         st.floats(min_value=0.0, max_value=2.0) | st.just(math.inf),
@@ -617,15 +628,47 @@ def mixed_populations(draw):
 @given(mixed_populations())
 def test_selected_members_keep_their_ranks(case):
     n, combined, crowding = case
-    ranks = optimizer._ranks_from_matrix(
-        optimizer._constrained_dominance_matrix(combined))
+    ranks = optimizer._constrained_ranks(combined)
     keep = np.lexsort((-crowding, ranks))[:n]
     selected = combined.take(keep)
     carried = ranks[keep]
-    assert carried.tolist() == optimizer._ranks_from_matrix(
-        optimizer._constrained_dominance_matrix(selected)).tolist()
+    assert carried.tolist() == optimizer._constrained_ranks(selected).tolist()
     # and the feasible members keep them once the infeasible are dropped
     feasible = selected.take(selected.feasible)
     if len(feasible.r):
         assert carried[selected.feasible].tolist() == \
             non_dominated_sort(feasible.objs.tolist())
+
+
+def peeled_constrained_ranks(pop):
+    """Fronts peeled one by one under Deb's constrained dominance, decided
+    pair by pair: a feasible member dominates by its objectives and
+    dominates every infeasible one; an infeasible member dominates the
+    infeasible ones with a larger violation."""
+    objs, feasible = pop.objs.tolist(), pop.feasible.tolist()
+    violation = pop.violation.tolist()
+
+    def beats(i, j):
+        if feasible[i] and feasible[j]:
+            return dominates(objs[i], objs[j])
+        if feasible[i] or feasible[j]:
+            return feasible[i]
+        return violation[i] < violation[j]
+
+    ranks = [None] * len(objs)
+    rank = 0
+    while None in ranks:
+        unranked = [j for j, r in enumerate(ranks) if r is None]
+        for j in [j for j in unranked
+                  if not any(beats(i, j) for i in unranked)]:
+            ranks[j] = rank
+        rank += 1
+    return ranks
+
+
+@settings(max_examples=200)
+@given(mixed_populations())
+def test_constrained_ranks_equal_peeling_pairwise_dominance(case):
+    _, pop, _ = case
+    assert optimizer._constrained_ranks(pop).tolist() == \
+        peeled_constrained_ranks(pop)
