@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 
 
 # largest population: ranking compares every pair of the 2n parents and
-# children, and a generation at the cap peaks near 162 MiB
+# children, and a run at the cap peaks near 175 MiB
 _MAX_POPULATION = 4000
 # largest generation count: the loop has no other stop, so an unbounded
 # count runs until the process is killed
