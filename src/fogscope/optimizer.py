@@ -137,8 +137,10 @@ def _dominance_matrix(objs: np.ndarray) -> np.ndarray:
     i dominates j when i is no worse everywhere (``le[i, j]``) and j is
     not also no worse everywhere, which would make the two equal.
     """
+    import numpy as np
     le = _no_worse_matrix(objs)
-    return le & ~le.T
+    # for bools, le > le.T is le & ~le.T without a third n x n matrix
+    return np.greater(le, le.T)
 
 
 def _ranks_from_matrix(dom: np.ndarray) -> np.ndarray:
@@ -163,28 +165,13 @@ def _ranks_from_matrix(dom: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _objective_ranks(objs: np.ndarray) -> np.ndarray:
-    """Non-domination rank of each point; rank 0 is the non-dominated set.
-
-    A point's weak dominators (``le[i, j]``) are itself, its copies and
-    its dominators.  When every weak dominator is also weakly dominated,
-    as in a generation whose splits all trade one objective for another,
-    nothing is dominated, and the dominance matrix and the peel are
-    skipped.
-    """
-    import numpy as np
-    le = _no_worse_matrix(objs)
-    if np.array_equal(le, le.T):
-        return np.zeros(len(objs), dtype=np.int64)
-    return _ranks_from_matrix(le & ~le.T)
-
-
 def non_dominated_sort(points: Sequence[Sequence[float]]) -> list[int]:
     """Per-point non-domination rank; rank 0 is the non-dominated set."""
     import numpy as np
     if len(points) == 0:
         raise ValueError("points must be nonempty")
-    return _objective_ranks(np.asarray(points, dtype=float)).tolist()
+    return _ranks_from_matrix(
+        _dominance_matrix(np.asarray(points, dtype=float))).tolist()
 
 
 def crowding_distance(front: Sequence[Sequence[float]]) -> list[float]:
@@ -216,11 +203,8 @@ def crowding_distance(front: Sequence[Sequence[float]]) -> list[float]:
 def _crowding_by_rank(points: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Crowding distance of every point within its own rank."""
     import numpy as np
-    top = int(ranks.max())
-    if top == 0:
-        return np.array(crowding_distance(points))
     crowding = np.zeros(len(ranks))
-    for rank in range(top + 1):
+    for rank in range(int(ranks.max()) + 1):
         idx = np.flatnonzero(ranks == rank)
         crowding[idx] = crowding_distance(points[idx])
     return crowding
@@ -267,10 +251,9 @@ def _constrained_ranks(pop: _Population) -> np.ndarray:
     """
     import numpy as np
     feasible = pop.feasible
-    if feasible.all():
-        return _objective_ranks(pop.objs)
     ranks = np.empty(len(feasible), dtype=np.int64)
-    ranks[feasible] = _objective_ranks(pop.objs[feasible])
+    dom = _dominance_matrix(pop.objs[feasible])
+    ranks[feasible] = _ranks_from_matrix(dom)
     first = ranks[feasible].max(initial=-1) + 1
     ranks[~feasible] = first + _dense_ranks(pop.violation[~feasible])
     return ranks

@@ -672,3 +672,17 @@ def test_constrained_ranks_equal_peeling_pairwise_dominance(case):
     _, pop, _ = case
     assert optimizer._constrained_ranks(pop).tolist() == \
         peeled_constrained_ranks(pop)
+
+
+@settings(max_examples=200)
+@given(mixed_populations())
+def test_crowding_is_computed_within_each_rank(case):
+    _, pop, _ = case
+    ranks = optimizer._constrained_ranks(pop).tolist()
+    crowding = optimizer._crowd(pop, np.array(ranks)).tolist()
+    for rank in set(ranks):
+        idx = [i for i, r in enumerate(ranks) if r == rank]
+        # infeasible members crowd by their violation alone
+        points = [pop.objs[i].tolist() if pop.feasible[i]
+                  else [pop.violation[i]] for i in idx]
+        assert [crowding[i] for i in idx] == crowding_distance(points)
