@@ -627,6 +627,9 @@ class TestArtifactContract:
         assert not any(ch for ch in data_line if ord(ch) > 127)
 
 
+ROOT = Path(__file__).parents[1]
+DEFAULT_DOC = (ROOT / "scenarios" / "default.yaml").read_text(encoding="utf-8")
+HEX_KEY = "? 0x1" + "0" * 4000 + "\n"
 # scenario files for the rejected commands below, written to {tmp}
 ERROR_DOCS = {
     "broken.yaml": "workload: [1, 2\n",
@@ -641,6 +644,12 @@ ERROR_DOCS = {
     "hex-flag.yaml": "modification1_enabled: 0x1" + "0" * 4000 + "\n",
     "hex-list.yaml": "workload: {arrival_rate_pps: [0x1" + "0" * 4000 + "]}\n",
     "nested.yaml": "workload: " + "[" * 2000 + "]" * 2000 + "\n",
+    # keys of mixed types, which do not sort, and a key repr cannot show
+    "mixed-keys.yaml": DEFAULT_DOC + "1: a\nfoo: b\n",
+    "mixed-keys-section.yaml": DEFAULT_DOC.replace(
+        "workload:\n", "workload:\n  1: a\n  foo: b\n"),
+    "hex-key.yaml": DEFAULT_DOC + HEX_KEY,
+    "hex-key-twice.yaml": DEFAULT_DOC + HEX_KEY * 2,
     "impossible.yaml":
         "modification1_enabled: true\n"
         "workload: {arrival_rate_pps: 100, packet_size_bits: 12000}\n"
@@ -684,6 +693,19 @@ ERROR_LINES = {
     "yaml-nested": (
         ["evaluate", "--scenario", "{tmp}/nested.yaml", "--r", "0.5"], 2,
         "error: invalid scenario document: nested too deeply\n"),
+    "yaml-mixed-keys": (
+        ["evaluate", "--scenario", "{tmp}/mixed-keys.yaml", "--r", "0.5"], 2,
+        "error: 1: unknown key\n"),
+    "yaml-mixed-keys-section": (
+        ["evaluate", "--scenario", "{tmp}/mixed-keys-section.yaml",
+         "--r", "0.5"], 2, "error: workload.1: unknown key\n"),
+    "yaml-hex-key": (
+        ["evaluate", "--scenario", "{tmp}/hex-key.yaml", "--r", "0.5"], 2,
+        "error: a value too long to show (int): unknown key\n"),
+    "yaml-hex-key-twice": (
+        ["evaluate", "--scenario", "{tmp}/hex-key-twice.yaml", "--r", "0.5"],
+        2, "error: invalid scenario document: found duplicate key a value "
+        "too long to show (int) (line 23, column 3)\n"),
     "yaml-empty": (["evaluate", "--scenario", "{tmp}/empty.yaml", "--r", "1"],
                    2, "error: empty scenario document\n"),
     "yaml-bad": (["evaluate", "--scenario", "{tmp}/bad.yaml", "--r", "0.5"], 2,
@@ -932,9 +954,6 @@ class TestNonFiniteOptions:
         result = runner.invoke(main, ["fov", *args])
         assert result.exit_code == 2
         assert not out_dir.exists()
-
-
-ROOT = Path(__file__).parents[1]
 
 
 def readme_experiments():
