@@ -202,11 +202,25 @@ def catalog_rows() -> list[tuple[str, str, str, str, str]]:
     return rows
 
 
+def _sha256_hex(data: bytes) -> str:
+    """SHA-256 of ``data`` in hex, from CPython's own implementation:
+    hashlib's would load OpenSSL's libcrypto, a few MiB of resident memory,
+    to hash a few hundred bytes.  hashlib serves an interpreter built
+    without it."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 def catalog_checksum() -> str:
     """sha256 over the canonical JSON form of the catalog rows."""
-    import hashlib
     payload = json.dumps(catalog_rows(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _sha256_hex(payload.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +452,8 @@ def serialize_scenario(s: Scenario) -> str:
 
 def scenario_digest(s: Scenario) -> str:
     """Short checksum identifying the scenario contents."""
-    import hashlib
     blob = serialize_scenario(s).encode("utf-8")
-    return "sha256:" + hashlib.sha256(blob).hexdigest()[:16]
+    return "sha256:" + _sha256_hex(blob)[:16]
 
 
 def default_scenario() -> Scenario:

@@ -1015,11 +1015,11 @@ def test_pareto_search_script_smoke(tmp_path):
         assert rs and len(rs) == len(set(rs))
 
 
-def modules_loaded_by(code: str, package: str, **env: str) -> list[str]:
-    """The ``sys.modules`` keys of ``package`` after ``code`` runs in a
-    fresh interpreter."""
+def modules_loaded_by(code: str, *packages: str, **env: str) -> list[str]:
+    """The ``sys.modules`` keys of the top-level ``packages`` after ``code``
+    runs in a fresh interpreter."""
     probe = (f"{code}\nimport json, sys\nprint(json.dumps(sorted("
-             f"m for m in sys.modules if m.split('.')[0] == {package!r})))")
+             f"m for m in sys.modules if m.split('.')[0] in {packages!r})))")
     out = subprocess.run([sys.executable, "-c", probe], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC), **env})
@@ -1069,11 +1069,15 @@ class TestStartup:
         assert modules_loaded_by(f"import {module}", "numpy") == []
 
     def test_scenario_checks_leave_numpy_unloaded(self):
-        # the loader checks that the objectives are finite in plain floats
-        code = ("from fogscope.scenario import (default_scenario,"
-                " load_scenario, serialize_scenario)\n"
-                "load_scenario(serialize_scenario(default_scenario()))")
-        assert modules_loaded_by(code, "numpy") == []
+        # the loader checks that the objectives are finite in plain floats,
+        # and the digests hash without OpenSSL's _hashlib
+        code = ("from fogscope.scenario import (catalog_checksum,"
+                " default_scenario, load_scenario, scenario_digest,"
+                " serialize_scenario)\n"
+                "scenario_digest(load_scenario(serialize_scenario("
+                "default_scenario())))\n"
+                "catalog_checksum()")
+        assert modules_loaded_by(code, "numpy", "_hashlib") == []
 
     @pytest.mark.parametrize("args", [
         ["presets"],
@@ -1083,14 +1087,17 @@ class TestStartup:
         ["evaluate", "--r", "0.5"],
         # on the stability boundary, where the row warns
         ["evaluate", "--r", "1"],
+        ["evaluate", "--scenario", str(ROOT / "scenarios" / "tx_term.yaml"),
+         "--r", "0.5"],
         ["simulate", "--local-prob", "0.5", "--duration", "5", "--seed", "1"],
         ["simulate", "--local-prob", "0.5", "--duration", "5", "--seed", "1",
          "--trace", "{out}/trace.csv"],
     ], ids=["presets", "fov", "power-quad", "power-fixedwing", "evaluate",
-            "evaluate-r1", "simulate", "simulate-trace"])
+            "evaluate-r1", "evaluate-scenario", "simulate", "simulate-trace"])
     def test_command_leaves_numpy_unloaded(self, tmp_path, args):
+        # nor OpenSSL, which hashlib's _hashlib links
         args = [arg.replace("{out}", str(tmp_path)) for arg in args]
-        assert modules_loaded_by(cli_code(args), "numpy",
+        assert modules_loaded_by(cli_code(args), "numpy", "_hashlib",
                                  FOGSCOPE_OUT=str(tmp_path)) == []
         assert (tmp_path / f"{args[0]}.csv").is_file()
         if "--trace" in args:
@@ -1119,6 +1126,19 @@ class TestStartup:
         assert "numpy" in modules_loaded_by(
             cli_code(["sweep", "--r-steps", "3"]), "numpy",
             FOGSCOPE_OUT=str(tmp_path))
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--r-steps", "3"],
+        ["optimize", "--pop", "8", "--gens", "2", "--seed", "1"],
+    ], ids=["sweep", "optimize"])
+    def test_numpy_command_leaves_openssl_unloaded(self, tmp_path, args):
+        assert modules_loaded_by(cli_code(args), "_hashlib",
+                                 FOGSCOPE_OUT=str(tmp_path)) == []
+        assert (tmp_path / f"{args[0]}.csv").is_file()
+
+    def test_hashlib_loads_openssl(self):
+        # the probes above would pass vacuously if they could not see it
+        assert "_hashlib" in modules_loaded_by("import hashlib", "_hashlib")
 
     @pytest.mark.parametrize("path", sorted((SRC / "fogscope").glob("*.py")),
                              ids=lambda path: path.name)

@@ -1,6 +1,8 @@
 """Scenario loading, preset catalog transcription, and sweep grids."""
 
+import hashlib
 import math
+import sys
 import textwrap
 import warnings
 from dataclasses import fields, replace
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fogscope import scenario
 from fogscope.model import (CloudParams, FogNodeParams, NetworkParams,
                             ValidationError, WorkloadParams)
 from fogscope.scenario import (_FIELD_AXES, CATALOG, ParseError,
@@ -539,6 +542,24 @@ class TestPresets:
     def test_rows_cover_all_presets(self):
         names = {row[1] for row in catalog_rows()}
         assert "hspa_plus" in names and "x2212" in names and "1080p" in names
+
+
+class TestSha256:
+    """The digests hash through CPython's own SHA-256, which must give
+    hashlib's bytes."""
+
+    @given(st.binary(max_size=4096))
+    def test_matches_hashlib(self, data):
+        assert scenario._sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+    @given(st.binary(max_size=4096))
+    def test_falls_back_to_hashlib(self, data):
+        # an interpreter built without CPython's own hash modules
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(sys.modules, "_sha2", None)
+            patch.setitem(sys.modules, "_sha256", None)
+            digest = scenario._sha256_hex(data)
+        assert digest == hashlib.sha256(data).hexdigest()
 
 
 class TestSweepGrid:
