@@ -307,8 +307,7 @@ def _flag(mapping: dict, key: str, default: bool = False) -> bool:
 def _reject_unknown(section: str, mapping: dict) -> None:
     if mapping:
         # keys of mixed types do not sort, so their shown texts are sorted
-        key = min(key if isinstance(key, str) else _shown(key)
-                  for key in mapping)
+        key = min(k if isinstance(k, str) else _shown(k) for k in mapping)
         path = f"{section}.{key}" if section else key
         raise ValidationError(f"{path}: unknown key", field=path)
 
@@ -349,7 +348,8 @@ def _unique_key_loader() -> type:
                 if key in seen:
                     raise yaml.constructor.ConstructorError(
                         "while constructing a mapping", node.start_mark,
-                        f"found duplicate key {_shown(key)}", key_node.start_mark)
+                        f"found duplicate key {_shown(key)}",
+                        key_node.start_mark)
                 seen.add(key)
             return super().construct_mapping(node, deep=deep)
 
