@@ -206,7 +206,7 @@ def _sha256_hex(data: bytes) -> str:
     """SHA-256 of ``data`` in hex, from CPython's own implementation:
     hashlib's would load OpenSSL's libcrypto, a few MiB of resident memory,
     to hash a few hundred bytes.  hashlib serves an interpreter built
-    without it."""
+    without those modules."""
     try:
         from _sha2 import sha256  # Python 3.12+
     except ImportError:
