@@ -650,6 +650,20 @@ ERROR_DOCS = {
         "workload:\n", "workload:\n  1: a\n  foo: b\n"),
     "hex-key.yaml": DEFAULT_DOC + HEX_KEY,
     "hex-key-twice.yaml": DEFAULT_DOC + HEX_KEY * 2,
+    # explicit tags whose constructors raise, or that a collection cannot take
+    "tag-bool.yaml": DEFAULT_DOC.replace("name: default", "name: !!bool x"),
+    "tag-bool-number.yaml": DEFAULT_DOC.replace("tdp_w: 10.0",
+                                                "tdp_w: !!bool maybe"),
+    "tag-map.yaml": DEFAULT_DOC.replace("name: default", "name: !!map [1]"),
+    "tag-set.yaml": DEFAULT_DOC.replace("name: default", "name: !!set [1]"),
+    "tag-map-number.yaml": DEFAULT_DOC.replace("tdp_w: 10.0",
+                                               "tdp_w: !!map [1]"),
+    "tag-timestamp.yaml": DEFAULT_DOC.replace("name: default",
+                                              "name: !!timestamp x"),
+    # the first fault by line is reported, not the last
+    "two-faults.yaml": DEFAULT_DOC.replace(
+        "name: default", "name: !!bool x").replace("tdp_w: 10.0",
+                                                   "tdp_w: !!map [1]"),
     "impossible.yaml":
         "modification1_enabled: true\n"
         "workload: {arrival_rate_pps: 100, packet_size_bits: 12000}\n"
@@ -695,17 +709,48 @@ ERROR_LINES = {
         "error: invalid scenario document: nested too deeply\n"),
     "yaml-mixed-keys": (
         ["evaluate", "--scenario", "{tmp}/mixed-keys.yaml", "--r", "0.5"], 2,
-        "error: 1: unknown key\n"),
+        "error: invalid scenario document: expected a string key, found int "
+        "(line 22, column 1)\n"),
     "yaml-mixed-keys-section": (
         ["evaluate", "--scenario", "{tmp}/mixed-keys-section.yaml",
-         "--r", "0.5"], 2, "error: workload.1: unknown key\n"),
+         "--r", "0.5"], 2, "error: invalid scenario document: expected a "
+        "string key, found int (line 4, column 3)\n"),
     "yaml-hex-key": (
         ["evaluate", "--scenario", "{tmp}/hex-key.yaml", "--r", "0.5"], 2,
-        "error: a value too long to show (int): unknown key\n"),
+        "error: invalid scenario document: expected a string key, found int "
+        "(line 22, column 3)\n"),
     "yaml-hex-key-twice": (
         ["evaluate", "--scenario", "{tmp}/hex-key-twice.yaml", "--r", "0.5"],
-        2, "error: invalid scenario document: found duplicate key a value "
-        "too long to show (int) (line 23, column 3)\n"),
+        2, "error: invalid scenario document: expected a string key, found "
+        "int (line 22, column 3)\n"),
+    "yaml-tag-bool": (
+        ["evaluate", "--scenario", "{tmp}/tag-bool.yaml", "--r", "0.5"], 2,
+        "error: invalid scenario document: unreadable bool scalar "
+        "(line 2, column 7)\n"),
+    "yaml-tag-bool-number": (
+        ["evaluate", "--scenario", "{tmp}/tag-bool-number.yaml", "--r", "0.5"],
+        2, "error: invalid scenario document: unreadable bool scalar "
+        "(line 10, column 10)\n"),
+    "yaml-tag-map": (
+        ["evaluate", "--scenario", "{tmp}/tag-map.yaml", "--r", "0.5"], 2,
+        "error: invalid scenario document: found a sequence tagged map "
+        "(line 2, column 7)\n"),
+    "yaml-tag-set": (
+        ["evaluate", "--scenario", "{tmp}/tag-set.yaml", "--r", "0.5"], 2,
+        "error: invalid scenario document: found a sequence tagged set "
+        "(line 2, column 7)\n"),
+    "yaml-tag-map-number": (
+        ["evaluate", "--scenario", "{tmp}/tag-map-number.yaml", "--r", "0.5"],
+        2, "error: invalid scenario document: found a sequence tagged map "
+        "(line 10, column 10)\n"),
+    "yaml-tag-timestamp": (
+        ["evaluate", "--scenario", "{tmp}/tag-timestamp.yaml", "--r", "0.5"],
+        2, "error: invalid scenario document: unreadable timestamp scalar "
+        "(line 2, column 7)\n"),
+    "yaml-two-faults": (
+        ["evaluate", "--scenario", "{tmp}/two-faults.yaml", "--r", "0.5"], 2,
+        "error: invalid scenario document: unreadable bool scalar "
+        "(line 2, column 7)\n"),
     "yaml-empty": (["evaluate", "--scenario", "{tmp}/empty.yaml", "--r", "1"],
                    2, "error: empty scenario document\n"),
     "yaml-bad": (["evaluate", "--scenario", "{tmp}/bad.yaml", "--r", "0.5"], 2,

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import textwrap
 import warnings
@@ -154,6 +156,20 @@ class TestLoadScenario:
             load_scenario(doc)
         assert "tdp_w" in str(exc.value)
         assert exc.value.line == doc.splitlines().index("  tdp_w: 20.0") + 1
+
+    def test_alias_cycle_is_checked_once(self):
+        # a check that follows aliases without a visited set never ends here
+        code = ("from fogscope.model import ValidationError\n"
+                "from fogscope.scenario import load_scenario\n"
+                "try:\n"
+                "    load_scenario('name: &a [*a]\\n')\n"
+                "except ValidationError as exc:\n"
+                "    print(exc)\n")
+        src = str(Path(scenario.__file__).parents[1])
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, timeout=60,
+                                env={**os.environ, "PYTHONPATH": src})
+        assert result.stdout == "name: must be a nonempty string\n"
 
     def test_merge_key_may_be_overridden(self):
         doc = MINIMAL_DOC.replace(
