@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import cache
 from typing import Any, Optional
 
 from .flight import MotorParams
@@ -295,10 +294,8 @@ def _number(path: str, value: Any) -> float:
     return number
 
 
-def _flag(mapping: dict, key: str, default: bool = False) -> bool:
-    if key not in mapping:
-        return default
-    value = mapping.pop(key)
+def _flag(mapping: dict, key: str) -> bool:
+    value = mapping.pop(key, False)
     _require(isinstance(value, bool),
              f"expected true/false, got {_shown(value)}", key)
     return value
@@ -306,9 +303,7 @@ def _flag(mapping: dict, key: str, default: bool = False) -> bool:
 
 def _reject_unknown(section: str, mapping: dict) -> None:
     if mapping:
-        # keys of mixed types do not sort, so their shown texts are sorted
-        key = min(k if isinstance(k, str) else _shown(k) for k in mapping)
-        path = f"{section}.{key}" if section else key
+        path = f"{section}.{min(mapping)}" if section else min(mapping)
         raise ValidationError(f"{path}: unknown key", field=path)
 
 
@@ -319,41 +314,45 @@ def _section(doc: dict, key: str) -> dict:
     return dict(value)
 
 
-@cache
-def _unique_key_loader() -> type:
-    """SafeLoader that refuses a key repeated within one mapping, which
-    plain YAML loading resolves silently in favour of the last value.  It
-    is built on first use, so commands that read no document start
-    without PyYAML."""
+def _document(root: Any) -> Any:
+    """The document of a composed node tree.  The tree is checked first, in
+    document order and each node once, for what PyYAML crashes on or the
+    schema never holds: a collection under another tag, a key other than a
+    string or "<<", a repeated key, and a scalar that does not convert."""
     import yaml
+    loader = yaml.SafeLoader("")
 
-    class UniqueKeyLoader(yaml.SafeLoader):
-        def construct_object(self, node, deep=False):
-            try:  # an int past 4300 digits or a month 13 fails to convert
-                return super().construct_object(node, deep=deep)
-            except ValueError as exc:
-                kind = node.tag.rpartition(":")[2]
-                raise yaml.constructor.ConstructorError(
-                    None, None, f"unreadable {kind} scalar",
-                    node.start_mark) from exc
+    def fault(problem: str, node: Any) -> yaml.MarkedYAMLError:
+        return yaml.MarkedYAMLError(None, None, problem, node.start_mark)
 
-        def construct_mapping(self, node, deep=False):
-            seen = set()
-            for key_node, _ in node.value:
-                # "<<" merge keys may be overridden by the mapping's own keys
-                if (not isinstance(key_node, yaml.ScalarNode)
-                        or key_node.tag == "tag:yaml.org,2002:merge"):
-                    continue
-                key = self.construct_object(key_node, deep=deep)
-                if key in seen:
-                    raise yaml.constructor.ConstructorError(
-                        "while constructing a mapping", node.start_mark,
-                        f"found duplicate key {_shown(key)}",
-                        key_node.start_mark)
-                seen.add(key)
-            return super().construct_mapping(node, deep=deep)
-
-    return UniqueKeyLoader
+    seen = set()
+    pending = [(root, None)]  # (node, the keys before it if it is a key)
+    while pending:
+        node, keys = pending.pop()
+        kind = node.tag.removeprefix("tag:yaml.org,2002:")
+        if keys is not None and kind != "merge":
+            if not (isinstance(node, yaml.ScalarNode) and kind == "str"):
+                raise fault(f"expected a string key, found {kind}", node)
+            if node.value in keys:
+                raise fault(f"found duplicate key {node.value!r}", node)
+            keys.add(node.value)
+        if node in seen or kind == "merge":
+            continue
+        seen.add(node)
+        if isinstance(node, yaml.ScalarNode):
+            try:  # a word tagged bool, an int past 4300 digits, a month 13
+                loader.construct_object(node, deep=True)
+            except (AttributeError, LookupError, ValueError) as exc:
+                raise fault(f"unreadable {kind} scalar", node) from exc
+        elif kind != ("map" if isinstance(node, yaml.MappingNode) else "seq"):
+            raise fault(f"found a {node.id} tagged {kind}", node)
+        elif kind == "seq":
+            pending += [(item, None) for item in reversed(node.value)]
+        else:
+            keys = set()
+            for key, value in reversed(node.value):
+                pending += [(value, None), (key, keys)]
+    return loader.construct_document(root)
 
 
 def load_scenario(text: str) -> Scenario:
@@ -364,7 +363,8 @@ def load_scenario(text: str) -> Scenario:
     """
     import yaml
     try:
-        doc = yaml.load(text, Loader=_unique_key_loader())
+        root = yaml.compose(text, Loader=yaml.SafeLoader)
+        doc = None if root is None else _document(root)
     except RecursionError as exc:  # PyYAML composes nested nodes recursively
         raise ParseError("invalid scenario document: nested too deeply") from exc
     except yaml.YAMLError as exc:
@@ -385,7 +385,6 @@ def load_scenario(text: str) -> Scenario:
         raise ParseError("empty scenario document")
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a mapping")
-    doc = dict(doc)
 
     name = doc.pop("name", "scenario")
     _require(isinstance(name, str) and name != "",
