@@ -664,6 +664,8 @@ ERROR_DOCS = {
     "two-faults.yaml": DEFAULT_DOC.replace(
         "name: default", "name: !!bool x").replace("tdp_w: 10.0",
                                                    "tdp_w: !!map [1]"),
+    # bytes 0xff 0xfe, which UTF-8 does not decode, written as surrogates
+    "latin1.yaml": "name: \udcff\udcfe bad\n",
     "impossible.yaml":
         "modification1_enabled: true\n"
         "workload: {arrival_rate_pps: 100, packet_size_bits: 12000}\n"
@@ -765,6 +767,10 @@ ERROR_LINES = {
         ["evaluate", "--scenario", "{tmp}/missing.yaml", "--r", "0.5"], 2,
         "error: cannot read scenario file: [Errno 2] No such file or "
         "directory: '{tmp}/missing.yaml'\n"),
+    "yaml-not-utf8": (
+        ["evaluate", "--scenario", "{tmp}/latin1.yaml", "--r", "0.5"], 2,
+        "error: cannot read scenario file: 'utf-8' codec can't decode byte "
+        "0xff in position 6: invalid start byte\n"),
     "r-bound": (["evaluate", "--r", "1.5"], 2,
                 "error: --r=1.5 violates the bound [0, 1]\n"),
     "grid-malformed": (["sweep", "--grid", "v_fog_frac"], 2,
@@ -894,7 +900,8 @@ class TestErrorLines:
     def test_exit_code_and_message(self, runner, out_dir, tmp_path, name):
         args, code, stderr = ERROR_LINES[name]
         for doc, text in ERROR_DOCS.items():
-            (tmp_path / doc).write_text(text, encoding="utf-8")
+            (tmp_path / doc).write_text(text, encoding="utf-8",
+                                        errors="surrogateescape")
         env = {key: value.format(tmp=tmp_path)
                for key, value in ERROR_ENV.get(name, {}).items()}
         result = runner.invoke(main, [arg.format(tmp=tmp_path)
