@@ -65,7 +65,7 @@ def _load(scenario_path: Optional[str]) -> Scenario:
         return default_scenario()
     try:
         text = Path(scenario_path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _fail(EXIT_INPUT, f"cannot read scenario file: {exc}")
     return load_scenario(text)
 
