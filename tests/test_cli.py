@@ -777,6 +777,10 @@ ERROR_LINES = {
                        "error: grid: malformed axis spec 'v_fog_frac'\n"),
     "grid-axis": (["sweep", "--grid", "nope=1"], 2,
                   "error: grid: unknown axis 'nope'\n"),
+    # the second would overwrite the first's values under its labels
+    "grid-twice": (["sweep", "--grid", "network=gsm,umts;network=hspa",
+                    "--r-steps", "2"], 2,
+                   "error: grid: axis 'network' given twice\n"),
     "grid-network": (["sweep", "--grid", "network=5g"], 2,
                      "error: grid.network: unknown preset '5g'\n"),
     "grid-number": (["sweep", "--grid", "fog.tdp_w=hot"], 2,
