@@ -493,6 +493,7 @@ def parse_grid_spec(text: str) -> GridAxes:
         values = [v.strip() for v in raw.split(",") if v.strip()]
         _require(bool(sep and axis and values),
                  f"malformed axis spec {part!r}", "grid")
+        _require(axis not in dict(axes), f"axis {axis!r} given twice", "grid")
         axes.append((axis, values))
     return axes
 
