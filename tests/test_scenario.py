@@ -11,13 +11,13 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogscope import scenario
 from fogscope.model import (CloudParams, FogNodeParams, NetworkParams,
                             ValidationError, WorkloadParams)
-from fogscope.scenario import (_FIELD_AXES, CATALOG, ParseError,
+from fogscope.scenario import (_FIELD_AXES, CATALOG, ParseError, Scenario,
                                UnknownPreset, catalog_checksum, catalog_rows,
                                default_scenario, load_scenario,
                                parse_grid_spec, preset, scenario_digest,
@@ -690,3 +690,56 @@ def test_serialization_round_trip_property(rate, size, uplink, eta, mod1):
         modification1_enabled=mod1,
     )
     assert load_scenario(serialize_scenario(s)) == s
+
+
+# keys and values the loader oracle below puts into the scenario files:
+# explicit tags, ints past the int-string limit in hex and decimal, dates,
+# nested collections, aliases, merge keys, keys other than strings and
+# unprintable characters
+MUTATIONS = [
+    "!!bool x", "!!bool maybe", "!!int x", "!!int -", "!!float ''",
+    "!!float 10", "!!str 1", "!!null x", "!!timestamp x", "!!binary aGk=",
+    "!!binary a", "!!map [1]", "!!map x", "!!set [1]", "!!set {a}",
+    "!!omap [a: 1]", "!!pairs [a: 1]", "!!seq x", "!foo x",
+    "0x1" + "0" * 4000, "1" + "0" * 5000, "2001-13-01", "2001-01-01",
+    "2001-01-01 00:00:00 +99:00", "[1, [2, {a: 3}]]", "{a: {b: [c]}}",
+    "&a [*a]", "&b x", "*b", "&c {x: *c}", "<<", "{<<: {a: 1}}",
+    "{<<: [*b]}", "{1: a}", "{? [1] : a}", "{yes: 1, null: 2}", "1", "yes",
+    "null", "~", "[1]", "{a: 1}", "? [1]", "!!str 1", "!!int 1", "&k name",
+    "*k", "a\x01", "\x7f", "\ufffe", "a\x85b", "a\u2028b", "",
+]
+SCENARIO_LINES = [path.read_text(encoding="utf-8").splitlines()
+                  for path in sorted(SCENARIO_FILES.glob("*.yaml"))]
+
+
+@st.composite
+def mutated_scenarios(draw) -> str:
+    """A scenario file with up to three lines changed: a key or a value
+    replaced from MUTATIONS, or the line repeated or deleted."""
+    lines = list(draw(st.sampled_from(SCENARIO_LINES)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        indent = line[:len(line) - len(line.lstrip())]
+        key, _, value = line.strip().partition(":")
+        change = draw(st.sampled_from(["key", "value", "repeat", "delete"]))
+        if change == "key":
+            lines[i] = f"{indent}{draw(st.sampled_from(MUTATIONS))}:{value}"
+        elif change == "value":
+            lines[i] = f"{indent}{key}: {draw(st.sampled_from(MUTATIONS))}"
+        elif change == "repeat":
+            lines.insert(i, line)
+        elif len(lines) > 1:
+            del lines[i]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_scenarios())
+def test_loader_returns_a_scenario_or_one_error_line(doc):
+    try:
+        loaded = load_scenario(doc)
+    except (ParseError, ValidationError) as exc:
+        assert "\n" not in str(exc)
+    else:
+        assert isinstance(loaded, Scenario)
