@@ -320,7 +320,7 @@ def _document(root: Any) -> Any:
     schema never holds: a collection under another tag, a key other than a
     string or "<<", a repeated key, and a scalar that does not convert."""
     import yaml
-    loader = yaml.SafeLoader("")
+    loader = yaml.SafeLoader("")  # its constructor builds the checked tree
 
     def fault(problem: str, node: Any) -> yaml.MarkedYAMLError:
         return yaml.MarkedYAMLError(None, None, problem, node.start_mark)
