@@ -665,7 +665,7 @@ ERROR_DOCS = {
         "name: default", "name: !!bool x").replace("tdp_w: 10.0",
                                                    "tdp_w: !!map [1]"),
     # bytes 0xff 0xfe, which UTF-8 does not decode, written as surrogates
-    "latin1.yaml": "name: \udcff\udcfe bad\n",
+    "not-utf8.yaml": "name: \udcff\udcfe bad\n",
     "impossible.yaml":
         "modification1_enabled: true\n"
         "workload: {arrival_rate_pps: 100, packet_size_bits: 12000}\n"
@@ -768,7 +768,7 @@ ERROR_LINES = {
         "error: cannot read scenario file: [Errno 2] No such file or "
         "directory: '{tmp}/missing.yaml'\n"),
     "yaml-not-utf8": (
-        ["evaluate", "--scenario", "{tmp}/latin1.yaml", "--r", "0.5"], 2,
+        ["evaluate", "--scenario", "{tmp}/not-utf8.yaml", "--r", "0.5"], 2,
         "error: cannot read scenario file: 'utf-8' codec can't decode byte "
         "0xff in position 6: invalid start byte\n"),
     "r-bound": (["evaluate", "--r", "1.5"], 2,

@@ -697,7 +697,7 @@ def test_serialization_round_trip_property(rate, size, uplink, eta, mod1):
 # nested collections, aliases, merge keys, keys other than strings and
 # unprintable characters
 MUTATIONS = [
-    "!!bool x", "!!bool maybe", "!!int x", "!!int -", "!!float ''",
+    "!!bool x", "!!bool maybe", "!!int x", "!!int '-'", "!!float ''",
     "!!float 10", "!!str 1", "!!null x", "!!timestamp x", "!!binary aGk=",
     "!!binary a", "!!map [1]", "!!map x", "!!set [1]", "!!set {a}",
     "!!omap [a: 1]", "!!pairs [a: 1]", "!!seq x", "!foo x",
