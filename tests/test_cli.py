@@ -660,6 +660,9 @@ ERROR_DOCS = {
                                                "tdp_w: !!map [1]"),
     "tag-timestamp.yaml": DEFAULT_DOC.replace("name: default",
                                               "name: !!timestamp x"),
+    # a merged mapping is checked whatever its tag
+    "merge-tag.yaml": DEFAULT_DOC + "<<: !!merge {1: a, foo: b}\n",
+    "merge-tag-list.yaml": DEFAULT_DOC + "<<: [!!merge {name: !!bool x}]\n",
     # the first fault by line is reported, not the last
     "two-faults.yaml": DEFAULT_DOC.replace(
         "name: default", "name: !!bool x").replace("tdp_w: 10.0",
@@ -749,6 +752,14 @@ ERROR_LINES = {
         ["evaluate", "--scenario", "{tmp}/tag-timestamp.yaml", "--r", "0.5"],
         2, "error: invalid scenario document: unreadable timestamp scalar "
         "(line 2, column 7)\n"),
+    "yaml-merge-tag": (
+        ["evaluate", "--scenario", "{tmp}/merge-tag.yaml", "--r", "0.5"], 2,
+        "error: invalid scenario document: expected a string key, found int "
+        "(line 22, column 14)\n"),
+    "yaml-merge-tag-list": (
+        ["evaluate", "--scenario", "{tmp}/merge-tag-list.yaml", "--r", "0.5"],
+        2, "error: invalid scenario document: unreadable bool scalar "
+        "(line 22, column 21)\n"),
     "yaml-two-faults": (
         ["evaluate", "--scenario", "{tmp}/two-faults.yaml", "--r", "0.5"], 2,
         "error: invalid scenario document: unreadable bool scalar "
@@ -781,6 +792,15 @@ ERROR_LINES = {
     "grid-twice": (["sweep", "--grid", "network=gsm,umts;network=hspa",
                     "--r-steps", "2"], 2,
                    "error: grid: axis 'network' given twice\n"),
+    # two axes that set one field: the later overwrites the earlier
+    "grid-same-field": (["sweep", "--grid", "workload.arrival_rate_pps=1,2;"
+                         "bitrate=1080p_max", "--r-steps", "2"], 2,
+                        "error: grid: axes 'workload.arrival_rate_pps' and "
+                        "'bitrate' set the same field\n"),
+    "grid-same-preset-field": (["sweep", "--grid", "network.base_latency_s="
+                                "0.1,0.2;network=gsm", "--r-steps", "2"], 2,
+                               "error: grid: axes 'network.base_latency_s' "
+                               "and 'network' set the same field\n"),
     "grid-network": (["sweep", "--grid", "network=5g"], 2,
                      "error: grid.network: unknown preset '5g'\n"),
     "grid-number": (["sweep", "--grid", "fog.tdp_w=hot"], 2,

@@ -182,6 +182,19 @@ class TestLoadScenario:
         assert s.network.uplink_throughput == 2.0e6
         assert s.network.downlink_throughput == 1.5e6
 
+    @pytest.mark.parametrize("merged", [
+        "!foo {noise_sigma: 0.2}", "!!merge {noise_sigma: 0.2}",
+        "!!set {noise_sigma: 0.2}", "!!omap [{noise_sigma: 0.2}]",
+        "!bar [!foo {noise_sigma: 0.2}]"])
+    def test_merged_mapping_loads_under_any_tag(self, merged):
+        # PyYAML merges a mapping whatever its tag, or its sequence's tag
+        network = "network:\n  uplink_throughput_bps: 1.5e6\n"
+        doc = MINIMAL_DOC.replace(network, f"network:\n  <<: {merged}\n"
+                                  + network.removeprefix("network:\n"))
+        s = load_scenario(doc)
+        assert s.network.noise_sigma == 0.2
+        assert s == replace(load_scenario(MINIMAL_DOC), network=s.network)
+
     def test_wrong_type_rejected(self):
         doc = MINIMAL_DOC.replace("arrival_rate_pps: 100",
                                   "arrival_rate_pps: fast")
