@@ -316,42 +316,46 @@ def _section(doc: dict, key: str) -> dict:
 
 def _document(root: Any) -> Any:
     """The document of a composed node tree.  The tree is checked first, in
-    document order and each node once, for what PyYAML crashes on or the
-    schema never holds: a collection under another tag, a key other than a
-    string or "<<", a repeated key, and a scalar that does not convert."""
+    document order, for what PyYAML crashes on or the schema never holds: a
+    collection under another tag (one that "<<" merges may carry any), a
+    key other than a string or "<<", a repeated key, a bad scalar."""
     import yaml
     loader = yaml.SafeLoader("")  # its constructor builds the checked tree
 
     def fault(problem: str, node: Any) -> yaml.MarkedYAMLError:
         return yaml.MarkedYAMLError(None, None, problem, node.start_mark)
 
-    seen = set()
-    pending = [(root, None)]  # (node, the keys before it if it is a key)
+    merge = "tag:yaml.org,2002:merge"  # a "<<" key, or what it merges
+    seen, pending = set(), [(root, None)]  # (node, the keys before it if it
+    # is a key, or merge if PyYAML merges it, which it does under any tag)
     while pending:
         node, keys = pending.pop()
         kind = node.tag.removeprefix("tag:yaml.org,2002:")
-        if keys is not None and kind != "merge":
+        if isinstance(keys, set):
+            if node.tag == merge:
+                continue
             if not (isinstance(node, yaml.ScalarNode) and kind == "str"):
                 raise fault(f"expected a string key, found {kind}", node)
             if node.value in keys:
                 raise fault(f"found duplicate key {node.value!r}", node)
             keys.add(node.value)
-        if node in seen or kind == "merge":
+        if (node, keys == merge) in seen:  # checked once merged, once not
             continue
-        seen.add(node)
+        seen.add((node, keys == merge))
         if isinstance(node, yaml.ScalarNode):
             try:  # a word tagged bool, an int past 4300 digits, a month 13
                 loader.construct_object(node, deep=True)
             except (AttributeError, LookupError, ValueError) as exc:
                 raise fault(f"unreadable {kind} scalar", node) from exc
-        elif kind != ("map" if isinstance(node, yaml.MappingNode) else "seq"):
+        elif keys != merge and kind != node.id[:3]:  # "map" or "seq"
             raise fault(f"found a {node.id} tagged {kind}", node)
-        elif kind == "seq":
-            pending += [(item, None) for item in reversed(node.value)]
+        elif node.id == "sequence":
+            pending += [(item, keys) for item in reversed(node.value)]
         else:
             keys = set()
             for key, value in reversed(node.value):
-                pending += [(value, None), (key, keys)]
+                pending += [(value, merge if key.tag == merge else None),
+                            (key, keys)]
     return loader.construct_document(root)
 
 
@@ -432,21 +436,16 @@ def _network_preset(name: Any) -> NetworkPreset:
     return CATALOG.networks[name]
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    """Schema-form dict with the network resolved to explicit values."""
+def serialize_scenario(s: Scenario) -> str:
+    """Canonical YAML form, the network resolved to explicit values;
+    load_scenario(serialize_scenario(s)) == s."""
+    import yaml
     doc = {"name": s.name, "modification1_enabled": s.modification1_enabled,
            "include_base_latency": s.include_base_latency}
     for path, (section, field) in _FIELD_AXES.items():
         doc.setdefault(section, {})[path.partition(".")[2]] = \
             getattr(getattr(s, section), field)
-    return doc
-
-
-def serialize_scenario(s: Scenario) -> str:
-    """Canonical YAML form; load_scenario(serialize_scenario(s)) == s."""
-    import yaml
-    return yaml.safe_dump(scenario_to_dict(s), sort_keys=False,
-                          default_flow_style=False)
+    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
 
 
 def scenario_digest(s: Scenario) -> str:
@@ -473,6 +472,10 @@ def default_scenario() -> Scenario:
 # ---------------------------------------------------------------------------
 
 GridAxes = list[tuple[str, list[str]]]
+# the (section, field) pairs each axis other than a schema key sets
+_AXIS_FIELDS = {"network": [("network", field) for field in _PRESET_FIELDS],
+                "bitrate": [("workload", "arrival_rate")],
+                "v_fog_frac": [("fog", "proc_capability")]}
 
 
 def parse_grid_spec(text: str) -> GridAxes:
@@ -484,6 +487,7 @@ def parse_grid_spec(text: str) -> GridAxes:
     schema key.
     """
     axes: GridAxes = []
+    setters = {}  # (section, field) -> the axis that sets it
     for part in text.split(";"):
         part = part.strip()
         if not part:
@@ -493,7 +497,11 @@ def parse_grid_spec(text: str) -> GridAxes:
         values = [v.strip() for v in raw.split(",") if v.strip()]
         _require(bool(sep and axis and values),
                  f"malformed axis spec {part!r}", "grid")
-        _require(axis not in dict(axes), f"axis {axis!r} given twice", "grid")
+        fields = _AXIS_FIELDS.get(axis) or [_FIELD_AXES.get(axis, axis)]
+        other = next((setters[f] for f in fields if f in setters), None)
+        _require(other is None, f"axis {axis!r} given twice" if other == axis
+                 else f"axes {other!r} and {axis!r} set the same field", "grid")
+        setters.update(dict.fromkeys(fields, axis))
         axes.append((axis, values))
     return axes
 
