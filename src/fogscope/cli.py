@@ -53,6 +53,10 @@ class _FiniteFloat(click.ParamType):
 
 
 _FINITE_FLOAT = _FiniteFloat()
+# a finite float option with its default shown, and the --scenario option
+_NUMBER = partial(click.option, type=_FINITE_FLOAT, show_default=True)
+_SCENARIO = click.option("--scenario", "scenario_path", default=None, help=(
+    "Scenario YAML file (defaults to the built-in scenario)."))
 
 
 def _fail(code: int, message: str) -> None:
@@ -118,8 +122,7 @@ def main():
 
 
 @main.command()
-@click.option("--scenario", "scenario_path", default=None,
-              help="Scenario YAML file (defaults to the built-in scenario).")
+@_SCENARIO
 @click.option("--r", "r", type=_FINITE_FLOAT, required=True,
               help="Fraction of arrivals accepted for fog processing.")
 def evaluate(scenario_path: Optional[str], r: float):
@@ -137,8 +140,7 @@ def evaluate(scenario_path: Optional[str], r: float):
 
 
 @main.command()
-@click.option("--scenario", "scenario_path", default=None,
-              help="Scenario YAML file (defaults to the built-in scenario).")
+@_SCENARIO
 @click.option("--grid", "grid_text", default="",
               help="Axis spec, e.g. 'network=gsm,hspa_plus;v_fog_frac=0.25,1.0'.")
 @click.option("--r-steps", type=int, default=101, show_default=True,
@@ -188,17 +190,13 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
 
 
 @main.command("optimize")
-@click.option("--scenario", "scenario_path", default=None,
-              help="Scenario YAML file (defaults to the built-in scenario).")
+@_SCENARIO
 @click.option("--pop", type=int, default=100, show_default=True)
 @click.option("--gens", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--crossover-rate", type=_FINITE_FLOAT,
-              default=0.9, show_default=True)
-@click.option("--mutation-rate", type=_FINITE_FLOAT,
-              default=0.1, show_default=True)
-@click.option("--mutation-sigma", type=_FINITE_FLOAT,
-              default=0.05, show_default=True)
+@_NUMBER("--crossover-rate", default=0.9)
+@_NUMBER("--mutation-rate", default=0.1)
+@_NUMBER("--mutation-sigma", default=0.05)
 def optimize_cmd(scenario_path: Optional[str], pop: int, gens: int, seed: int,
                  crossover_rate: float, mutation_rate: float,
                  mutation_sigma: float):
@@ -223,8 +221,7 @@ def optimize_cmd(scenario_path: Optional[str], pop: int, gens: int, seed: int,
 
 
 @main.command()
-@click.option("--scenario", "scenario_path", default=None,
-              help="Scenario YAML file (defaults to the built-in scenario).")
+@_SCENARIO
 @click.option("--local-prob", type=_FINITE_FLOAT, required=True,
               help="Probability a packet is classified for local processing.")
 @click.option("--duration", type=_FINITE_FLOAT, required=True,
@@ -281,8 +278,7 @@ def _float_list(text: str, option: str) -> list[float]:
               help="Flight heights in meters, comma separated.")
 @click.option("--speeds", default="5,10", show_default=True,
               help="Ground speeds in m/s, comma separated.")
-@click.option("--dfov", type=_FINITE_FLOAT, default=94.0, show_default=True,
-              help="Diagonal field of view in degrees.")
+@_NUMBER("--dfov", default=94.0, help="Diagonal field of view in degrees.")
 @click.option("--aspect", default="3:2", show_default=True,
               help="Image aspect ratio W:H; the H side lies along-track.")
 def fov(heights: str, speeds: str, dfov: float, aspect: str):
@@ -318,19 +314,15 @@ def fov(heights: str, speeds: str, dfov: float, aspect: str):
 @main.command()
 @click.option("--kind", type=click.Choice(["quad", "fixedwing"]),
               default="quad", show_default=True)
-@click.option("--mass-min", type=_FINITE_FLOAT, default=0.5, show_default=True)
-@click.option("--mass-max", type=_FINITE_FLOAT, default=3.0, show_default=True)
-@click.option("--step", type=_FINITE_FLOAT, default=0.25, show_default=True)
+@_NUMBER("--mass-min", default=0.5)
+@_NUMBER("--mass-max", default=3.0)
+@_NUMBER("--step", default=0.25)
 @click.option("--motor", "motor_name", default="x2212", show_default=True)
-@click.option("--efficiency", type=_FINITE_FLOAT,
-              default=1.0, show_default=True,
-              help="Overall drivetrain efficiency (1.0 = ideal model).")
-@click.option("--wing-area", type=_FINITE_FLOAT,
-              default=0.72, show_default=True)
-@click.option("--drag-coeff", type=_FINITE_FLOAT,
-              default=0.05, show_default=True)
-@click.option("--lift-coeff", type=_FINITE_FLOAT,
-              default=0.3, show_default=True)
+@_NUMBER("--efficiency", default=1.0,
+         help="Overall drivetrain efficiency (1.0 = ideal model).")
+@_NUMBER("--wing-area", default=0.72)
+@_NUMBER("--drag-coeff", default=0.05)
+@_NUMBER("--lift-coeff", default=0.3)
 def power(kind: str, mass_min: float, mass_max: float, step: float,
           motor_name: str, efficiency: float, wing_area: float,
           drag_coeff: float, lift_coeff: float):
