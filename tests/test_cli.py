@@ -663,6 +663,10 @@ ERROR_DOCS = {
     # a merged mapping is checked whatever its tag
     "merge-tag.yaml": DEFAULT_DOC + "<<: !!merge {1: a, foo: b}\n",
     "merge-tag-list.yaml": DEFAULT_DOC + "<<: [!!merge {name: !!bool x}]\n",
+    # merged under any tag, but checked again where an alias uses it
+    "merge-tag-alias.yaml": DEFAULT_DOC.replace(
+        "network:\n", "network:\n  <<: &m !!map [{noise_sigma: 0.2}]\n")
+    + "extra: *m\n",
     # the first fault by line is reported, not the last
     "two-faults.yaml": DEFAULT_DOC.replace(
         "name: default", "name: !!bool x").replace("tdp_w: 10.0",
@@ -760,6 +764,10 @@ ERROR_LINES = {
         ["evaluate", "--scenario", "{tmp}/merge-tag-list.yaml", "--r", "0.5"],
         2, "error: invalid scenario document: unreadable bool scalar "
         "(line 22, column 21)\n"),
+    "yaml-merge-tag-alias": (
+        ["evaluate", "--scenario", "{tmp}/merge-tag-alias.yaml", "--r", "0.5"],
+        2, "error: invalid scenario document: found a sequence tagged map "
+        "(line 13, column 7)\n"),
     "yaml-two-faults": (
         ["evaluate", "--scenario", "{tmp}/two-faults.yaml", "--r", "0.5"], 2,
         "error: invalid scenario document: unreadable bool scalar "

@@ -707,8 +707,8 @@ def test_serialization_round_trip_property(rate, size, uplink, eta, mod1):
 
 # keys and values the loader oracle below puts into the scenario files:
 # explicit tags, ints past the int-string limit in hex and decimal, dates,
-# nested collections, aliases, merge keys, keys other than strings and
-# unprintable characters
+# nested collections, aliases, merge keys, mappings under other tags (which
+# "<<" merges), keys other than strings and unprintable characters
 MUTATIONS = [
     "!!bool x", "!!bool maybe", "!!int x", "!!int '-'", "!!float ''",
     "!!float 10", "!!str 1", "!!null x", "!!timestamp x", "!!binary aGk=",
@@ -717,6 +717,8 @@ MUTATIONS = [
     "0x1" + "0" * 4000, "1" + "0" * 5000, "2001-13-01", "2001-01-01",
     "2001-01-01 00:00:00 +99:00", "[1, [2, {a: 3}]]", "{a: {b: [c]}}",
     "&a [*a]", "&b x", "*b", "&c {x: *c}", "<<", "{<<: {a: 1}}",
+    "!!merge {1: a, b: c}", "[!!merge {a: !!bool x}]", "!foo {a: 1}",
+    "!!omap [{a: 1}]", "[!!map [1]]", "{<<: &d !!set {a: 1}, b: *d}",
     "{<<: [*b]}", "{1: a}", "{? [1] : a}", "{yes: 1, null: 2}", "1", "yes",
     "null", "~", "[1]", "{a: 1}", "? [1]", "!!str 1", "!!int 1", "&k name",
     "*k", "a\x01", "\x7f", "\ufffe", "a\x85b", "a\u2028b", "",
@@ -728,17 +730,20 @@ SCENARIO_LINES = [path.read_text(encoding="utf-8").splitlines()
 @st.composite
 def mutated_scenarios(draw) -> str:
     """A scenario file with up to three lines changed: a key or a value
-    replaced from MUTATIONS, or the line repeated or deleted."""
+    replaced from MUTATIONS, the line replaced by a "<<" merge of a value
+    from MUTATIONS, or the line repeated or deleted."""
     lines = list(draw(st.sampled_from(SCENARIO_LINES)))
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         line = lines[i]
         indent = line[:len(line) - len(line.lstrip())]
         key, _, value = line.strip().partition(":")
-        change = draw(st.sampled_from(["key", "value", "repeat", "delete"]))
+        change = draw(st.sampled_from(["key", "value", "merge", "repeat",
+                                       "delete"]))
         if change == "key":
             lines[i] = f"{indent}{draw(st.sampled_from(MUTATIONS))}:{value}"
-        elif change == "value":
+        elif change in ("value", "merge"):
+            key = "<<" if change == "merge" else key
             lines[i] = f"{indent}{key}: {draw(st.sampled_from(MUTATIONS))}"
         elif change == "repeat":
             lines.insert(i, line)
