@@ -617,6 +617,21 @@ class TestArtifactContract:
         widths = {len(line) for line in parsed}
         assert len(widths) == 1  # header and all rows have equal width
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("args", [["evaluate", "--r", "0.5"],
+                                      ["sweep", "--r-steps", "2001"]],
+                             ids=["evaluate", "sweep"])
+    def test_artifact_that_opens_but_cannot_be_written_exits_2(
+            self, runner, out_dir, args):
+        # the rows overflow the write buffer before the artifact closes
+        out_dir.mkdir()
+        (out_dir / f"{args[0]}.csv").symlink_to("/dev/full")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr == ("error: cannot write artifact: [Errno 28] "
+                                 "No space left on device\n")
+
     def test_numeric_output_is_locale_independent(self, runner, out_dir):
         assert runner.invoke(main, ["evaluate", "--r", "0.75"]).exit_code == 0
         text = (out_dir / "evaluate.csv").read_text(encoding="utf-8")
