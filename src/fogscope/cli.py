@@ -168,21 +168,19 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
     infeasible = 0
     with _writing("artifact"):
         path = reporting.artifact_path("sweep.csv")
-        combined = path.open("w", encoding="utf-8")
-    with combined:
-        combined.write(head)
-        click.echo(head, nl=False)
-        for gid, member in enumerate(scenarios):
-            evaluation = _objective_row(member, r_values)
-            infeasible += r_steps - int(evaluation.feasible.sum())
-            text = reporting.render_artifact(manifest, ResultTable(
-                columns, cells=([gid] * r_steps, [member.name] * r_steps,
-                                *evaluation)))
-            with _writing("artifact"):
+        with path.open("w", encoding="utf-8") as combined:
+            combined.write(head)
+            click.echo(head, nl=False)
+            for gid, member in enumerate(scenarios):
+                evaluation = _objective_row(member, r_values)
+                infeasible += r_steps - int(evaluation.feasible.sum())
+                text = reporting.render_artifact(manifest, ResultTable(
+                    columns, cells=([gid] * r_steps, [member.name] * r_steps,
+                                    *evaluation)))
                 write_artifact(f"sweep_g{gid:03d}.csv", text)
-            body = text[len(head):]
-            combined.write(body)
-            click.echo(body, nl=False)
+                body = text[len(head):]
+                combined.write(body)
+                click.echo(body, nl=False)
     click.echo(f"wrote {path}", err=True)
     if infeasible:
         _fail(EXIT_INFEASIBLE,
