@@ -426,6 +426,27 @@ class TestHypervolume:
         with pytest.raises(ValueError, match="equal length"):
             hypervolume(points, reference)
 
+    @pytest.mark.parametrize("points, reference", [
+        ([(-math.inf, 0.0, 0.0)], (1.0, 1.0, 1.0)),
+        ([(0.5, -math.inf)], (1.0, 1.0)),
+        ([(math.nan, 0.5, 0.5)], (1.0, 1.0, 1.0)),
+        ([(0.5, 0.5), (2.0, math.nan)], (1.0, 1.0)),
+        ([(0.5, 0.5, 0.5)], (1.0, math.nan, 1.0)),
+        ([(0.5, 0.5, 0.5)], (math.inf, 1.0, 1.0)),
+        ([], (1.0, -math.inf)),
+    ], ids=["minus-inf", "minus-inf-2d", "nan", "nan-beyond", "nan-reference",
+            "inf-reference", "empty-minus-inf-reference"])
+    def test_non_finite_coordinates_rejected(self, points, reference):
+        with pytest.raises(ValueError, match="finite"):
+            hypervolume(points, reference)
+
+    @pytest.mark.parametrize("point", [(math.inf, 0.5, 0.5),
+                                       (-math.inf, 2.0, 0.5),
+                                       (1.0, 0.5, 0.5)])
+    def test_point_at_or_beyond_the_reference_adds_nothing(self, point):
+        assert hypervolume([point, (0.5, 0.5, 0.5)], (1.0, 1.0, 1.0)) \
+            == hypervolume([(0.5, 0.5, 0.5)], (1.0, 1.0, 1.0))
+
 
 @settings(max_examples=25)
 @given(objective_sets())
