@@ -16,6 +16,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import model
@@ -389,16 +390,22 @@ def hypervolume(points: Sequence[Sequence[float]],
     """Dominated hypervolume of a point set w.r.t. a reference (minimization).
 
     Supports 2 and 3 objectives; points at or beyond the reference in any
-    coordinate contribute nothing, and the others must be finite.  One
-    sweep in ascending third objective (Fonseca, Paquete & Lopez-Ibanez,
-    CEC 2006) keeps the 2-D staircase of the points seen so far and its
-    area, so a set of n points costs O(n log n) comparisons.
+    coordinate, ``inf`` included, contribute nothing.  Raises ValueError
+    for non-finite coordinates: a NaN anywhere, a reference that is not
+    finite, or a point within the reference that is not.  One sweep in
+    ascending third objective (Fonseca, Paquete & Lopez-Ibanez, CEC 2006)
+    keeps the 2-D staircase of the points seen so far and its area, so a
+    set of n points costs O(n log n) comparisons.
     """
     ref = tuple(float(v) for v in reference)
     pts = [tuple(float(v) for v in p) for p in points]
     if any(len(p) != len(ref) for p in pts):
         raise ValueError("points and reference must have equal length")
+    if not all(map(math.isfinite, ref)) or any(map(math.isnan, chain(*pts))):
+        raise ValueError("the reference must be finite, and no point NaN")
     pts = [p for p in pts if all(v < r for v, r in zip(p, ref))]
+    if not all(map(math.isfinite, chain(*pts))):
+        raise ValueError("a point within the reference must be finite")
     if not pts:
         return 0.0
     if len(ref) == 2:
