@@ -815,6 +815,9 @@ ERROR_LINES = {
     "grid-twice": (["sweep", "--grid", "network=gsm,umts;network=hspa",
                     "--r-steps", "2"], 2,
                    "error: grid: axis 'network' given twice\n"),
+    # two identical groups under one label
+    "grid-repeat": (["sweep", "--grid", "network=gsm,gsm", "--r-steps", "2"],
+                    2, "error: grid: axis 'network' gives 'gsm' twice\n"),
     # two axes that set one field: the later overwrites the earlier
     "grid-same-field": (["sweep", "--grid", "workload.arrival_rate_pps=1,2;"
                          "bitrate=1080p_max", "--r-steps", "2"], 2,

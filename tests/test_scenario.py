@@ -617,6 +617,24 @@ class TestSweepGrid:
         assert s.workload.arrival_rate == pytest.approx(500.0)
         assert s.fog.proc_capability == pytest.approx(250.0)
 
+    # bitrate reads the packet size and v_fog_frac the arrival rate, each
+    # as the configuration ends, whatever axis sets them later in the spec
+    def test_v_fog_fraction_reads_a_later_bitrate_axis(self):
+        (s,) = sweep_grid(default_scenario(),
+                          parse_grid_spec("v_fog_frac=0.5;bitrate=1080p_max"))
+        assert s.workload.arrival_rate == 500.0
+        assert s.fog.proc_capability == 250.0
+
+    def test_v_fog_fraction_reads_a_later_arrival_rate_axis(self):
+        (s,) = sweep_grid(default_scenario(), parse_grid_spec(
+            "v_fog_frac=0.5;workload.arrival_rate_pps=400"))
+        assert s.fog.proc_capability == 200.0
+
+    def test_bitrate_reads_a_later_packet_size_axis(self):
+        (s,) = sweep_grid(default_scenario(), parse_grid_spec(
+            "bitrate=1080p_max;workload.packet_size_bits=1000"))
+        assert s.workload.arrival_rate * s.workload.packet_size == 6e6
+
     def test_network_axis_keeps_the_other_link_fields(self):
         base = default_scenario()
         base = replace(base, include_base_latency=True, network=replace(
@@ -664,7 +682,24 @@ class TestSweepGrid:
         ("network=", "grid: malformed axis spec 'network='", "grid"),
         ("network=5g", "grid.network: unknown preset '5g'", "grid.network"),
         ("warp_factor=9", "grid: unknown axis 'warp_factor'", "grid"),
-    ], ids=["no-equals", "no-axis", "no-values", "network", "unknown-axis"])
+        ("network=gsm,umts,gsm", "grid: axis 'network' gives 'gsm' twice",
+         "grid"),
+        # two axes that set one field are named in declared order, also
+        # where the first applies last
+        ("bitrate=1080p_max;workload.arrival_rate_pps=1",
+         "grid: axes 'bitrate' and 'workload.arrival_rate_pps' set the same "
+         "field", "grid"),
+        ("v_fog_frac=0.5;fog.proc_capability_pps=10",
+         "grid: axes 'v_fog_frac' and 'fog.proc_capability_pps' set the same "
+         "field", "grid"),
+        # a value is read as its axis applies, before the axis is compared
+        # with those applied earlier
+        ("workload.arrival_rate_pps=x;bitrate=1080p_max",
+         "grid.workload.arrival_rate_pps: expected a number, got 'x'",
+         "grid.workload.arrival_rate_pps"),
+    ], ids=["no-equals", "no-axis", "no-values", "network", "unknown-axis",
+            "repeated-value", "same-field-bitrate-first",
+            "same-field-fraction-first", "value-before-same-field"])
     def test_error_names_its_field(self, spec, message, field):
         with pytest.raises(ValidationError) as exc:
             sweep_grid(default_scenario(), parse_grid_spec(spec))
@@ -686,6 +721,73 @@ class TestSweepGrid:
         axes = parse_grid_spec("network=gsm,hspa")
         names = [s.name for s in sweep_grid(default_scenario(), axes)]
         assert names == ["default[network=gsm]", "default[network=hspa]"]
+
+
+# grid axes and valid values for the label property below; bitrate and
+# workload.arrival_rate_pps set one field, as do network and
+# network.uplink_throughput_bps, so a grid holds one of each pair
+GRID_POOL = {
+    "network": ["gsm", "umts", "hspa", "hspa_plus"],
+    "bitrate": ["360p_min", "1080p_max", "2e5"],
+    "v_fog_frac": ["0.5", "1.25"],
+    "workload.packet_size_bits": ["1000", "12000"],
+    "workload.arrival_rate_pps": ["50", "400"],
+    "fog.tdp_w": ["10", "30"],
+    "network.uplink_throughput_bps": ["1e5", "1.5e6"],
+}
+GRID_CLASHES = [("bitrate", "workload.arrival_rate_pps"),
+                ("network", "network.uplink_throughput_bps")]
+
+
+@st.composite
+def grids(draw):
+    """Axes from GRID_POOL in a drawn order, each with distinct values."""
+    names = draw(st.permutations(list(GRID_POOL)))
+    for pair in GRID_CLASHES:
+        names.remove(draw(st.sampled_from(pair)))
+    names = names[:draw(st.integers(1, len(names)))]
+    return [(axis, draw(st.lists(st.sampled_from(GRID_POOL[axis]),
+                                 min_size=1, max_size=2, unique=True)))
+            for axis in names]
+
+
+def label_of(s: Scenario) -> dict:
+    return dict(part.split("=")
+                for part in s.name.partition("[")[2][:-1].split(","))
+
+
+def assert_label_holds(s: Scenario) -> None:
+    for axis, value in label_of(s).items():
+        if axis == "network":
+            link = CATALOG.networks[value].link_fields(s.include_base_latency)
+            assert {f: getattr(s.network, f) for f in link} == link
+        elif axis == "bitrate":
+            name, _, bound = value.rpartition("_")
+            bps = (getattr(CATALOG.bitrates[name], f"{bound}_bps")
+                   if name else float(value))
+            assert s.workload.arrival_rate == bps / s.workload.packet_size
+        elif axis == "v_fog_frac":
+            assert s.fog.proc_capability \
+                == float(value) * s.workload.arrival_rate
+        else:
+            section, field = _FIELD_AXES[axis]
+            assert getattr(getattr(s, section), field) == float(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(axes=grids(), order=st.randoms(use_true_random=False),
+       include_base=st.booleans())
+def test_grid_labels_hold_in_any_axis_order(axes, order, include_base):
+    base = replace(default_scenario(), include_base_latency=include_base)
+    first, second = [sweep_grid(base, grid)
+                     for grid in (axes, order.sample(axes, len(axes)))]
+    for s in first + second:
+        assert_label_holds(s)
+    # the same configurations, names aside, keyed by their axis values
+    assert ({frozenset(label_of(s).items()): replace(s, name="x")
+             for s in first}
+            == {frozenset(label_of(s).items()): replace(s, name="x")
+                for s in second})
 
 
 @given(rate=st.floats(min_value=0.5, max_value=1e5),
