@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Any, Optional
 
@@ -472,10 +473,9 @@ def default_scenario() -> Scenario:
 # ---------------------------------------------------------------------------
 
 GridAxes = list[tuple[str, list[str]]]
-# the (section, field) pairs each axis other than a schema key sets
-_AXIS_FIELDS = {"network": [("network", field) for field in _PRESET_FIELDS],
-                "bitrate": [("workload", "arrival_rate")],
-                "v_fog_frac": [("fog", "proc_capability")]}
+# bitrate reads the packet size and v_fog_frac the arrival rate, so they
+# apply last, in this order, after every axis that may set those fields
+_APPLY_LAST = {"bitrate": 1, "v_fog_frac": 2}
 
 
 def parse_grid_spec(text: str) -> GridAxes:
@@ -484,33 +484,27 @@ def parse_grid_spec(text: str) -> GridAxes:
     Axes: ``network`` (preset names), ``bitrate`` (``<preset>_min`` /
     ``<preset>_max`` or a numeric bits/s value), ``v_fog_frac`` (fog
     capability as a fraction of the arrival rate), or any dotted scenario
-    schema key.
+    schema key.  Only the text is checked here: each part's form, and that
+    no axis, and no value of one axis, is given twice.
     """
-    axes: GridAxes = []
-    setters = {}  # (section, field) -> the axis that sets it
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
+    axes: dict[str, list[str]] = {}
+    for part in filter(None, (p.strip() for p in text.split(";"))):
         axis, sep, raw = part.partition("=")
         axis = axis.strip()
         values = [v.strip() for v in raw.split(",") if v.strip()]
         _require(bool(sep and axis and values),
                  f"malformed axis spec {part!r}", "grid")
-        fields = _AXIS_FIELDS.get(axis) or [_FIELD_AXES.get(axis, axis)]
-        other = next((setters[f] for f in fields if f in setters), None)
-        _require(other is None, f"axis {axis!r} given twice" if other == axis
-                 else f"axes {other!r} and {axis!r} set the same field", "grid")
-        setters.update(dict.fromkeys(fields, axis))
-        axes.append((axis, values))
-    return axes
+        _require(axis not in axes, f"axis {axis!r} given twice", "grid")
+        again = next((v for v, n in Counter(values).items() if n > 1), None)
+        _require(again is None, f"axis {axis!r} gives {again!r} twice", "grid")
+        axes[axis] = values
+    return list(axes.items())
 
 
 def _bitrate_bps(value: str) -> float:
     name, _, bound = value.rpartition("_")
     if name in CATALOG.bitrates and bound in ("min", "max"):
-        br = CATALOG.bitrates[name]
-        return br.min_bps if bound == "min" else br.max_bps
+        return getattr(CATALOG.bitrates[name], f"{bound}_bps")
     try:
         bps = float(value)
     except ValueError:
@@ -520,45 +514,51 @@ def _bitrate_bps(value: str) -> float:
     return bps
 
 
-def _apply_axis(sections: dict, include_base: bool, axis: str,
-                value: str) -> None:
-    """Set one axis value in a combination's per-section field values."""
+def _axis_fields(sections: dict, include_base: bool, axis: str,
+                 value: str) -> dict:
+    """{(section, field): value} for one axis value, given ``sections``."""
     if axis == "network":
         _require(value in CATALOG.networks, f"unknown preset {value!r}",
                  "grid.network")
-        sections["network"].update(
-            CATALOG.networks[value].link_fields(include_base))
-    elif axis == "bitrate":
-        workload = sections["workload"]
-        workload["arrival_rate"] = _bitrate_bps(value) / workload["packet_size"]
-    elif axis == "v_fog_frac":
-        sections["fog"]["proc_capability"] = (
-            _number(f"grid.{axis}", value)
-            * sections["workload"]["arrival_rate"])
-    elif axis in _FIELD_AXES:
-        section, field = _FIELD_AXES[axis]
-        sections[section][field] = _number(f"grid.{axis}", value)
-    else:
-        raise ValidationError(f"grid: unknown axis {axis!r}", field="grid")
+        link = CATALOG.networks[value].link_fields(include_base)
+        return {("network", field): v for field, v in link.items()}
+    if axis == "bitrate":
+        return {("workload", "arrival_rate"):
+                _bitrate_bps(value) / sections["workload"]["packet_size"]}
+    if axis == "v_fog_frac":
+        return {("fog", "proc_capability"): _number(f"grid.{axis}", value)
+                * sections["workload"]["arrival_rate"]}
+    _require(axis in _FIELD_AXES, f"unknown axis {axis!r}", "grid")
+    return {_FIELD_AXES[axis]: _number(f"grid.{axis}", value)}
 
 
 def sweep_grid(base: Scenario, axes: GridAxes) -> list[Scenario]:
-    """Cartesian product of the axis values over the base scenario.
+    """Cartesian product of the axis values over the base scenario, with
+    labels and rows in axis declaration order.
 
-    Axes apply left to right (so ``v_fog_frac`` sees the arrival rate a
-    preceding ``bitrate`` axis produced), and each combination is
-    validated once all its axes apply; ordering is lexicographic in axis
-    declaration order.  An empty axis list yields just the base.
+    Axes apply in declared order, but ``bitrate`` and then ``v_fog_frac``
+    last, so they read the configuration's final packet size and arrival
+    rate.  No two axes may set one field, and each combination is
+    validated once all its axes apply.  No axes yield just the base.
     """
     if not axes:
         return [base]
     scenarios = []
     names = [axis for axis, _ in axes]
+    order = sorted(enumerate(names), key=lambda p: _APPLY_LAST.get(p[1], 0))
     for combo in itertools.product(*(values for _, values in axes)):
         sections = {section: dict(vars(getattr(base, section)))
                     for section in _SECTION_PARAMS}
-        for axis, value in zip(names, combo):
-            _apply_axis(sections, base.include_base_latency, axis, value)
+        setters = {}  # (section, field) -> the index of the axis that set it
+        for i, axis in order:
+            sets = _axis_fields(sections, base.include_base_latency, axis,
+                                combo[i])
+            other = next((setters[key] for key in sets if key in setters), i)
+            _require(other == i, f"axes {names[min(other, i)]!r} and "
+                     f"{names[max(other, i)]!r} set the same field", "grid")
+            for (section, field), value in sets.items():
+                setters[section, field] = i
+                sections[section][field] = value
         label = ",".join(f"{a}={v}" for a, v in zip(names, combo))
         scenarios.append(replace(
             base, name=f"{base.name}[{label}]",
