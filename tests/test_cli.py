@@ -842,6 +842,10 @@ ERROR_LINES = {
     "grid-bitrate-inf": (["sweep", "--grid", "bitrate=inf"], 2,
                          "error: grid.bitrate: expected <preset>_min, "
                          "<preset>_max or a bits/s value, got 'inf'\n"),
+    # the bit rate is divided by the packet size
+    "grid-bitrate-packet": (["sweep", "--grid", "workload.packet_size_bits=0;"
+                             "bitrate=1080p_max"], 2,
+                            "error: workload.packet_size: must be > 0\n"),
     "grid-combination": (["sweep", "--grid",
                           "fog.idle_power_w=40;fog.tdp_w=30"], 2,
                          "error: fog.tdp: must exceed idle_power\n"),

@@ -712,6 +712,16 @@ class TestSweepGrid:
         assert str(exc.value) == "name: must be nonempty"
         assert exc.value.field == "name"
 
+    @pytest.mark.parametrize("spec", [
+        "workload.packet_size_bits=0;bitrate=1080p_max",
+        "bitrate=1080p_max;workload.packet_size_bits=0",
+        "bitrate=1080p_max;workload.packet_size_bits=-1000"])
+    def test_bitrate_over_a_packet_size_not_above_zero(self, spec):
+        # the packet size is checked before the bit rate is divided by it
+        with pytest.raises(ValidationError) as exc:
+            sweep_grid(default_scenario(), parse_grid_spec(spec))
+        assert str(exc.value) == "workload.packet_size: must be > 0"
+
     def test_invalid_value_raises_validation_error(self):
         axes = parse_grid_spec("v_fog_frac=0.0")
         with pytest.raises(ValidationError):
