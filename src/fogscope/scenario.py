@@ -484,8 +484,7 @@ def parse_grid_spec(text: str) -> GridAxes:
     Axes: ``network`` (preset names), ``bitrate`` (``<preset>_min`` /
     ``<preset>_max`` or a numeric bits/s value), ``v_fog_frac`` (fog
     capability as a fraction of the arrival rate), or any dotted scenario
-    schema key.  Only the text is checked here: each part's form, and that
-    no axis, and no value of one axis, is given twice.
+    schema key.  Checks only the text, where no axis or axis value repeats.
     """
     axes: dict[str, list[str]] = {}
     for part in filter(None, (p.strip() for p in text.split(";"))):
@@ -522,9 +521,10 @@ def _axis_fields(sections: dict, include_base: bool, axis: str,
                  "grid.network")
         link = CATALOG.networks[value].link_fields(include_base)
         return {("network", field): v for field, v in link.items()}
-    if axis == "bitrate":
-        return {("workload", "arrival_rate"):
-                _bitrate_bps(value) / sections["workload"]["packet_size"]}
+    if axis == "bitrate":  # the section check comes after the division
+        bps, size = _bitrate_bps(value), sections["workload"]["packet_size"]
+        _require(size > 0, "must be > 0", "workload.packet_size")
+        return {("workload", "arrival_rate"): bps / size}
     if axis == "v_fog_frac":
         return {("fog", "proc_capability"): _number(f"grid.{axis}", value)
                 * sections["workload"]["arrival_rate"]}
