@@ -632,6 +632,20 @@ class TestArtifactContract:
         assert result.stderr == ("error: cannot write artifact: [Errno 28] "
                                  "No space left on device\n")
 
+    def test_stdout_closed_by_its_reader_is_no_artifact_error(self, out_dir):
+        # click ends a command whose stdout pipe breaks with exit 1 and no
+        # message; sweep echoes its rows inside the artifact write guard
+        src = str(Path(fogscope.__file__).parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fogscope.cli", "sweep", "--r-steps",
+             "2001"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src})
+        proc.stdout.read(10)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+        assert "error:" not in stderr
+
     def test_numeric_output_is_locale_independent(self, runner, out_dir):
         assert runner.invoke(main, ["evaluate", "--r", "0.75"]).exit_code == 0
         text = (out_dir / "evaluate.csv").read_text(encoding="utf-8")
