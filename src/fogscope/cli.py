@@ -77,9 +77,12 @@ def _load(scenario_path: Optional[str]) -> Scenario:
 @contextmanager
 def _writing(what: str):
     """Ends the command with exit 2 and one ``error:`` line when writing
-    ``what`` raises OSError."""
+    ``what`` raises OSError.  A broken stdout pipe is left to click, which
+    exits 1 without a message."""
     try:
         yield
+    except BrokenPipeError:
+        raise
     except OSError as exc:
         _fail(EXIT_INPUT, f"cannot write {what}: {exc}")
 
