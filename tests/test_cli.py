@@ -646,6 +646,22 @@ class TestArtifactContract:
         assert proc.wait(timeout=60) == 1
         assert "error:" not in stderr
 
+    def test_piped_stdout_keeps_an_ansi_escape_in_a_cell(self, out_dir,
+                                                         tmp_path):
+        # click.echo strips ANSI escapes when stdout is no terminal; the
+        # rows on stdout must still be the artifact's bytes
+        doc = tmp_path / "ansi.yaml"
+        doc.write_text(DEFAULT_DOC.replace("name: default",
+                                           'name: "red\\e[31mname"'))
+        src = str(Path(fogscope.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "fogscope.cli", "sweep", "--scenario",
+             str(doc), "--r-steps", "2"], capture_output=True, check=True,
+            env={**os.environ, "PYTHONPATH": src})
+        artifact = (out_dir / "sweep.csv").read_bytes()
+        assert b",red\x1b[31mname,0.0," in artifact
+        assert proc.stdout == artifact
+
     def test_numeric_output_is_locale_independent(self, runner, out_dir):
         assert runner.invoke(main, ["evaluate", "--r", "0.75"]).exit_code == 0
         text = (out_dir / "evaluate.csv").read_text(encoding="utf-8")
@@ -832,6 +848,16 @@ ERROR_LINES = {
     # two identical groups under one label
     "grid-repeat": (["sweep", "--grid", "network=gsm,gsm", "--r-steps", "2"],
                     2, "error: grid: axis 'network' gives 'gsm' twice\n"),
+    # one number written two ways: two identical groups under two labels
+    "grid-repeat-number": (["sweep", "--grid",
+                            "network.uplink_throughput_bps=1e5,100000",
+                            "--r-steps", "2"], 2,
+                           "error: grid: axis 'network.uplink_throughput_bps' "
+                           "gives 100000.0 twice\n"),
+    "grid-repeat-fraction": (["sweep", "--grid", "v_fog_frac=0.5,0.50",
+                              "--r-steps", "2"], 2,
+                             "error: grid: axis 'v_fog_frac' gives 0.5 "
+                             "twice\n"),
     # two axes that set one field: the later overwrites the earlier
     "grid-same-field": (["sweep", "--grid", "workload.arrival_rate_pps=1,2;"
                          "bitrate=1080p_max", "--r-steps", "2"], 2,

@@ -684,6 +684,15 @@ class TestSweepGrid:
         ("warp_factor=9", "grid: unknown axis 'warp_factor'", "grid"),
         ("network=gsm,umts,gsm", "grid: axis 'network' gives 'gsm' twice",
          "grid"),
+        # values equal as numbers repeat, whatever their text; a value that
+        # is no finite number is compared as text
+        ("fog.tdp_w=1,2,1.0", "grid: axis 'fog.tdp_w' gives 1.0 twice",
+         "grid"),
+        ("fog.tdp_w=0,-0", "grid: axis 'fog.tdp_w' gives 0.0 twice", "grid"),
+        ("bitrate=1_000,1e3", "grid: axis 'bitrate' gives 1000.0 twice",
+         "grid"),
+        ("fog.tdp_w=nan,nan", "grid: axis 'fog.tdp_w' gives 'nan' twice",
+         "grid"),
         # two axes that set one field are named in declared order, also
         # where the first applies last
         ("bitrate=1080p_max;workload.arrival_rate_pps=1",
@@ -698,7 +707,9 @@ class TestSweepGrid:
          "grid.workload.arrival_rate_pps: expected a number, got 'x'",
          "grid.workload.arrival_rate_pps"),
     ], ids=["no-equals", "no-axis", "no-values", "network", "unknown-axis",
-            "repeated-value", "same-field-bitrate-first",
+            "repeated-value", "repeated-number", "repeated-zero",
+            "repeated-underscored-number", "repeated-nan",
+            "same-field-bitrate-first",
             "same-field-fraction-first", "value-before-same-field"])
     def test_error_names_its_field(self, spec, message, field):
         with pytest.raises(ValidationError) as exc:
