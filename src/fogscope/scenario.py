@@ -484,7 +484,8 @@ def parse_grid_spec(text: str) -> GridAxes:
     Axes: ``network`` (preset names), ``bitrate`` (``<preset>_min`` /
     ``<preset>_max`` or a numeric bits/s value), ``v_fog_frac`` (fog
     capability as a fraction of the arrival rate), or any dotted scenario
-    schema key.  Checks only the text, where no axis or axis value repeats.
+    schema key.  Checks only the text, where no axis repeats, and no value
+    within an axis, values equal as numbers included.
     """
     axes: dict[str, list[str]] = {}
     for part in filter(None, (p.strip() for p in text.split(";"))):
@@ -494,10 +495,20 @@ def parse_grid_spec(text: str) -> GridAxes:
         _require(bool(sep and axis and values),
                  f"malformed axis spec {part!r}", "grid")
         _require(axis not in axes, f"axis {axis!r} given twice", "grid")
-        again = next((v for v, n in Counter(values).items() if n > 1), None)
+        again = next((v for v, n in Counter(map(_as_number, values)).items()
+                      if n > 1), None)
         _require(again is None, f"axis {axis!r} gives {again!r} twice", "grid")
         axes[axis] = values
     return list(axes.items())
+
+
+def _as_number(value: str):
+    """A grid value as the finite number it reads as, else as its text."""
+    try:
+        number = float(value)
+    except ValueError:
+        return value
+    return number if math.isfinite(number) else value
 
 
 def _bitrate_bps(value: str) -> float:
