@@ -87,11 +87,19 @@ def _writing(what: str):
         _fail(EXIT_INPUT, f"cannot write {what}: {exc}")
 
 
+def _echo(stdout, text: str) -> None:
+    """Writes ``text`` to ``stdout`` as it is and flushes it, as click.echo
+    does; click.echo would strip ANSI escapes from a cell when stdout is no
+    terminal, so that stdout would not match the artifact."""
+    stdout.write(text)
+    stdout.flush()
+
+
 def _emit(filename: str, manifest: RunManifest, table: ResultTable) -> None:
     text = reporting.render_artifact(manifest, table)
     with _writing("artifact"):
         path = write_artifact(filename, text)
-    click.echo(text, nl=False)
+    _echo(click.get_text_stream("stdout"), text)
     click.echo(f"wrote {path}", err=True)
 
 
@@ -168,12 +176,13 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
     # sweep.csv is the same head plus every group's rows in order; it is
     # written and echoed a group at a time
     head = reporting.render_artifact(manifest, ResultTable(columns, []))
+    stdout = click.get_text_stream("stdout")
     infeasible = 0
     with _writing("artifact"):
         path = reporting.artifact_path("sweep.csv")
         with path.open("w", encoding="utf-8") as combined:
             combined.write(head)
-            click.echo(head, nl=False)
+            _echo(stdout, head)
             for gid, member in enumerate(scenarios):
                 evaluation = _objective_row(member, r_values)
                 infeasible += r_steps - int(evaluation.feasible.sum())
@@ -181,9 +190,10 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
                     columns, cells=([gid] * r_steps, [member.name] * r_steps,
                                     *evaluation)))
                 write_artifact(f"sweep_g{gid:03d}.csv", text)
-                body = text[len(head):]
-                combined.write(body)
-                click.echo(body, nl=False)
+                # the group's rows, kept once while they are written
+                text = text[len(head):]
+                combined.write(text)
+                _echo(stdout, text)
     click.echo(f"wrote {path}", err=True)
     if infeasible:
         _fail(EXIT_INFEASIBLE,

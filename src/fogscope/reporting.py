@@ -89,31 +89,32 @@ def format_cell(value) -> str:
     return str(value)
 
 
-# the repr cells of each float column seen, keyed by its IEEE-754 bytes so
-# that -0.0, 0.0 and NaN payloads stay apart (a float64 array shares the key
-# of its floats).  A pure function of the key, so sharing it between renders
-# in one process changes no output; cleared before it would hold more than
-# FLOAT_REPR_CACHE_CAP cells.
-_FLOAT_COLUMNS: dict[bytes, tuple[str, ...]] = {}
+# the repr cells of each float column seen, comma-joined (no float repr holds
+# a comma) and keyed by its IEEE-754 bytes so that -0.0, 0.0 and NaN payloads
+# stay apart (a float64 array shares the key of its floats).  A pure function
+# of the key, so sharing it between renders in one process changes no
+# output; cleared before it would hold more than FLOAT_REPR_CACHE_CAP cells.
+_FLOAT_COLUMNS: dict[bytes, str] = {}
 _float_cells_kept = 0
 FLOAT_REPR_CACHE_CAP = 1 << 17
 
 
-def _float_cells(column) -> tuple[str, ...]:
-    """The repr cells of Python floats or of a float64 numpy array."""
+def _float_cells(column) -> str:
+    """The repr cells of Python floats or of a float64 numpy array,
+    comma-joined."""
     global _float_cells_kept
     doubles = column if hasattr(column, "tobytes") else array("d", column)
     key = doubles.tobytes()
-    cells = _FLOAT_COLUMNS.get(key)
-    if cells is None:
-        cells = tuple(map(repr, doubles.tolist()))
-        if len(cells) <= FLOAT_REPR_CACHE_CAP:    # a longer one: used once
-            if _float_cells_kept + len(cells) > FLOAT_REPR_CACHE_CAP:
+    joined = _FLOAT_COLUMNS.get(key)
+    if joined is None:
+        joined = ",".join(map(repr, doubles.tolist()))
+        if 0 < len(doubles) <= FLOAT_REPR_CACHE_CAP:  # a longer one: used once
+            if _float_cells_kept + len(doubles) > FLOAT_REPR_CACHE_CAP:
                 _FLOAT_COLUMNS.clear()
                 _float_cells_kept = 0
-            _FLOAT_COLUMNS[key] = cells
-            _float_cells_kept += len(cells)
-    return cells
+            _FLOAT_COLUMNS[key] = joined
+            _float_cells_kept += len(doubles)
+    return joined
 
 
 def _csv_fields(values) -> dict:
@@ -130,8 +131,9 @@ def _csv_fields(values) -> dict:
     return fields
 
 
-def _column_cells(column: Sequence) -> Sequence[str]:
-    """The cells of one column, formatted as format_cell would, quoted."""
+def _column_cells(column: Sequence) -> str | list[str]:
+    """The cells of one column, formatted as format_cell would, quoted: a
+    float column's comma-joined, any other's as a list."""
     np = sys.modules.get("numpy")   # no numpy array exists without it
     if np is not None and isinstance(column, np.ndarray):
         if column.dtype == np.float64:
@@ -143,13 +145,39 @@ def _column_cells(column: Sequence) -> Sequence[str]:
     if len(kinds) != 1 or not kinds <= {bool, int, str}:
         # 1 == 1.0 == True and -0.0 == 0.0: key these cells by their text
         column = list(map(format_cell, column))
-    return list(map(_csv_fields(column).__getitem__, column))
+    fields = _csv_fields(column)
+    if len(fields) == 1:        # one value throughout, as a sweep's group
+        return [*fields.values()] * len(column)
+    return list(map(fields.__getitem__, column))
+
+
+# rows rendered into one string at a time: a table's text is built from
+# these blocks, and no column's cells are split out of their memo string
+# more than a block at a time
+ROWS_PER_BLOCK = 512
+
+
+def _cell_blocks(cells: str | list[str]):
+    """The cells of a list or of a comma-joined string, ROWS_PER_BLOCK at a
+    time, as lists."""
+    if not isinstance(cells, str):
+        for start in range(0, len(cells), ROWS_PER_BLOCK):
+            yield cells[start:start + ROWS_PER_BLOCK]
+        return
+    while True:
+        block = cells.split(",", ROWS_PER_BLOCK)
+        if len(block) <= ROWS_PER_BLOCK:
+            yield block
+            return
+        cells = block.pop()     # the cells after this block, joined
+        yield block
 
 
 class ResultTable:
     """A header and its cells, one sequence per column: ``cells`` as given,
     Python values or numpy arrays, or ``rows`` transposed once.  A row or
-    column count that is not the header's raises ValueError."""
+    column count that is not the header's, or columns of unequal length,
+    raise ValueError."""
 
     def __init__(self, columns: Sequence[str], rows: Sequence[tuple] = (),
                  *, cells: Optional[Sequence[Sequence]] = None):
@@ -158,25 +186,33 @@ class ResultTable:
         if self.cells and len(self.cells) != len(self.columns):
             raise ValueError("the cells' column count is not the header's")
         self.n_rows = len(self.cells[0]) if self.cells else len(rows)
+        if any(len(column) != self.n_rows for column in self.cells):
+            raise ValueError("the columns' lengths differ")
 
-    def to_csv_text(self) -> str:
-        """The header and rows as CSV; the cells are format_cell's, quoted
-        as the csv module quotes them.  Rendered a column at a time."""
+    def csv_blocks(self) -> list[str]:
+        """The header line, then the rows ROWS_PER_BLOCK to a string, each
+        ending in a newline; the cells are format_cell's, quoted as the csv
+        module quotes them.  Rendered a column at a time."""
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow(self.columns)
         if not self.n_rows or not self.cells:
-            return buf.getvalue() + "\n" * self.n_rows
-        cells = [_column_cells(column) for column in self.cells]
-        if len(cells) == 1:
+            return [buf.getvalue(), "\n" * self.n_rows]
+        blocks = zip(*(_cell_blocks(_column_cells(column))
+                       for column in self.cells))
+        if len(self.cells) == 1:
             # csv quotes a row of one empty field, as a blank line is no row
-            cells = [['""' if c == "" else c for c in cells[0]]]
-        buf.write("\n".join(map(",".join, zip(*cells, strict=True))))
-        buf.write("\n")
-        return buf.getvalue()
+            blocks = ([['""' if c == "" else c for c in cells]]
+                      for (cells,) in blocks)
+        return [buf.getvalue(), *("\n".join([*map(",".join, zip(*block)), ""])
+                                  for block in blocks)]
+
+    def to_csv_text(self) -> str:
+        """The header and rows as CSV."""
+        return "".join(self.csv_blocks())
 
 
 def render_artifact(manifest: RunManifest, table: ResultTable) -> str:
-    return manifest.to_comment_line() + "\n" + table.to_csv_text()
+    return "".join([manifest.to_comment_line(), "\n", *table.csv_blocks()])
 
 
 def artifact_path(filename: str) -> Path:

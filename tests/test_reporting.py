@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
@@ -101,6 +102,25 @@ class TestToCsvText:
                 for rendered in (table, mirror, table):
                     assert ResultTable(*rendered).to_csv_text() \
                         == oracle_csv_text(rendered)
+
+    @pytest.mark.parametrize("n_rows", [
+        reporting.ROWS_PER_BLOCK - 1, reporting.ROWS_PER_BLOCK,
+        reporting.ROWS_PER_BLOCK + 1, 2 * reporting.ROWS_PER_BLOCK + 1],
+        ids=["block-less-one", "block", "block-plus-one",
+             "two-blocks-plus-one"])
+    def test_rows_either_side_of_a_block_boundary(self, n_rows):
+        # the float column is rendered, then split out of the memo's string
+        table = Rows(("i", "x", "s"), [(i, i / 7, f"a,{i}") for i in
+                                       range(n_rows)])
+        for _ in range(2):
+            blocks = ResultTable(*table).csv_blocks()
+            assert "".join(blocks) == oracle_csv_text(table)
+            assert [block.count("\n") for block in blocks[1:]] == [
+                min(reporting.ROWS_PER_BLOCK, n_rows - start) for start in
+                range(0, n_rows, reporting.ROWS_PER_BLOCK)]
+        manifest = reporting.RunManifest("t", "d", None, "v", "0")
+        assert reporting.render_artifact(manifest, ResultTable(*table)) \
+            == manifest.to_comment_line() + "\n" + oracle_csv_text(table)
 
     def test_renders_keep_signed_zeros_apart_through_the_cache(self):
         first = ResultTable(("v",), [(0.0,)]).to_csv_text()
@@ -226,14 +246,16 @@ class TestColumnsAgainstRows:
             def tolist(self):
                 raise AssertionError("an array's memo hit called tolist")
         monkeypatch.setattr(reporting, "_FLOAT_COLUMNS",
-                            {column_key((-0.0, 1.5)): ("planted", "cells")})
+                            {column_key((-0.0, 1.5)): "planted,cells"})
         column = np.array([-0.0, 1.5]).view(NoList)
         table = ResultTable(("v", "n"), cells=[column, (1, 2)])
         assert table.to_csv_text() == "v,n\nplanted,1\ncells,2\n"
 
 
 # Each runs in a fresh interpreter, whose memo is empty and which must
-# never load numpy; the script prints the numpy modules loaded.
+# never load numpy; the script prints the numpy modules loaded.  The memo
+# keeps each column's cells as one comma-joined string, which
+# _float_cells returns.
 MEMO_PROBE_HEAD = """
 import struct, sys
 from fogscope import reporting
@@ -255,16 +277,17 @@ nans = [from_bits(b) for b in (0x7FF8000000000000, 0x7FF8000000000001,
                                0xFFF8000000000000)]
 columns = [(0.0,), (-0.0,), *((nan,) for nan in nans)]
 for column in columns + columns:
-    assert reporting._float_cells(column) == (repr(column[0]),)
+    assert reporting._float_cells(column) == repr(column[0])
 assert sorted(reporting._FLOAT_COLUMNS) == sorted(map(key, columns))
+assert reporting._FLOAT_COLUMNS[key((-0.0,))] == "-0.0"
 assert ResultTable(("v",), [(0.0,)]).to_csv_text() == "v\\n0.0\\n"
 assert ResultTable(("v",), [(-0.0,)]).to_csv_text() == "v\\n-0.0\\n"
 """,
     # a hit is read by the column's bytes: a planted entry comes back
     "planted-entry": """
-reporting._FLOAT_COLUMNS[key((-0.0, 1.5))] = ("planted", "cells")
-assert reporting._float_cells((-0.0, 1.5)) == ("planted", "cells")
-assert reporting._float_cells((0.0, 1.5)) == ("0.0", "1.5")
+reporting._FLOAT_COLUMNS[key((-0.0, 1.5))] = "planted,cells"
+assert reporting._float_cells((-0.0, 1.5)) == "planted,cells"
+assert reporting._float_cells((0.0, 1.5)) == "0.0,1.5"
 table = ResultTable(("v", "n"), [(-0.0, 1), (1.5, 2)])
 assert table.to_csv_text() == "v,n\\nplanted,1\\ncells,2\\n"
 """,
@@ -273,10 +296,10 @@ assert table.to_csv_text() == "v,n\\nplanted,1\\ncells,2\\n"
 reporting.FLOAT_REPR_CACHE_CAP = 5
 reporting._float_cells((1.0, 2.0))
 reporting._float_cells((3.0, 4.0, 5.0))
-assert reporting._float_cells((1.0, 2.0)) == ("1.0", "2.0")
-assert list(reporting._FLOAT_COLUMNS) == [key((1.0, 2.0)),
-                                          key((3.0, 4.0, 5.0))]
-assert reporting._float_cells((6.0,)) == ("6.0",)
+assert reporting._float_cells((1.0, 2.0)) == "1.0,2.0"
+assert reporting._FLOAT_COLUMNS == {key((1.0, 2.0)): "1.0,2.0",
+                                    key((3.0, 4.0, 5.0)): "3.0,4.0,5.0"}
+assert reporting._float_cells((6.0,)) == "6.0"
 assert list(reporting._FLOAT_COLUMNS) == [key((6.0,))]
 reporting._float_cells((7.0, 8.0, 9.0, 10.0))
 assert list(reporting._FLOAT_COLUMNS) == [key((6.0,)),
@@ -288,21 +311,55 @@ assert list(reporting._FLOAT_COLUMNS) == [key((6.0,)),
 reporting.FLOAT_REPR_CACHE_CAP = 3
 reporting._float_cells((1.0,))
 wide = (0.5, 1.5, 2.5, 3.5)
-assert reporting._float_cells(wide) == ("0.5", "1.5", "2.5", "3.5")
+assert reporting._float_cells(wide) == "0.5,1.5,2.5,3.5"
 assert list(reporting._FLOAT_COLUMNS) == [key((1.0,))]
 reporting._float_cells((2.0, 3.0))
+assert list(reporting._FLOAT_COLUMNS) == [key((1.0,)), key((2.0, 3.0))]
+assert reporting._float_cells(()) == ""     # nothing to keep
 assert list(reporting._FLOAT_COLUMNS) == [key((1.0,)), key((2.0, 3.0))]
 """,
     # a one-column table quotes an empty cell; the memo's cells stay as
     # they were, and a wider table writes them unquoted
     "one-column-rule": """
-reporting._FLOAT_COLUMNS[key((1.0, 2.0))] = ("", "x")
+reporting._FLOAT_COLUMNS[key((1.0, 2.0))] = ",x"
 assert ResultTable(("v",), [(1.0,), (2.0,)]).to_csv_text() == 'v\\n""\\nx\\n'
-assert reporting._FLOAT_COLUMNS[key((1.0, 2.0))] == ("", "x")
+assert reporting._FLOAT_COLUMNS[key((1.0, 2.0))] == ",x"
 wide = ResultTable(("v", "n"), [(1.0, 1), (2.0, 2)])
 assert wide.to_csv_text() == "v,n\\n,1\\nx,2\\n"
 """,
 }
+
+
+# the benchmark sweep's grid: with the built-in scenario at 2,001 steps of
+# r it gives 27 distinct float columns
+BENCHMARK_GRID = ("network=gsm,umts,hspa,hspa_plus;"
+                  "v_fog_frac=0.25,0.5,0.75,1.0;fog.tdp_w=2.0607,10")
+
+
+class TestFloatColumnMemoSize:
+    def test_benchmark_columns_kept_in_bounded_bytes(self, monkeypatch):
+        # on CPython 3.11, the 27 columns kept as tuples of separate str
+        # objects took 4.28 MB; as one comma-joined string each, 1.26 MB
+        from fogscope import model
+        from fogscope.scenario import (default_scenario, parse_grid_spec,
+                                       sweep_grid)
+        monkeypatch.setattr(reporting, "_FLOAT_COLUMNS", {})
+        monkeypatch.setattr(reporting, "_float_cells_kept", 0)
+        r = np.linspace(0.0, 1.0, 2001)
+        evaluations = [model.evaluate(member, r) for member in sweep_grid(
+            default_scenario(), parse_grid_spec(BENCHMARK_GRID))]
+        tracemalloc.start()
+        try:
+            for evaluation in evaluations:
+                ResultTable(evaluation._fields, cells=evaluation).to_csv_text()
+            kept = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, reporting.__file__)])
+        finally:
+            tracemalloc.stop()
+        assert len(reporting._FLOAT_COLUMNS) == 27
+        assert reporting._float_cells_kept == 27 * 2001
+        assert sum(stat.size for stat in kept.statistics("filename")) \
+            < 1_500_000
 
 
 class TestFloatColumnMemoWithoutNumpy:
