@@ -87,11 +87,11 @@ def _writing(what: str):
         _fail(EXIT_INPUT, f"cannot write {what}: {exc}")
 
 
-def _echo(stdout, text: str) -> None:
-    """Writes ``text`` to ``stdout`` as it is and flushes it, as click.echo
-    does; click.echo would strip ANSI escapes from a cell when stdout is no
-    terminal, so that stdout would not match the artifact."""
-    stdout.write(text)
+def _echo(stdout, text: str, start: int = 0) -> None:
+    """Writes ``text[start:]`` to ``stdout`` as it is and flushes it, as
+    click.echo does; click.echo would strip ANSI escapes from a cell when
+    stdout is no terminal, so that stdout would not match the artifact."""
+    reporting.write_text(stdout, text, start)
     stdout.flush()
 
 
@@ -190,10 +190,9 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
                     columns, cells=([gid] * r_steps, [member.name] * r_steps,
                                     *evaluation)))
                 write_artifact(f"sweep_g{gid:03d}.csv", text)
-                # the group's rows, kept once while they are written
-                text = text[len(head):]
-                combined.write(text)
-                _echo(stdout, text)
+                # the group's rows, written from its text without a copy
+                reporting.write_text(combined, text, len(head))
+                _echo(stdout, text, len(head))
     click.echo(f"wrote {path}", err=True)
     if infeasible:
         _fail(EXIT_INFEASIBLE,

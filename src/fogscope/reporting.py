@@ -222,10 +222,23 @@ def artifact_path(filename: str) -> Path:
     return path
 
 
+# characters written to a stream at a time: a text stream encodes what it is
+# given at once, so a whole artifact would be copied once more as bytes
+WRITE_CHUNK = 1 << 16
+
+
+def write_text(stream, text: str, start: int = 0) -> None:
+    """Write ``text[start:]`` to a text stream, WRITE_CHUNK characters at a
+    time."""
+    for offset in range(start, len(text), WRITE_CHUNK):
+        stream.write(text[offset:offset + WRITE_CHUNK])
+
+
 def write_artifact(filename: str, text: str) -> Path:
     """Write a rendered artifact into the output directory."""
     path = artifact_path(filename)
-    path.write_text(text, encoding="utf-8")
+    with path.open("w", encoding="utf-8") as stream:
+        write_text(stream, text)
     return path
 
 

@@ -373,6 +373,23 @@ class TestFloatColumnMemoWithoutNumpy:
         assert out.stdout == "[]\n"
 
 
+class TestWriteText:
+    @pytest.mark.parametrize("start", [0, 1, 3, 4, 9, 10])
+    def test_writes_the_text_from_start_a_chunk_at_a_time(self, monkeypatch,
+                                                          start):
+        writes = []
+
+        class Recorded(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+        monkeypatch.setattr(reporting, "WRITE_CHUNK", 4)
+        stream = Recorded()
+        reporting.write_text(stream, "ab,\x1b[31m\n", start)
+        assert stream.getvalue() == "ab,\x1b[31m\n"[start:]
+        assert all(0 < len(chunk) <= 4 for chunk in writes)
+
+
 class TestManifestTimestamp:
     @pytest.mark.parametrize("epoch,stamp", [
         ("0", "1970-01-01T00:00:00+00:00"),
