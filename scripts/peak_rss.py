@@ -7,7 +7,7 @@ exit code.  Every command is a subprocess of this process, which imports
 the standard library alone: a child starts with the high-water mark of
 the process it was started from, so a larger parent would inflate it.
 Rounds alternate between the commands.  Artifacts go to a temporary
-directory and stdout to a temporary file.
+directory, and stdout and stderr to the null device.
 
     python3 scripts/peak_rss.py -n 7 "sweep --r-steps 201" "evaluate --r 0.5"
 """
@@ -24,13 +24,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def peak(args: list[str], env: dict, out_dir: str) -> tuple[int, float]:
+def peak(args: list[str], env: dict) -> tuple[int, float]:
     """(exit code, peak RSS in MiB) of one run of the CLI."""
-    with tempfile.TemporaryFile(dir=out_dir) as stdout:
-        proc = subprocess.Popen([sys.executable, "-m", "fogscope.cli", *args],
-                                env=env, stdout=stdout,
-                                stderr=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
+    proc = subprocess.Popen([sys.executable, "-m", "fogscope.cli", *args],
+                            env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
     return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024
 
 
@@ -52,7 +51,7 @@ def main() -> None:
                    filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
         for _ in range(opts.runs):
             for i, args in enumerate(commands):
-                code, mib = peak(args, env, out_dir)
+                code, mib = peak(args, env)
                 codes[i].add(code)
                 peaks[i].append(mib)
     for command, mibs, exits in zip(opts.commands, peaks, codes):

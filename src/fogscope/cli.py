@@ -34,7 +34,7 @@ EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_OPTIMIZER = 4
 # most points in a sweep r-grid or a power mass grid: an r spacing of 1e-5;
-# one sweep group at the cap peaks near 200 MiB
+# one sweep group at the cap peaks near 70 MiB
 MAX_GRID_POINTS = 100_001
 # most rows in a sweep, configurations x r-steps: one group at the r-step cap
 MAX_SWEEP_ROWS = MAX_GRID_POINTS

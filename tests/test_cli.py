@@ -649,17 +649,18 @@ class TestArtifactContract:
     def test_piped_stdout_keeps_an_ansi_escape_in_a_cell(self, out_dir,
                                                          tmp_path):
         # click.echo strips ANSI escapes when stdout is no terminal; the
-        # rows on stdout must still be the artifact's bytes
+        # rows on stdout must still be the artifact's bytes, here several
+        # render blocks and write chunks long
         doc = tmp_path / "ansi.yaml"
         doc.write_text(DEFAULT_DOC.replace("name: default",
                                            'name: "red\\e[31mname"'))
         src = str(Path(fogscope.__file__).parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "fogscope.cli", "sweep", "--scenario",
-             str(doc), "--r-steps", "2"], capture_output=True, check=True,
+             str(doc), "--r-steps", "2001"], capture_output=True, check=True,
             env={**os.environ, "PYTHONPATH": src})
         artifact = (out_dir / "sweep.csv").read_bytes()
-        assert b",red\x1b[31mname,0.0," in artifact
+        assert artifact.count(b",red\x1b[31mname,") == 2001
         assert proc.stdout == artifact
 
     def test_numeric_output_is_locale_independent(self, runner, out_dir):

@@ -389,6 +389,13 @@ class TestWriteText:
         assert stream.getvalue() == "ab,\x1b[31m\n"[start:]
         assert all(0 < len(chunk) <= 4 for chunk in writes)
 
+    def test_artifact_of_several_chunks_is_written_whole(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setenv("FOGSCOPE_OUT", str(tmp_path))
+        text = "".join(f"{i},é\n" for i in range(reporting.WRITE_CHUNK))
+        path = reporting.write_artifact("long.csv", text)
+        assert path.read_bytes() == text.encode("utf-8")
+
 
 class TestManifestTimestamp:
     @pytest.mark.parametrize("epoch,stamp", [
