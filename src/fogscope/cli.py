@@ -87,10 +87,11 @@ def _writing(what: str):
         _fail(EXIT_INPUT, f"cannot write {what}: {exc}")
 
 
-def _echo(stdout, text: str, start: int = 0) -> None:
-    """Writes ``text[start:]`` to ``stdout`` as it is and flushes it, as
+def _echo(text: str, start: int = 0) -> None:
+    """Writes ``text[start:]`` to stdout as it is and flushes it, as
     click.echo does; click.echo would strip ANSI escapes from a cell when
     stdout is no terminal, so that stdout would not match the artifact."""
+    stdout = click.get_text_stream("stdout")
     reporting.write_text(stdout, text, start)
     stdout.flush()
 
@@ -99,7 +100,7 @@ def _emit(filename: str, manifest: RunManifest, table: ResultTable) -> None:
     text = reporting.render_artifact(manifest, table)
     with _writing("artifact"):
         path = write_artifact(filename, text)
-    _echo(click.get_text_stream("stdout"), text)
+    _echo(text)
     click.echo(f"wrote {path}", err=True)
 
 
@@ -176,13 +177,12 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
     # sweep.csv is the same head plus every group's rows in order; it is
     # written and echoed a group at a time
     head = reporting.render_artifact(manifest, ResultTable(columns, []))
-    stdout = click.get_text_stream("stdout")
     infeasible = 0
     with _writing("artifact"):
         path = reporting.artifact_path("sweep.csv")
         with path.open("w", encoding="utf-8") as combined:
             combined.write(head)
-            _echo(stdout, head)
+            _echo(head)
             for gid, member in enumerate(scenarios):
                 evaluation = _objective_row(member, r_values)
                 infeasible += r_steps - int(evaluation.feasible.sum())
@@ -192,7 +192,7 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
                 write_artifact(f"sweep_g{gid:03d}.csv", text)
                 # the group's rows, written from its text without a copy
                 reporting.write_text(combined, text, len(head))
-                _echo(stdout, text, len(head))
+                _echo(text, len(head))
     click.echo(f"wrote {path}", err=True)
     if infeasible:
         _fail(EXIT_INFEASIBLE,
