@@ -859,6 +859,11 @@ ERROR_LINES = {
                               "--r-steps", "2"], 2,
                              "error: grid: axis 'v_fog_frac' gives 0.5 "
                              "twice\n"),
+    # a preset bound and the bit rate it names
+    "grid-repeat-preset": (["sweep", "--grid", "bitrate=360p_max,1000000.0",
+                            "--r-steps", "2"], 2,
+                           "error: grid: axis 'bitrate' gives 1000000.0 "
+                           "twice\n"),
     # two axes that set one field: the later overwrites the earlier
     "grid-same-field": (["sweep", "--grid", "workload.arrival_rate_pps=1,2;"
                          "bitrate=1080p_max", "--r-steps", "2"], 2,
