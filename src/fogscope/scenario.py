@@ -485,7 +485,7 @@ def parse_grid_spec(text: str) -> GridAxes:
     ``<preset>_max`` or a numeric bits/s value), ``v_fog_frac`` (fog
     capability as a fraction of the arrival rate), or any dotted scenario
     schema key.  Checks only the text, where no axis repeats, and no value
-    within an axis, values equal as numbers included.
+    within an axis, values equal as numbers or as bit rates included.
     """
     axes: dict[str, list[str]] = {}
     for part in filter(None, (p.strip() for p in text.split(";"))):
@@ -495,7 +495,8 @@ def parse_grid_spec(text: str) -> GridAxes:
         _require(bool(sep and axis and values),
                  f"malformed axis spec {part!r}", "grid")
         _require(axis not in axes, f"axis {axis!r} given twice", "grid")
-        again = next((v for v, n in Counter(map(_as_number, values)).items()
+        key = _as_bitrate if axis == "bitrate" else _as_number
+        again = next((v for v, n in Counter(map(key, values)).items()
                       if n > 1), None)
         _require(again is None, f"axis {axis!r} gives {again!r} twice", "grid")
         axes[axis] = values
@@ -509,6 +510,14 @@ def _as_number(value: str):
     except ValueError:
         return value
     return number if math.isfinite(number) else value
+
+
+def _as_bitrate(value: str):
+    """A bitrate grid value as the bit rate it names, else as its text."""
+    try:
+        return _bitrate_bps(value)
+    except ValidationError:
+        return value
 
 
 def _bitrate_bps(value: str) -> float:
