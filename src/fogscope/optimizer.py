@@ -111,57 +111,58 @@ def _dense_ranks(values: np.ndarray) -> np.ndarray:
     return inverse.astype(_count_dtype(len(values)))
 
 
-def _no_worse_matrix(objs: np.ndarray) -> np.ndarray:
+def _no_worse_counts(objs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Boolean matrix M with M[i, j] true iff point i is no worse than
-    point j in every objective.
+    point j in every objective, and each point's dominator count.
 
     Each objective is compared through its dense ranks, which order as the
     values do and compare faster than floats.  A point with a NaN
     coordinate is no worse than none and none is no worse than it, as
     float comparisons give, so it neither dominates nor is dominated.
+    The points no worse than j are its dominators and the points equal to
+    it, j included, so its count is its column sum less its equals.
     """
     import numpy as np
+    n = len(objs)
     ranks = [_dense_ranks(col) for col in objs.T]
     le = np.less_equal.outer(ranks[0], ranks[0])
     for col in ranks[1:]:
         le &= np.less_equal.outer(col, col)
+    # equal points share every dense rank, so they share one key: the
+    # ranks as the digits of a base-n number, re-ranked before it overflows
+    key = ranks[0].astype(np.int64)
+    for col in ranks[1:]:
+        if (int(key.max(initial=0)) + 1) * n > 2 ** 63:
+            key = _dense_ranks(key).astype(np.int64)
+        key = key * n + col
+    inverse, equal = np.unique(key, return_inverse=True, return_counts=True)[1:]
     nan = np.isnan(objs).any(axis=1)
     if nan.any():
         le[nan] = False
         le[:, nan] = False
-    return le
+    # a bool sums as int64; its uint8 view sums into the narrow counts
+    counts = le.view(np.uint8).sum(axis=0, dtype=_count_dtype(n))
+    counts -= np.where(nan, 0, equal[inverse])
+    return le, counts
 
 
-def _dominance_matrix(objs: np.ndarray) -> np.ndarray:
-    """Boolean matrix M with M[i, j] true iff point i dominates point j.
-
-    i dominates j when i is no worse everywhere (``le[i, j]``) and j is
-    not also no worse everywhere, which would make the two equal.
+def _ranks(objs: np.ndarray) -> np.ndarray:
+    """Non-domination ranks, peeling fronts off the no-worse matrix: a
+    front's rows are subtracted from the counts, since a front member no
+    worse than an unranked point dominates it (its equals share a front).
     """
     import numpy as np
-    le = _no_worse_matrix(objs)
-    # for bools, le > le.T is le & ~le.T without a third n x n matrix
-    return np.greater(le, le.T)
-
-
-def _ranks_from_matrix(dom: np.ndarray) -> np.ndarray:
-    """Peel non-dominated fronts off a dominance matrix."""
-    import numpy as np
-    n = dom.shape[0]
-    # a bool sums as int64; its uint8 view sums into the narrow counts
-    dominator_count = dom.view(np.uint8).sum(axis=0, dtype=_count_dtype(n))
-    ranks = np.full(n, -1, dtype=np.int64)
-    current = 0
-    remaining = n
+    le, counts = _no_worse_counts(objs)
+    ranks = np.full(len(counts), -1, dtype=np.int64)
+    current, remaining = 0, len(counts)
     while remaining:
-        front = (dominator_count == 0) & (ranks == -1)
+        front = (counts == 0) & (ranks == -1)
         if not front.any():  # pragma: no cover - defensive
             raise RuntimeError("non-dominated sort failed to make progress")
         ranks[front] = current
         remaining -= int(np.count_nonzero(front))
         if remaining:
-            dominator_count -= dom[front].view(np.uint8).sum(
-                axis=0, dtype=dominator_count.dtype)
+            counts -= le[front].view(np.uint8).sum(axis=0, dtype=counts.dtype)
         current += 1
     return ranks
 
@@ -171,8 +172,25 @@ def non_dominated_sort(points: Sequence[Sequence[float]]) -> list[int]:
     import numpy as np
     if len(points) == 0:
         raise ValueError("points must be nonempty")
-    return _ranks_from_matrix(
-        _dominance_matrix(np.asarray(points, dtype=float))).tolist()
+    return _ranks(np.asarray(points, dtype=float)).tolist()
+
+
+def _crowding(objs: np.ndarray) -> np.ndarray:
+    """`crowding_distance` of an n x m array, as an array."""
+    import numpy as np
+    n = len(objs)
+    if n <= 2:
+        return np.full(n, np.inf)
+    dist = np.zeros(n)
+    for m in range(objs.shape[1]):
+        order = np.argsort(objs[:, m], kind="stable")
+        lo, hi = objs[order[0], m], objs[order[-1], m]
+        dist[order[0]] = dist[order[-1]] = np.inf
+        span = hi - lo
+        if span > 0:
+            gaps = (objs[order[2:], m] - objs[order[:-2], m]) / span
+            dist[order[1:-1]] += gaps
+    return dist
 
 
 def crowding_distance(front: Sequence[Sequence[float]]) -> list[float]:
@@ -183,31 +201,16 @@ def crowding_distance(front: Sequence[Sequence[float]]) -> list[float]:
     with zero range contributes nothing (avoids 0/0).
     """
     import numpy as np
-    n = len(front)
-    if n == 0:
-        return []
-    if n <= 2:
-        return [float("inf")] * n
-    objs = np.asarray(front, dtype=float)
-    dist = np.zeros(n)
-    for m in range(objs.shape[1]):
-        order = np.argsort(objs[:, m], kind="stable")
-        lo, hi = objs[order[0], m], objs[order[-1], m]
-        dist[order[0]] = dist[order[-1]] = float("inf")
-        span = hi - lo
-        if span > 0:
-            gaps = (objs[order[2:], m] - objs[order[:-2], m]) / span
-            dist[order[1:-1]] += gaps
-    return dist.tolist()
+    return _crowding(np.asarray(front, dtype=float)).tolist()
 
 
 def _crowding_by_rank(points: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Crowding distance of every point within its own rank."""
     import numpy as np
-    crowding = np.zeros(len(ranks))
-    for rank in range(int(ranks.max()) + 1):
+    crowding = np.empty(len(ranks))
+    for rank in range(ranks.max(initial=-1) + 1):
         idx = np.flatnonzero(ranks == rank)
-        crowding[idx] = crowding_distance(points[idx])
+        crowding[idx] = _crowding(points[idx])
     return crowding
 
 
@@ -253,48 +256,75 @@ def _constrained_ranks(pop: _Population) -> np.ndarray:
     import numpy as np
     feasible = pop.feasible
     ranks = np.empty(len(feasible), dtype=np.int64)
-    dom = _dominance_matrix(pop.objs[feasible])
-    ranks[feasible] = _ranks_from_matrix(dom)
+    ranks[feasible] = _ranks(pop.objs[feasible])
     first = ranks[feasible].max(initial=-1) + 1
     ranks[~feasible] = first + _dense_ranks(pop.violation[~feasible])
     return ranks
 
 
 def _crowd(pop: _Population, ranks: np.ndarray) -> np.ndarray:
+    """Crowding within each rank; infeasible members crowd by their
+    violation alone.  A rank of infeasible members holds one violation, so
+    `crowding_distance` of its equal points is inf at its first and last
+    member by index and 0 between them; those are set directly."""
     import numpy as np
-    # infeasible members crowd by their violation alone
-    points = np.where(pop.feasible[:, None], pop.objs, pop.violation[:, None])
-    return _crowding_by_rank(points, ranks)
+    feasible = pop.feasible
+    crowding = np.zeros(len(ranks))
+    crowding[feasible] = _crowding_by_rank(pop.objs[feasible],
+                                           ranks[feasible])
+    tail = np.flatnonzero(~feasible)
+    if tail.size:
+        tail = tail[np.argsort(ranks[tail], kind="stable")]
+        cut = np.flatnonzero(np.diff(ranks[tail]))
+        crowding[tail[np.concatenate(([0, -1], cut, cut + 1))]] = np.inf
+    return crowding
 
 
-def _tournament(rng: random.Random, ranks: list[int],
-                crowding: list[float]) -> int:
-    # int(random() * n) is uniform up to a relative bias of order
-    # n / 2**53, below 2**-41 at the population cap
-    n = len(ranks)
-    i, j = int(rng.random() * n), int(rng.random() * n)
-    if ranks[i] != ranks[j]:
-        return i if ranks[i] < ranks[j] else j
-    if crowding[i] != crowding[j]:
-        return i if crowding[i] > crowding[j] else j
-    return i
+def _clip(x: np.ndarray) -> np.ndarray:
+    """``min(max(x, 0.0), 1.0)`` elementwise: -0.0 and NaN pass as they are."""
+    import numpy as np
+    return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
 
 
-def _blend_crossover(rng: random.Random, a: float, b: float,
-                     rate: float) -> tuple[float, float]:
-    if rng.random() < rate:
-        spread = abs(a - b)
-        low = min(a, b) - 0.5 * spread
-        width = max(a, b) + 0.5 * spread - low
-        a, b = low + width * rng.random(), low + width * rng.random()
-    return min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0)
+def _offspring(rng: random.Random, parents: np.ndarray, ranks: np.ndarray,
+               crowding: np.ndarray, cfg: OptConfig) -> np.ndarray:
+    """One generation's children, in pairs: binary tournaments, blend
+    crossover and Gaussian mutation, each clipped to [0, 1].
 
-
-def _mutate(rng: random.Random, x: float, rate: float,
-            sigma: float) -> float:
-    if rng.random() < rate:
-        x += rng.gauss(0.0, sigma)
-    return min(max(x, 0.0), 1.0)
+    One pass draws every number from ``rng``, pair by pair: four
+    tournament uniforms, the crossover test and, if it passes, two blend
+    weights, then each child's mutation test and, if it passes, its
+    ``gauss`` shift.  Array operations then do what a member-by-member
+    loop does, IEEE operation for operation, so each child is that loop's
+    float; the tests keep such a loop as the reference.
+    """
+    import numpy as np
+    draw, gauss = rng.random, rng.gauss
+    cross_rate, mutation_rate, sigma = (cfg.crossover_rate, cfg.mutation_rate,
+                                        cfg.mutation_sigma)
+    picks, crossed, weights, shifts = [], [], [], []
+    for _ in range(cfg.population_size // 2):
+        picks += draw(), draw(), draw(), draw()
+        crossed.append(draw() < cross_rate)
+        if crossed[-1]:
+            weights += draw(), draw()
+        # adding -0.0 leaves every float as it is, -0.0 included
+        shifts.append(gauss(0.0, sigma) if draw() < mutation_rate else -0.0)
+        shifts.append(gauss(0.0, sigma) if draw() < mutation_rate else -0.0)
+    # a tournament picks i and j as int(u * n): the lower rank wins, then
+    # the larger crowding, else i.  int(random() * n) is uniform up to a
+    # relative bias of order n / 2**53, below 2**-41 at the population cap
+    i, j = (np.array(picks) * len(ranks)).astype(np.int64).reshape(-1, 2).T
+    ri, rj, ci, cj = ranks[i], ranks[j], crowding[i], crowding[j]
+    j_wins = np.where(ri != rj, ~(ri < rj), (ci != cj) & ~(ci > cj))
+    pairs = parents[np.where(j_wins, j, i)].reshape(-1, 2)
+    mask = np.array(crossed, dtype=bool)
+    a, b = pairs[mask].T
+    spread = np.abs(a - b)
+    low = np.where(b < a, b, a) - 0.5 * spread
+    width = np.where(b > a, b, a) + 0.5 * spread - low
+    pairs[mask] = low[:, None] + width[:, None] * np.reshape(weights, (-1, 2))
+    return _clip(_clip(pairs.ravel()) + np.array(shifts))
 
 
 def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
@@ -321,20 +351,8 @@ def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
     ranks = _constrained_ranks(pop)
 
     for _ in range(cfg.generations):
-        # plain lists: the tournaments read single entries
-        rank_list = ranks.tolist()
-        crowding = _crowd(pop, ranks).tolist()
-        parents = pop.r.tolist()
-        children: list[float] = []
-        while len(children) < size:
-            p1 = parents[_tournament(rng, rank_list, crowding)]
-            p2 = parents[_tournament(rng, rank_list, crowding)]
-            c1, c2 = _blend_crossover(rng, p1, p2, cfg.crossover_rate)
-            children.append(_mutate(rng, c1, cfg.mutation_rate,
-                                    cfg.mutation_sigma))
-            children.append(_mutate(rng, c2, cfg.mutation_rate,
-                                    cfg.mutation_sigma))
-        combined = pop.concat(_evaluate(problem, np.array(children)))
+        children = _offspring(rng, pop.r, ranks, _crowd(pop, ranks), cfg)
+        combined = pop.concat(_evaluate(problem, children))
         ranks = _constrained_ranks(combined)
         keep = np.lexsort((-_crowd(combined, ranks), ranks))[:size]
         pop, ranks = combined.take(keep), ranks[keep]
@@ -377,7 +395,7 @@ def brute_force_front(problem: OptProblem, grid_step: float) -> ParetoFront:
     if not len(pop.r):
         return ParetoFront(members=[], ranks=[], crowding=[])
     # the non-dominated subset is rank 0 by construction
-    pop = pop.take(~_dominance_matrix(pop.objs).any(axis=0))
+    pop = pop.take(_no_worse_counts(pop.objs)[1] == 0)
     return _build_front(pop, np.zeros(len(pop.r), dtype=np.int64))
 
 

@@ -552,18 +552,97 @@ def test_grid_oracle_keeps_exactly_the_non_dominated_feasible_points(
             assert any(dominates(m, vec) for m in members.values())
 
 
-class _RecordingRanks:
-    """Rank list stand-in of any length: rank i is i; reads are recorded."""
+def _tournament(rng, ranks, crowding):
+    n = len(ranks)
+    i, j = int(rng.random() * n), int(rng.random() * n)
+    if ranks[i] != ranks[j]:
+        return i if ranks[i] < ranks[j] else j
+    if crowding[i] != crowding[j]:
+        return i if crowding[i] > crowding[j] else j
+    return i
 
-    def __init__(self, n):
-        self.n, self.reads = n, []
+
+def _blend_crossover(rng, a, b, rate):
+    if rng.random() < rate:
+        spread = abs(a - b)
+        low = min(a, b) - 0.5 * spread
+        width = max(a, b) + 0.5 * spread - low
+        a, b = low + width * rng.random(), low + width * rng.random()
+    return min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0)
+
+
+def _mutate(rng, x, rate, sigma):
+    if rng.random() < rate:
+        x += rng.gauss(0.0, sigma)
+    return min(max(x, 0.0), 1.0)
+
+
+def scalar_offspring(rng, parents, ranks, crowding, cfg):
+    """The reference variation loop, one member at a time on floats:
+    tournaments, blend crossover and mutation as NSGA-II draws them."""
+    parents, ranks, crowding = parents.tolist(), ranks.tolist(), \
+        crowding.tolist()
+    children = []
+    while len(children) < cfg.population_size:
+        p1 = parents[_tournament(rng, ranks, crowding)]
+        p2 = parents[_tournament(rng, ranks, crowding)]
+        c1, c2 = _blend_crossover(rng, p1, p2, cfg.crossover_rate)
+        children.append(_mutate(rng, c1, cfg.mutation_rate,
+                                cfg.mutation_sigma))
+        children.append(_mutate(rng, c2, cfg.mutation_rate,
+                                cfg.mutation_sigma))
+    return children
+
+
+@st.composite
+def variation_cases(draw):
+    """Parents, ranks and crowding of 4 to 400 members drawn with ties
+    from small pools (crowding with inf and NaN, parents with -0.0 and
+    values outside [0, 1]), and rates of 0, 1 and between."""
+    size = 2 * draw(st.integers(min_value=2, max_value=200))
+    pick = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).choice
+    parent_pool = draw(st.lists(
+        st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(-0.5, 1.5),
+        min_size=1, max_size=6))
+    crowd_pool = draw(st.lists(
+        st.sampled_from([0.0, math.inf, math.nan]) | st.floats(0.0, 4.0),
+        min_size=1, max_size=6))
+    rate = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    cfg = OptConfig(population_size=size, crossover_rate=draw(rate),
+                    mutation_rate=draw(rate),
+                    mutation_sigma=draw(st.sampled_from([0.05, 0.5, 2.0])),
+                    seed=draw(st.integers(0, 2 ** 32)))
+    ranks = pick(draw(st.integers(min_value=1, max_value=5)), size)
+    return (cfg, pick(parent_pool, size), ranks.astype(np.int64),
+            pick(crowd_pool, size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(variation_cases())
+def test_offspring_equal_the_scalar_loop(case):
+    cfg, parents, ranks, crowding = case
+    ours, twin = random.Random(cfg.seed), random.Random(cfg.seed)
+    children = optimizer._offspring(ours, parents, ranks, crowding, cfg)
+    expected = scalar_offspring(twin, parents, ranks, crowding, cfg)
+    # float.hex tells -0.0 from 0.0
+    assert list(map(float.hex, children.tolist())) == \
+        list(map(float.hex, expected))
+    assert ours.getstate() == twin.getstate()
+
+
+class _Recording:
+    """Array stand-in of any length: entry i is i * scale; the index
+    arrays read are recorded."""
+
+    def __init__(self, n, scale=1):
+        self.n, self.scale, self.reads = n, scale, []
 
     def __len__(self):
         return self.n
 
-    def __getitem__(self, i):
-        self.reads.append(i)
-        return i
+    def __getitem__(self, idx):
+        self.reads.append(idx.tolist())
+        return idx * self.scale
 
 
 @pytest.mark.parametrize("n", [4, 200, 4000, 3 * 2 ** 30, 2 ** 31 + 1])
@@ -573,29 +652,28 @@ def test_index_draws_match_generator_integers(seed, n):
     # random() values u, in a stream shared with the blend and the
     # mutation; a draw that reads other bits (randrange, choice) or more
     # than one value per index must fail here, not change fronts quietly
+    script = random.Random(1000 + seed)
+    rate = [0.0, 0.5, 1.0]
+    cfg = OptConfig(population_size=2 * script.randint(2, 40),
+                    crossover_rate=script.choice(rate),
+                    mutation_rate=script.choice(rate))
     ours, twin = random.Random(seed), random.Random(seed)
-    script = random.Random(1000 + seed).choices(range(4), k=300)
-    for k, step in enumerate(script):
-        if step == 0:
-            ranks = _RecordingRanks(n)
-            winner = optimizer._tournament(ours, ranks,
-                                           collections.defaultdict(float))
-            expected = [int(twin.random() * n), int(twin.random() * n)]
-            assert ranks.reads[:2] == expected, f"step {k}"
-            assert all(0 <= i < n for i in expected)
-            assert winner == min(expected)
-        elif step == 1:
-            assert ours.random() == twin.random()
-        elif step == 2:
-            # parents 0.25 and 0.75 blend over [0, 1] exactly
-            twin.random()
-            expected = (twin.random(), twin.random())
-            assert optimizer._blend_crossover(ours, 0.25, 0.75,
-                                              1.0) == expected
-        else:
-            twin.random()
-            expected = min(max(0.5 + twin.gauss(0.0, 0.05), 0.0), 1.0)
-            assert optimizer._mutate(ours, 0.5, 1.0, 0.05) == expected
+    # rank i is i and every crowding 0.0, so the lower index wins
+    parents, ranks, crowding = _Recording(n), _Recording(n), \
+        _Recording(n, 0.0)
+    optimizer._offspring(ours, parents, ranks, crowding, cfg)
+    expected = []
+    for _ in range(cfg.population_size // 2):
+        expected += [int(twin.random() * n) for _ in range(4)]
+        if twin.random() < cfg.crossover_rate:
+            twin.random(), twin.random()
+        for _ in range(2):
+            if twin.random() < cfg.mutation_rate:
+                twin.gauss(0.0, cfg.mutation_sigma)
+    first, second = ranks.reads
+    assert [k for pair in zip(first, second) for k in pair] == expected
+    assert all(0 <= i < n for i in expected)
+    assert parents.reads == [list(map(min, zip(first, second)))]
     assert ours.random() == twin.random()
 
 
@@ -613,8 +691,25 @@ def tied_point_sets(draw):
 @settings(max_examples=200)
 @given(tied_point_sets())
 def test_dominance_matrix_equals_pairwise_dominates(points):
-    dom = optimizer._dominance_matrix(np.array(points, dtype=float))
-    assert dom.tolist() == [[dominates(a, b) for b in points] for a in points]
+    # the no-worse matrix and the dominator counts it gives
+    le, counts = optimizer._no_worse_counts(np.array(points, dtype=float))
+    assert le.tolist() == [[all(x <= y for x, y in zip(a, b))
+                            for b in points] for a in points]
+    assert counts.tolist() == [sum(dominates(a, b) for a in points)
+                               for b in points]
+
+
+def test_many_objectives_rank_as_pairwise_peeling():
+    # at 256 points the equal-point key has base 2**8, so nine objectives
+    # overflow int64: a key not re-ranked would drop its first digit and
+    # count the first two points, which differ only there, as equal
+    rng = np.random.default_rng(9)
+    rest = rng.integers(0, 3, (234, 9))
+    points = np.concatenate([np.zeros((1, 9)), np.eye(1, 9), rest,
+                             rest[:20]]).tolist()
+    dom = [[dominates(a, b) for b in points] for a in points]
+    assert non_dominated_sort(points) == \
+        peel(len(points), lambda i, j: dom[i][j])
 
 
 def test_dense_ranks_hold_40000_distinct_values():
@@ -661,6 +756,20 @@ def test_selected_members_keep_their_ranks(case):
             non_dominated_sort(feasible.objs.tolist())
 
 
+def peel(n, beats):
+    """Ranks of n members from fronts peeled one by one, where
+    ``beats(i, j)`` says whether member i dominates member j."""
+    ranks = [None] * n
+    rank = 0
+    while None in ranks:
+        unranked = [j for j, r in enumerate(ranks) if r is None]
+        for j in [j for j in unranked
+                  if not any(beats(i, j) for i in unranked)]:
+            ranks[j] = rank
+        rank += 1
+    return ranks
+
+
 def peeled_constrained_ranks(pop):
     """Fronts peeled one by one under Deb's constrained dominance, decided
     pair by pair: a feasible member dominates by its objectives and
@@ -676,15 +785,7 @@ def peeled_constrained_ranks(pop):
             return feasible[i]
         return violation[i] < violation[j]
 
-    ranks = [None] * len(objs)
-    rank = 0
-    while None in ranks:
-        unranked = [j for j, r in enumerate(ranks) if r is None]
-        for j in [j for j in unranked
-                  if not any(beats(i, j) for i in unranked)]:
-            ranks[j] = rank
-        rank += 1
-    return ranks
+    return peel(len(objs), beats)
 
 
 @settings(max_examples=200)
