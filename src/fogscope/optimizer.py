@@ -320,6 +320,7 @@ def _offspring(rng: random.Random, parents: np.ndarray, ranks: np.ndarray,
     pairs = parents[np.where(j_wins, j, i)].reshape(-1, 2)
     mask = np.array(crossed, dtype=bool)
     a, b = pairs[mask].T
+    # min(a, b) and max(a, b) return a unless b is smaller, or larger
     spread = np.abs(a - b)
     low = np.where(b < a, b, a) - 0.5 * spread
     width = np.where(b > a, b, a) + 0.5 * spread - low

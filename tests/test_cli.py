@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -1165,6 +1166,20 @@ def test_pareto_search_script_smoke(tmp_path):
         assert manifest_of(path).command == "pareto-search"
         rs = [row["r"] for row in read_rows(path)]
         assert rs and len(rs) == len(set(rs))
+
+
+def test_peak_rss_script_smoke():
+    # one round of one command prints one line: the median peak in MiB,
+    # its range (one run, so all three agree), the exit code and the command
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "peak_rss.py"), "-n", "1",
+         "presets"], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    line, = result.stdout.splitlines()
+    match = re.fullmatch(r" *(\d+\.\d\d) MiB  \[(\d+\.\d\d), (\d+\.\d\d)\]"
+                         r"  exit 0  presets", line)
+    assert match, line
+    assert len(set(match.groups())) == 1 and float(match[1]) > 0
 
 
 def modules_loaded_by(code: str, *packages: str, **env: str) -> list[str]:
