@@ -631,18 +631,18 @@ def test_offspring_equal_the_scalar_loop(case):
 
 
 class _Recording:
-    """Array stand-in of any length: entry i is i * scale; the index
+    """Array stand-in of any length: entry i is ``value(i)``; the index
     arrays read are recorded."""
 
-    def __init__(self, n, scale=1):
-        self.n, self.scale, self.reads = n, scale, []
+    def __init__(self, n, value):
+        self.n, self.value, self.reads = n, value, []
 
     def __len__(self):
         return self.n
 
     def __getitem__(self, idx):
         self.reads.append(idx.tolist())
-        return idx * self.scale
+        return self.value(idx)
 
 
 @pytest.mark.parametrize("n", [4, 200, 4000, 3 * 2 ** 30, 2 ** 31 + 1])
@@ -658,22 +658,31 @@ def test_index_draws_match_generator_integers(seed, n):
                     crossover_rate=script.choice(rate),
                     mutation_rate=script.choice(rate))
     ours, twin = random.Random(seed), random.Random(seed)
-    # rank i is i and every crowding 0.0, so the lower index wins
-    parents, ranks, crowding = _Recording(n), _Recording(n), \
-        _Recording(n, 0.0)
-    optimizer._offspring(ours, parents, ranks, crowding, cfg)
-    expected = []
+    # rank i is i and every crowding 0.0, so the lower index wins; even
+    # members are 0.25 and odd ones 0.75, so two unequal parents blend
+    # over [0, 1] exactly, and two equal ones stay as they are
+    parents = _Recording(n, lambda i: np.where(i % 2, 0.75, 0.25))
+    ranks = _Recording(n, lambda i: i)
+    crowding = _Recording(n, lambda i: 0.0 * i)
+    children = optimizer._offspring(ours, parents, ranks, crowding, cfg)
+    expected, expected_children = [], []
     for _ in range(cfg.population_size // 2):
-        expected += [int(twin.random() * n) for _ in range(4)]
+        picks = [int(twin.random() * n) for _ in range(4)]
+        expected += picks
+        pair = [0.75 if min(picks[k:k + 2]) % 2 else 0.25 for k in (0, 2)]
         if twin.random() < cfg.crossover_rate:
-            twin.random(), twin.random()
-        for _ in range(2):
+            blend = [twin.random(), twin.random()]
+            pair = blend if pair[0] != pair[1] else pair
+        for child in pair:
             if twin.random() < cfg.mutation_rate:
-                twin.gauss(0.0, cfg.mutation_sigma)
+                child = min(max(child + twin.gauss(0.0, cfg.mutation_sigma),
+                                0.0), 1.0)
+            expected_children.append(child)
     first, second = ranks.reads
     assert [k for pair in zip(first, second) for k in pair] == expected
     assert all(0 <= i < n for i in expected)
     assert parents.reads == [list(map(min, zip(first, second)))]
+    assert children.tolist() == expected_children
     assert ours.random() == twin.random()
 
 
