@@ -1,6 +1,5 @@
 """Dominance tooling, NSGA-II contracts, grid oracle, hypervolume."""
 
-import collections
 import itertools
 import math
 import random
