@@ -128,6 +128,20 @@ class TestSimulate:
         assert metrics.unstable
         assert metrics.local_queue_max > 1000
 
+    def test_queue_is_sampled_at_the_duration(self):
+        # the one packet arrives after the 31st of 32 queue samples and is
+        # still queued at t = duration, so only the last sample sees it:
+        # the rising tail flags the run, and a schedule without that
+        # sample would not
+        s = with_rate(0.01)
+        s = replace(s, fog=replace(s.fog, proc_capability=1e-3))
+        sim = SimScenario(scenario=s, local_prob=1.0, duration_s=100.0)
+        metrics, packets = simulate_trace(sim, seed=5)
+        (packet,) = packets
+        assert 100.0 * 31 / 32 < packet.arrival_time < 100.0
+        assert metrics.packets_in_flight == 1
+        assert metrics.unstable
+
     def test_zero_arrivals(self):
         s = with_rate(0.0)
         s = replace(s, fog=replace(s.fog, idle_power=0.0, tdp=1.0))
