@@ -291,41 +291,39 @@ def _offspring(rng: random.Random, parents: np.ndarray, ranks: np.ndarray,
     """One generation's children, in pairs: binary tournaments, blend
     crossover and Gaussian mutation, each clipped to [0, 1].
 
-    One pass draws every number from ``rng``, pair by pair: four
-    tournament uniforms, the crossover test and, if it passes, two blend
-    weights, then each child's mutation test and, if it passes, its
-    ``gauss`` shift.  Array operations then do what a member-by-member
-    loop does, IEEE operation for operation, so each child is that loop's
-    float; the tests keep such a loop as the reference.
+    Each pair takes 11 ``random()`` values, used or not, so no draw
+    decides how many follow: four tournament uniforms, the crossover test
+    and two blend weights, each child's mutation test, and a Box-Muller
+    pair drawn angle first and radius second, as CPython 3.11's ``gauss``
+    draws it.  The tests keep a member-by-member loop as the reference.
     """
     import numpy as np
-    draw, gauss = rng.random, rng.gauss
-    cross_rate, mutation_rate, sigma = (cfg.crossover_rate, cfg.mutation_rate,
-                                        cfg.mutation_sigma)
-    picks, crossed, weights, shifts = [], [], [], []
-    for _ in range(cfg.population_size // 2):
-        picks += draw(), draw(), draw(), draw()
-        crossed.append(draw() < cross_rate)
-        if crossed[-1]:
-            weights += draw(), draw()
-        # adding -0.0 leaves every float as it is, -0.0 included
-        shifts.append(gauss(0.0, sigma) if draw() < mutation_rate else -0.0)
-        shifts.append(gauss(0.0, sigma) if draw() < mutation_rate else -0.0)
+    u = np.array([rng.random() for _ in range(11 * (cfg.population_size
+                                                    // 2))]).reshape(-1, 11)
     # a tournament picks i and j as int(u * n): the lower rank wins, then
     # the larger crowding, else i.  int(random() * n) is uniform up to a
     # relative bias of order n / 2**53, below 2**-41 at the population cap
-    i, j = (np.array(picks) * len(ranks)).astype(np.int64).reshape(-1, 2).T
+    i, j = (u[:, :4] * len(ranks)).astype(np.int64).reshape(-1, 2).T
     ri, rj, ci, cj = ranks[i], ranks[j], crowding[i], crowding[j]
     j_wins = np.where(ri != rj, ~(ri < rj), (ci != cj) & ~(ci > cj))
     pairs = parents[np.where(j_wins, j, i)].reshape(-1, 2)
-    mask = np.array(crossed, dtype=bool)
+    mask = u[:, 4] < cfg.crossover_rate
     a, b = pairs[mask].T
     # min(a, b) and max(a, b) return a unless b is smaller, or larger
     spread = np.abs(a - b)
     low = np.where(b < a, b, a) - 0.5 * spread
     width = np.where(b > a, b, a) + 0.5 * spread - low
-    pairs[mask] = low[:, None] + width[:, None] * np.reshape(weights, (-1, 2))
-    return _clip(_clip(pairs.ravel()) + np.array(shifts))
+    pairs[mask] = low[:, None] + width[:, None] * u[mask, 5:7]
+    mutates = u[:, 7:9] < cfg.mutation_rate
+    rows = np.flatnonzero(mutates.any(axis=1))
+    # only through math, value by value: np.log rounds some values otherwise
+    normals = np.zeros_like(pairs)
+    for k, (x, y) in zip(rows.tolist(), u[rows, 9:].tolist()):
+        angle, radius = 2.0 * math.pi * x, math.sqrt(-2.0 * math.log(1.0 - y))
+        normals[k] = math.cos(angle) * radius, math.sin(angle) * radius
+    # adding -0.0 leaves every float as it is, -0.0 included
+    shifts = np.where(mutates, normals * cfg.mutation_sigma, -0.0)
+    return _clip(_clip(pairs.ravel()) + shifts.ravel())
 
 
 def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
@@ -337,26 +335,28 @@ def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
     Each generation's offspring are evaluated as one batch after all of
     them are drawn; evaluation draws nothing from the RNG.
 
-    Ranks carry over from one generation's selection to the next: every
-    dominator of a selected member has a lower rank, so it is selected
-    too, and the member's rank among the selected is unchanged.  Only
-    crowding is recomputed.  Every draw comes from one
-    ``random.Random(cfg.seed)``, so the result does not depend on the
-    numpy version.  CPython keeps ``random()``'s sequence for a seed;
-    mutation also relies on ``gauss``, as `simulate`'s noisy uplink does.
+    Ranks and crowding carry over from one generation's selection to the
+    next tournaments, as Deb et al. (2002) assign them while filling the
+    next population.  Every dominator of a selected member has a lower
+    rank, so it is selected too, and the member's rank among the selected
+    is unchanged.  Every draw is ``random()`` of one
+    ``random.Random(cfg.seed)``, whose sequence CPython keeps for a seed,
+    so the result does not depend on the numpy version.
     """
     import numpy as np
     rng = random.Random(cfg.seed)
     size = cfg.population_size
     pop = _evaluate(problem, np.array([rng.random() for _ in range(size)]))
     ranks = _constrained_ranks(pop)
+    crowding = _crowd(pop, ranks)
 
     for _ in range(cfg.generations):
-        children = _offspring(rng, pop.r, ranks, _crowd(pop, ranks), cfg)
+        children = _offspring(rng, pop.r, ranks, crowding, cfg)
         combined = pop.concat(_evaluate(problem, children))
         ranks = _constrained_ranks(combined)
-        keep = np.lexsort((-_crowd(combined, ranks), ranks))[:size]
-        pop, ranks = combined.take(keep), ranks[keep]
+        crowding = _crowd(combined, ranks)
+        keep = np.lexsort((-crowding, ranks))[:size]
+        pop, ranks, crowding = combined.take(keep), ranks[keep], crowding[keep]
 
     if not pop.feasible.any():
         raise NoFeasibleSolution(

@@ -1501,35 +1501,35 @@ class TestSeededArtifactBytes:
     CASES = {
         "optimize-default": (
             None, ["optimize", "--pop", "40", "--gens", "30", "--seed", "11"],
-            0, {"optimize.csv": "f099f3011c97d971d82b48c1a1d5bab0"
-                                "e80a07d364c7b1455b368416f5fa0c29"}),
+            0, {"optimize.csv": "9ca48f425aeb0eb96b04c84880a9f9fb"
+                                "63878fae7f97c2612cd31e126491916d"}),
         "optimize-tx": (
             TX_SCENARIO,
             ["optimize", "--pop", "40", "--gens", "30", "--seed", "12"],
-            0, {"optimize.csv": "092464c86cfc898d1b0505c457aab31b"
-                                "6df3a24f7f70d7e623275992db056f6a"}),
+            0, {"optimize.csv": "eb68b32dc41752576e53690a9e1831b3"
+                                "858b3c1e95d7314643a006519982a297"}),
         "optimize-tdp": (
             TDP_SCENARIO,
             ["optimize", "--pop", "40", "--gens", "30", "--seed", "13"],
-            0, {"optimize.csv": "c978d9f488735a014387e0c88e99498a"
-                                "7267f42d05e9989591e0010aa0f3eecc"}),
+            0, {"optimize.csv": "87c84a0c4752143eef1ea8d5f9a1a7c6"
+                                "587037b7df5c4ac919efc82027ae2cd3"}),
         # the benchmark's search size
         "optimize-pop200": (
             None,
             ["optimize", "--pop", "200", "--gens", "100", "--seed", "14"],
-            0, {"optimize.csv": "2c2ec375d6278de5f72953d21248c0f6"
-                                "156703476d3c7ce79616f4f1d49f5076"}),
+            0, {"optimize.csv": "8df9d9eb2d868951fa6df1ed84231b42"
+                                "29e011f9d36782d70e773f6793d0e22d"}),
         # every child mutates, and many clamp to 0 or 1: each is listed once
         "optimize-mutate-all": (
             None, ["optimize", "--pop", "40", "--gens", "30", "--seed", "15",
                    "--mutation-rate", "1", "--mutation-sigma", "0.5"],
-            0, {"optimize.csv": "5ebee33d1c81cdf378041f19880442a1"
-                                "bc9e2374acabeafb11826981ed3a27f6"}),
+            0, {"optimize.csv": "aeb492f81fab37fe4142074f6ded5ab6"
+                                "4166fb1c44a6b765cde987459f2bf99a"}),
         "optimize-no-crossover": (
             None, ["optimize", "--pop", "40", "--gens", "30", "--seed", "16",
                    "--crossover-rate", "0"],
-            0, {"optimize.csv": "43d057958398a550eb22867a37336da0"
-                                "4c9aac364b2d7e45f265f0e8f279f51e"}),
+            0, {"optimize.csv": "c6795b11459a0e1ad9bf7beac29a0942"
+                                "73fcf46f2517a35ab531c62e76e13bba"}),
         "evaluate-r0": (
             None, ["evaluate", "--r", "0"],
             0, {"evaluate.csv": "a5ae0c2704818c1aab953bd8e306cc55"

@@ -133,7 +133,7 @@ class TestOptimizeContracts:
         keys = list(zip(front.ranks, [-c for c in front.crowding]))
         assert keys == sorted(keys)
 
-    @pytest.mark.parametrize("gens, kept", [(1, 4), (2, 12)])
+    @pytest.mark.parametrize("gens, kept", [(1, 6), (2, 9)])
     def test_returned_ranks_are_those_of_the_members(self, gens, kept):
         # each larger split dominates every smaller one here, and splits
         # below 0.875 break the TDP, so early populations hold many ranks
@@ -149,6 +149,21 @@ class TestOptimizeContracts:
         assert max(front.ranks) > 0
         assert front.ranks == non_dominated_sort(
             [vec.as_tuple() for _, vec in front.members])
+
+    def test_crowding_is_computed_once_per_generation(self, monkeypatch):
+        # the initial population's crowding, then each selection's, which
+        # the next tournaments read (Deb et al. 2002)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return crowd(*args)
+
+        crowd = optimizer._crowd
+        monkeypatch.setattr(optimizer, "_crowd", counted)
+        optimize(OptProblem(scenario=default_scenario()),
+                 OptConfig(population_size=8, generations=5, seed=1))
+        assert len(calls) == 5 + 1
 
     def test_members_have_distinct_splits(self):
         # every child mutates with a wide sigma, so many clamp to 0 or 1
@@ -551,9 +566,23 @@ def test_grid_oracle_keeps_exactly_the_non_dominated_feasible_points(
             assert any(dominates(m, vec) for m in members.values())
 
 
-def _tournament(rng, ranks, crowding):
+def box_muller(x, y):
+    """The normal pair that CPython's ``gauss`` makes of its two draws x
+    (the angle) and y (the radius), through ``math``."""
+    angle, radius = 2.0 * math.pi * x, math.sqrt(-2.0 * math.log(1.0 - y))
+    return math.cos(angle) * radius, math.sin(angle) * radius
+
+
+def test_box_muller_pairs_are_gauss_pairs():
+    ours, twin = random.Random(7), random.Random(7)
+    for _ in range(1000):
+        expected = box_muller(twin.random(), twin.random())
+        assert (ours.gauss(0.0, 1.0), ours.gauss(0.0, 1.0)) == expected
+
+
+def _tournament(ranks, crowding, u, v):
     n = len(ranks)
-    i, j = int(rng.random() * n), int(rng.random() * n)
+    i, j = int(u * n), int(v * n)
     if ranks[i] != ranks[j]:
         return i if ranks[i] < ranks[j] else j
     if crowding[i] != crowding[j]:
@@ -561,35 +590,36 @@ def _tournament(rng, ranks, crowding):
     return i
 
 
-def _blend_crossover(rng, a, b, rate):
-    if rng.random() < rate:
+def _blend_crossover(a, b, rate, test, w1, w2):
+    if test < rate:
         spread = abs(a - b)
         low = min(a, b) - 0.5 * spread
         width = max(a, b) + 0.5 * spread - low
-        a, b = low + width * rng.random(), low + width * rng.random()
+        a, b = low + width * w1, low + width * w2
     return min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0)
 
 
-def _mutate(rng, x, rate, sigma):
-    if rng.random() < rate:
-        x += rng.gauss(0.0, sigma)
+def _mutate(x, rate, test, normal, sigma):
+    if test < rate:
+        x += normal * sigma
     return min(max(x, 0.0), 1.0)
 
 
 def scalar_offspring(rng, parents, ranks, crowding, cfg):
     """The reference variation loop, one member at a time on floats:
-    tournaments, blend crossover and mutation as NSGA-II draws them."""
+    tournaments, blend crossover and mutation as NSGA-II draws them, 11
+    ``random()`` values a pair whether they are used or not."""
     parents, ranks, crowding = parents.tolist(), ranks.tolist(), \
         crowding.tolist()
     children = []
     while len(children) < cfg.population_size:
-        p1 = parents[_tournament(rng, ranks, crowding)]
-        p2 = parents[_tournament(rng, ranks, crowding)]
-        c1, c2 = _blend_crossover(rng, p1, p2, cfg.crossover_rate)
-        children.append(_mutate(rng, c1, cfg.mutation_rate,
-                                cfg.mutation_sigma))
-        children.append(_mutate(rng, c2, cfg.mutation_rate,
-                                cfg.mutation_sigma))
+        u = [rng.random() for _ in range(11)]
+        p1 = parents[_tournament(ranks, crowding, *u[0:2])]
+        p2 = parents[_tournament(ranks, crowding, *u[2:4])]
+        pair = _blend_crossover(p1, p2, cfg.crossover_rate, *u[4:7])
+        for child, test, normal in zip(pair, u[7:9], box_muller(*u[9:11])):
+            children.append(_mutate(child, cfg.mutation_rate, test, normal,
+                                    cfg.mutation_sigma))
     return children
 
 
@@ -647,10 +677,11 @@ class _Recording:
 @pytest.mark.parametrize("n", [4, 200, 4000, 3 * 2 ** 30, 2 ** 31 + 1])
 @pytest.mark.parametrize("seed", range(50))
 def test_index_draws_match_generator_integers(seed, n):
-    # each tournament draws its two indices as int(u * n) of the next two
-    # random() values u, in a stream shared with the blend and the
-    # mutation; a draw that reads other bits (randrange, choice) or more
-    # than one value per index must fail here, not change fronts quietly
+    # each pair's two tournaments draw their indices as int(u * n) of the
+    # first four of its 11 random() values u, in a stream shared with the
+    # blend and the mutation; a draw that reads other bits (randrange,
+    # choice) or more than one value per index must fail here, not change
+    # fronts quietly
     script = random.Random(1000 + seed)
     rate = [0.0, 0.5, 1.0]
     cfg = OptConfig(population_size=2 * script.randint(2, 40),
@@ -666,16 +697,16 @@ def test_index_draws_match_generator_integers(seed, n):
     children = optimizer._offspring(ours, parents, ranks, crowding, cfg)
     expected, expected_children = [], []
     for _ in range(cfg.population_size // 2):
-        picks = [int(twin.random() * n) for _ in range(4)]
+        u = [twin.random() for _ in range(11)]
+        picks = [int(x * n) for x in u[:4]]
         expected += picks
         pair = [0.75 if min(picks[k:k + 2]) % 2 else 0.25 for k in (0, 2)]
-        if twin.random() < cfg.crossover_rate:
-            blend = [twin.random(), twin.random()]
-            pair = blend if pair[0] != pair[1] else pair
-        for child in pair:
-            if twin.random() < cfg.mutation_rate:
-                child = min(max(child + twin.gauss(0.0, cfg.mutation_sigma),
-                                0.0), 1.0)
+        if u[4] < cfg.crossover_rate and pair[0] != pair[1]:
+            pair = u[5:7]
+        for child, test, normal in zip(pair, u[7:9], box_muller(*u[9:11])):
+            if test < cfg.mutation_rate:
+                child = min(max(child + normal * cfg.mutation_sigma, 0.0),
+                            1.0)
             expected_children.append(child)
     first, second = ranks.reads
     assert [k for pair in zip(first, second) for k in pair] == expected
