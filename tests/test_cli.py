@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -1358,9 +1359,46 @@ def numpy_random_uses(source: str) -> list[int]:
     return sorted(lines)
 
 
+# the methods of random.Random that draw, other than random(): CPython
+# keeps random()'s sequence for a seed and promises none for these
+OTHER_DRAWS = {name for name in dir(random.Random) if not name.startswith("_")
+               and callable(getattr(random.Random, name))} - {
+    "random", "seed", "getstate", "setstate"}
+
+
+def other_draws(source: str) -> list[tuple[int, str]]:
+    """Line and name of each attribute read named after one of
+    OTHER_DRAWS, called or not, so an alias such as ``g = rng.gauss`` is
+    found too."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(
+        ast.parse(source)) if isinstance(node, ast.Attribute)
+        and node.attr in OTHER_DRAWS)
+
+
 class TestNoNumpyRandom:
     """numpy promises no stream across its versions (NEP 19), so a draw
     from ``numpy.random`` would tie the seeded artifacts to it."""
+
+    def test_only_these_draws_are_not_random(self):
+        found = {path.name: [name for _, name in other_draws(
+                     path.read_text(encoding="utf-8"))]
+                 for path in sorted((SRC / "fogscope").glob("*.py"))}
+        assert {name: draws for name, draws in found.items() if draws} == {
+            # the noisy uplink's multiplier, in sample_latency_noise
+            "model.py": ["gauss"],
+            # simulate's interarrival and service times
+            "simulation.py": ["expovariate"] * 4,
+        }
+
+    @pytest.mark.parametrize("source, draws", [
+        ("rng.gauss(0.0, 1.0)\n", [(1, "gauss")]),
+        ("draw, g = rng.random, rng.gauss\n", [(1, "gauss")]),
+        ("import random\nrandom.choice(x)\n", [(2, "choice")]),
+        ("rng.random()\nrandom.Random(cfg.seed).getstate()\n", []),
+        ("np.random.default_rng(1)\n", []),
+    ])
+    def test_scan_finds_other_draws(self, source, draws):
+        assert other_draws(source) == draws
 
     @pytest.mark.parametrize("path", sorted((SRC / "fogscope").glob("*.py")),
                              ids=lambda path: path.name)
