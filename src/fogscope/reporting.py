@@ -240,9 +240,3 @@ def write_artifact(filename: str, text: str) -> Path:
     with path.open("w", encoding="utf-8") as stream:
         write_text(stream, text)
     return path
-
-
-def strip_manifest(text: str) -> str:
-    """Drop comment lines, leaving plain CSV."""
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    return "\n".join(lines) + "\n"

@@ -22,7 +22,7 @@ import fogscope
 from fogscope import cli, optimizer, reporting, simulation
 from fogscope.cli import main
 from fogscope.model import InstabilityWarning
-from fogscope.reporting import MANIFEST_PREFIX, RunManifest, strip_manifest
+from fogscope.reporting import MANIFEST_PREFIX, RunManifest
 from fogscope.scenario import catalog_checksum, default_scenario, sweep_grid
 
 pytestmark = pytest.mark.usefixtures("out_dir")
@@ -39,6 +39,12 @@ def out_dir(tmp_path, monkeypatch):
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def strip_manifest(text: str) -> str:
+    """Drop comment lines, leaving plain CSV."""
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    return "\n".join(lines) + "\n"
 
 
 def read_rows(path):
