@@ -291,11 +291,11 @@ def _offspring(rng: random.Random, parents: np.ndarray, ranks: np.ndarray,
     """One generation's children, in pairs: binary tournaments, blend
     crossover and Gaussian mutation, each clipped to [0, 1].
 
-    Each pair takes 11 ``random()`` values, used or not, so no draw
-    decides how many follow: four tournament uniforms, the crossover test
-    and two blend weights, each child's mutation test, and a Box-Muller
-    pair drawn angle first and radius second, as CPython 3.11's ``gauss``
-    draws it.  The tests keep a member-by-member loop as the reference.
+    Each pair takes 11 ``random()`` values, used or not: four tournament
+    uniforms, the crossover test and two blend weights, each child's
+    mutation test, and a Box-Muller pair (angle, then radius, as CPython's
+    ``gauss`` draws them).  Array operations do a member-by-member loop's
+    IEEE operations, so each child is that loop's float, as the tests check.
     """
     import numpy as np
     u = np.array([rng.random() for _ in range(11 * (cfg.population_size
