@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -1234,6 +1235,21 @@ def import_time_numpy_imports(source: str) -> list[int]:
     return sorted(lines)
 
 
+def unmanaged_opens(source: str) -> list[int]:
+    """Lines that call ``open`` or an ``.open`` method anywhere but as the
+    item of a ``with`` statement, which closes what it opens."""
+    tree = ast.parse(source)
+    managed = {id(item.context_expr) for node in ast.walk(tree)
+               if isinstance(node, (ast.With, ast.AsyncWith))
+               for item in node.items}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in managed
+        and (isinstance(node.func, ast.Name) and node.func.id == "open"
+             or isinstance(node.func, ast.Attribute)
+             and node.func.attr == "open"))
+
+
 class TestStartup:
     def test_cli_import_leaves_scipy_unloaded(self):
         assert modules_loaded_by("import fogscope.cli", "scipy") == []
@@ -1334,6 +1350,120 @@ class TestStartup:
     ])
     def test_import_scan_finds_import_time_numpy(self, source, lines):
         assert import_time_numpy_imports(source) == lines
+
+
+    @pytest.mark.parametrize("path", sorted((SRC / "fogscope").glob("*.py")),
+                             ids=lambda path: path.name)
+    def test_every_open_file_is_closed_by_a_with_block(self, path):
+        # cli.run skips the exit-time collection, and with it the finalizer
+        # of a file left in a reference cycle
+        source = path.read_text(encoding="utf-8")
+        assert unmanaged_opens(source) == []
+
+    @pytest.mark.parametrize("source, lines", [
+        ("stream = open(name)\n", [1]),
+        ("stream = path.open('w')\n", [1]),
+        ("text = open(name).read()\n", [1]),
+        ("with path.open('w') as out:\n    log = open(other)\n", [2]),
+        ("with open(a) as x, b.open() as y:\n    pass\n", []),
+        ("with path.open('w'):\n    pass\n", []),
+        ("text = path.read_text()\nopener = open\n", []),
+    ])
+    def test_open_scan_finds_unmanaged_opens(self, source, lines):
+        assert unmanaged_opens(source) == lines
+
+
+class TestProcessEntry:
+    """``cli.run`` is the process entry point: ``main``, and then one
+    young collection and a freeze, whatever ``main`` ends with."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # the real collect and freeze must never run in the test process
+        calls = []
+        monkeypatch.setattr(gc, "collect", lambda generation: calls.append(
+            ("collect", generation)))
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append(("freeze",)))
+        return calls
+
+    def test_normal_return(self, monkeypatch, calls):
+        monkeypatch.setattr(cli, "main", lambda: calls.append(("main",)))
+        assert cli.run() is None
+        assert calls == [("main",), ("collect", 1), ("freeze",)]
+
+    def test_exit_code_is_reraised(self, monkeypatch, capsys, out_dir, calls):
+        # the real group, as the console script calls it: exit 3
+        monkeypatch.setattr(sys, "argv", [
+            "fogscope", "sweep", "--grid", "fog.tdp_w=2.0607,10",
+            "--r-steps", "3"])
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 3
+        assert calls == [("collect", 1), ("freeze",)]
+        assert capsys.readouterr().err.endswith(
+            "error: 1 grid point(s) exceed the TDP bound\n")
+
+    def test_unexpected_exception_propagates(self, monkeypatch, calls):
+        def broken():
+            raise RuntimeError("bug")
+        monkeypatch.setattr(cli, "main", broken)
+        with pytest.raises(RuntimeError, match="bug"):
+            cli.run()
+        assert calls == [("collect", 1), ("freeze",)]
+
+    def test_module_run_as_a_script_enters_through_run(self, tmp_path):
+        # python -m fogscope.cli, in a fresh interpreter that reports
+        # whether anything was frozen once the command ended
+        code = ("import gc, runpy, sys\n"
+                "sys.argv = ['fogscope', 'presets']\n"
+                "try:\n"
+                "    runpy.run_module('fogscope.cli', run_name='__main__')\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0, exc.code\n"
+                "print(gc.get_freeze_count() > 0)\n")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env={
+                                 **os.environ, "PYTHONPATH": str(SRC),
+                                 "FOGSCOPE_OUT": str(tmp_path)})
+        assert out.stdout.splitlines()[-1] == "True"
+        assert (tmp_path / "presets.csv").is_file()
+
+    @pytest.mark.parametrize("args, code", [
+        (["simulate", "--local-prob", "0.5", "--duration", "20", "--seed",
+          "1", "--trace", "{out}/trace.csv"], 0),
+        (["evaluate", "--r", "2"], 2),
+        (["sweep", "--grid", "fog.tdp_w=2.0607,10", "--r-steps", "3"], 3),
+        (["optimize", "--scenario", "{tmp}/impossible.yaml", "--pop", "8",
+          "--gens", "3", "--seed", "1"], 4),
+    ], ids=["exit-0", "exit-2", "exit-3", "exit-4"])
+    def test_process_matches_the_in_process_group(self, runner, tmp_path,
+                                                  monkeypatch, args, code):
+        # python -m fogscope.cli enters through run; each side writes to
+        # its own directory, named {out} in an argument and in stderr
+        (tmp_path / "impossible.yaml").write_text(
+            ERROR_DOCS["impossible.yaml"], encoding="utf-8")
+        sides = {}
+        for side in ("process", "runner"):
+            out = tmp_path / side
+            monkeypatch.setenv("FOGSCOPE_OUT", str(out))
+            argv = [arg.format(out=out, tmp=tmp_path) for arg in args]
+            if side == "process":
+                proc = subprocess.run(
+                    [sys.executable, "-m", "fogscope.cli", *argv],
+                    capture_output=True, timeout=120,
+                    env={**os.environ, "PYTHONPATH": str(SRC)})
+                result = (proc.returncode, proc.stdout, proc.stderr.decode())
+            else:
+                invoked = runner.invoke(main, argv)
+                result = (invoked.exit_code, invoked.stdout_bytes,
+                          invoked.stderr)
+            artifacts = {path.name: path.read_bytes()
+                         for path in sorted(out.glob("*.csv"))}
+            sides[side] = (*result[:2], result[2].replace(str(out), "{out}"),
+                           artifacts)
+        assert sides["process"] == sides["runner"]
+        assert sides["process"][0] == code
+        assert bool(sides["process"][3]) == (code in (0, 3))
 
 
 def numpy_random_uses(source: str) -> list[int]:
