@@ -142,6 +142,8 @@ def dwell_time(cam: CameraParams, height_m: float, ground_speed_mps: float) -> f
 
 @dataclass(frozen=True)
 class BudgetVerdict:
+    """Whether a pipeline fits a dwell window, and by how many seconds."""
+
     feasible: bool
     margin_s: float
 

@@ -45,11 +45,15 @@ class NoFeasibleSolution(Exception):
 
 @dataclass(frozen=True)
 class OptProblem:
+    """The search problem: the scenario whose split ``r`` is searched."""
+
     scenario: "Scenario"
 
 
 @dataclass(frozen=True)
 class OptConfig:
+    """NSGA-II settings; each is checked when the config is made."""
+
     population_size: int = 100
     generations: int = 100
     crossover_rate: float = 0.9

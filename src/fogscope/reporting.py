@@ -49,6 +49,8 @@ def manifest_timestamp() -> str:
 
 @dataclass(frozen=True)
 class RunManifest:
+    """What made an artifact, written as its first, comment line."""
+
     command: str
     scenario_digest: str
     seed: Optional[int]

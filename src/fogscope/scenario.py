@@ -115,6 +115,8 @@ class WirelessInfo:
 
 @dataclass(frozen=True)
 class PresetCatalog:
+    """Every named preset, by group."""
+
     networks: dict[str, NetworkPreset]
     bitrates: dict[str, BitrateRange]
     motors: dict[str, MotorParams]

@@ -74,6 +74,8 @@ class Packet:
 
 @dataclass(frozen=True)
 class SimMetrics:
+    """What one simulation run measured."""
+
     mean_local_sojourn_s: float
     mean_forward_latency_s: float
     empirical_uplink_throughput_bps: float
@@ -248,6 +250,8 @@ def write_trace(stream: IO[str], packets: list[Packet],
 
 @dataclass(frozen=True)
 class TrendRow:
+    """The model and one simulation side by side at one split ``r``."""
+
     r: float
     analytic_throughput_bps: float
     analytic_fog_latency_s: float
@@ -264,6 +268,9 @@ class TrendRow:
 
 @dataclass(frozen=True)
 class TrendComparison:
+    """Trend rows over an r-grid, with the Spearman rank correlation of the
+    analytic and the simulated average latency."""
+
     rows: list[TrendRow]
     spearman_avg_latency: float
 
