@@ -392,20 +392,18 @@ def presets():
 
 
 def run() -> None:
-    """The process entry point: runs ``main`` and then moves every object
-    the collector tracks into its permanent generation, so that the
-    interpreter's exit-time full collections have nothing to traverse.
-
-    atexit handlers still run, the standard streams are still flushed and
-    objects are still freed by reference counting; only the finalizer of
-    an object left in a reference cycle is skipped, and every file the
-    commands open is closed by a ``with`` block.  The young collection
-    first keeps the peak memory where a plain exit leaves it.  Call
-    ``main`` instead from a process that goes on running."""
+    """The process entry point: ``main``, then one young collection and a
+    freeze, so that the interpreter's exit-time full collections have no
+    tracked object to traverse.  atexit handlers still run and the streams
+    are still flushed; only the finalizer of an object left in a reference
+    cycle is skipped, and every file is closed by a ``with`` block.  A
+    process that goes on running calls ``main`` instead."""
     import gc
     try:
         main()
     finally:
+        # the young garbage is freed first, so that teardown reuses its
+        # memory; a freeze alone raised sweep's peak RSS
         gc.collect(1)
         gc.freeze()
 
