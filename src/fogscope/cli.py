@@ -402,8 +402,8 @@ def run() -> None:
     try:
         main()
     finally:
-        # the young garbage is freed first, so that teardown reuses its
-        # memory; a freeze alone raised sweep's peak RSS
+        # the young garbage is freed first, so that teardown can reuse its
+        # memory instead of raising the peak
         gc.collect(1)
         gc.freeze()
 

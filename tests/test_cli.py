@@ -1351,7 +1351,6 @@ class TestStartup:
     def test_import_scan_finds_import_time_numpy(self, source, lines):
         assert import_time_numpy_imports(source) == lines
 
-
     @pytest.mark.parametrize("path", sorted((SRC / "fogscope").glob("*.py")),
                              ids=lambda path: path.name)
     def test_every_open_file_is_closed_by_a_with_block(self, path):
@@ -1452,18 +1451,19 @@ class TestProcessEntry:
                     [sys.executable, "-m", "fogscope.cli", *argv],
                     capture_output=True, timeout=120,
                     env={**os.environ, "PYTHONPATH": str(SRC)})
-                result = (proc.returncode, proc.stdout, proc.stderr.decode())
+                exit_code, stdout, stderr = (proc.returncode, proc.stdout,
+                                             proc.stderr.decode())
             else:
-                invoked = runner.invoke(main, argv)
-                result = (invoked.exit_code, invoked.stdout_bytes,
-                          invoked.stderr)
+                result = runner.invoke(main, argv)
+                exit_code, stdout, stderr = (result.exit_code,
+                                             result.stdout_bytes, result.stderr)
             artifacts = {path.name: path.read_bytes()
                          for path in sorted(out.glob("*.csv"))}
-            sides[side] = (*result[:2], result[2].replace(str(out), "{out}"),
+            sides[side] = (exit_code, stdout, stderr.replace(str(out), "{out}"),
                            artifacts)
         assert sides["process"] == sides["runner"]
-        assert sides["process"][0] == code
-        assert bool(sides["process"][3]) == (code in (0, 3))
+        assert exit_code == code
+        assert bool(artifacts) == (code in (0, 3))
 
 
 def numpy_random_uses(source: str) -> list[int]:
