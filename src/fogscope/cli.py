@@ -8,6 +8,7 @@ configuration (TDP or motor overload), 4 optimizer failure.
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 from contextlib import contextmanager
@@ -392,19 +393,15 @@ def presets():
 
 
 def run() -> None:
-    """The process entry point: ``main``, then one young collection and a
-    freeze, so that the interpreter's exit-time full collections have no
-    tracked object to traverse.  atexit handlers still run and the streams
-    are still flushed; only the finalizer of an object left in a reference
-    cycle is skipped, and every file is closed by a ``with`` block.  A
-    process that goes on running calls ``main`` instead."""
-    import gc
+    """The process entry point: ``main``, then a freeze, so that the
+    interpreter's exit-time full collections have no tracked object to
+    traverse.  atexit handlers still run and the streams are still flushed;
+    only the finalizer of an object left in a reference cycle is skipped,
+    and every file is closed by a ``with`` block.  A process that goes on
+    running calls ``main`` instead."""
     try:
         main()
     finally:
-        # the young garbage is freed first, so that teardown can reuse its
-        # memory instead of raising the peak
-        gc.collect(1)
         gc.freeze()
 
 
