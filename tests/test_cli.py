@@ -1467,6 +1467,23 @@ class TestProcessEntry:
         assert exit_code == code
         assert bool(artifacts) == (code in (0, 3))
 
+    @pytest.mark.parametrize("args, artifact", [
+        (["evaluate", "--r", "1"], "evaluate.csv"),
+        (["simulate", "--local-prob", "1", "--duration", "20", "--seed", "1"],
+         "simulate.csv"),
+    ], ids=["evaluate", "simulate"])
+    def test_process_prints_a_warning_as_one_line(self, out_dir, args,
+                                                  artifact):
+        # as an error prints: no source path, line number or source line
+        proc = subprocess.run(
+            [sys.executable, "-m", "fogscope.cli", *args], capture_output=True,
+            text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0
+        assert proc.stderr == (
+            "warning: accepted rate 100 pkt/s >= fog capability 100 pkt/s; "
+            "linearized latency is outside its stable region\n"
+            f"wrote {out_dir / artifact}\n")
+
 
 def numpy_random_uses(source: str) -> list[int]:
     """Lines that import ``numpy.random`` or read the attribute
