@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import math
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import astuple, fields
 from functools import partial
@@ -398,10 +399,18 @@ def run() -> None:
     traverse.  atexit handlers still run and the streams are still flushed;
     only the finalizer of an object left in a reference cycle is skipped,
     and every file is closed by a ``with`` block.  A process that goes on
-    running calls ``main`` instead."""
+    running calls ``main`` instead.
+
+    Each warning prints as one ``warning: <message>`` line, as an error
+    prints, without the source path and line of Python's default format;
+    an in-process caller of ``main`` keeps that format."""
+    show = warnings.showwarning
+    warnings.showwarning = lambda message, *_: click.echo(
+        f"warning: {message}", err=True)
     try:
         main()
     finally:
+        warnings.showwarning = show
         gc.freeze()
 
 

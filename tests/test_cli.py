@@ -1387,8 +1387,11 @@ class TestProcessEntry:
 
     def test_normal_return(self, monkeypatch, calls):
         monkeypatch.setattr(cli, "main", lambda: calls.append(("main",)))
+        show = warnings.showwarning
         assert cli.run() is None
         assert calls == [("main",), ("freeze",)]
+        # the one-line warning format ends with the run
+        assert warnings.showwarning is show
 
     def test_exit_code_is_reraised(self, monkeypatch, capsys, out_dir, calls):
         # the real group, as the console script calls it: exit 3
