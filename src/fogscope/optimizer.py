@@ -150,12 +150,35 @@ def _no_worse_counts(objs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return le, counts
 
 
-def _ranks(objs: np.ndarray) -> np.ndarray:
-    """Non-domination ranks, peeling fronts off the no-worse matrix: a
-    front's rows are subtracted from the counts, since a front member no
-    worse than an unranked point dominates it (its equals share a front).
+def _one_trade_off(objs: np.ndarray) -> bool:
+    """Whether no point dominates another, from one sort by the first
+    objective (Kung, Luccio & Preparata, JACM 1975): it holds when each
+    point equals its predecessor, or rises strictly in the first objective
+    and falls strictly in another, the same one at every step.  Then any
+    two distinct points trade the first objective against that one.
+
+    Points compare by ==, < and > alone: no difference of infinities
+    warns, and a NaN fails every comparison.  Two distinct points with one
+    first objective fail in either order, so the sort need not be stable.
     """
     import numpy as np
+    ordered = objs[np.argsort(objs[:, 0])]
+    before, after = ordered[:-1], ordered[1:]
+    step = ~(before == after).all(axis=1)
+    before, after = before[step], after[step]
+    return bool((after[:, 0] > before[:, 0]).all()
+                and (after[:, 1:] < before[:, 1:]).all(axis=0).any())
+
+
+def _ranks(objs: np.ndarray) -> np.ndarray:
+    """Non-domination ranks.  All are 0 when `_one_trade_off` holds;
+    otherwise fronts are peeled off the no-worse matrix: a front's rows
+    are subtracted from the counts, since a front member no worse than an
+    unranked point dominates it (its equals share a front).
+    """
+    import numpy as np
+    if _one_trade_off(objs):
+        return np.zeros(len(objs), dtype=np.int64)
     le, counts = _no_worse_counts(objs)
     ranks = np.full(len(counts), -1, dtype=np.int64)
     current, remaining = 0, len(counts)

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fogscope import model, optimizer
@@ -135,14 +135,9 @@ class TestOptimizeContracts:
 
     @pytest.mark.parametrize("gens, kept", [(1, 6), (2, 9)])
     def test_returned_ranks_are_those_of_the_members(self, gens, kept):
-        # each larger split dominates every smaller one here, and splits
-        # below 0.875 break the TDP, so early populations hold many ranks
-        # and some infeasible members, which must not shift those ranks
-        s = _fixed_latency_scenario()
-        scn = replace(s, modification1_enabled=True,
-                      fog=replace(s.fog, tx_energy_per_bit=2.0 ** -18,
-                                  tdp=2.5))
-        front = optimize(OptProblem(scenario=scn),
+        # early populations hold many ranks and some infeasible members,
+        # which must not shift those ranks
+        front = optimize(OptProblem(scenario=_tx_chain_scenario()),
                          OptConfig(population_size=16, generations=gens,
                                    seed=4))
         assert len(front.members) == kept
@@ -164,6 +159,24 @@ class TestOptimizeContracts:
         optimize(OptProblem(scenario=default_scenario()),
                  OptConfig(population_size=8, generations=5, seed=1))
         assert len(calls) == 5 + 1
+
+    def test_one_front_generations_build_no_matrix(self, monkeypatch):
+        # every split of the default scenario trades throughput against
+        # power, so `_one_trade_off` settles each generation as one front;
+        # in the tx chain a larger split dominates, so fronts are peeled
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return counts(*args)
+
+        counts = optimizer._no_worse_counts
+        monkeypatch.setattr(optimizer, "_no_worse_counts", counted)
+        cfg = OptConfig(population_size=200, generations=100, seed=3)
+        optimize(OptProblem(scenario=default_scenario()), cfg)
+        assert calls == []
+        optimize(OptProblem(scenario=_tx_chain_scenario()), cfg)
+        assert calls
 
     def test_members_have_distinct_splits(self):
         # every child mutates with a wide sigma, so many clamp to 0 or 1
@@ -345,6 +358,14 @@ def _fixed_latency_scenario() -> Scenario:
         cloud=CloudParams(proc_capability=2.0 ** 22),
         name="fixed-latency",
     )
+
+
+def _tx_chain_scenario() -> Scenario:
+    """`_fixed_latency_scenario` with the tx term: each larger split
+    dominates every smaller one, and splits below 0.875 break the TDP."""
+    s = _fixed_latency_scenario()
+    return replace(s, modification1_enabled=True,
+                   fog=replace(s.fog, tx_energy_per_bit=2.0 ** -18, tdp=2.5))
 
 
 class TestBruteForceFront:
@@ -736,6 +757,51 @@ def test_dominance_matrix_equals_pairwise_dominates(points):
                             for b in points] for a in points]
     assert counts.tolist() == [sum(dominates(a, b) for a in points)
                                for b in points]
+
+
+@st.composite
+def trade_off_chains(draw):
+    """Points in ascending first objective with a falling second one, or a
+    falling later one, which no point dominates; and near misses: a flat
+    step in the falling objective, duplicate rows, a tie in the first
+    objective, a NaN or infinite row."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    # -0.0 and 0.0 are one value to `unique`, as to ==: 7 distinct levels
+    n = draw(st.integers(min_value=1, max_value=7))
+    level = st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 1e308,
+                             math.inf])
+    columns = [sorted(draw(st.lists(level, min_size=n, max_size=n,
+                                    unique=True)))]
+    falling = draw(st.integers(min_value=1, max_value=max(1, dim - 1)))
+    for k in range(1, dim):
+        values = st.lists(level, min_size=n, max_size=n,
+                          unique=k == falling and draw(st.booleans()))
+        columns.append(sorted(draw(values), reverse=True) if k == falling
+                       else draw(values))
+    rows = list(zip(*columns))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    if draw(st.booleans()):
+        tied = draw(st.sampled_from(rows))
+        rows.append((tied[0], *draw(st.tuples(*[level] * (dim - 1)))))
+    special = draw(st.none() | st.sampled_from([math.nan, math.inf,
+                                                -math.inf]))
+    if special is not None:
+        row = list(draw(st.tuples(*[level] * dim)))
+        row[draw(st.integers(min_value=0, max_value=dim - 1))] = special
+        rows.append(tuple(row))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300)
+@given(tied_point_sets() | trade_off_chains())
+# one near miss of each kind: a tie in the first objective, a flat step in
+# the falling objective, a change of falling objective between steps
+@example([(1.0, 2.0), (1.0, 1.0)])
+@example([(0.0, 1.0), (1.0, 1.0)])
+@example([(0.0, 2.0, 0.0), (1.0, 1.0, 5.0), (2.0, 3.0, 4.0)])
+def test_ranks_equal_pairwise_peeling(points):
+    assert non_dominated_sort(points) == peel(
+        len(points), lambda i, j: dominates(points[i], points[j]))
 
 
 def test_many_objectives_rank_as_pairwise_peeling():
