@@ -28,8 +28,9 @@ if TYPE_CHECKING:
     from .scenario import Scenario
 
 
-# largest population: ranking compares every pair of the 2n parents and
-# children, and a run at the cap peaks near 175 MiB
+# largest population: a generation that `_one_trade_off` cannot settle
+# compares every pair of the 2n parents and children, so a run at the cap
+# peaks near 170 MiB, against 36 MiB when every generation is one front
 _MAX_POPULATION = 4000
 # largest generation count: the loop has no other stop, so an unbounded
 # count runs until the process is killed

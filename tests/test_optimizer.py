@@ -761,10 +761,11 @@ def test_dominance_matrix_equals_pairwise_dominates(points):
 
 @st.composite
 def trade_off_chains(draw):
-    """Points in ascending first objective with a falling second one, or a
-    falling later one, which no point dominates; and near misses: a flat
-    step in the falling objective, duplicate rows, a tie in the first
-    objective, a NaN or infinite row."""
+    """One to four objectives: points in strictly ascending first
+    objective with one later objective falling, which no point dominates
+    when it falls strictly; and near misses: a flat step in the falling
+    objective, duplicate rows, a tie in the first objective, a NaN or
+    infinite row."""
     dim = draw(st.integers(min_value=1, max_value=4))
     # -0.0 and 0.0 are one value to `unique`, as to ==: 7 distinct levels
     n = draw(st.integers(min_value=1, max_value=7))
