@@ -165,8 +165,8 @@ def _one_trade_off(objs: np.ndarray) -> bool:
     import numpy as np
     ordered = objs[np.argsort(objs[:, 0])]
     before, after = ordered[:-1], ordered[1:]
-    step = ~(before == after).all(axis=1)
-    before, after = before[step], after[step]
+    differ = ~(before == after).all(axis=1)
+    before, after = before[differ], after[differ]
     return bool((after[:, 0] > before[:, 0]).all()
                 and (after[:, 1:] < before[:, 1:]).all(axis=0).any())
 
