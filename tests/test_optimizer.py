@@ -39,6 +39,14 @@ class TestDominates:
             dominates((1, 2), (1, 2, 3))
 
 
+# neither function takes these: they are not n vectors of one common
+# length >= 1
+MALFORMED_POINTS = [[()], [(), (), ()], [1.0, 2.0], [1.0, 2.0, 3.0],
+                    [(1.0, 2.0), (3.0,)]]
+MALFORMED_IDS = ["one-empty", "three-empty", "two-scalars", "three-scalars",
+                 "ragged"]
+
+
 class TestNonDominatedSort:
     def test_four_point_example(self):
         ranks = non_dominated_sort([(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -54,6 +62,12 @@ class TestNonDominatedSort:
         with pytest.raises(ValueError):
             non_dominated_sort([])
 
+    @pytest.mark.parametrize("points", MALFORMED_POINTS, ids=MALFORMED_IDS)
+    def test_malformed_rejected(self, points):
+        with pytest.raises(ValueError, match=r"^points: must be vectors of "
+                           r"one common length >= 1$"):
+            non_dominated_sort(points)
+
 
 class TestCrowdingDistance:
     def test_three_point_example(self):
@@ -63,8 +77,15 @@ class TestCrowdingDistance:
         assert dist[1] == pytest.approx(2.0)
 
     def test_small_fronts_all_infinite(self):
+        assert crowding_distance([]) == []
         assert crowding_distance([(1, 2)]) == [float("inf")]
         assert crowding_distance([(1, 2), (2, 1)]) == [float("inf")] * 2
+
+    @pytest.mark.parametrize("front", MALFORMED_POINTS, ids=MALFORMED_IDS)
+    def test_malformed_rejected(self, front):
+        with pytest.raises(ValueError, match=r"^front: must be vectors of "
+                           r"one common length >= 1$"):
+            crowding_distance(front)
 
     def test_degenerate_objective_contributes_zero(self):
         # second objective has zero range; only the first spreads points
