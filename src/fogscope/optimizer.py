@@ -195,51 +195,58 @@ def _ranks(objs: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _points(points: Sequence[Sequence[float]], name: str) -> np.ndarray:
+    """`points` as an n x m float array, m >= 1, or of shape (0,) if none."""
+    import numpy as np
+    try:
+        rows = np.asarray(points, dtype=float)
+    except ValueError:  # ragged, or not numbers
+        rows = np.empty(())
+    _require(rows.shape == (0,) or rows.ndim == 2 and rows.shape[1] > 0,
+             "must be vectors of one common length >= 1", name)
+    return rows
+
+
 def non_dominated_sort(points: Sequence[Sequence[float]]) -> list[int]:
     """Per-point non-domination rank; rank 0 is the non-dominated set."""
-    import numpy as np
-    if len(points) == 0:
+    objs = _points(points, "points")
+    if not len(objs):
         raise ValueError("points must be nonempty")
-    return _ranks(np.asarray(points, dtype=float)).tolist()
+    return _ranks(objs).tolist()
 
 
-def _crowding(objs: np.ndarray) -> np.ndarray:
-    """`crowding_distance` of an n x m array, as an array."""
+def _crowding(objs: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """`crowding_distance` of each point within its rank.  One stable sort
+    per objective, by rank and then value, puts each rank at the same
+    positions in every objective's order."""
     import numpy as np
-    n = len(objs)
-    if n <= 2:
-        return np.full(n, np.inf)
-    dist = np.zeros(n)
-    for m in range(objs.shape[1]):
-        order = np.argsort(objs[:, m], kind="stable")
-        lo, hi = objs[order[0], m], objs[order[-1], m]
-        dist[order[0]] = dist[order[-1]] = np.inf
-        span = hi - lo
-        if span > 0:
-            gaps = (objs[order[2:], m] - objs[order[:-2], m]) / span
-            dist[order[1:-1]] += gaps
+    # a rank that no point holds (`optimize` drops repeated splits) counts
+    # 0: its first and last are other ranks' edges (-1 the very last)
+    counts = np.bincount(ranks)
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    edge = np.concatenate((first, last))
+    dist = np.zeros(len(ranks))
+    for column in objs.T:
+        order = np.lexsort((column, ranks))
+        values = column[order]
+        dist[order[edge]] = np.inf
+        span = np.repeat(values[last] - values[first], counts)
+        span[edge] = 0  # an edge adds no gap
+        at = np.flatnonzero(span > 0)
+        dist[order[at]] += (values[at + 1] - values[at - 1]) / span[at]
     return dist
 
 
 def crowding_distance(front: Sequence[Sequence[float]]) -> list[float]:
-    """Crowding distances within one front.
-
-    Boundary points of every objective get infinity; interior points sum
-    the neighbor gaps normalized by the objective range.  An objective
-    with zero range contributes nothing (avoids 0/0).
-    """
+    """Crowding distances within one front (Deb et al. 2002): in each
+    objective, the first and last point in ascending order (ties by index)
+    get infinity, and each point between them adds the gap between its two
+    neighbours over the objective's range, unless that range is 0 or NaN.
+    So a front of one or two points is all infinity."""
     import numpy as np
-    return _crowding(np.asarray(front, dtype=float)).tolist()
-
-
-def _crowding_by_rank(points: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Crowding distance of every point within its own rank."""
-    import numpy as np
-    crowding = np.empty(len(ranks))
-    for rank in range(ranks.max(initial=-1) + 1):
-        idx = np.flatnonzero(ranks == rank)
-        crowding[idx] = _crowding(points[idx])
-    return crowding
+    objs = _points(front, "front")
+    return _crowding(objs, np.zeros(len(objs), dtype=np.int64)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -291,21 +298,13 @@ def _constrained_ranks(pop: _Population) -> np.ndarray:
 
 
 def _crowd(pop: _Population, ranks: np.ndarray) -> np.ndarray:
-    """Crowding within each rank; infeasible members crowd by their
-    violation alone.  A rank of infeasible members holds one violation, so
-    `crowding_distance` of its equal points is inf at its first and last
-    member by index and 0 between them; those are set directly."""
+    """`_crowding` within each rank, where an infeasible member's
+    coordinates are its violation, repeated in every objective."""
     import numpy as np
-    feasible = pop.feasible
-    crowding = np.zeros(len(ranks))
-    crowding[feasible] = _crowding_by_rank(pop.objs[feasible],
-                                           ranks[feasible])
-    tail = np.flatnonzero(~feasible)
-    if tail.size:
-        tail = tail[np.argsort(ranks[tail], kind="stable")]
-        cut = np.flatnonzero(np.diff(ranks[tail]))
-        crowding[tail[np.concatenate(([0, -1], cut, cut + 1))]] = np.inf
-    return crowding
+    objs = pop.objs
+    if not pop.feasible.all():
+        objs = np.where(pop.feasible[:, None], objs, pop.violation[:, None])
+    return _crowding(objs, ranks)
 
 
 def _clip(x: np.ndarray) -> np.ndarray:
@@ -399,7 +398,7 @@ def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
 
 def _build_front(pop: _Population, ranks: np.ndarray) -> ParetoFront:
     import numpy as np
-    crowding = _crowding_by_rank(pop.objs, ranks)
+    crowding = _crowding(pop.objs, ranks)
     order = np.lexsort((-crowding, ranks))
     r, objs = pop.r[order].tolist(), pop.objs[order].tolist()
     return ParetoFront(

@@ -849,9 +849,12 @@ def test_dense_ranks_hold_40000_distinct_values():
 @st.composite
 def mixed_populations(draw):
     """2n members with tied objectives and violations: some infeasible,
-    all feasible or all infeasible."""
+    all feasible or all infeasible.  Objectives may also take some of
+    -inf, -0.0, inf and NaN, and splits repeat, so that dropping repeated
+    splits, as `optimize` does, leaves gaps between the ranks."""
     n = draw(st.integers(min_value=1, max_value=8))
-    level = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    special = draw(st.sets(st.sampled_from(["-inf", "-0.0", "inf", "nan"])))
+    level = st.sampled_from([0.0, 1.0, 2.0, 3.0, *map(float, sorted(special))])
     objs = draw(st.lists(st.tuples(level, level, level),
                          min_size=2 * n, max_size=2 * n))
     violations = draw(st.sampled_from([[0.0, 0.0, 0.5, 1.0, 2.0], [0.0],
@@ -861,8 +864,10 @@ def mixed_populations(draw):
     crowding = draw(st.lists(
         st.floats(min_value=0.0, max_value=2.0) | st.just(math.inf),
         min_size=2 * n, max_size=2 * n))
+    splits = draw(st.lists(st.integers(min_value=0, max_value=2 * n - 1),
+                           min_size=2 * n, max_size=2 * n))
     viol = np.array(violation)
-    pop = optimizer._Population(np.linspace(0.0, 1.0, 2 * n),
+    pop = optimizer._Population(np.array(splits) / (2 * n),
                                 np.array(objs, dtype=float), viol == 0.0, viol)
     return n, pop, np.array(crowding)
 
@@ -923,15 +928,64 @@ def test_constrained_ranks_equal_peeling_pairwise_dominance(case):
         peeled_constrained_ranks(pop)
 
 
+def front_crowding(objs):
+    """Crowding distance within one front of n x m objectives, one
+    objective at a time (Deb et al. 2002): the reference for the per-rank
+    kernel."""
+    n = len(objs)
+    if n <= 2:
+        return np.full(n, np.inf)
+    dist = np.zeros(n)
+    for m in range(objs.shape[1]):
+        order = np.argsort(objs[:, m], kind="stable")
+        lo, hi = objs[order[0], m], objs[order[-1], m]
+        dist[order[0]] = dist[order[-1]] = np.inf
+        span = hi - lo
+        if span > 0:
+            gaps = (objs[order[2:], m] - objs[order[:-2], m]) / span
+            dist[order[1:-1]] += gaps
+    return dist
+
+
+# spans and gaps of -inf and inf levels are NaN, in the kernel as in the
+# reference, and numpy warns of each
+INF_SPANS = "ignore:invalid value encountered:RuntimeWarning"
+
+
 @settings(max_examples=200)
+@pytest.mark.filterwarnings(INF_SPANS)
 @given(mixed_populations())
 def test_crowding_is_computed_within_each_rank(case):
     _, pop, _ = case
-    ranks = optimizer._constrained_ranks(pop).tolist()
-    crowding = optimizer._crowd(pop, np.array(ranks)).tolist()
-    for rank in set(ranks):
-        idx = [i for i, r in enumerate(ranks) if r == rank]
-        # infeasible members crowd by their violation alone
-        points = [pop.objs[i].tolist() if pop.feasible[i]
-                  else [pop.violation[i]] for i in idx]
-        assert [crowding[i] for i in idx] == crowding_distance(points)
+    ranks = optimizer._constrained_ranks(pop)
+    crowding = optimizer._crowd(pop, ranks)
+    for rank in np.unique(ranks):
+        idx = np.flatnonzero(ranks == rank)
+        # a rank is all feasible or all infeasible, and infeasible members
+        # crowd by their violation alone
+        points = pop.objs[idx] if pop.feasible[idx[0]] \
+            else pop.violation[idx, None]
+        assert crowding[idx].tobytes() == front_crowding(points).tobytes()
+
+
+@settings(max_examples=300)
+@pytest.mark.filterwarnings(INF_SPANS)
+@given(mixed_populations())
+def test_crowding_equals_the_per_front_reference(case):
+    _, pop, _ = case
+    assert np.array(crowding_distance(pop.objs)).tobytes() == \
+        front_crowding(pop.objs).tobytes()
+    # the final front: feasible members, one per split, whose ranks can
+    # leave gaps
+    ranks = optimizer._constrained_ranks(pop)
+    pop, ranks = pop.take(pop.feasible), ranks[pop.feasible]
+    first = np.unique(pop.r, return_index=True)[1]
+    pop, ranks = pop.take(first), ranks[first]
+    expected = {}
+    for rank in np.unique(ranks):
+        idx = np.flatnonzero(ranks == rank)
+        expected.update(zip(pop.r[idx].tolist(),
+                            front_crowding(pop.objs[idx]).tolist()))
+    front = optimizer._build_front(pop, ranks)
+    assert np.array(front.crowding).tobytes() == \
+        np.array([expected[r] for r, _ in front.members]).tobytes()
