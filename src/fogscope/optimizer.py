@@ -203,7 +203,7 @@ def _points(points: Sequence[Sequence[float]], name: str) -> np.ndarray:
     except ValueError:  # ragged, or not numbers
         rows = np.empty(())
     _require(rows.shape == (0,) or rows.ndim == 2 and rows.shape[1] > 0,
-             "must be vectors of one common length >= 1", name)
+             "must be vectors of numbers of one common length >= 1", name)
     return rows
 
 

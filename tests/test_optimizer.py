@@ -39,12 +39,12 @@ class TestDominates:
             dominates((1, 2), (1, 2, 3))
 
 
-# neither function takes these: they are not n vectors of one common
-# length >= 1
+# neither function takes these: they are not n vectors of numbers of one
+# common length >= 1
 MALFORMED_POINTS = [[()], [(), (), ()], [1.0, 2.0], [1.0, 2.0, 3.0],
-                    [(1.0, 2.0), (3.0,)]]
+                    [(1.0, 2.0), (3.0,)], [("a", 1.0)]]
 MALFORMED_IDS = ["one-empty", "three-empty", "two-scalars", "three-scalars",
-                 "ragged"]
+                 "ragged", "not-numbers"]
 
 
 class TestNonDominatedSort:
@@ -65,7 +65,7 @@ class TestNonDominatedSort:
     @pytest.mark.parametrize("points", MALFORMED_POINTS, ids=MALFORMED_IDS)
     def test_malformed_rejected(self, points):
         with pytest.raises(ValueError, match=r"^points: must be vectors of "
-                           r"one common length >= 1$"):
+                           r"numbers of one common length >= 1$"):
             non_dominated_sort(points)
 
 
@@ -84,7 +84,7 @@ class TestCrowdingDistance:
     @pytest.mark.parametrize("front", MALFORMED_POINTS, ids=MALFORMED_IDS)
     def test_malformed_rejected(self, front):
         with pytest.raises(ValueError, match=r"^front: must be vectors of "
-                           r"one common length >= 1$"):
+                           r"numbers of one common length >= 1$"):
             crowding_distance(front)
 
     def test_degenerate_objective_contributes_zero(self):
