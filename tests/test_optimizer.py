@@ -271,12 +271,27 @@ class TestOptimizeContracts:
         ({"mutation_sigma": math.nan},
          "mutation_sigma: must be finite and > 0"),
         ({"seed": -1}, "seed: must be >= 0"),
-    ], ids=["pop", "gens", "work", "crossover", "mutation", "sigma", "seed"])
+        ({"population_size": 200.0}, "population_size: must be an integer"),
+        ({"population_size": True}, "population_size: must be an integer"),
+        ({"generations": 5.0}, "generations: must be an integer"),
+        ({"generations": True}, "generations: must be an integer"),
+        ({"generations": np.True_}, "generations: must be an integer"),
+    ], ids=["pop", "gens", "work", "crossover", "mutation", "sigma", "seed",
+            "pop-float", "pop-bool", "gens-float", "gens-bool",
+            "gens-numpy-bool"])
     def test_error_names_its_field(self, kwargs, message):
         with pytest.raises(ValidationError) as exc:
             OptConfig(**kwargs)
         assert str(exc.value) == message
         assert exc.value.field == message.partition(":")[0]
+
+    def test_numpy_integers_accepted(self):
+        cfg = OptConfig(population_size=np.int64(8),
+                        generations=np.int32(2), seed=1)
+        front = optimize(OptProblem(scenario=default_scenario()), cfg)
+        assert front == optimize(OptProblem(scenario=default_scenario()),
+                                 OptConfig(population_size=8, generations=2,
+                                           seed=1))
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_mutation_sigma_must_be_finite(self, sigma):
