@@ -13,6 +13,7 @@ non-dominated subset; it serves as the independent oracle for `optimize`.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -63,6 +64,13 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a float or a bool passes the range checks below, and a float
+        # fails later in `optimize` as a bare TypeError
+        for name in ("population_size", "generations"):
+            value = getattr(self, name)
+            _require(isinstance(value, numbers.Integral)
+                     and not isinstance(value, bool),
+                     "must be an integer", name)
         _require(4 <= self.population_size <= _MAX_POPULATION
                  and not self.population_size % 2,
                  f"must be even and within [4, {_MAX_POPULATION}]",
