@@ -17,7 +17,7 @@ import numbers
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat, starmap
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import model
@@ -294,10 +294,13 @@ def _constrained_ranks(pop: _Population) -> np.ndarray:
     So the feasible members rank by their objectives alone, and the
     infeasible ones follow the last feasible rank in the order of their
     violations, equal violations sharing a rank: the ranks that peeling
-    the constrained dominance matrix gives.
+    the constrained dominance matrix gives.  With no infeasible member
+    these are the objectives' ranks, returned without the split.
     """
     import numpy as np
     feasible = pop.feasible
+    if feasible.all():
+        return _ranks(pop.objs)
     ranks = np.empty(len(feasible), dtype=np.int64)
     ranks[feasible] = _ranks(pop.objs[feasible])
     first = ranks[feasible].max(initial=-1) + 1
@@ -321,6 +324,13 @@ def _clip(x: np.ndarray) -> np.ndarray:
     return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
 
 
+def _draws(rng: random.Random, n: int) -> np.ndarray:
+    """The next n ``rng.random()`` values, in order, called from one
+    C-level loop rather than a Python one."""
+    import numpy as np
+    return np.fromiter(starmap(rng.random, repeat((), n)), float, n)
+
+
 def _offspring(rng: random.Random, parents: np.ndarray, ranks: np.ndarray,
                crowding: np.ndarray, cfg: OptConfig) -> np.ndarray:
     """One generation's children, in pairs: binary tournaments, blend
@@ -333,8 +343,7 @@ def _offspring(rng: random.Random, parents: np.ndarray, ranks: np.ndarray,
     IEEE operations, so each child is that loop's float, as the tests check.
     """
     import numpy as np
-    u = np.array([rng.random() for _ in range(11 * (cfg.population_size
-                                                    // 2))]).reshape(-1, 11)
+    u = _draws(rng, 11 * (cfg.population_size // 2)).reshape(-1, 11)
     # a tournament picks i and j as int(u * n): the lower rank wins, then
     # the larger crowding, else i.  int(random() * n) is uniform up to a
     # relative bias of order n / 2**53, below 2**-41 at the population cap
@@ -381,7 +390,7 @@ def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
     import numpy as np
     rng = random.Random(cfg.seed)
     size = cfg.population_size
-    pop = _evaluate(problem, np.array([rng.random() for _ in range(size)]))
+    pop = _evaluate(problem, _draws(rng, size))
     ranks = _constrained_ranks(pop)
     crowding = _crowd(pop, ranks)
 

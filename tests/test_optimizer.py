@@ -939,8 +939,11 @@ def peeled_constrained_ranks(pop):
 @given(mixed_populations())
 def test_constrained_ranks_equal_peeling_pairwise_dominance(case):
     _, pop, _ = case
-    assert optimizer._constrained_ranks(pop).tolist() == \
-        peeled_constrained_ranks(pop)
+    ranks = optimizer._constrained_ranks(pop)
+    # `_crowding` counts each rank's members with np.bincount, which takes
+    # no float, and an all-feasible population's ranks come from `_ranks`
+    assert ranks.dtype == np.int64
+    assert ranks.tolist() == peeled_constrained_ranks(pop)
 
 
 def front_crowding(objs):
