@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Peak resident memory of fogscope commands.
+"""Peak resident memory and wall time of fogscope commands.
 
 Runs each command line given, as ``python -m fogscope.cli ARGS``, N times,
-and prints the median peak RSS (``ru_maxrss``) of each in MiB with its
-exit code.  Every command is a subprocess of this process, which imports
+and prints for each the median peak RSS (``ru_maxrss``) in MiB, the median
+wall time in ms from starting the child to reaping it, and its exit code.  Every command is a subprocess of this process, which imports
 the standard library alone: a child starts with the high-water mark of
 the process it was started from, so a larger parent would inflate it.
 Rounds alternate between the commands.  Artifacts go to a temporary
@@ -19,18 +19,21 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def peak(args: list[str], env: dict) -> tuple[int, float]:
-    """(exit code, peak RSS in MiB) of one run of the CLI."""
+def peak(args: list[str], env: dict) -> tuple[int, float, float]:
+    """(exit code, peak RSS in MiB, wall time in ms) of one run of the CLI."""
+    start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "fogscope.cli", *args],
                             env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
-    return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024
+    wall = (time.perf_counter() - start) * 1000
+    return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024, wall
 
 
 def main() -> None:
@@ -44,6 +47,7 @@ def main() -> None:
         parser.error("--runs must be >= 1")
     commands = [shlex.split(command) for command in opts.commands]
     peaks: list[list[float]] = [[] for _ in commands]
+    walls: list[list[float]] = [[] for _ in commands]
     codes: list[set[int]] = [set() for _ in commands]
     with tempfile.TemporaryDirectory() as out_dir:
         env = {**os.environ, "FOGSCOPE_OUT": out_dir,
@@ -51,12 +55,16 @@ def main() -> None:
                    filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
         for _ in range(opts.runs):
             for i, args in enumerate(commands):
-                code, mib = peak(args, env)
+                code, mib, ms = peak(args, env)
                 codes[i].add(code)
                 peaks[i].append(mib)
-    for command, mibs, exits in zip(opts.commands, peaks, codes):
+                walls[i].append(ms)
+    for command, mibs, times, exits in zip(opts.commands, peaks, walls,
+                                           codes):
         print(f"{statistics.median(mibs):8.2f} MiB  "
               f"[{min(mibs):.2f}, {max(mibs):.2f}]  "
+              f"{statistics.median(times):8.1f} ms  "
+              f"[{min(times):.1f}, {max(times):.1f}]  "
               f"exit {','.join(map(str, sorted(exits)))}  {command}")
 
 

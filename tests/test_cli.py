@@ -1177,17 +1177,20 @@ def test_pareto_search_script_smoke(tmp_path):
 
 
 def test_peak_rss_script_smoke():
-    # one round of one command prints one line: the median peak in MiB,
-    # its range (one run, so all three agree), the exit code and the command
+    # one round of one command prints one line: the median peak in MiB
+    # and its range, the median wall time in ms and its range (one run, so
+    # each median equals its bounds), the exit code and the command
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "peak_rss.py"), "-n", "1",
          "presets"], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     line, = result.stdout.splitlines()
     match = re.fullmatch(r" *(\d+\.\d\d) MiB  \[(\d+\.\d\d), (\d+\.\d\d)\]"
+                         r" +(\d+\.\d) ms  \[(\d+\.\d), (\d+\.\d)\]"
                          r"  exit 0  presets", line)
     assert match, line
-    assert len(set(match.groups())) == 1 and float(match[1]) > 0
+    assert len(set(match.groups()[:3])) == 1 and float(match[1]) > 0
+    assert len(set(match.groups()[3:])) == 1 and float(match[4]) > 0
 
 
 def modules_loaded_by(code: str, *packages: str, **env: str) -> list[str]:
