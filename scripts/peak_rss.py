@@ -3,9 +3,10 @@
 
 Runs each command line given, as ``python -m fogscope.cli ARGS``, N times,
 and prints for each the median peak RSS (``ru_maxrss``) in MiB, the median
-wall time in ms from starting the child to reaping it, and its exit code.  Every command is a subprocess of this process, which imports
-the standard library alone: a child starts with the high-water mark of
-the process it was started from, so a larger parent would inflate it.
+wall time in ms from starting the child to reaping it, and its exit code.
+Every command is a subprocess of this process, which imports the standard
+library alone: a child starts with the high-water mark of the process it
+was started from, so a larger parent would inflate it.
 Rounds alternate between the commands.  Artifacts go to a temporary
 directory, and stdout and stderr to the null device.
 
