@@ -203,6 +203,22 @@ class TestStochasticCloudLatency:
         assert exc.value.field == "seed"
         assert str(exc.value) == "seed: must be >= 0"
 
+    @pytest.mark.parametrize("seed", [3.5, 7.0, True, "x"],
+                             ids=["float", "integral-float", "bool", "str"])
+    def test_seed_must_be_an_integer(self, seed):
+        n = NetworkParams(1.5e6, 1.5e6, noise_sigma=0.15)
+        with pytest.raises(ValidationError) as exc:
+            model.cloud_latency_stochastic(self.w, n, self.c, self.split, seed)
+        assert exc.value.field == "seed"
+        assert str(exc.value) == "seed: must be an integer"
+
+    def test_numpy_integer_seed_is_its_int(self):
+        n = NetworkParams(1.5e6, 1.5e6, noise_sigma=0.15)
+        assert (model.cloud_latency_stochastic(self.w, n, self.c, self.split,
+                                               np.int64(42))
+                == model.cloud_latency_stochastic(self.w, n, self.c,
+                                                  self.split, 42))
+
     def test_sample_mean_tracks_deterministic_uplink(self):
         n = NetworkParams(1.5e6, 1.5e6, noise_sigma=0.15)
         det = model.cloud_latency(self.w, n, self.c, self.split)

@@ -276,9 +276,15 @@ class TestOptimizeContracts:
         ({"generations": 5.0}, "generations: must be an integer"),
         ({"generations": True}, "generations: must be an integer"),
         ({"generations": np.True_}, "generations: must be an integer"),
+        # random.Random seeds a float by its hash: 3.0 would repeat seed 3
+        ({"seed": 3.5}, "seed: must be an integer"),
+        ({"seed": 3.0}, "seed: must be an integer"),
+        ({"seed": True}, "seed: must be an integer"),
+        ({"seed": "x"}, "seed: must be an integer"),
     ], ids=["pop", "gens", "work", "crossover", "mutation", "sigma", "seed",
             "pop-float", "pop-bool", "gens-float", "gens-bool",
-            "gens-numpy-bool"])
+            "gens-numpy-bool", "seed-float", "seed-integral-float",
+            "seed-bool", "seed-str"])
     def test_error_names_its_field(self, kwargs, message):
         with pytest.raises(ValidationError) as exc:
             OptConfig(**kwargs)
@@ -287,7 +293,7 @@ class TestOptimizeContracts:
 
     def test_numpy_integers_accepted(self):
         cfg = OptConfig(population_size=np.int64(8),
-                        generations=np.int32(2), seed=1)
+                        generations=np.int32(2), seed=np.uint8(1))
         front = optimize(OptProblem(scenario=default_scenario()), cfg)
         assert front == optimize(OptProblem(scenario=default_scenario()),
                                  OptConfig(population_size=8, generations=2,

@@ -5,6 +5,7 @@ import csv
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fogscope import simulation
@@ -178,6 +179,23 @@ class TestSimulate:
             simulate_trace(sim, seed=-1)
         assert str(exc.value) == "seed: must be >= 0"
         assert simulate_trace(sim, seed=0)[0] != simulate_trace(sim, seed=1)[0]
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "x"],
+                             ids=["float", "integral-float", "bool", "str"])
+    def test_seed_must_be_an_integer(self, seed):
+        # random.Random seeds a float by its hash: 1.0 would repeat seed 1
+        sim = SimScenario(scenario=default_scenario(), local_prob=0.5,
+                          duration_s=10.0)
+        with pytest.raises(ValidationError) as exc:
+            simulate_trace(sim, seed=seed)
+        assert exc.value.field == "seed"
+        assert str(exc.value) == "seed: must be an integer"
+
+    def test_numpy_integer_seed_is_its_int(self):
+        sim = SimScenario(scenario=default_scenario(), local_prob=0.5,
+                          duration_s=10.0)
+        assert simulate_trace(sim, seed=np.int64(3)) == simulate_trace(sim,
+                                                                       seed=3)
 
     def test_packet_conservation(self):
         sim = SimScenario(scenario=default_scenario(), local_prob=0.3,
