@@ -69,6 +69,17 @@ def _require_finite(**values) -> None:
             _require(math.isfinite(value), f"must be finite, got {value!r}", name)
 
 
+def _require_int(value, field: str, minimum: Optional[int] = None) -> int:
+    """``value`` as an int: a numbers.Integral other than bool, at least
+    ``minimum`` when one is given.  A float or a bool passes a range check,
+    and random.Random seeds a float by its hash and refuses a numpy int."""
+    _require(isinstance(value, numbers.Integral)
+             and not isinstance(value, bool), "must be an integer", field)
+    _require(minimum is None or value >= minimum, f"must be >= {minimum}",
+             field)
+    return int(value)
+
+
 @dataclass(frozen=True)
 class WorkloadParams:
     """Traffic offered to the fog node by the UAV fleet."""
@@ -299,7 +310,7 @@ def cloud_latency_stochastic(workload: WorkloadParams, network: NetworkParams,
     noise_sigma == 0 this returns :func:`cloud_latency` exactly.
     """
     # random.Random seeds with abs(seed), so -7 would alias 7
-    _require(seed >= 0, "must be >= 0", "seed")
+    seed = _require_int(seed, "seed", 0)
     if network.noise_sigma == 0:
         return cloud_latency(workload, network, cloud, split)
     f = sample_latency_noise(random.Random(seed), network.noise_sigma)

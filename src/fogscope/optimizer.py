@@ -13,7 +13,6 @@ non-dominated subset; it serves as the independent oracle for `optimize`.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from itertools import chain, repeat, starmap
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import model
-from .model import ObjectiveVector, _require
+from .model import ObjectiveVector, _require, _require_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,13 +63,8 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a float or a bool passes the range checks below, and a float
-        # fails later in `optimize` as a bare TypeError
         for name in ("population_size", "generations"):
-            value = getattr(self, name)
-            _require(isinstance(value, numbers.Integral)
-                     and not isinstance(value, bool),
-                     "must be an integer", name)
+            _require_int(getattr(self, name), name)
         _require(4 <= self.population_size <= _MAX_POPULATION
                  and not self.population_size % 2,
                  f"must be even and within [4, {_MAX_POPULATION}]",
@@ -86,7 +80,7 @@ class OptConfig:
         _require(math.isfinite(self.mutation_sigma) and self.mutation_sigma > 0,
                  "must be finite and > 0", "mutation_sigma")
         # random.Random seeds with abs(seed): -1 would repeat seed 1's run
-        _require(self.seed >= 0, "must be >= 0", "seed")
+        _require_int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -388,7 +382,7 @@ def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:
     so the result does not depend on the numpy version.
     """
     import numpy as np
-    rng = random.Random(cfg.seed)
+    rng = random.Random(int(cfg.seed))  # random.Random refuses a numpy int
     size = cfg.population_size
     pop = _evaluate(problem, _draws(rng, size))
     ranks = _constrained_ranks(pop)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from typing import IO, TYPE_CHECKING, Optional, Sequence
 
 from . import model
-from .model import _require, _require_finite
+from .model import _require, _require_finite, _require_int
 from .scenario import Scenario
 
 if TYPE_CHECKING:
@@ -97,8 +97,7 @@ def simulate(sim: SimScenario, seed: int) -> SimMetrics:
 def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet]]:
     """Like :func:`simulate` but also returns the per-packet trace."""
     # random.Random seeds with abs(seed): -1 would repeat seed 1's run
-    _require(seed >= 0, "must be >= 0", "seed")
-    rng = random.Random(seed)
+    rng = random.Random(_require_int(seed, "seed", 0))
     workload = sim.scenario.workload
     fog = sim.scenario.fog
     rate, mu = workload.arrival_rate, fog.proc_capability
