@@ -19,10 +19,9 @@ import os
 import re
 import sys
 from array import array
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .model import ValidationError
 
@@ -47,8 +46,7 @@ def manifest_timestamp() -> str:
     return moment.isoformat(timespec="seconds")
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     """What made an artifact, written as its first, comment line."""
 
     command: str
@@ -64,7 +62,7 @@ class RunManifest:
                    version=TOOL_VERSION, timestamp=manifest_timestamp())
 
     def to_comment_line(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True,
+        payload = json.dumps(self._asdict(), sort_keys=True,
                              separators=(", ", ": "))
         return MANIFEST_PREFIX + payload
 
@@ -207,10 +205,6 @@ class ResultTable:
                       for (cells,) in blocks)
         return [buf.getvalue(), *("\n".join([*map(",".join, zip(*block)), ""])
                                   for block in blocks)]
-
-    def to_csv_text(self) -> str:
-        """The header and rows as CSV."""
-        return "".join(self.csv_blocks())
 
 
 def render_artifact(manifest: RunManifest, table: ResultTable) -> str:

@@ -23,6 +23,11 @@ from fogscope import reporting
 from fogscope.reporting import ResultTable, format_cell
 
 
+def csv_text(table: ResultTable) -> str:
+    """The header and rows as CSV, the artifact without its manifest."""
+    return "".join(table.csv_blocks())
+
+
 def oracle_format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -100,7 +105,7 @@ class TestToCsvText:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(reporting, "FLOAT_REPR_CACHE_CAP", cap)
                 for rendered in (table, mirror, table):
-                    assert ResultTable(*rendered).to_csv_text() \
+                    assert csv_text(ResultTable(*rendered)) \
                         == oracle_csv_text(rendered)
 
     @pytest.mark.parametrize("n_rows", [
@@ -123,9 +128,9 @@ class TestToCsvText:
             == manifest.to_comment_line() + "\n" + oracle_csv_text(table)
 
     def test_renders_keep_signed_zeros_apart_through_the_cache(self):
-        first = ResultTable(("v",), [(0.0,)]).to_csv_text()
-        second = ResultTable(("v",), [(-0.0,), (0.0,)]).to_csv_text()
-        third = ResultTable(("v",), [(0.0,)]).to_csv_text()
+        first = csv_text(ResultTable(("v",), [(0.0,)]))
+        second = csv_text(ResultTable(("v",), [(-0.0,), (0.0,)]))
+        third = csv_text(ResultTable(("v",), [(0.0,)]))
         assert (first, second, third) == ("v\n0.0\n", "v\n-0.0\n0.0\n",
                                           "v\n0.0\n")
 
@@ -138,7 +143,7 @@ class TestToCsvText:
     ])
     def test_ragged_row_raises(self, rows):
         with pytest.raises(ValueError):
-            ResultTable(("a", "b"), rows).to_csv_text()
+            csv_text(ResultTable(("a", "b"), rows))
 
     def test_full_cache_is_cleared_and_output_unchanged(self, monkeypatch):
         monkeypatch.setattr(reporting, "_FLOAT_COLUMNS", {})
@@ -157,7 +162,7 @@ class TestToCsvText:
         ]
         for values, kept in steps:
             table = Rows(("v", "n"), [(v, 1) for v in values])
-            assert ResultTable(*table).to_csv_text() == oracle_csv_text(table)
+            assert csv_text(ResultTable(*table)) == oracle_csv_text(table)
             assert list(reporting._FLOAT_COLUMNS) == [column_key(c)
                                                       for c in kept]
             assert reporting._float_cells_kept == sum(map(len, kept))
@@ -216,8 +221,8 @@ class TestColumnsAgainstRows:
     @example(table=(("only",), [np.array([], dtype=float)]))
     def test_columns_render_as_the_same_rows(self, table):
         header, cells = table
-        text = ResultTable(header, cells=cells).to_csv_text()
-        assert text == ResultTable(header, as_rows(cells)).to_csv_text()
+        text = csv_text(ResultTable(header, cells=cells))
+        assert text == csv_text(ResultTable(header, as_rows(cells)))
         python_rows = as_rows([c.tolist() if isinstance(c, np.ndarray)
                                else c for c in cells])
         assert text == oracle_csv_text(Rows(header, python_rows))
@@ -229,14 +234,14 @@ class TestColumnsAgainstRows:
     ])
     def test_column_count_or_length_mismatch_raises(self, cells):
         with pytest.raises(ValueError):
-            ResultTable(("a", "b"), cells=cells).to_csv_text()
+            csv_text(ResultTable(("a", "b"), cells=cells))
 
     def test_array_and_equal_tuple_share_one_memo_entry(self, monkeypatch):
         monkeypatch.setattr(reporting, "_FLOAT_COLUMNS", {})
         monkeypatch.setattr(reporting, "_float_cells_kept", 0)
         values = (0.1, -0.0, quiet_nan(3), 1e16)
-        from_tuple = ResultTable(("v",), cells=[values]).to_csv_text()
-        from_array = ResultTable(("v",), cells=[np.array(values)]).to_csv_text()
+        from_tuple = csv_text(ResultTable(("v",), cells=[values]))
+        from_array = csv_text(ResultTable(("v",), cells=[np.array(values)]))
         assert from_tuple == from_array == "v\n0.1\n-0.0\nnan\n1e+16\n"
         assert list(reporting._FLOAT_COLUMNS) == [column_key(values)]
         assert reporting._float_cells_kept == len(values)
@@ -249,7 +254,7 @@ class TestColumnsAgainstRows:
                             {column_key((-0.0, 1.5)): "planted,cells"})
         column = np.array([-0.0, 1.5]).view(NoList)
         table = ResultTable(("v", "n"), cells=[column, (1, 2)])
-        assert table.to_csv_text() == "v,n\nplanted,1\ncells,2\n"
+        assert csv_text(table) == "v,n\nplanted,1\ncells,2\n"
 
 
 # Each runs in a fresh interpreter, whose memo is empty and which must
@@ -260,6 +265,9 @@ MEMO_PROBE_HEAD = """
 import struct, sys
 from fogscope import reporting
 from fogscope.reporting import ResultTable
+
+def csv_text(table):
+    return "".join(table.csv_blocks())
 
 def key(column):
     return struct.pack(f"={len(column)}d", *column)
@@ -280,8 +288,8 @@ for column in columns + columns:
     assert reporting._float_cells(column) == repr(column[0])
 assert sorted(reporting._FLOAT_COLUMNS) == sorted(map(key, columns))
 assert reporting._FLOAT_COLUMNS[key((-0.0,))] == "-0.0"
-assert ResultTable(("v",), [(0.0,)]).to_csv_text() == "v\\n0.0\\n"
-assert ResultTable(("v",), [(-0.0,)]).to_csv_text() == "v\\n-0.0\\n"
+assert csv_text(ResultTable(("v",), [(0.0,)])) == "v\\n0.0\\n"
+assert csv_text(ResultTable(("v",), [(-0.0,)])) == "v\\n-0.0\\n"
 """,
     # a hit is read by the column's bytes: a planted entry comes back
     "planted-entry": """
@@ -289,7 +297,7 @@ reporting._FLOAT_COLUMNS[key((-0.0, 1.5))] = "planted,cells"
 assert reporting._float_cells((-0.0, 1.5)) == "planted,cells"
 assert reporting._float_cells((0.0, 1.5)) == "0.0,1.5"
 table = ResultTable(("v", "n"), [(-0.0, 1), (1.5, 2)])
-assert table.to_csv_text() == "v,n\\nplanted,1\\ncells,2\\n"
+assert csv_text(table) == "v,n\\nplanted,1\\ncells,2\\n"
 """,
     # five cells fit a cap of 5; a sixth clears the memo, which refills
     "cap-clears": """
@@ -322,10 +330,10 @@ assert list(reporting._FLOAT_COLUMNS) == [key((1.0,)), key((2.0, 3.0))]
     # they were, and a wider table writes them unquoted
     "one-column-rule": """
 reporting._FLOAT_COLUMNS[key((1.0, 2.0))] = ",x"
-assert ResultTable(("v",), [(1.0,), (2.0,)]).to_csv_text() == 'v\\n""\\nx\\n'
+assert csv_text(ResultTable(("v",), [(1.0,), (2.0,)])) == 'v\\n""\\nx\\n'
 assert reporting._FLOAT_COLUMNS[key((1.0, 2.0))] == ",x"
 wide = ResultTable(("v", "n"), [(1.0, 1), (2.0, 2)])
-assert wide.to_csv_text() == "v,n\\n,1\\nx,2\\n"
+assert csv_text(wide) == "v,n\\n,1\\nx,2\\n"
 """,
 }
 
@@ -351,7 +359,7 @@ class TestFloatColumnMemoSize:
         tracemalloc.start()
         try:
             for evaluation in evaluations:
-                ResultTable(evaluation._fields, cells=evaluation).to_csv_text()
+                csv_text(ResultTable(evaluation._fields, cells=evaluation))
             kept = tracemalloc.take_snapshot().filter_traces(
                 [tracemalloc.Filter(True, reporting.__file__)])
         finally:
@@ -421,4 +429,4 @@ class TestNumpyScalars:
             (np.float64(0.1), np.True_, np.int64(7)),
             (np.float64(-0.0), np.False_, 3),
         ])
-        assert table.to_csv_text() == "x,ok,n\n0.1,true,7\n-0.0,false,3\n"
+        assert csv_text(table) == "x,ok,n\n0.1,true,7\n-0.0,false,3\n"
