@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import ValidationError, _require, _require_finite
 
@@ -36,7 +36,7 @@ class MotorOverload(Exception):
             f"required power {power_w:.6g} W exceeds the {limit_w:.6g} W envelope")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CameraParams:
     """Nadir camera described by its diagonal FOV and aspect ratio.
 
@@ -56,7 +56,7 @@ class CameraParams:
         _require(self.aspect_h > 0, "must be > 0", "aspect_h")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class MotorParams:
     """Electric motor datasheet values."""
 
@@ -78,7 +78,7 @@ class MotorParams:
                  "efficiency_range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class AircraftModel:
     """Airframe description for the power-impact calculators."""
 
@@ -140,8 +140,7 @@ def dwell_time(cam: CameraParams, height_m: float, ground_speed_mps: float) -> f
     return dwell
 
 
-@dataclass(frozen=True)
-class BudgetVerdict:
+class BudgetVerdict(NamedTuple):
     """Whether a pipeline fits a dwell window, and by how many seconds."""
 
     feasible: bool

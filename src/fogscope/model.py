@@ -80,7 +80,10 @@ def _require_int(value, field: str, minimum: Optional[int] = None) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
+# Python 3.11 compiles each method that @dataclass generates, at import: so
+# a fogscope dataclass generates `==` and repr only where callers use them,
+# and is frozen where __post_init__ checks its fields or its `==` gives a hash
+@dataclass(frozen=True, repr=False)
 class WorkloadParams:
     """Traffic offered to the fog node by the UAV fleet."""
 
@@ -98,7 +101,7 @@ class WorkloadParams:
         return self.arrival_rate * self.packet_size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FogNodeParams:
     """Compute and power characteristics of the fog (head coordinator) node."""
 
@@ -119,7 +122,7 @@ class FogNodeParams:
         _require(self.tx_energy_per_bit >= 0, "must be >= 0", "tx_energy_per_bit")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class NetworkParams:
     """Fog-to-cloud link characteristics."""
 
@@ -139,7 +142,7 @@ class NetworkParams:
                  "return_fraction")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class CloudParams:
     """Cloud data-center processing capability."""
 
@@ -150,7 +153,7 @@ class CloudParams:
         _require(self.proc_capability > 0, "must be > 0", "proc_capability")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class DecisionState:
     """A workload split: fraction ``r`` of arrivals accepted for fog processing.
 
@@ -176,7 +179,7 @@ class DecisionState:
         return cls(r=r, x1=x1, x2=x2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ObjectiveVector:
     """The three jointly minimized quantities for one workload split."""
 

@@ -44,14 +44,14 @@ class NoFeasibleSolution(Exception):
     """Every sampled workload split violated the TDP bound."""
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class OptProblem:
     """The search problem: the scenario whose split ``r`` is searched."""
 
     scenario: "Scenario"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class OptConfig:
     """NSGA-II settings; each is checked when the config is made."""
 
@@ -83,7 +83,7 @@ class OptConfig:
         _require_int(self.seed, "seed", 0)
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class ParetoFront:
     """Ranked candidate set; members sorted by (rank, -crowding)."""
 

@@ -12,8 +12,8 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import MISSING, dataclass, fields, replace
-from typing import Any, Optional
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from typing import Any, NamedTuple, Optional
 
 from .flight import MotorParams
 from .model import (CloudParams, DecisionState, Evaluation, FogNodeParams,
@@ -37,7 +37,7 @@ class UnknownPreset(LookupError):
     """No preset with the requested name."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Scenario:
     """Full parameterization of one fog-cloud configuration."""
 
@@ -71,8 +71,7 @@ def _require_finite_objectives(s: Scenario) -> None:
 # Preset catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NetworkPreset:
+class NetworkPreset(NamedTuple):
     """Mobile network standard: uplink throughput plus a latency range."""
 
     name: str
@@ -93,8 +92,7 @@ class NetworkPreset:
         return NetworkParams(**self.link_fields(include_base_latency), **link)
 
 
-@dataclass(frozen=True)
-class BitrateRange:
+class BitrateRange(NamedTuple):
     """Video bitrate envelope for a streaming resolution."""
 
     name: str
@@ -102,8 +100,7 @@ class BitrateRange:
     max_bps: float
 
 
-@dataclass(frozen=True)
-class WirelessInfo:
+class WirelessInfo(NamedTuple):
     """Informational record about a short/medium-range wireless standard."""
 
     name: str
@@ -113,8 +110,7 @@ class WirelessInfo:
     energy_efficiency: str
 
 
-@dataclass(frozen=True)
-class PresetCatalog:
+class PresetCatalog(NamedTuple):
     """Every named preset, by group."""
 
     networks: dict[str, NetworkPreset]
@@ -186,19 +182,21 @@ def catalog_rows() -> list[tuple[str, str, str, str, str]]:
     are written as their ``repr``.
     """
     rows = []
-    for group in fields(CATALOG):
-        source = _PRESET_SOURCES[group.name]
-        for name, record in getattr(CATALOG, group.name).items():
-            for f in fields(record):
-                if f.name == "name":
+    for group, records in CATALOG._asdict().items():
+        source = _PRESET_SOURCES[group]
+        for name, record in records.items():
+            # a motor is a MotorParams dataclass, every other record a tuple
+            values = (record._asdict() if isinstance(record, tuple)
+                      else asdict(record))
+            for key, value in values.items():
+                if key == "name":
                     continue
-                value = getattr(record, f.name)
                 if isinstance(value, tuple):
-                    items = [(f.name.replace("_range", bound), v)
+                    items = [(key.replace("_range", bound), v)
                              for bound, v in zip(("_min", "_max"), value)]
                 else:
-                    items = [(f.name, value)]
-                rows += [(group.name, name, field,
+                    items = [(key, value)]
+                rows += [(group, name, field,
                           v if isinstance(v, str) else repr(v), source)
                          for field, v in items]
     return rows

@@ -24,7 +24,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import IO, TYPE_CHECKING, Optional, Sequence
+from typing import IO, TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import model
 from .model import _require, _require_finite, _require_int
@@ -39,7 +39,7 @@ _QUEUE_SAMPLES = 32
 _MAX_ARRIVALS = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SimScenario:
     """One simulation setup; warmup defaults to 10% of the duration."""
 
@@ -72,7 +72,7 @@ class Packet:
     departure_time: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SimMetrics:
     """What one simulation run measured."""
 
@@ -247,8 +247,7 @@ def write_trace(stream: IO[str], packets: list[Packet],
 # Analytic-vs-empirical trend comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrendRow:
+class TrendRow(NamedTuple):
     """The model and one simulation side by side at one split ``r``."""
 
     r: float
@@ -265,8 +264,7 @@ class TrendRow:
     sim_unstable: bool
 
 
-@dataclass(frozen=True)
-class TrendComparison:
+class TrendComparison(NamedTuple):
     """Trend rows over an r-grid, with the Spearman rank correlation of the
     analytic and the simulated average latency."""
 
