@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import gc
 import hashlib
 import io
@@ -1176,6 +1177,30 @@ def test_pareto_search_script_smoke(tmp_path):
         assert rs and len(rs) == len(set(rs))
 
 
+def test_import_cost_script_smoke():
+    # one fresh interpreter: the import, each module's compile, each class's
+    # creation, in milliseconds
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "import_cost.py"), "-n", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    readings = [re.fullmatch(r"( *)(\d+\.\d{3}) ms  (.+)", line)
+                for line in lines]
+    assert all(readings), result.stdout
+    # a total is indented at most 3 spaces, each part under it 4 more
+    totals = {match[3]: float(match[2]) for match in readings
+              if len(match[1]) < 4}
+    assert "import fogscope.cli, median of 1" in totals
+    assert "compile, 8 modules" in totals
+    assert "dataclass creation, 16 classes" in totals
+    assert "NamedTuple creation, 10 classes" in totals
+    named = {match[3] for match in readings if len(match[1]) >= 4}
+    assert {"fogscope.cli", "fogscope.scenario.Scenario",
+            "fogscope.reporting.RunManifest"} <= named
+    assert all(value > 0 for value in totals.values())
+
+
 def test_peak_rss_script_smoke():
     # one round of one command prints one line: the median peak in MiB
     # and its range, the median wall time in ms and its range (one run, so
@@ -1332,6 +1357,60 @@ class TestStartup:
     def test_hashlib_loads_openssl(self):
         # the probes above would pass vacuously if they could not see it
         assert "_hashlib" in modules_loaded_by("import hashlib", "_hashlib")
+
+    def test_cli_import_creates_only_these_dataclasses(self):
+        # each dataclass costs start-up time in every command (Python 3.11
+        # compiles its generated methods at import): a new one is a choice
+        probe = ("import dataclasses, json, sys\nimport fogscope.cli\n"
+                 "print(json.dumps(sorted(\n"
+                 "    f'{name}.{obj.__qualname__}'\n"
+                 "    for name, module in list(sys.modules.items())\n"
+                 "    if name.split('.')[0] == 'fogscope'\n"
+                 "    for obj in vars(module).values()\n"
+                 "    if isinstance(obj, type) and obj.__module__ == name\n"
+                 "    and dataclasses.is_dataclass(obj))))")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert json.loads(out.stdout) == [
+            "fogscope.flight.AircraftModel", "fogscope.flight.CameraParams",
+            "fogscope.flight.MotorParams", "fogscope.model.CloudParams",
+            "fogscope.model.DecisionState", "fogscope.model.FogNodeParams",
+            "fogscope.model.NetworkParams", "fogscope.model.ObjectiveVector",
+            "fogscope.model.WorkloadParams", "fogscope.optimizer.OptConfig",
+            "fogscope.optimizer.OptProblem", "fogscope.optimizer.ParetoFront",
+            "fogscope.scenario.Scenario", "fogscope.simulation.Packet",
+            "fogscope.simulation.SimMetrics",
+            "fogscope.simulation.SimScenario"]
+
+    def test_public_dataclasses_keep_replace_and_fields(self):
+        from fogscope import flight, model, simulation
+        s = default_scenario()
+        motor = fogscope.preset("x2212")
+        sim = simulation.SimScenario(scenario=s, local_prob=0.5,
+                                     duration_s=5.0)
+        samples = [
+            s, s.workload, s.fog, s.network, s.cloud,
+            model.DecisionState.from_ratio(s.workload, 0.5),
+            model.objectives(s, 0.5),
+            optimizer.OptProblem(scenario=s), optimizer.OptConfig(seed=1),
+            optimizer.ParetoFront([(0.5, model.objectives(s, 0.5))], [0],
+                                  [0.0]),
+            sim, simulation.simulate(sim, seed=1),
+            flight.CameraParams(94.0, 3.0, 2.0), motor,
+            flight.AircraftModel(kind=flight.QUAD_ROTOR, mass_kg=1.0,
+                                 motor=motor)]
+        public = {obj for obj in map(vars(fogscope).get, fogscope.__all__)
+                  if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
+        assert {type(sample) for sample in samples} == public
+        for sample in samples:
+            names = [f.name for f in dataclasses.fields(sample)]
+            assert names and names == [f.name for f in
+                                       dataclasses.fields(type(sample))]
+            copy = dataclasses.replace(sample)
+            assert type(copy) is type(sample) and copy is not sample
+            assert all(getattr(copy, name) is getattr(sample, name)
+                       for name in names)
 
     @pytest.mark.parametrize("path", sorted((SRC / "fogscope").glob("*.py")),
                              ids=lambda path: path.name)

@@ -81,6 +81,37 @@ def tables(draw):
     return Rows(columns, rows)
 
 
+class TestRunManifest:
+    def test_comment_line_round_trips(self):
+        for seed in (None, 0, 3):
+            manifest = reporting.RunManifest.create("sweep", "sha256:ab", seed)
+            line = manifest.to_comment_line()
+            assert reporting.RunManifest.from_comment_line(line) == manifest
+
+    def test_comment_line_bytes(self):
+        manifest = reporting.RunManifest("t", "d", None, "v", "0")
+        assert manifest.to_comment_line() == (
+            '# fogscope: {"command": "t", "scenario_digest": "d", '
+            '"seed": null, "timestamp": "0", "version": "v"}')
+
+    @pytest.mark.parametrize("payload", [
+        '{"command": "t", "scenario_digest": "d", "seed": null, '
+        '"timestamp": "0", "version": "v", "extra": 1}',
+        '{"command": "t", "scenario_digest": "d", "seed": null, '
+        '"timestamp": "0"}',
+        '["t", "d", null, "v", "0"]',
+    ], ids=["unknown-key", "missing-key", "not-a-mapping"])
+    def test_a_line_of_other_keys_raises_type_error(self, payload):
+        # perfbench's artifact checks catch (ValueError, TypeError)
+        with pytest.raises(TypeError):
+            reporting.RunManifest.from_comment_line(
+                reporting.MANIFEST_PREFIX + payload)
+
+    def test_other_line_raises_value_error(self):
+        with pytest.raises(ValueError, match="not a manifest line"):
+            reporting.RunManifest.from_comment_line("group,r\n")
+
+
 class TestToCsvText:
     @given(table=tables())
     @example(table=Rows(("only",), [("",), (None,), (1.5,)]))

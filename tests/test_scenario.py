@@ -572,6 +572,39 @@ class TestPresets:
         names = {row[1] for row in catalog_rows()}
         assert "hspa_plus" in names and "x2212" in names and "1080p" in names
 
+    def test_rows_of_each_record_kind(self):
+        # the network, bitrate and wireless records are NamedTuples and the
+        # motor a dataclass: each gives its fields in declaration order, a
+        # range as a min and a max row, and no name row
+        rows = catalog_rows()
+        assert len(rows) == 44
+        by_name = {}
+        for group, name, field, value, source in rows:
+            by_name.setdefault(name, []).append((group, field, value, source))
+        net, bitrate = "mobile network standards table", "video bitrate table"
+        motor, radio = ("electric motor parameters table",
+                        "wireless standards table")
+        assert by_name["gsm"] == [
+            ("networks", "uplink_bps", "40000.0", net),
+            ("networks", "latency_min_s", "0.6", net),
+            ("networks", "latency_max_s", "0.75", net)]
+        assert by_name["360p"] == [
+            ("bitrates", "min_bps", "400000.0", bitrate),
+            ("bitrates", "max_bps", "1000000.0", bitrate)]
+        assert by_name["x2212"] == [
+            ("motors", field, value, motor) for field, value in (
+                ("kv_rpm_per_v", "1250.0"), ("no_load_current_a", "0.6"),
+                ("resistance_ohm", "0.079"), ("max_power_w", "390.0"),
+                ("prop_diameter_m", "0.254"), ("prop_pitch_m", "0.119"),
+                ("efficiency_min", "0.75"), ("efficiency_max", "0.85"))]
+        assert by_name["wifi"] == [
+            ("wireless_info", "coverage", "0.1-2 km", radio),
+            ("wireless_info", "throughput", "up to 300 Mbps", radio),
+            ("wireless_info", "frequency", "2.4, 5 GHz", radio),
+            ("wireless_info", "energy_efficiency", "low", radio)]
+        assert list(by_name) == [*CATALOG.networks, *CATALOG.bitrates,
+                                 *CATALOG.motors, *CATALOG.wireless_info]
+
 
 class TestSha256:
     """The digests hash through CPython's own SHA-256, which must give
