@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Where ``import fogscope.cli`` spends its time: compiling each module and
-creating each dataclass and NamedTuple.
+creating each dataclass and NamedTuple; and what ``import numpy`` costs,
+which ``sweep`` and ``optimize`` add to it.
 
 Runs ``import fogscope.cli`` in N fresh interpreters and prints the medians
 of the whole import, of each ``fogscope`` module's compile, and of each
@@ -8,7 +9,10 @@ class's creation (``dataclasses._process_class``, or ``NamedTupleMeta``'s
 ``__new__``), with the class totals by kind.  Each child imports click,
 ``dataclasses`` and ``typing`` before the clock starts, so the import counts
 fogscope's own work, and it reads no bytecode cache, so every module is
-compiled from its source.  This process imports the standard library alone.
+compiled from its source.  Two more children per run import numpy alone:
+one with ``OPENBLAS_NUM_THREADS=1``, as ``fogscope.cli.run`` sets it, and one
+with the variable unset, so that OpenBLAS starts its default thread pool.
+This process imports the standard library alone.
 
     python3 scripts/import_cost.py -n 9
 """
@@ -65,6 +69,10 @@ spans["import"] = time.perf_counter() - start
 print(json.dumps(spans))
 """
 
+# one child: prints the seconds that importing numpy takes
+NUMPY_PROBE = ("import time\nstart = time.perf_counter()\nimport numpy\n"
+               "print(time.perf_counter() - start)")
+
 
 def probe(env: dict) -> dict:
     """The seconds one fresh interpreter spends in each span."""
@@ -73,6 +81,18 @@ def probe(env: dict) -> dict:
                               str(SRC / "fogscope")], env=env, check=True,
                              capture_output=True, text=True)
     return json.loads(out.stdout)
+
+
+def numpy_import(env: dict, threads: str | None) -> float:
+    """The seconds one fresh interpreter takes to import numpy, with
+    ``OPENBLAS_NUM_THREADS`` set to ``threads``, or unset for None."""
+    env = {key: value for key, value in env.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    out = subprocess.run([sys.executable, "-c", NUMPY_PROBE], env=env,
+                         check=True, capture_output=True, text=True)
+    return float(out.stdout)
 
 
 def module_name(path: str) -> str:
@@ -94,7 +114,11 @@ def main() -> None:
         parser.error("--runs must be >= 1")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    runs = [probe(env) for _ in range(opts.runs)]
+    runs, numpy = [], {"1": [], None: []}
+    for _ in range(opts.runs):
+        runs.append(probe(env))
+        for threads, seconds in numpy.items():
+            seconds.append(numpy_import(env, threads))
 
     print(f"{ms([run['import'] for run in runs])}  import fogscope.cli, "
           f"median of {opts.runs}")
@@ -114,6 +138,9 @@ def main() -> None:
     classes = [sum(run["dataclass"].values()) + sum(run["NamedTuple"].values())
                for run in runs]
     print(f"{ms(classes)}  class creation in all")
+    print(f"{ms(numpy['1'])}  import numpy, OPENBLAS_NUM_THREADS=1 "
+          "(as fogscope.cli.run sets it)")
+    print(f"{ms(numpy[None])}  import numpy, OPENBLAS_NUM_THREADS unset")
 
 
 if __name__ == "__main__":

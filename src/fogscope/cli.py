@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import math
+import os
 import sys
 import warnings
 from contextlib import contextmanager
@@ -399,11 +400,15 @@ def run() -> None:
     traverse.  atexit handlers still run and the streams are still flushed;
     only the finalizer of an object left in a reference cycle is skipped,
     and every file is closed by a ``with`` block.  A process that goes on
-    running calls ``main`` instead.
+    running calls ``main`` instead, and keeps its environment.
 
     Each warning prints as one ``warning: <message>`` line, as an error
     prints, without the source path and line of Python's default format;
-    an in-process caller of ``main`` keeps that format."""
+    an in-process caller of ``main`` keeps that format.  OpenBLAS runs one
+    thread, unless ``OPENBLAS_NUM_THREADS`` is set."""
+    # numpy starts OpenBLAS's thread pool as it loads, and fogscope makes no
+    # BLAS call; sweep and optimize import numpy after this line
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     show = warnings.showwarning
     warnings.showwarning = lambda message, *_: click.echo(
         f"warning: {message}", err=True)

@@ -1179,7 +1179,7 @@ def test_pareto_search_script_smoke(tmp_path):
 
 def test_import_cost_script_smoke():
     # one fresh interpreter: the import, each module's compile, each class's
-    # creation, in milliseconds
+    # creation, in milliseconds; and numpy's import in two more
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "import_cost.py"), "-n", "1"],
         capture_output=True, text=True, timeout=120)
@@ -1195,6 +1195,9 @@ def test_import_cost_script_smoke():
     assert "compile, 8 modules" in totals
     assert "dataclass creation, 16 classes" in totals
     assert "NamedTuple creation, 10 classes" in totals
+    assert {"import numpy, OPENBLAS_NUM_THREADS=1 "
+            "(as fogscope.cli.run sets it)",
+            "import numpy, OPENBLAS_NUM_THREADS unset"} <= set(totals)
     named = {match[3] for match in readings if len(match[1]) >= 4}
     assert {"fogscope.cli", "fogscope.scenario.Scenario",
             "fogscope.reporting.RunManifest"} <= named
@@ -1454,9 +1457,27 @@ class TestStartup:
         assert unmanaged_opens(source) == lines
 
 
+# prints the number of the process's threads once the command ran as
+# python -m fogscope.cli: numpy's OpenBLAS starts its pool as numpy loads
+THREADS_PROBE = ("import os, runpy, sys\n"
+                 "sys.argv = ['fogscope', *sys.argv[1:]]\n"
+                 "try:\n"
+                 "    runpy.run_module('fogscope.cli', run_name='__main__')\n"
+                 "except SystemExit as exc:\n"
+                 "    assert exc.code == 0, exc.code\n"
+                 "print(len(os.listdir('/proc/self/task')))\n")
+
+
 class TestProcessEntry:
-    """``cli.run`` is the process entry point: ``main``, and then a
-    freeze, whatever ``main`` ends with."""
+    """``cli.run`` is the process entry point: it gives OpenBLAS one thread
+    unless ``OPENBLAS_NUM_THREADS`` is set, runs ``main``, and then
+    freezes, whatever ``main`` ends with.  An in-process caller of ``main``
+    keeps its environment.  Each test that calls ``run`` sets or removes
+    the variable through ``monkeypatch``, so the setting ends with it."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_setting(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -1474,6 +1495,52 @@ class TestProcessEntry:
         assert calls == [("main",), ("freeze",)]
         # the one-line warning format ends with the run
         assert warnings.showwarning is show
+
+    @pytest.mark.parametrize("setting, threads", [(None, "1"), ("2", "2")],
+                             ids=["unset", "set"])
+    def test_openblas_threads_are_set_before_main(self, monkeypatch, calls,
+                                                   setting, threads):
+        # one thread by default; a value the user set is kept
+        if setting is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", setting)
+        monkeypatch.setattr(cli, "main", lambda: calls.append(
+            ("main", os.environ.get("OPENBLAS_NUM_THREADS"))))
+        cli.run()
+        assert calls == [("main", threads), ("freeze",)]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == threads
+
+    def test_in_process_main_keeps_the_environment(self, runner):
+        result = runner.invoke(main, ["sweep", "--r-steps", "3"])
+        assert result.exit_code == 0, result.output
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                        reason="needs /proc/self/task to count threads")
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--r-steps", "3"],
+        ["optimize", "--pop", "8", "--gens", "2", "--seed", "1"],
+    ], ids=["sweep", "optimize"])
+    def test_numpy_command_runs_one_thread(self, tmp_path, args):
+        # OpenBLAS caps its pool at the CPUs the process may use, so a
+        # setting of 2 shows 2 threads only where there are two; that side
+        # shows the probe counts OpenBLAS's threads and the setting is kept
+        sides = {}
+        for setting in (None, "2"):
+            out = tmp_path / str(setting)
+            env = {**os.environ, "PYTHONPATH": str(SRC),
+                   "FOGSCOPE_OUT": str(out)}
+            if setting is not None:
+                env["OPENBLAS_NUM_THREADS"] = setting
+            proc = subprocess.run([sys.executable, "-c", THREADS_PROBE, *args],
+                                  capture_output=True, timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr
+            *stdout, threads = proc.stdout.splitlines()
+            sides[setting] = (int(threads), stdout, {
+                path.name: path.read_bytes() for path in out.glob("*.csv")})
+        assert sides[None][0] == 1
+        assert sides["2"][0] == min(2, len(os.sched_getaffinity(0)))
+        assert sides[None][1:] == sides["2"][1:]
+        assert f"{args[0]}.csv" in sides[None][2]
 
     def test_exit_code_is_reraised(self, monkeypatch, capsys, out_dir, calls):
         # the real group, as the console script calls it: exit 3
@@ -1657,6 +1724,69 @@ class TestNoNumpyRandom:
     ])
     def test_scan_finds_numpy_random(self, source, lines):
         assert numpy_random_uses(source) == lines
+
+
+# the operator, the numpy functions that call BLAS, and numpy.linalg, which
+# calls LAPACK on top of it
+BLAS_NAMES = {"@", "dot", "matmul", "inner", "vdot", "tensordot", "einsum",
+              "linalg"}
+
+
+def blas_calls(source: str) -> list[tuple[int, str]]:
+    """Line and name of each ``@`` or ``@=``, each attribute read named in
+    BLAS_NAMES (``np.dot``, ``x.dot``, ``np.linalg.norm``), and each import
+    of one of them from numpy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = []
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)):
+            names = ["@"]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Import):
+            names = [part for alias in node.names
+                     if alias.name.split(".")[0] == "numpy"
+                     for part in alias.name.split(".")]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "numpy"):
+            names = node.module.split(".") + [a.name for a in node.names]
+        found += [(node.lineno, name) for name in names if name in BLAS_NAMES]
+    return sorted(found)
+
+
+class TestNoBlasCalls:
+    """``cli.run`` gives OpenBLAS one thread, because numpy starts the pool
+    as it loads and fogscope never calls BLAS.  A BLAS call would make that
+    default cost time, so it has to be a choice."""
+
+    @pytest.mark.parametrize("path", sorted((SRC / "fogscope").glob("*.py")),
+                             ids=lambda path: path.name)
+    def test_no_module_calls_blas(self, path):
+        assert blas_calls(path.read_text(encoding="utf-8")) == []
+
+    @pytest.mark.parametrize("source, found", [
+        ("np.dot(a, b)\n", [(1, "dot")]),
+        ("a.dot(b)\n", [(1, "dot")]),
+        ("x = a @ b\n", [(1, "@")]),
+        ("a @= b\n", [(1, "@")]),
+        ("np.matmul(a, b)\nnp.inner(a, b)\n", [(1, "matmul"), (2, "inner")]),
+        ("np.vdot(a, b)\nnp.tensordot(a, b)\n", [(1, "vdot"),
+                                                 (2, "tensordot")]),
+        ("np.einsum('i,i', a, b)\n", [(1, "einsum")]),
+        ("np.linalg.norm(a)\n", [(1, "linalg")]),
+        ("import numpy.linalg\n", [(1, "linalg")]),
+        ("from numpy import dot, sum\n", [(1, "dot")]),
+        ("from numpy.linalg import solve\n", [(1, "linalg")]),
+        ("from numpy import linalg as la\n", [(1, "linalg")]),
+        # a decorator, a name and another package are not calls into BLAS
+        ("@property\ndef f(self):\n    pass\n", []),
+        ("inner = dot = 1\nnp.sum(a * b)\nnp.outer(a, b)\n", []),
+        ("import numpy as np\nfrom .linalg import dot\n", []),
+        ("from scipy import linalg\nimport dotenv\n", []),
+    ])
+    def test_scan_finds_blas_calls(self, source, found):
+        assert blas_calls(source) == found
 
 
 def post_init_raises(source: str) -> list[int]:
