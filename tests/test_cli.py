@@ -1477,7 +1477,10 @@ class TestProcessEntry:
 
     @pytest.fixture(autouse=True)
     def no_thread_setting(self, monkeypatch):
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        # delenv alone records nothing for an unset variable, and so would
+        # leave the value that run sets; setenv records the state to restore
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
 
     @pytest.fixture
     def calls(self, monkeypatch):
