@@ -404,8 +404,8 @@ def run() -> None:
 
     Each warning prints as one ``warning: <message>`` line, as an error
     prints, without the source path and line of Python's default format;
-    an in-process caller of ``main`` keeps that format.  OpenBLAS runs one
-    thread, unless ``OPENBLAS_NUM_THREADS`` is set."""
+    an in-process caller of ``main`` keeps that format.  numpy's OpenBLAS
+    gets one thread, unless ``OPENBLAS_NUM_THREADS`` is already set."""
     # numpy starts OpenBLAS's thread pool as it loads, and fogscope makes no
     # BLAS call; sweep and optimize import numpy after this line
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
