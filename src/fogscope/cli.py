@@ -251,7 +251,7 @@ def simulate(scenario_path: Optional[str], local_prob: float, duration: float,
     scn = _load(scenario_path)
     sim = simulation.SimScenario(scenario=scn, local_prob=local_prob,
                                  duration_s=duration, warmup_s=warmup)
-    metrics, packets = simulation.simulate_trace(sim, seed)
+    metrics, trace = simulation.simulate_trace(sim, seed)
     analytic = model.evaluate_split(scn, local_prob)
     table = ResultTable(
         columns=("local_prob", "duration_s", "warmup_s",
@@ -268,7 +268,7 @@ def simulate(scenario_path: Optional[str], local_prob: float, duration: float,
             path.parent.mkdir(parents=True, exist_ok=True)
             with path.open("w", encoding="utf-8", newline="") as stream:
                 stream.write(manifest.to_comment_line() + "\n")
-                simulation.write_trace(stream, packets,
+                simulation.write_trace(stream, trace,
                                        scn.workload.packet_size)
     _emit("simulate.csv", manifest, table)
     if trace_path is not None:

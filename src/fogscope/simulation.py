@@ -1,4 +1,4 @@
-"""Packet-level discrete-event simulation of the fog dataflow.
+"""Packet-level simulation of the fog dataflow.
 
 Arrivals are Poisson; each packet is classified important (forwarded to
 the cloud through a FIFO uplink channel) or not (queued for local
@@ -11,15 +11,18 @@ Cloud processing and the returned-fraction downlink are fixed per-packet
 delays (no cloud queue); the uplink serialization time is size/throughput
 scaled by the mean-1 noise multiplier when noise_sigma > 0.
 
-Both queues are FIFO single servers, so the packet in service is always
-the head of its queue and stays there until it completes.  A queue is
-busy exactly when it is non-empty, its length counts the packet in
-service, and a completion event pops the head.
+Both queues are FIFO single servers fed by independent Bernoulli splits
+of one Poisson stream, so one pass over the packets in arrival order runs
+both, each departure by Lindley's recursion D_n = max(A_n, D_{n-1}) + S_n
+(Proc. Camb. Phil. Soc. 1952).  Each packet takes three ``random()``
+values, its gap, class and service time, each exponential as
+``-log(1 - u) / rate``; a forwarded packet on a noisy uplink then draws
+its multiplier.  A queue sample at t counts the local packets with
+arrival < t <= departure.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections import deque
@@ -34,9 +37,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 _QUEUE_SAMPLES = 32
-# most expected packets, arrival rate x duration: a run keeps every packet
-# it generates, so an unbounded run grows until the process is killed
+# most expected packets, arrival rate x duration: a run lists every packet
+# it generates; a traced noisy run at the cap peaks at 103 MiB in 3.3 s
 _MAX_ARRIVALS = 1_000_000
+# per packet in arrival order: arrival, importance, departure (None in flight)
+Trace = tuple[list[float], list[bool], list[Optional[float]]]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -53,7 +58,7 @@ class SimScenario:
                  "local_prob")
         if self.warmup_s is None:
             object.__setattr__(self, "warmup_s", 0.1 * self.duration_s)
-        # a run stops at its first event past the duration; none is past inf
+        # a run stops at its first arrival past the duration; none is past inf
         _require_finite(duration_s=self.duration_s, warmup_s=self.warmup_s)
         _require(0.0 <= self.warmup_s < self.duration_s,
                  "duration must exceed warmup (warmup >= 0)", "duration_s")
@@ -61,15 +66,6 @@ class SimScenario:
                  <= _MAX_ARRIVALS,
                  f"arrival rate x duration must be at most {_MAX_ARRIVALS} "
                  f"packets", "duration_s")
-
-
-@dataclass(slots=True)
-class Packet:
-    """One generated packet; its id is its index in the trace."""
-
-    arrival_time: float
-    important: bool
-    departure_time: Optional[float] = None
 
 
 @dataclass(frozen=True, repr=False)
@@ -94,8 +90,9 @@ def simulate(sim: SimScenario, seed: int) -> SimMetrics:
     return metrics
 
 
-def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet]]:
-    """Like :func:`simulate` but also returns the per-packet trace."""
+def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, Trace]:
+    """Like :func:`simulate` but also returns the per-packet trace; a
+    packet still in flight at the duration has departure None."""
     # random.Random seeds with abs(seed): -1 would repeat seed 1's run
     rng = random.Random(_require_int(seed, "seed", 0))
     workload = sim.scenario.workload
@@ -112,91 +109,70 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet
 
     duration, warmup = sim.duration_s, sim.warmup_s
     window = duration - warmup
-
-    # The pending event of each source as (time, seq): seq counts scheduled
-    # events, so a tie goes to the earlier one, and an idle source waits at
-    # inf.  The queue is sampled just before the first event at or after
-    # each sample time; `samples` holds those times latest first.
-    seq = itertools.count()
-    idle = (math.inf, 0)
     samples = [duration * i / _QUEUE_SAMPLES
-               for i in range(_QUEUE_SAMPLES, 0, -1)]
+               for i in range(_QUEUE_SAMPLES, 0, -1)]   # latest first
 
-    def transfer(now: float) -> tuple[float, int]:
-        seconds = size / net.uplink_throughput
-        if net.noise_sigma > 0:
-            seconds *= model.sample_latency_noise(rng, net.noise_sigma)
-        return now + seconds, next(seq)
-
-    arrival = local_done_at = uplink_done_at = idle
-    if rate > 0:
-        arrival = rng.expovariate(rate), next(seq)
-
-    packets: list[Packet] = []
-    local: deque[Packet] = deque()
-    uplink: deque[Packet] = deque()
-    busy_since = 0.0         # start of the local head's service
-    busy_time = 0.0          # server busy time inside the stats window
+    arrivals: list[float] = []
+    important: list[bool] = []
+    departures: list[Optional[float]] = []
+    # departures of the local packets that had not left at the last
+    # arrival or sample time, in FIFO order, so nondecreasing
+    local: deque[float] = deque()
+    now = 0.0                    # the latest arrival
+    local_free = uplink_free = 0.0   # when each server ends its work so far
+    busy_time = 0.0              # server busy time inside the stats window
 
     queue_samples: list[int] = []
     local_queue_max = 0
-    # sums added left to right, as sum() does before Python 3.12, and
-    # counts of the packets that arrived after warmup
+    # FIFO-order sums and counts over the packets that arrived after warmup
     sojourn_sum = forward_sum = 0.0
     sojourn_count = forward_count = 0
     uplink_bits_window = 0.0
     local_done = forwarded_done = 0
 
     while True:
-        event = min(arrival, local_done_at, uplink_done_at)
-        now = event[0]
+        now += -math.log(1.0 - rng.random()) / rate if rate > 0 else math.inf
         while samples and samples[-1] <= now:
-            samples.pop()
+            t = samples.pop()
+            while local and local[0] < t:
+                local.popleft()
             queue_samples.append(len(local))
         if now > duration:
             break
-
-        if event is arrival:
-            packet = Packet(now, rng.random() >= sim.local_prob)
-            packets.append(packet)
-            if packet.important:
-                uplink.append(packet)
-                if len(uplink) == 1:
-                    uplink_done_at = transfer(now)
-            else:
-                local.append(packet)
+        forward = rng.random() >= sim.local_prob
+        service = -math.log(1.0 - rng.random()) / mu
+        arrivals.append(now)
+        important.append(forward)
+        if forward:
+            seconds = size / net.uplink_throughput
+            if net.noise_sigma > 0:
+                seconds *= model.sample_latency_noise(rng, net.noise_sigma)
+            uplink_free = max(now, uplink_free) + seconds
+            departure = uplink_free + tail
+            done = uplink_free <= duration
+            if done:
+                forwarded_done += 1
+                if uplink_free > warmup:
+                    uplink_bits_window += size
                 if now >= warmup:
-                    local_queue_max = max(local_queue_max, len(local))
-                if len(local) == 1:
-                    busy_since = now
-                    local_done_at = now + rng.expovariate(mu), next(seq)
-            arrival = now + rng.expovariate(rate), next(seq)
-
-        elif event is local_done_at:
-            packet = local.popleft()
-            packet.departure_time = now
-            local_done += 1
-            if packet.arrival_time >= warmup:
-                sojourn_sum += now - packet.arrival_time
-                sojourn_count += 1
-            busy_time += max(0.0, now - max(busy_since, warmup))
-            busy_since = now
-            local_done_at = ((now + rng.expovariate(mu), next(seq)) if local
-                             else idle)
-
+                    forward_sum += departure - now
+                    forward_count += 1
         else:
-            packet = uplink.popleft()
-            packet.departure_time = now + tail
-            forwarded_done += 1
-            if now > warmup:
-                uplink_bits_window += size
-            if packet.arrival_time >= warmup:
-                forward_sum += packet.departure_time - packet.arrival_time
-                forward_count += 1
-            uplink_done_at = transfer(now) if uplink else idle
-
-    if local:
-        busy_time += max(0.0, duration - max(busy_since, warmup))
+            start = max(now, local_free)
+            local_free = departure = start + service
+            busy_time += max(0.0, min(departure, duration) - max(start, warmup))
+            while local and local[0] < now:
+                local.popleft()
+            local.append(departure)
+            if now >= warmup:
+                local_queue_max = max(local_queue_max, len(local))
+            done = departure <= duration
+            if done:
+                local_done += 1
+                if now >= warmup:
+                    sojourn_sum += departure - now
+                    sojourn_count += 1
+        departures.append(departure if done else None)
 
     # warmup < duration, both finite, so the window is positive
     mean_power = fog.idle_power + fog.energy_per_bit * size * mu * busy_time / window
@@ -217,12 +193,12 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, list[Packet
         mean_fog_power_w=mean_power,
         local_queue_max=local_queue_max,
         unstable=unstable,
-        packets_generated=len(packets),
+        packets_generated=len(arrivals),
         packets_local_done=local_done,
         packets_forwarded_done=forwarded_done,
-        packets_in_flight=len(local) + len(uplink),
+        packets_in_flight=len(arrivals) - local_done - forwarded_done,
     )
-    return metrics, packets
+    return metrics, (arrivals, important, departures)
 
 
 TRACE_COLUMNS = ("id", "arrival_time", "important", "path", "departure_time",
@@ -230,16 +206,15 @@ TRACE_COLUMNS = ("id", "arrival_time", "important", "path", "departure_time",
 _TRACE_CLASS = {True: "true,forwarded", False: "false,local"}
 
 
-def write_trace(stream: IO[str], packets: list[Packet],
-                size_bits: float) -> None:
+def write_trace(stream: IO[str], trace: Trace, size_bits: float) -> None:
     """One CSV record per generated packet, in arrival order; in-flight
     packets get an empty departure_time.  No field needs CSV quoting: each
     is an int, a float repr or a fixed word."""
     stream.write(",".join(TRACE_COLUMNS) + "\n")
     size = repr(size_bits)
-    for i, p in enumerate(packets):
-        departure = repr(p.departure_time) if p.departure_time is not None else ""
-        stream.write(f"{i},{p.arrival_time!r},{_TRACE_CLASS[p.important]},"
+    for i, (arrival, forward, departure) in enumerate(zip(*trace)):
+        departure = repr(departure) if departure is not None else ""
+        stream.write(f"{i},{arrival!r},{_TRACE_CLASS[forward]},"
                      f"{departure},{size}\n")
 
 

@@ -1193,7 +1193,7 @@ def test_import_cost_script_smoke():
               if len(match[1]) < 4}
     assert "import fogscope.cli, median of 1" in totals
     assert "compile, 8 modules" in totals
-    assert "dataclass creation, 16 classes" in totals
+    assert "dataclass creation, 15 classes" in totals
     assert "NamedTuple creation, 10 classes" in totals
     assert {"import numpy, OPENBLAS_NUM_THREADS=1 "
             "(as fogscope.cli.run sets it)",
@@ -1382,8 +1382,7 @@ class TestStartup:
             "fogscope.model.NetworkParams", "fogscope.model.ObjectiveVector",
             "fogscope.model.WorkloadParams", "fogscope.optimizer.OptConfig",
             "fogscope.optimizer.OptProblem", "fogscope.optimizer.ParetoFront",
-            "fogscope.scenario.Scenario", "fogscope.simulation.Packet",
-            "fogscope.simulation.SimMetrics",
+            "fogscope.scenario.Scenario", "fogscope.simulation.SimMetrics",
             "fogscope.simulation.SimScenario"]
 
     def test_public_dataclasses_keep_replace_and_fields(self):
@@ -1696,8 +1695,6 @@ class TestNoNumpyRandom:
         assert {name: draws for name, draws in found.items() if draws} == {
             # the noisy uplink's multiplier, in sample_latency_noise
             "model.py": ["gauss"],
-            # simulate's interarrival and service times
-            "simulation.py": ["expovariate"] * 4,
         }
 
     @pytest.mark.parametrize("source, draws", [

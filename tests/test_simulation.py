@@ -2,14 +2,20 @@
 
 import io
 import csv
+import itertools
 import math
-from dataclasses import replace
+import random
+from collections import deque
+from dataclasses import astuple, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fogscope import simulation
-from fogscope.model import ValidationError
+from fogscope.model import ValidationError, sample_latency_noise
 from fogscope.scenario import default_scenario
 from fogscope.simulation import (SimScenario, simulate, simulate_trace,
                                  spearman, trend_compare, write_trace,
@@ -137,10 +143,28 @@ class TestSimulate:
         s = with_rate(0.01)
         s = replace(s, fog=replace(s.fog, proc_capability=1e-3))
         sim = SimScenario(scenario=s, local_prob=1.0, duration_s=100.0)
-        metrics, packets = simulate_trace(sim, seed=5)
-        (packet,) = packets
-        assert 100.0 * 31 / 32 < packet.arrival_time < 100.0
+        metrics, (arrivals, _, _) = simulate_trace(sim, seed=5)
+        (arrival,) = arrivals
+        assert 100.0 * 31 / 32 < arrival < 100.0
         assert metrics.packets_in_flight == 1
+        assert metrics.unstable
+
+    def test_departure_at_a_sample_time_is_counted(self, monkeypatch):
+        # scripted draws: the one packet arrives at 31.5 s and leaves at
+        # exactly 32 s, the duration and the last sample time.  A sample at
+        # t counts the local packets with arrival < t <= departure, so the
+        # last sample alone sees it, and a departure at the duration is a
+        # completion
+        ln2 = -math.log(0.5)
+        draws = iter([0.5, 0.0, 0.5, 0.5])   # gap, class, service, gap
+        monkeypatch.setattr(simulation, "random", SimpleNamespace(
+            Random=lambda seed: SimpleNamespace(random=draws.__next__)))
+        s = with_rate(ln2 / 31.5)
+        s = replace(s, fog=replace(s.fog, proc_capability=2 * ln2))
+        sim = SimScenario(scenario=s, local_prob=1.0, duration_s=32.0)
+        metrics, trace = simulate_trace(sim, seed=0)
+        assert trace == ([31.5], [False], [32.0])
+        assert metrics.packets_local_done == 1
         assert metrics.unstable
 
     def test_zero_arrivals(self):
@@ -200,28 +224,30 @@ class TestSimulate:
     def test_packet_conservation(self):
         sim = SimScenario(scenario=default_scenario(), local_prob=0.3,
                           duration_s=120.0)
-        metrics, packets = simulate_trace(sim, seed=9)
-        assert metrics.packets_generated == len(packets)
+        metrics, (arrivals, important, departures) = simulate_trace(sim,
+                                                                    seed=9)
+        assert metrics.packets_generated == len(arrivals)
+        assert len(important) == len(departures) == len(arrivals)
         assert metrics.packets_generated == (metrics.packets_local_done
                                              + metrics.packets_forwarded_done
                                              + metrics.packets_in_flight)
-        in_flight = sum(1 for p in packets if p.departure_time is None)
-        assert in_flight == metrics.packets_in_flight
+        assert departures.count(None) == metrics.packets_in_flight
 
     def test_paths_consistent_with_importance(self):
         scn = default_scenario()
         sim = SimScenario(scenario=scn, local_prob=0.4, duration_s=60.0)
-        _, packets = simulate_trace(sim, seed=21)
+        _, trace = simulate_trace(sim, seed=21)
         buf = io.StringIO()
-        write_trace(buf, packets, scn.workload.packet_size)
+        write_trace(buf, trace, scn.workload.packet_size)
         rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
-        assert len(rows) == len(packets)
-        for i, (p, row) in enumerate(zip(packets, rows)):
+        assert len(rows) == len(trace[0])
+        for i, (arrival, important, departure, row) in enumerate(
+                zip(*trace, rows)):
             assert row["id"] == str(i)
-            assert (row["path"] == "forwarded") == p.important
-            assert row["important"] == ("true" if p.important else "false")
-            if p.departure_time is not None:
-                assert p.departure_time >= p.arrival_time
+            assert (row["path"] == "forwarded") == important
+            assert row["important"] == ("true" if important else "false")
+            if departure is not None:
+                assert departure >= arrival
 
     def test_mean_power_within_analytic_band(self):
         s = with_rate(50.0)
@@ -242,15 +268,16 @@ class TestSimulate:
             self, rate, local_prob, seed, duration):
         sim = SimScenario(scenario=with_rate(rate), local_prob=local_prob,
                           duration_s=duration)
-        metrics, packets = simulate_trace(sim, seed=seed)
-        local = [p for p in packets if not p.important]
+        metrics, trace = simulate_trace(sim, seed=seed)
+        local = [(arrival, departure) for arrival, important, departure
+                 in zip(*trace) if not important]
         largest = 0
         gone = 0     # FIFO: the departed packets are a prefix
-        for n, p in enumerate(local):
-            while (local[gone].departure_time is not None
-                   and local[gone].departure_time < p.arrival_time):
+        for n, (arrival, _) in enumerate(local):
+            while (local[gone][1] is not None
+                   and local[gone][1] < arrival):
                 gone += 1
-            if p.arrival_time >= sim.warmup_s:
+            if arrival >= sim.warmup_s:
                 largest = max(largest, n + 1 - gone)
         assert largest > 0
         assert metrics.local_queue_max == largest
@@ -295,35 +322,200 @@ class TestLindleyOracle:
         s = with_rate(rate)
         s = replace(s, network=replace(s.network, base_latency=base_latency))
         assert s.network.noise_sigma == 0.0
-        _, packets = simulate_trace(
+        _, trace = simulate_trace(
             SimScenario(scenario=s, local_prob=local_prob, duration_s=150.0),
             seed=seed)
         size, net = s.workload.packet_size, s.network
         tail = (size / (2.0 * s.cloud.proc_capability)
                 + net.return_fraction * size / (2.0 * net.downlink_throughput)
                 + net.base_latency)
-        forwarded = [p for p in packets if p.important]
-        done = [p for p in forwarded if p.departure_time is not None]
+        forwarded = [(arrival, departure) for arrival, important, departure
+                     in zip(*trace) if important]
+        done = [p for p in forwarded if p[1] is not None]
         # packets still queued or in transfer are the latest arrivals
-        assert all(p.departure_time is None for p in forwarded[len(done):])
+        assert all(departure is None for _, departure in forwarded[len(done):])
         completion = 0.0
         waited = 0
-        for p in done:
-            waited += p.arrival_time < completion
-            completion = (max(p.arrival_time, completion)
+        for arrival, departure in done:
+            waited += arrival < completion
+            completion = (max(arrival, completion)
                           + size / net.uplink_throughput)
-            assert p.departure_time == completion + tail
+            assert departure == completion + tail
         # both branches of the max are taken
         assert 0 < waited < len(done)
+
+
+def event_loop(sim, seed):
+    """The event loop that simulate_trace replaced, kept as its reference.
+
+    Each source keeps its pending event as (time, seq): seq counts
+    scheduled events, so a tie goes to the earlier one, and an idle source
+    waits at inf.  The queue is sampled just before the first event at or
+    after each sample time.  Each packet draws its class, its service time
+    and, forwarded on a noisy uplink, its noise multiplier at its arrival,
+    and then the next gap, which is the recursion's per-packet layout."""
+    rng = random.Random(seed)
+    scn = sim.scenario
+    rate, mu, net = scn.workload.arrival_rate, scn.fog.proc_capability, \
+        scn.network
+    size = scn.workload.packet_size
+    tail = (size / (2.0 * scn.cloud.proc_capability)
+            + net.return_fraction * size / (2.0 * net.downlink_throughput)
+            + net.base_latency)
+    duration, warmup = sim.duration_s, sim.warmup_s
+    window = duration - warmup
+
+    def expo(rate):
+        return -math.log(1.0 - rng.random()) / rate
+
+    seq = itertools.count()
+    idle = (math.inf, 0)
+    samples = [duration * i / simulation._QUEUE_SAMPLES
+               for i in range(simulation._QUEUE_SAMPLES, 0, -1)]
+    arrival = local_done_at = uplink_done_at = idle
+    if rate > 0:
+        arrival = expo(rate), next(seq)
+
+    packets = []      # [arrival time, important, seconds, departure time]
+    local, uplink = deque(), deque()
+    busy_since = busy_time = 0.0
+    queue_samples, local_queue_max = [], 0
+    sojourn_sum = forward_sum = uplink_bits_window = 0.0
+    sojourn_count = forward_count = local_done = forwarded_done = 0
+
+    while True:
+        event = min(arrival, local_done_at, uplink_done_at)
+        now = event[0]
+        while samples and samples[-1] <= now:
+            samples.pop()
+            queue_samples.append(len(local))
+        if now > duration:
+            break
+
+        if event is arrival:
+            important = rng.random() >= sim.local_prob
+            packet = [now, important, expo(mu), None]
+            packets.append(packet)
+            if important:
+                packet[2] = size / net.uplink_throughput
+                if net.noise_sigma > 0:
+                    packet[2] *= sample_latency_noise(rng, net.noise_sigma)
+                uplink.append(packet)
+                if len(uplink) == 1:
+                    uplink_done_at = now + packet[2], next(seq)
+            else:
+                local.append(packet)
+                if now >= warmup:
+                    local_queue_max = max(local_queue_max, len(local))
+                if len(local) == 1:
+                    busy_since = now
+                    local_done_at = now + packet[2], next(seq)
+            arrival = now + expo(rate), next(seq)
+
+        elif event is local_done_at:
+            packet = local.popleft()
+            packet[3] = now
+            local_done += 1
+            if packet[0] >= warmup:
+                sojourn_sum += now - packet[0]
+                sojourn_count += 1
+            busy_time += max(0.0, now - max(busy_since, warmup))
+            busy_since = now
+            local_done_at = (now + local[0][2], next(seq)) if local else idle
+
+        else:
+            packet = uplink.popleft()
+            packet[3] = now + tail
+            forwarded_done += 1
+            if now > warmup:
+                uplink_bits_window += size
+            if packet[0] >= warmup:
+                forward_sum += packet[3] - packet[0]
+                forward_count += 1
+            uplink_done_at = (now + uplink[0][2], next(seq)) if uplink else idle
+
+    if local:
+        busy_time += max(0.0, duration - max(busy_since, warmup))
+    fog = scn.fog
+    mean_power = (fog.idle_power
+                  + fog.energy_per_bit * size * mu * busy_time / window)
+    if scn.modification1_enabled:
+        mean_power += fog.tx_energy_per_bit * uplink_bits_window / window
+    half = queue_samples[len(queue_samples) // 2:]
+    metrics = simulation.SimMetrics(
+        mean_local_sojourn_s=(sojourn_sum / sojourn_count
+                              if sojourn_count else 0.0),
+        mean_forward_latency_s=(forward_sum / forward_count
+                                if forward_count else 0.0),
+        empirical_uplink_throughput_bps=uplink_bits_window / window,
+        mean_fog_power_w=mean_power,
+        local_queue_max=local_queue_max,
+        unstable=(half[-1] > half[0]
+                  and all(b >= a for a, b in zip(half, half[1:]))),
+        packets_generated=len(packets),
+        packets_local_done=local_done,
+        packets_forwarded_done=forwarded_done,
+        packets_in_flight=len(local) + len(uplink),
+    )
+    trace = tuple(list(column) for column in zip(*packets)) or ([], [], [], [])
+    return metrics, (trace[0], trace[1], trace[3])
+
+
+def exact(values):
+    """Floats as their hex, so that -0.0 and 0.0 differ too."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+class TestEventLoopReference:
+    """The recursion gives the event loop's run, field for field and
+    packet for packet, on the same per-packet draws."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rate=st.sampled_from([0.0, 0.5]) | st.floats(1.0, 300.0),
+           mu=st.floats(1.0, 300.0),
+           uplink=st.floats(1e5, 5e6),
+           local_prob=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           noise_sigma=st.sampled_from([0.0, 0.3]) | st.floats(0.0, 2.0),
+           tx=st.booleans(),
+           duration=st.floats(0.5, 20.0),
+           warmup=st.sampled_from([0.0]) | st.floats(0.0, 0.95),
+           seed=st.integers(0, 2**64))
+    # rho = 200 / 50 at the fog, 120 x 12000 / 1e6 at the uplink
+    @example(rate=200.0, mu=50.0, uplink=1e6, local_prob=0.5, noise_sigma=0.0,
+             tx=True, duration=20.0, warmup=0.1, seed=1)
+    @example(rate=100.0, mu=100.0, uplink=1.5e6, local_prob=1.0,
+             noise_sigma=0.0, tx=False, duration=20.0, warmup=0.0, seed=2)
+    @example(rate=150.0, mu=100.0, uplink=1.5e6, local_prob=0.0,
+             noise_sigma=0.3, tx=True, duration=20.0, warmup=0.0, seed=3)
+    def test_same_run_as_the_event_loop(self, rate, mu, uplink, local_prob,
+                                        noise_sigma, tx, duration, warmup,
+                                        seed):
+        s = default_scenario()
+        s = replace(
+            s, workload=replace(s.workload, arrival_rate=rate),
+            fog=replace(s.fog, proc_capability=mu, tx_energy_per_bit=2e-8),
+            network=replace(s.network, uplink_throughput=uplink,
+                            noise_sigma=noise_sigma, base_latency=0.05),
+            modification1_enabled=tx)
+        sim = SimScenario(scenario=s, local_prob=local_prob,
+                          duration_s=duration, warmup_s=warmup * duration)
+        metrics, (arrivals, important, departures) = simulate_trace(sim, seed)
+        expected, (ref_arrivals, ref_important, ref_departures) = \
+            event_loop(sim, seed)
+        assert metrics == expected
+        assert exact(astuple(metrics)) == exact(astuple(expected))
+        assert exact(arrivals) == exact(ref_arrivals)
+        assert important == ref_important
+        assert exact(departures) == exact(ref_departures)
 
 
 class TestTrace:
     def test_trace_rows_and_columns(self):
         sim = SimScenario(scenario=default_scenario(), local_prob=0.5,
                           duration_s=30.0)
-        metrics, packets = simulate_trace(sim, seed=2)
+        metrics, trace = simulate_trace(sim, seed=2)
         buf = io.StringIO()
-        write_trace(buf, packets, sim.scenario.workload.packet_size)
+        write_trace(buf, trace, sim.scenario.workload.packet_size)
         rows = list(csv.reader(io.StringIO(buf.getvalue())))
         assert tuple(rows[0]) == TRACE_COLUMNS
         assert len(rows) - 1 == metrics.packets_generated
