@@ -1979,30 +1979,30 @@ class TestSeededArtifactBytes:
         "simulate-default": (
             None, ["simulate", "--local-prob", "0.5", "--duration", "50",
                    "--seed", "21", "--trace", "{out}/trace.csv"],
-            0, {"simulate.csv": "ef4a9b10d526d6b6bba46f2d8b5055b4"
-                                "7f9ba3627df162fe6b1eb908846810ec",
-                "trace.csv": "1a1d21dbd4f5eeef455b75cb05eb6e88"
-                             "3c00fb26bf9100d6fe78ccf03fc51918"}),
+            0, {"simulate.csv": "e8dc0efe2fdee8fcc7655682fd5f8ee2"
+                                "fa9bf34f8d418277137bb78bd4c4d608",
+                "trace.csv": "14137133a6e8f7e84d3d404b9368fe81"
+                             "21b392a5f60e7a7e628753574bfbe166"}),
         # every packet forwarded, each transfer scaled by a resampled
         # Gaussian multiplier
         "simulate-noise": (
             NOISE_SCENARIO, ["simulate", "--local-prob", "0", "--duration",
                              "50", "--seed", "23", "--trace",
                              "{out}/trace.csv"],
-            0, {"simulate.csv": "93a13214319b234105f2bc1432918a5a"
-                                "4c7651eb748185464f886c3925991631",
-                "trace.csv": "5952e398ec212d4b04079c5db04f76a1"
-                             "a1b87d7fce10f52b711c6ef400f54de5"}),
+            0, {"simulate.csv": "690a9b1588edd0a34136205ae6e6bb23"
+                                "58f9de0ed1c508061961553e3057f05c",
+                "trace.csv": "e3893889539e631b314e7933f83993f5"
+                             "c75b4fc0ebd69eb04e6d49ee1c58b1d6"}),
         "simulate-tx": (
             TX_SCENARIO, ["simulate", "--local-prob", "0.3", "--duration",
                           "50", "--seed", "22"],
-            0, {"simulate.csv": "5df86731fac1f3c1acd77e87428f52de"
-                                "55f7db11e32b6c92263b7f257f491dc9"}),
+            0, {"simulate.csv": "9f051f96332ad78157598d936e95e8a5"
+                                "552fa4cc450a2e5d0bb249475fabf5cf"}),
         "simulate-slow-fog": (
             SLOW_FOG_SCENARIO, ["simulate", "--local-prob", "0.8",
                                 "--duration", "30", "--seed", "24"],
-            0, {"simulate.csv": "b7538d9c1e257d74c04b16ec2d2a1c54"
-                                "40d3fff7313403bac635e5da9d5c9e74"}),
+            0, {"simulate.csv": "c699cd607f24875b9e7bcbafdb580882"
+                                "aeefea898d5e43b89116cffd1d2d5659"}),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
