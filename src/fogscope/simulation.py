@@ -124,7 +124,8 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, Trace]:
 
     queue_samples: list[int] = []
     local_queue_max = 0
-    # FIFO-order sums and counts over the packets that arrived after warmup
+    # sums added left to right in FIFO order, as sum() does before Python
+    # 3.12, and counts of the packets that arrived after warmup
     sojourn_sum = forward_sum = 0.0
     sojourn_count = forward_count = 0
     uplink_bits_window = 0.0
