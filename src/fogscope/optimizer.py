@@ -165,12 +165,13 @@ def _one_trade_off(objs: np.ndarray) -> bool:
     first objective fail in either order, so the sort need not be stable.
     """
     import numpy as np
-    ordered = objs[np.argsort(objs[:, 0])]
-    before, after = ordered[:-1], ordered[1:]
-    differ = ~(before == after).all(axis=1)
-    before, after = before[differ], after[differ]
-    return bool((after[:, 0] > before[:, 0]).all()
-                and (after[:, 1:] < before[:, 1:]).all(axis=0).any())
+    # one row per objective, the points in order: each comparison and
+    # reduction runs along a contiguous row
+    ordered = objs.T.take(np.argsort(objs[:, 0]), axis=1)
+    before, after = ordered[:, :-1], ordered[:, 1:]
+    same = (before == after).all(axis=0)
+    return bool(((after[0] > before[0]) | same).all()
+                and ((after[1:] < before[1:]) | same).all(axis=1).any())
 
 
 def _ranks(objs: np.ndarray) -> np.ndarray:
@@ -222,6 +223,18 @@ def _crowding(objs: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     per objective, by rank and then value, puts each rank at the same
     positions in every objective's order."""
     import numpy as np
+    if len(ranks) and not ranks.any():
+        # one front: a stable sort by value, each end infinite, and every
+        # point between them adds its gap unless the span is 0 or NaN
+        dist = np.zeros(len(ranks))
+        for column in objs.T:
+            order = np.argsort(column, kind="stable")
+            values = column[order]
+            dist[order[0]] = dist[order[-1]] = np.inf
+            span = values[-1] - values[0]
+            if span > 0:
+                dist[order[1:-1]] += (values[2:] - values[:-2]) / span
+        return dist
     # a rank that no point holds (`optimize` drops repeated splits) counts
     # 0: its first and last are other ranks' edges (-1 the very last)
     counts = np.bincount(ranks)
@@ -343,25 +356,28 @@ def _offspring(rng: random.Random, parents: np.ndarray, ranks: np.ndarray,
     # relative bias of order n / 2**53, below 2**-41 at the population cap
     i, j = (u[:, :4] * len(ranks)).astype(np.int64).reshape(-1, 2).T
     ri, rj, ci, cj = ranks[i], ranks[j], crowding[i], crowding[j]
-    j_wins = np.where(ri != rj, ~(ri < rj), (ci != cj) & ~(ci > cj))
+    # ~(ci >= cj): ci < cj, or either is NaN, where ci != cj holds too
+    j_wins = np.where(ri != rj, ri > rj, ~(ci >= cj))
     pairs = parents[np.where(j_wins, j, i)].reshape(-1, 2)
-    mask = u[:, 4] < cfg.crossover_rate
-    a, b = pairs[mask].T
+    a, b = pairs.T
     # min(a, b) and max(a, b) return a unless b is smaller, or larger
     spread = np.abs(a - b)
     low = np.where(b < a, b, a) - 0.5 * spread
     width = np.where(b > a, b, a) + 0.5 * spread - low
-    pairs[mask] = low[:, None] + width[:, None] * u[mask, 5:7]
-    mutates = u[:, 7:9] < cfg.mutation_rate
-    rows = np.flatnonzero(mutates.any(axis=1))
+    pairs = np.where(u[:, 4:5] < cfg.crossover_rate,
+                     low[:, None] + width[:, None] * u[:, 5:7], pairs)
+    children = _clip(pairs.ravel())
+    # child k of the flat order is child k % 2 of pair k // 2, and it
+    # mutates by the cosine (k even) or sine of its pair's Box-Muller pair,
     # only through math, value by value: np.log rounds some values otherwise
-    normals = np.zeros_like(pairs)
-    for k, (x, y) in zip(rows.tolist(), u[rows, 9:].tolist()):
-        angle, radius = 2.0 * math.pi * x, math.sqrt(-2.0 * math.log(1.0 - y))
-        normals[k] = math.cos(angle) * radius, math.sin(angle) * radius
-    # adding -0.0 leaves every float as it is, -0.0 included
-    shifts = np.where(mutates, normals * cfg.mutation_sigma, -0.0)
-    return _clip(_clip(pairs.ravel()) + shifts.ravel())
+    mutants = np.flatnonzero(u[:, 7:9] < cfg.mutation_rate)
+    for k, x, (angle, y) in zip(mutants.tolist(), children[mutants].tolist(),
+                                u[mutants >> 1, 9:].tolist()):
+        radius = math.sqrt(-2.0 * math.log(1.0 - y))
+        trig = math.sin if k & 1 else math.cos
+        shift = trig(2.0 * math.pi * angle) * radius * cfg.mutation_sigma
+        children[k] = min(max(x + shift, 0.0), 1.0)
+    return children
 
 
 def optimize(problem: OptProblem, cfg: OptConfig) -> ParetoFront:

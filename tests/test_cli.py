@@ -1204,6 +1204,34 @@ def test_import_cost_script_smoke():
     assert all(value > 0 for value in totals.values())
 
 
+def test_search_cost_script_smoke():
+    # one fresh interpreter per scenario: a header, the plain and the
+    # wrapped optimize(), then each layer's self time per generation
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "search_cost.py"), "-n", "1",
+         "--pop", "8", "--gens", "2"],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    layers = ["ranking (_constrained_ranks)", "crowding (_crowd)",
+              "variation (_offspring)", "evaluation (_evaluate)",
+              "survivor cut (optimize's own time)"]
+    labels = ["optimize()", "optimize(), layers timed",
+              *(f"{layer} per generation" for layer in layers)]
+    assert len(lines) == 3 * 8
+    for k, scenario in enumerate(["default", "tx-term", "tdp-bound"]):
+        header, *readings = lines[8 * k:8 * (k + 1)]
+        assert header == (f"{scenario}: pop 8 x 2 generations, seed 3, "
+                          "median of 1")
+        matches = [re.fullmatch(r"( *)(\d+\.\d{3}) ms  (.+)", line)
+                   for line in readings]
+        assert all(matches), result.stdout
+        assert [match[3] for match in matches] == labels
+        assert [len(match[1]) >= 4 for match in matches] == [False] * 2 + \
+            [True] * 5
+        assert all(float(match[2]) > 0 for match in matches[:6])
+
+
 def test_peak_rss_script_smoke():
     # one round of one command prints one line: the median peak in MiB
     # and its range, the median wall time in ms and its range (one run, so

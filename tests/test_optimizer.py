@@ -199,6 +199,38 @@ class TestOptimizeContracts:
         optimize(OptProblem(scenario=_tx_chain_scenario()), cfg)
         assert calls
 
+    def test_one_front_generations_skip_the_per_rank_crowding(
+            self, monkeypatch):
+        # the per-rank kernel counts each rank's members with np.bincount;
+        # every generation of the default search is one front, and every
+        # generation of the TDP-bound search holds infeasible members,
+        # which rank after the feasible ones
+        bincounts, per_rank = [], []
+
+        def counted_bincount(*args, **kwargs):
+            bincounts.append(args)
+            return bincount(*args, **kwargs)
+
+        def counted_crowd(*args):
+            before = len(bincounts)
+            result = crowd(*args)
+            per_rank.append(len(bincounts) > before)
+            return result
+
+        bincount, crowd = np.bincount, optimizer._crowd
+        monkeypatch.setattr(np, "bincount", counted_bincount)
+        monkeypatch.setattr(optimizer, "_crowd", counted_crowd)
+        cfg = OptConfig(population_size=200, generations=100, seed=3)
+        optimize(OptProblem(scenario=default_scenario()), cfg)
+        # the first population's crowding, then one per generation
+        assert per_rank == [False] * 101
+        assert bincounts == []
+        per_rank.clear()
+        scenario = default_scenario()
+        tdp_bound = replace(scenario, fog=replace(scenario.fog, tdp=2.0607))
+        optimize(OptProblem(scenario=tdp_bound), cfg)
+        assert per_rank == [True] * 101
+
     def test_members_have_distinct_splits(self):
         # every child mutates with a wide sigma, so many clamp to 0 or 1
         front = optimize(OptProblem(scenario=default_scenario()),
@@ -1013,3 +1045,27 @@ def test_crowding_equals_the_per_front_reference(case):
     front = optimizer._build_front(pop, ranks)
     assert np.array(front.crowding).tobytes() == \
         np.array([expected[r] for r, _ in front.members]).tobytes()
+
+
+@st.composite
+def one_front_sets(draw):
+    """n x m objectives for the one-front kernel, n of 0 to 3, 400 or
+    between, drawn from a small pool of levels, so that points repeat; the
+    levels may hold -0.0 beside 0.0, -inf, inf and NaN."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 400]) | st.integers(0, 40))
+    pool = draw(st.lists(
+        st.sampled_from([-math.inf, -0.0, 0.0, 1.0, math.inf, math.nan])
+        | st.floats(-2.0, 2.0), min_size=1, max_size=6))
+    pick = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).choice
+    return pick(np.array(pool), (n, draw(st.integers(1, 3))))
+
+
+@settings(max_examples=300)
+@pytest.mark.filterwarnings(INF_SPANS)
+@given(one_front_sets())
+@example(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]))
+@example(np.array([[-math.inf], [0.5], [math.inf], [math.nan]]))
+def test_one_front_crowding_equals_the_per_front_reference(objs):
+    ranks = np.zeros(len(objs), dtype=np.int64)
+    assert optimizer._crowding(objs, ranks).tobytes() == \
+        front_crowding(objs).tobytes()
