@@ -167,7 +167,7 @@ def _one_trade_off(objs: np.ndarray) -> bool:
     import numpy as np
     # one row per objective, the points in order: each comparison and
     # reduction runs along a contiguous row
-    ordered = objs.T.take(np.argsort(objs[:, 0]), axis=1)
+    ordered = objs.T.take(objs[:, 0].argsort(), axis=1)
     before, after = ordered[:, :-1], ordered[:, 1:]
     same = (before == after).all(axis=0)
     return bool(((after[0] > before[0]) | same).all()
@@ -228,7 +228,7 @@ def _crowding(objs: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         # point between them adds its gap unless the span is 0 or NaN
         dist = np.zeros(len(ranks))
         for column in objs.T:
-            order = np.argsort(column, kind="stable")
+            order = column.argsort(kind="stable")
             values = column[order]
             dist[order[0]] = dist[order[-1]] = np.inf
             span = values[-1] - values[0]
@@ -371,12 +371,13 @@ def _offspring(rng: random.Random, parents: np.ndarray, ranks: np.ndarray,
     # mutates by the cosine (k even) or sine of its pair's Box-Muller pair,
     # only through math, value by value: np.log rounds some values otherwise
     mutants = np.flatnonzero(u[:, 7:9] < cfg.mutation_rate)
-    for k, x, (angle, y) in zip(mutants.tolist(), children[mutants].tolist(),
-                                u[mutants >> 1, 9:].tolist()):
-        radius = math.sqrt(-2.0 * math.log(1.0 - y))
-        trig = math.sin if k & 1 else math.cos
-        shift = trig(2.0 * math.pi * angle) * radius * cfg.mutation_sigma
-        children[k] = min(max(x + shift, 0.0), 1.0)
+    sigma = cfg.mutation_sigma
+    children[mutants] = [
+        min(max(x + (math.sin if k & 1 else math.cos)(2.0 * math.pi * angle)
+                * math.sqrt(-2.0 * math.log(1.0 - y)) * sigma, 0.0), 1.0)
+        for k, x, (angle, y) in zip(mutants.tolist(),
+                                    children[mutants].tolist(),
+                                    u[mutants >> 1, 9:].tolist())]
     return children
 
 
