@@ -356,7 +356,7 @@ def _offspring(rng: random.Random, parents: np.ndarray, ranks: np.ndarray,
     # relative bias of order n / 2**53, below 2**-41 at the population cap
     i, j = (u[:, :4] * len(ranks)).astype(np.int64).reshape(-1, 2).T
     ri, rj, ci, cj = ranks[i], ranks[j], crowding[i], crowding[j]
-    # ~(ci >= cj): ci < cj, or either is NaN, where ci != cj holds too
+    # ~(ci >= cj) is ci < cj or a NaN on either side: (ci != cj) & ~(ci > cj)
     j_wins = np.where(ri != rj, ri > rj, ~(ci >= cj))
     pairs = parents[np.where(j_wins, j, i)].reshape(-1, 2)
     a, b = pairs.T

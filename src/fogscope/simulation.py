@@ -206,8 +206,8 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, Trace]:
 TRACE_COLUMNS = ("id", "arrival_time", "important", "path", "departure_time",
                  "size_bits")
 _TRACE_CLASS = {True: "true,forwarded", False: "false,local"}
-# rows joined into one string per write: one write per row cost as much as
-# formatting it, and a block of 4,096 rows is about 0.3 MiB
+# rows joined into one string per write, not one write per row; a block of
+# 4,096 rows is about 0.25 MiB, and the float reprs are most of the cost
 _TRACE_BLOCK = 4096
 
 
