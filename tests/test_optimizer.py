@@ -484,6 +484,42 @@ class TestBruteForceFront:
             assert str(exc.value) == "grid_step: must be within (0, 1]"
             assert exc.value.field == "grid_step"
 
+    def test_grid_beyond_the_cap_is_rejected_before_it_is_made(self,
+                                                               monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        prob = OptProblem(scenario=default_scenario())
+        # 1e-9 asks for 1,000,000,001 points; 1 / 5e-324 overflows a float
+        for step in (1e-9, 0.99 / (optimizer.MAX_GRID_POINTS - 1), 5e-324):
+            with pytest.raises(ValidationError) as exc:
+                brute_force_front(prob, step)
+            assert exc.value.field == "grid_step"
+            assert str(optimizer.MAX_GRID_POINTS) in str(exc.value)
+
+    @pytest.mark.parametrize("step, accepted", [
+        (0.1, True), (0.099, True), (0.09, False)])
+    def test_cap_counts_the_rounded_grid(self, monkeypatch, step, accepted):
+        # 1 / 0.099 rounds to 10 steps, 11 points; 1 / 0.09 to 11 steps
+        monkeypatch.setattr(optimizer, "MAX_GRID_POINTS", 11)
+        prob = OptProblem(scenario=default_scenario())
+        if accepted:
+            assert brute_force_front(prob, step).members
+        else:
+            with pytest.raises(ValidationError, match="at most 11 grid points"):
+                brute_force_front(prob, step)
+
+    def test_cap_is_the_clis(self):
+        from fogscope import cli
+        assert optimizer.MAX_GRID_POINTS is model.MAX_GRID_POINTS
+        assert cli.MAX_GRID_POINTS is model.MAX_GRID_POINTS
+
+    def test_ten_thousand_steps_keep_working(self):
+        front = brute_force_front(OptProblem(scenario=default_scenario()), 1e-4)
+        assert max(r for r, _ in front.members) <= 1.0
+        assert len(front.members) <= 10_001
+
 
 class TestHypervolume:
     def test_single_point_box(self):
