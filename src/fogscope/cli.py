@@ -23,7 +23,7 @@ import click
 from click.core import ParameterSource
 
 from . import flight, model, reporting, simulation
-from .model import ValidationError
+from .model import MAX_GRID_POINTS, ValidationError
 from .optimizer import NoFeasibleSolution, OptConfig, OptProblem, optimize
 from .reporting import ResultTable, RunManifest, write_artifact
 from .scenario import (ParseError, Scenario, catalog_checksum, catalog_rows,
@@ -36,9 +36,6 @@ if TYPE_CHECKING:
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_OPTIMIZER = 4
-# most points in a sweep r-grid or a power mass grid: an r spacing of 1e-5;
-# one sweep group at the cap peaks near 70 MiB
-MAX_GRID_POINTS = 100_001
 # most rows in a sweep, configurations x r-steps: one group at the r-step cap
 MAX_SWEEP_ROWS = MAX_GRID_POINTS
 

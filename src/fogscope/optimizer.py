@@ -20,7 +20,7 @@ from itertools import chain, repeat, starmap
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import model
-from .model import ObjectiveVector, _require, _require_int
+from .model import MAX_GRID_POINTS, ObjectiveVector, _require, _require_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -439,13 +439,16 @@ def _build_front(pop: _Population, ranks: np.ndarray) -> ParetoFront:
 def brute_force_front(problem: OptProblem, grid_step: float) -> ParetoFront:
     """Exact non-dominated subset of a regular r-grid (oracle path).
 
-    The grid is ``round(1/step) + 1`` evenly spaced points over [0, 1].
-    Infeasible grid points are dropped; the result is empty when no grid
+    The grid is ``round(1/step) + 1`` evenly spaced points over [0, 1], at
+    most MAX_GRID_POINTS: a finer step raises ValidationError.  Infeasible grid points are dropped; the result is empty when no grid
     point is feasible.
     """
     import numpy as np
     _require(0 < grid_step <= 1, "must be within (0, 1]", "grid_step")
-    steps = max(1, round(1.0 / grid_step))
+    # 1 / 5e-324 is inf, which round refuses
+    steps = max(1, round(min(1.0 / grid_step, MAX_GRID_POINTS)))
+    _require(steps < MAX_GRID_POINTS, f"must give at most {MAX_GRID_POINTS} "
+             f"grid points, got {grid_step!r}", "grid_step")
     pop = _evaluate(problem, np.linspace(0.0, 1.0, steps + 1))
     pop = pop.take(pop.feasible)
     if not len(pop.r):
