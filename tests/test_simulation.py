@@ -628,3 +628,17 @@ class TestSpearman:
         assert math.isnan(stats.spearmanr(a, b).statistic)
         assert math.isnan(spearman(a, b))
         assert math.isnan(spearman(b, a))
+
+    @pytest.mark.parametrize("a, b", [
+        ([1.0, 2.0, 3.0], [1.0, 2.0]), ([1.0], [1.0, 2.0]), ([], [1.0]),
+        ([], [])])
+    def test_unequal_or_empty_input_is_a_named_error(self, a, b):
+        with pytest.raises(ValidationError) as exc:
+            spearman(a, b)
+        assert str(exc.value) == \
+            "a, b: must be nonempty and of equal length"
+        assert exc.value.field == "a, b"
+
+    def test_one_value_is_nan_as_a_constant_input(self):
+        import math
+        assert math.isnan(spearman([1.5], [2.5]))
