@@ -71,9 +71,9 @@ def main():
         manifest = RunManifest.create("pareto-search", scenario_digest(scn),
                                       seed=args.seed)
         path = out_dir / f"front_{scn.name.replace('[', '_').strip(']')}.csv"
-        path.write_text(
+        path.write_text("".join(
             render_artifact(manifest, ResultTable(columns=FRONT_COLUMNS,
-                                                  rows=front_rows(ga))),
+                                                  rows=front_rows(ga)))),
             encoding="utf-8")
         print(f"  wrote {path}")
 

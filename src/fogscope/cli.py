@@ -87,20 +87,20 @@ def _writing(what: str):
         _fail(EXIT_INPUT, f"cannot write {what}: {exc}")
 
 
-def _echo(text: str, start: int = 0) -> None:
-    """Writes ``text[start:]`` to stdout as it is and flushes it, as
+def _echo(pieces: list[str]) -> None:
+    """Writes an artifact's pieces to stdout as they are and flushes it, as
     click.echo does; click.echo would strip ANSI escapes from a cell when
     stdout is no terminal, so that stdout would not match the artifact."""
     stdout = click.get_text_stream("stdout")
-    reporting.write_text(stdout, text, start)
+    stdout.writelines(pieces)
     stdout.flush()
 
 
 def _emit(filename: str, manifest: RunManifest, table: ResultTable) -> None:
-    text = reporting.render_artifact(manifest, table)
+    pieces = reporting.render_artifact(manifest, table)
     with _writing("artifact"):
-        path = write_artifact(filename, text)
-    _echo(text)
+        path = write_artifact(filename, pieces)
+    _echo(pieces)
     click.echo(f"wrote {path}", err=True)
 
 
@@ -181,18 +181,18 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
     with _writing("artifact"):
         path = reporting.artifact_path("sweep.csv")
         with path.open("w", encoding="utf-8") as combined:
-            combined.write(head)
+            combined.writelines(head)
             _echo(head)
             for gid, member in enumerate(scenarios):
                 evaluation = _objective_row(member, r_values)
                 infeasible += r_steps - int(evaluation.feasible.sum())
-                text = reporting.render_artifact(manifest, ResultTable(
+                pieces = reporting.render_artifact(manifest, ResultTable(
                     columns, cells=([gid] * r_steps, [member.name] * r_steps,
                                     *evaluation)))
-                write_artifact(f"sweep_g{gid:03d}.csv", text)
-                # the group's rows, written from its text without a copy
-                reporting.write_text(combined, text, len(head))
-                _echo(text, len(head))
+                write_artifact(f"sweep_g{gid:03d}.csv", pieces)
+                # the group's rows: its pieces after the manifest and header
+                combined.writelines(pieces[2:])
+                _echo(pieces[2:])
     click.echo(f"wrote {path}", err=True)
     if infeasible:
         _fail(EXIT_INFEASIBLE,

@@ -53,9 +53,8 @@ class InstabilityWarning(UserWarning):
     """Local arrival rate at or above the fog processing capability."""
 
 
-# most points in a grid: an r spacing of 1e-5, for a sweep's r-grid and the
-# grid oracle's, or a power mass grid; one sweep group at the cap peaks
-# near 61 MiB
+# most points in a grid, an r spacing of 1e-5: a sweep's r-grid, the grid
+# oracle's or a power mass grid; one sweep group at the cap peaks near 61 MiB
 MAX_GRID_POINTS = 100_001
 
 

@@ -440,8 +440,8 @@ def brute_force_front(problem: OptProblem, grid_step: float) -> ParetoFront:
     """Exact non-dominated subset of a regular r-grid (oracle path).
 
     The grid is ``round(1/step) + 1`` evenly spaced points over [0, 1], at
-    most MAX_GRID_POINTS: a finer step raises ValidationError.  Infeasible grid points are dropped; the result is empty when no grid
-    point is feasible.
+    most MAX_GRID_POINTS.  Infeasible grid points are dropped; the result
+    is empty when no grid point is feasible.
     """
     import numpy as np
     _require(0 < grid_step <= 1, "must be within (0, 1]", "grid_step")

@@ -151,7 +151,7 @@ def _column_cells(column: Sequence) -> str | list[str]:
     return list(map(fields.__getitem__, column))
 
 
-# rows rendered into one string at a time: a table's text is built from
+# rows rendered into one string at a time: an artifact is written from
 # these blocks, and no column's cells are split out of their memo string
 # more than a block at a time
 ROWS_PER_BLOCK = 512
@@ -207,8 +207,9 @@ class ResultTable:
                                   for block in blocks)]
 
 
-def render_artifact(manifest: RunManifest, table: ResultTable) -> str:
-    return "".join([manifest.to_comment_line(), "\n", *table.csv_blocks()])
+def render_artifact(manifest: RunManifest, table: ResultTable) -> list[str]:
+    """An artifact's pieces, never joined: its manifest line, csv_blocks."""
+    return [manifest.to_comment_line() + "\n", *table.csv_blocks()]
 
 
 def artifact_path(filename: str) -> Path:
@@ -218,21 +219,9 @@ def artifact_path(filename: str) -> Path:
     return path
 
 
-# characters written to a stream at a time: a text stream encodes what it is
-# given at once, so a whole artifact would be copied once more as bytes
-WRITE_CHUNK = 1 << 16
-
-
-def write_text(stream, text: str, start: int = 0) -> None:
-    """Write ``text[start:]`` to a text stream, WRITE_CHUNK characters at a
-    time."""
-    for offset in range(start, len(text), WRITE_CHUNK):
-        stream.write(text[offset:offset + WRITE_CHUNK])
-
-
-def write_artifact(filename: str, text: str) -> Path:
-    """Write a rendered artifact into the output directory."""
+def write_artifact(filename: str, pieces: list[str]) -> Path:
+    """Write an artifact's pieces, one at a time, to the output directory."""
     path = artifact_path(filename)
     with path.open("w", encoding="utf-8") as stream:
-        write_text(stream, text)
+        stream.writelines(pieces)
     return path

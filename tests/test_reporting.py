@@ -156,7 +156,7 @@ class TestToCsvText:
                 range(0, n_rows, reporting.ROWS_PER_BLOCK)]
         manifest = reporting.RunManifest("t", "d", None, "v", "0")
         assert reporting.render_artifact(manifest, ResultTable(*table)) \
-            == manifest.to_comment_line() + "\n" + oracle_csv_text(table)
+            == [manifest.to_comment_line() + "\n", *blocks]
 
     def test_renders_keep_signed_zeros_apart_through_the_cache(self):
         first = csv_text(ResultTable(("v",), [(0.0,)]))
@@ -412,28 +412,44 @@ class TestFloatColumnMemoWithoutNumpy:
         assert out.stdout == "[]\n"
 
 
-class TestWriteText:
-    @pytest.mark.parametrize("start", [0, 1, 3, 4, 9, 10])
-    def test_writes_the_text_from_start_a_chunk_at_a_time(self, monkeypatch,
-                                                          start):
-        writes = []
+class TestRenderArtifact:
+    """An artifact is rendered as pieces, never joined: the manifest line,
+    the header line, then its rows ROWS_PER_BLOCK to a piece at most."""
 
-        class Recorded(io.StringIO):
-            def write(self, text):
-                writes.append(text)
-                return super().write(text)
-        monkeypatch.setattr(reporting, "WRITE_CHUNK", 4)
-        stream = Recorded()
-        reporting.write_text(stream, "ab,\x1b[31m\n", start)
-        assert stream.getvalue() == "ab,\x1b[31m\n"[start:]
-        assert all(0 < len(chunk) <= 4 for chunk in writes)
+    @given(table=tables())
+    @example(table=Rows(("a", "b"), []))
+    @example(table=Rows(("a\nb",), [("\n",), ("",), (None,), ("c",)]))
+    def test_pieces_join_to_the_manifest_line_and_the_csv(self, table):
+        manifest = reporting.RunManifest("t", "d", None, "v", "0")
+        line = manifest.to_comment_line() + "\n"
+        header = oracle_csv_text(Rows(table.columns, []))
+        # a block of one row, a block that splits the 12 rows a table may
+        # have unevenly, and the default
+        for k in (1, 5, reporting.ROWS_PER_BLOCK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(reporting, "ROWS_PER_BLOCK", k)
+                pieces = reporting.render_artifact(manifest,
+                                                   ResultTable(*table))
+            blocks = [oracle_csv_text(Rows(table.columns, table.rows[i:i + k]))
+                      [len(header):] for i in range(0, len(table.rows), k)]
+            # a table of no rows renders one empty block
+            assert pieces == [line, header, *(blocks or [""])]
+            assert "".join(pieces) == line + oracle_csv_text(table)
+
+
+class TestWriteText:
+    """write_artifact writes an artifact's text from its pieces."""
 
     def test_artifact_of_several_chunks_is_written_whole(self, tmp_path,
                                                          monkeypatch):
         monkeypatch.setenv("FOGSCOPE_OUT", str(tmp_path))
-        text = "".join(f"{i},é\n" for i in range(reporting.WRITE_CHUNK))
-        path = reporting.write_artifact("long.csv", text)
-        assert path.read_bytes() == text.encode("utf-8")
+        table = ResultTable(("i", "s"), [(i, "é\x1b[31m") for i in
+                                         range(2 * reporting.ROWS_PER_BLOCK + 1)])
+        pieces = reporting.render_artifact(
+            reporting.RunManifest("t", "d", None, "v", "0"), table)
+        assert len(pieces) == 5
+        path = reporting.write_artifact("long.csv", pieces)
+        assert path.read_bytes() == "".join(pieces).encode("utf-8")
 
 
 class TestManifestTimestamp:
