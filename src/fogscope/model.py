@@ -54,7 +54,7 @@ class InstabilityWarning(UserWarning):
 
 
 # most points in a grid, an r spacing of 1e-5: a sweep's r-grid, the grid
-# oracle's or a power mass grid; one sweep group at the cap peaks near 61 MiB
+# oracle's or a power mass grid; one sweep group at the cap peaks near 60 MiB
 MAX_GRID_POINTS = 100_001
 
 

@@ -268,12 +268,12 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     """Spearman rank correlation with average ranks for ties; NaN when an
-    input is constant or contains NaN.  Inputs of unequal length, or none,
-    raise ValidationError."""
+    input is constant or contains NaN.  Inputs that are not two nonempty
+    sequences of equal length raise ValidationError."""
     import numpy as np
     x, y = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    _require(len(x) == len(y) > 0, "must be nonempty and of equal length",
-             "a, b")
+    _require(x.ndim == y.ndim == 1 and len(x) == len(y) > 0,
+             "must be flat, nonempty and of equal length", "a, b")
     if (np.isnan(x).any() or np.isnan(y).any()
             or (x == x[0]).all() or (y == y[0]).all()):
         return float("nan")

@@ -631,12 +631,12 @@ class TestSpearman:
 
     @pytest.mark.parametrize("a, b", [
         ([1.0, 2.0, 3.0], [1.0, 2.0]), ([1.0], [1.0, 2.0]), ([], [1.0]),
-        ([], [])])
-    def test_unequal_or_empty_input_is_a_named_error(self, a, b):
+        ([], []), (1.0, 2.0), ([[1.0, 2.0]], [[2.0, 1.0]])])
+    def test_unequal_empty_or_nested_input_is_a_named_error(self, a, b):
         with pytest.raises(ValidationError) as exc:
             spearman(a, b)
         assert str(exc.value) == \
-            "a, b: must be nonempty and of equal length"
+            "a, b: must be flat, nonempty and of equal length"
         assert exc.value.field == "a, b"
 
     def test_one_value_is_nan_as_a_constant_input(self):
