@@ -97,7 +97,7 @@ def _echo(pieces: list[str]) -> None:
 
 
 def _emit(filename: str, manifest: RunManifest, table: ResultTable) -> None:
-    pieces = reporting.render_artifact(manifest, table)
+    pieces = reporting.render_artifact(manifest, table, pieces=True)
     with _writing("artifact"):
         path = write_artifact(filename, pieces)
     _echo(pieces)
@@ -173,24 +173,23 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
     r_values = np.linspace(0.0, 1.0, r_steps)
     columns = ("group", "scenario", *model.Evaluation._fields)
     manifest = RunManifest.create("sweep", scenario_digest(scn))
-    # every group artifact is this manifest and header plus its rows, and
-    # sweep.csv is the same head plus every group's rows in order; it is
-    # written and echoed a group at a time
+    # a group artifact's pieces are this head's two, then its row blocks;
+    # sweep.csv is the head plus every group's row blocks in order, written
+    # and echoed a group at a time
     head = reporting.render_artifact(manifest, ResultTable(columns, []))
     infeasible = 0
     with _writing("artifact"):
         path = reporting.artifact_path("sweep.csv")
         with path.open("w", encoding="utf-8") as combined:
-            combined.writelines(head)
-            _echo(head)
+            combined.write(head)
+            _echo([head])
             for gid, member in enumerate(scenarios):
                 evaluation = _objective_row(member, r_values)
                 infeasible += r_steps - int(evaluation.feasible.sum())
                 pieces = reporting.render_artifact(manifest, ResultTable(
                     columns, cells=([gid] * r_steps, [member.name] * r_steps,
-                                    *evaluation)))
+                                    *evaluation)), pieces=True)
                 write_artifact(f"sweep_g{gid:03d}.csv", pieces)
-                # the group's rows: its pieces after the manifest and header
                 combined.writelines(pieces[2:])
                 _echo(pieces[2:])
     click.echo(f"wrote {path}", err=True)

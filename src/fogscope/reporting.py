@@ -207,9 +207,11 @@ class ResultTable:
                                   for block in blocks)]
 
 
-def render_artifact(manifest: RunManifest, table: ResultTable) -> list[str]:
-    """An artifact's pieces, never joined: its manifest line, csv_blocks."""
-    return [manifest.to_comment_line() + "\n", *table.csv_blocks()]
+def render_artifact(manifest: RunManifest, table: ResultTable, *,
+                    pieces: bool = False) -> str | list[str]:
+    """The manifest line and csv_blocks: a list if ``pieces``, else joined."""
+    out = [manifest.to_comment_line() + "\n", *table.csv_blocks()]
+    return out if pieces else "".join(out)
 
 
 def artifact_path(filename: str) -> Path:

@@ -155,7 +155,8 @@ class TestToCsvText:
                 min(reporting.ROWS_PER_BLOCK, n_rows - start) for start in
                 range(0, n_rows, reporting.ROWS_PER_BLOCK)]
         manifest = reporting.RunManifest("t", "d", None, "v", "0")
-        assert reporting.render_artifact(manifest, ResultTable(*table)) \
+        assert reporting.render_artifact(manifest, ResultTable(*table),
+                                         pieces=True) \
             == [manifest.to_comment_line() + "\n", *blocks]
 
     def test_renders_keep_signed_zeros_apart_through_the_cache(self):
@@ -414,7 +415,8 @@ class TestFloatColumnMemoWithoutNumpy:
 
 class TestRenderArtifact:
     """An artifact is rendered as pieces, never joined: the manifest line,
-    the header line, then its rows ROWS_PER_BLOCK to a piece at most."""
+    the header line, then its rows ROWS_PER_BLOCK to a piece at most; or,
+    without ``pieces``, as the text that those pieces join to."""
 
     @given(table=tables())
     @example(table=Rows(("a", "b"), []))
@@ -428,13 +430,15 @@ class TestRenderArtifact:
         for k in (1, 5, reporting.ROWS_PER_BLOCK):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(reporting, "ROWS_PER_BLOCK", k)
-                pieces = reporting.render_artifact(manifest,
-                                                   ResultTable(*table))
+                pieces = reporting.render_artifact(
+                    manifest, ResultTable(*table), pieces=True)
             blocks = [oracle_csv_text(Rows(table.columns, table.rows[i:i + k]))
                       [len(header):] for i in range(0, len(table.rows), k)]
             # a table of no rows renders one empty block
             assert pieces == [line, header, *(blocks or [""])]
             assert "".join(pieces) == line + oracle_csv_text(table)
+        assert reporting.render_artifact(manifest, ResultTable(*table)) \
+            == line + oracle_csv_text(table)
 
 
 class TestWriteText:
@@ -446,7 +450,8 @@ class TestWriteText:
         table = ResultTable(("i", "s"), [(i, "é\x1b[31m") for i in
                                          range(2 * reporting.ROWS_PER_BLOCK + 1)])
         pieces = reporting.render_artifact(
-            reporting.RunManifest("t", "d", None, "v", "0"), table)
+            reporting.RunManifest("t", "d", None, "v", "0"), table,
+            pieces=True)
         assert len(pieces) == 5
         path = reporting.write_artifact("long.csv", pieces)
         assert path.read_bytes() == "".join(pieces).encode("utf-8")
