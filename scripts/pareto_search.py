@@ -11,8 +11,9 @@ import os
 from dataclasses import replace
 from pathlib import Path
 
+from fogscope.model import ValidationError
 from fogscope.optimizer import (OptConfig, OptProblem, brute_force_front,
-                                hypervolume, optimize)
+                                grid_steps, hypervolume, optimize)
 from fogscope.reporting import ResultTable, RunManifest, render_artifact
 from fogscope.scenario import (CATALOG, default_scenario, load_scenario,
                                scenario_digest)
@@ -49,6 +50,10 @@ def main():
     parser.add_argument("--seed", type=int, default=20260810)
     parser.add_argument("--grid-step", type=float, default=1e-3)
     args = parser.parse_args()
+    try:
+        grid_steps(args.grid_step)
+    except ValidationError as exc:
+        parser.error(str(exc))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -71,9 +76,9 @@ def main():
         manifest = RunManifest.create("pareto-search", scenario_digest(scn),
                                       seed=args.seed)
         path = out_dir / f"front_{scn.name.replace('[', '_').strip(']')}.csv"
-        path.write_text("".join(
+        path.write_text(
             render_artifact(manifest, ResultTable(columns=FRONT_COLUMNS,
-                                                  rows=front_rows(ga)))),
+                                                  rows=front_rows(ga))),
             encoding="utf-8")
         print(f"  wrote {path}")
 

@@ -99,9 +99,8 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     """Pareto dominance for minimization: a <= b everywhere, < somewhere."""
     if len(a) != len(b):
         raise ValueError("objective vectors must have equal length")
-    not_worse = all(x <= y for x, y in zip(a, b))
-    strictly_better = any(x < y for x, y in zip(a, b))
-    return not_worse and strictly_better
+    return (all(x <= y for x, y in zip(a, b))
+            and any(x < y for x, y in zip(a, b)))
 
 
 def _count_dtype(n: int) -> type:
@@ -436,20 +435,23 @@ def _build_front(pop: _Population, ranks: np.ndarray) -> ParetoFront:
     )
 
 
-def brute_force_front(problem: OptProblem, grid_step: float) -> ParetoFront:
-    """Exact non-dominated subset of a regular r-grid (oracle path).
-
-    The grid is ``round(1/step) + 1`` evenly spaced points over [0, 1], at
-    most MAX_GRID_POINTS.  Infeasible grid points are dropped; the result
-    is empty when no grid point is feasible.
-    """
-    import numpy as np
+def grid_steps(grid_step: float) -> int:
+    """brute_force_front's r-grid steps, round(1/step); ValidationError for
+    a step outside (0, 1] or more than MAX_GRID_POINTS points."""
     _require(0 < grid_step <= 1, "must be within (0, 1]", "grid_step")
     # 1 / 5e-324 is inf, which round refuses
     steps = max(1, round(min(1.0 / grid_step, MAX_GRID_POINTS)))
     _require(steps < MAX_GRID_POINTS, f"must give at most {MAX_GRID_POINTS} "
              f"grid points, got {grid_step!r}", "grid_step")
-    pop = _evaluate(problem, np.linspace(0.0, 1.0, steps + 1))
+    return steps
+
+
+def brute_force_front(problem: OptProblem, grid_step: float) -> ParetoFront:
+    """Exact non-dominated subset of grid_steps(step) + 1 evenly spaced r
+    over [0, 1] (oracle path), less infeasible points: empty when no grid
+    point is feasible."""
+    import numpy as np
+    pop = _evaluate(problem, np.linspace(0.0, 1.0, grid_steps(grid_step) + 1))
     pop = pop.take(pop.feasible)
     if not len(pop.r):
         return ParetoFront(members=[], ranks=[], crowding=[])

@@ -1177,6 +1177,21 @@ def test_pareto_search_script_smoke(tmp_path):
         assert rs and len(rs) == len(set(rs))
 
 
+@pytest.mark.parametrize("step", ["1e-9", "0", "nan"])
+def test_pareto_search_refuses_a_grid_step_before_searching(tmp_path, step):
+    # 1e-9 asks the oracle for 1,000,000,001 points: a usage error, before
+    # the first scenario's genetic search and with no table printed
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "pareto_search.py"),
+         "--grid-step", step, "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "error: grid_step: must" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_import_cost_script_smoke():
     # one fresh interpreter: the import, each module's compile, each class's
     # creation, in milliseconds; and numpy's import in two more

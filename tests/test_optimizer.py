@@ -510,11 +510,6 @@ class TestBruteForceFront:
             with pytest.raises(ValidationError, match="at most 11 grid points"):
                 brute_force_front(prob, step)
 
-    def test_cap_is_the_clis(self):
-        from fogscope import cli
-        assert optimizer.MAX_GRID_POINTS is model.MAX_GRID_POINTS
-        assert cli.MAX_GRID_POINTS is model.MAX_GRID_POINTS
-
     def test_ten_thousand_steps_keep_working(self):
         front = brute_force_front(OptProblem(scenario=default_scenario()), 1e-4)
         assert max(r for r, _ in front.members) <= 1.0
