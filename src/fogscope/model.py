@@ -53,8 +53,7 @@ class InstabilityWarning(UserWarning):
     """Local arrival rate at or above the fog processing capability."""
 
 
-# most points in a grid, an r spacing of 1e-5: a sweep's r-grid, the grid
-# oracle's or a power mass grid; one sweep group at the cap peaks near 60 MiB
+# most points in a sweep r-grid, the grid oracle's or a power mass grid
 MAX_GRID_POINTS = 100_001
 
 

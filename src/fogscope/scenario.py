@@ -168,8 +168,7 @@ _PRESET_SOURCES = {
 
 def preset(name: str) -> Any:
     """Look up a preset by name across all catalog groups."""
-    for group in (CATALOG.networks, CATALOG.bitrates, CATALOG.motors,
-                  CATALOG.wireless_info):
+    for group in CATALOG:   # networks, bitrates, motors, wireless_info
         if name in group:
             return group[name]
     raise UnknownPreset(name)
