@@ -580,6 +580,17 @@ class TestHypervolume:
         with pytest.raises(ValueError, match="finite"):
             hypervolume(points, reference)
 
+    @pytest.mark.parametrize("points, reference", [
+        ([(1.0, 2.0)], (1e308, 1e308)),
+        ([(-1e308, -1e308, 0.0), (1.0, 1.0, 0.0)], (1e308, 1e308, 1.0)),
+    ], ids=["area-overflows", "infinite-area-times-zero-depth"])
+    def test_a_volume_beyond_the_float_range_is_refused(self, points,
+                                                        reference):
+        # finite input whose box overflows: inf, or inf * 0.0 = nan
+        with pytest.raises(ValidationError,
+                           match="^hypervolume: must be finite"):
+            hypervolume(points, reference)
+
     @pytest.mark.parametrize("point", [(math.inf, 0.5, 0.5),
                                        (-math.inf, 2.0, 0.5),
                                        (1.0, 0.5, 0.5)])
