@@ -469,30 +469,33 @@ def hypervolume(points: Sequence[Sequence[float]],
     """Dominated hypervolume of a point set w.r.t. a reference (minimization).
 
     Supports 2 and 3 objectives; points at or beyond the reference in any
-    coordinate, ``inf`` included, contribute nothing.  Raises ValueError
-    for non-finite coordinates: a NaN anywhere, a reference that is not
-    finite, or a point within the reference that is not.  One sweep in
-    ascending third objective (Fonseca, Paquete & Lopez-Ibanez, CEC 2006)
-    keeps the 2-D staircase of the points seen so far and its area, so a
-    set of n points costs O(n log n) comparisons.
+    coordinate, ``inf`` included, contribute nothing.  Raises
+    ValidationError for a point whose length is not the reference's, for
+    non-finite coordinates (a NaN anywhere, a reference that is not finite,
+    or a point within the reference that is not), and for a volume beyond
+    the float range.  One sweep in ascending third objective (Fonseca,
+    Paquete & Lopez-Ibanez, CEC 2006) keeps the 2-D staircase of the points
+    seen so far and its area, so a set of n points costs O(n log n)
+    comparisons.
     """
     ref = tuple(float(v) for v in reference)
     pts = [tuple(float(v) for v in p) for p in points]
-    if any(len(p) != len(ref) for p in pts):
-        raise ValueError("points and reference must have equal length")
-    if not all(map(math.isfinite, ref)) or any(map(math.isnan, chain(*pts))):
-        raise ValueError("the reference must be finite, and no point NaN")
-    pts = [p for p in pts if all(v < r for v, r in zip(p, ref))]
-    if not all(map(math.isfinite, chain(*pts))):
-        raise ValueError("a point within the reference must be finite")
+    _require(all(len(p) == len(ref) for p in pts),
+             "must each be of equal length to the reference", "points")
+    _require(all(map(math.isfinite, ref)), f"must be finite, got {ref!r}",
+             "reference")
+    within = [p for p in pts if all(v < r for v, r in zip(p, ref))]
+    _require(not any(map(math.isnan, chain(*pts)))
+             and all(map(math.isfinite, chain(*within))),
+             "must be finite within the reference, and never NaN", "points")
+    pts = within
     if not pts:
         return 0.0
     if len(ref) == 2:
         # one slab of depth 1.0 at z = 0: its volume is the area, exactly
         ref += (1.0,)
         pts = [p + (0.0,) for p in pts]
-    if len(ref) != 3:
-        raise ValueError("hypervolume supports 2 or 3 objectives")
+    _require(len(ref) == 3, "must have 2 or 3 objectives", "reference")
     pts.sort(key=lambda p: p[2])
     # the staircase: mutually non-dominated points, x ascending and y
     # descending, between two sentinels that nothing dominates or removes
@@ -517,4 +520,7 @@ def hypervolume(points: Sequence[Sequence[float]],
         area += (xs[end] - left) * (top - y)
         xs[lo:end] = [x]
         ys[lo:end] = [y]
-    return volume + area * (ref[2] - prev_z)
+    volume += area * (ref[2] - prev_z)
+    _require(math.isfinite(volume), f"must be finite, got {volume!r}: the "
+             "box of the points and the reference overflows", "hypervolume")
+    return volume

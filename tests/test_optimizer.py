@@ -580,6 +580,20 @@ class TestHypervolume:
         with pytest.raises(ValueError, match="finite"):
             hypervolume(points, reference)
 
+    @pytest.mark.parametrize("points, reference, field", [
+        ([(0.5, 0.5)], (1.0, 1.0, 1.0), "points"),
+        ([(2.0, math.nan)], (1.0, 1.0), "points"),
+        ([(-math.inf, 0.5)], (1.0, 1.0), "points"),
+        ([(0.5, 0.5)], (math.inf, 1.0), "reference"),
+        ([(1.0,) * 4], (2.0,) * 4, "reference"),
+    ], ids=["length", "nan-beyond", "minus-inf", "inf-reference",
+            "four-objectives"])
+    def test_input_errors_are_validation_errors_naming_their_field(
+            self, points, reference, field):
+        with pytest.raises(ValidationError, match=f"^{field}: ") as error:
+            hypervolume(points, reference)
+        assert error.value.field == field
+
     @pytest.mark.parametrize("points, reference", [
         ([(1.0, 2.0)], (1e308, 1e308)),
         ([(-1e308, -1e308, 0.0), (1.0, 1.0, 0.0)], (1e308, 1e308, 1.0)),
