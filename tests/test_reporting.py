@@ -367,6 +367,19 @@ assert reporting._FLOAT_COLUMNS[key((1.0, 2.0))] == ",x"
 wide = ResultTable(("v", "n"), [(1.0, 1), (2.0, 2)])
 assert csv_text(wide) == "v,n\\n,1\\nx,2\\n"
 """,
+    # one long float column, rendered and kept, peaks at a small multiple
+    # of its text: the text, the memo's copy and one block at a time.
+    # Cutting the blocks out of one joined string copied the rest of the
+    # column per block, and peaked at 7.2x its text on CPython 3.11
+    "long-column-peak": """
+import tracemalloc
+table = ResultTable(("v",), cells=[[i / 7 for i in range(100_001)]])
+tracemalloc.start()
+text = csv_text(table)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+assert peak < 5 * len(text), f"peak {peak / len(text):.2f}x the text"
+""",
 }
 
 
@@ -408,9 +421,9 @@ class TestFloatColumnMemoWithoutNumpy:
         src = Path(reporting.__file__).parents[1]
         script = MEMO_PROBE_HEAD + MEMO_PROBES[name] + MEMO_PROBE_TAIL
         out = subprocess.run([sys.executable, "-c", script],
-                             check=True, capture_output=True, text=True,
+                             capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(src)})
-        assert out.stdout == "[]\n"
+        assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
 
 
 class TestRenderArtifact:
