@@ -89,32 +89,40 @@ def format_cell(value) -> str:
     return str(value)
 
 
-# the repr cells of each float column seen, comma-joined (no float repr holds
-# a comma) and keyed by its IEEE-754 bytes so that -0.0, 0.0 and NaN payloads
-# stay apart (a float64 array shares the key of its floats).  A pure function
-# of the key, so sharing it between renders in one process changes no
-# output; cleared before it would hold more than FLOAT_REPR_CACHE_CAP cells.
-_FLOAT_COLUMNS: dict[bytes, str] = {}
+# rows rendered into one string at a time: an artifact is written from
+# these blocks.  The memo keeps a float column in blocks of the size in
+# force when the column was first rendered
+ROWS_PER_BLOCK = 512
+
+# the repr cells of each float column seen, comma-joined ROWS_PER_BLOCK to a
+# string (no float repr holds a comma) and keyed by its IEEE-754 bytes so
+# that -0.0, 0.0 and NaN payloads stay apart (a float64 array shares the
+# key of its floats).  A pure function of the key, so sharing it between
+# renders in one process changes no output; cleared before it would hold
+# more than FLOAT_REPR_CACHE_CAP cells.
+_FLOAT_COLUMNS: dict[bytes, list[str]] = {}
 _float_cells_kept = 0
 FLOAT_REPR_CACHE_CAP = 1 << 17
 
 
-def _float_cells(column) -> str:
+def _float_cells(column) -> list[str]:
     """The repr cells of Python floats or of a float64 numpy array,
-    comma-joined."""
+    comma-joined ROWS_PER_BLOCK to a string."""
     global _float_cells_kept
     doubles = column if hasattr(column, "tobytes") else array("d", column)
     key = doubles.tobytes()
-    joined = _FLOAT_COLUMNS.get(key)
-    if joined is None:
-        joined = ",".join(map(repr, doubles.tolist()))
+    blocks = _FLOAT_COLUMNS.get(key)
+    if blocks is None:
+        blocks = [",".join(map(repr, doubles[start:start + ROWS_PER_BLOCK]
+                               .tolist()))
+                  for start in range(0, len(doubles), ROWS_PER_BLOCK)]
         if 0 < len(doubles) <= FLOAT_REPR_CACHE_CAP:  # a longer one: used once
             if _float_cells_kept + len(doubles) > FLOAT_REPR_CACHE_CAP:
                 _FLOAT_COLUMNS.clear()
                 _float_cells_kept = 0
-            _FLOAT_COLUMNS[key] = joined
+            _FLOAT_COLUMNS[key] = blocks
             _float_cells_kept += len(doubles)
-    return joined
+    return blocks
 
 
 def _csv_fields(values) -> dict:
@@ -131,46 +139,27 @@ def _csv_fields(values) -> dict:
     return fields
 
 
-def _column_cells(column: Sequence) -> str | list[str]:
-    """The cells of one column, formatted as format_cell would, quoted: a
-    float column's comma-joined, any other's as a list."""
+def _cell_blocks(column: Sequence):
+    """The cells of one column, formatted as format_cell would and quoted,
+    as lists of ROWS_PER_BLOCK cells."""
     np = sys.modules.get("numpy")   # no numpy array exists without it
-    if np is not None and isinstance(column, np.ndarray):
-        if column.dtype == np.float64:
-            return _float_cells(column)
+    if np is not None and isinstance(column, np.ndarray) \
+            and column.dtype != np.float64:
         column = column.tolist()
-    kinds = set(map(type, column))
+    # a float64 array is read as it is
+    kinds = {float} if hasattr(column, "dtype") else set(map(type, column))
     if kinds == {float}:
-        return _float_cells(column)
+        return (block.split(",") for block in _float_cells(column))
     if len(kinds) != 1 or not kinds <= {bool, int, str}:
         # 1 == 1.0 == True and -0.0 == 0.0: key these cells by their text
         column = list(map(format_cell, column))
     fields = _csv_fields(column)
     if len(fields) == 1:        # one value throughout, as a sweep's group
-        return [*fields.values()] * len(column)
-    return list(map(fields.__getitem__, column))
-
-
-# rows rendered into one string at a time: an artifact is written from
-# these blocks, and no column's cells are split out of their memo string
-# more than a block at a time
-ROWS_PER_BLOCK = 512
-
-
-def _cell_blocks(cells: str | list[str]):
-    """The cells of a list or of a comma-joined string, ROWS_PER_BLOCK at a
-    time, as lists."""
-    if not isinstance(cells, str):
-        for start in range(0, len(cells), ROWS_PER_BLOCK):
-            yield cells[start:start + ROWS_PER_BLOCK]
-        return
-    while True:
-        block = cells.split(",", ROWS_PER_BLOCK)
-        if len(block) <= ROWS_PER_BLOCK:
-            yield block
-            return
-        cells = block.pop()     # the cells after this block, joined
-        yield block
+        cells = [*fields.values()] * len(column)
+    else:
+        cells = list(map(fields.__getitem__, column))
+    return (cells[start:start + ROWS_PER_BLOCK]
+            for start in range(0, len(cells), ROWS_PER_BLOCK))
 
 
 class ResultTable:
@@ -197,8 +186,7 @@ class ResultTable:
         csv.writer(buf, lineterminator="\n").writerow(self.columns)
         if not self.n_rows or not self.cells:
             return [buf.getvalue(), "\n" * self.n_rows]
-        blocks = zip(*(_cell_blocks(_column_cells(column))
-                       for column in self.cells))
+        blocks = zip(*map(_cell_blocks, self.cells))
         if len(self.cells) == 1:
             # csv quotes a row of one empty field, as a blank line is no row
             blocks = ([['""' if c == "" else c for c in cells]]

@@ -145,7 +145,8 @@ class TestToCsvText:
         ids=["block-less-one", "block", "block-plus-one",
              "two-blocks-plus-one"])
     def test_rows_either_side_of_a_block_boundary(self, n_rows):
-        # the float column is rendered, then split out of the memo's string
+        # the float column is rendered into the memo's blocks, then read
+        # from them
         table = Rows(("i", "x", "s"), [(i, i / 7, f"a,{i}") for i in
                                        range(n_rows)])
         for _ in range(2):
@@ -283,7 +284,7 @@ class TestColumnsAgainstRows:
             def tolist(self):
                 raise AssertionError("an array's memo hit called tolist")
         monkeypatch.setattr(reporting, "_FLOAT_COLUMNS",
-                            {column_key((-0.0, 1.5)): "planted,cells"})
+                            {column_key((-0.0, 1.5)): ["planted,cells"]})
         column = np.array([-0.0, 1.5]).view(NoList)
         table = ResultTable(("v", "n"), cells=[column, (1, 2)])
         assert csv_text(table) == "v,n\nplanted,1\ncells,2\n"
@@ -291,8 +292,8 @@ class TestColumnsAgainstRows:
 
 # Each runs in a fresh interpreter, whose memo is empty and which must
 # never load numpy; the script prints the numpy modules loaded.  The memo
-# keeps each column's cells as one comma-joined string, which
-# _float_cells returns.
+# keeps each column's cells as a list of strings, ROWS_PER_BLOCK cells
+# comma-joined in each, which _float_cells returns.
 MEMO_PROBE_HEAD = """
 import struct, sys
 from fogscope import reporting
@@ -317,17 +318,17 @@ nans = [from_bits(b) for b in (0x7FF8000000000000, 0x7FF8000000000001,
                                0xFFF8000000000000)]
 columns = [(0.0,), (-0.0,), *((nan,) for nan in nans)]
 for column in columns + columns:
-    assert reporting._float_cells(column) == repr(column[0])
+    assert reporting._float_cells(column) == [repr(column[0])]
 assert sorted(reporting._FLOAT_COLUMNS) == sorted(map(key, columns))
-assert reporting._FLOAT_COLUMNS[key((-0.0,))] == "-0.0"
+assert reporting._FLOAT_COLUMNS[key((-0.0,))] == ["-0.0"]
 assert csv_text(ResultTable(("v",), [(0.0,)])) == "v\\n0.0\\n"
 assert csv_text(ResultTable(("v",), [(-0.0,)])) == "v\\n-0.0\\n"
 """,
     # a hit is read by the column's bytes: a planted entry comes back
     "planted-entry": """
-reporting._FLOAT_COLUMNS[key((-0.0, 1.5))] = "planted,cells"
-assert reporting._float_cells((-0.0, 1.5)) == "planted,cells"
-assert reporting._float_cells((0.0, 1.5)) == "0.0,1.5"
+reporting._FLOAT_COLUMNS[key((-0.0, 1.5))] = ["planted,cells"]
+assert reporting._float_cells((-0.0, 1.5)) == ["planted,cells"]
+assert reporting._float_cells((0.0, 1.5)) == ["0.0,1.5"]
 table = ResultTable(("v", "n"), [(-0.0, 1), (1.5, 2)])
 assert csv_text(table) == "v,n\\nplanted,1\\ncells,2\\n"
 """,
@@ -336,10 +337,10 @@ assert csv_text(table) == "v,n\\nplanted,1\\ncells,2\\n"
 reporting.FLOAT_REPR_CACHE_CAP = 5
 reporting._float_cells((1.0, 2.0))
 reporting._float_cells((3.0, 4.0, 5.0))
-assert reporting._float_cells((1.0, 2.0)) == "1.0,2.0"
-assert reporting._FLOAT_COLUMNS == {key((1.0, 2.0)): "1.0,2.0",
-                                    key((3.0, 4.0, 5.0)): "3.0,4.0,5.0"}
-assert reporting._float_cells((6.0,)) == "6.0"
+assert reporting._float_cells((1.0, 2.0)) == ["1.0,2.0"]
+assert reporting._FLOAT_COLUMNS == {key((1.0, 2.0)): ["1.0,2.0"],
+                                    key((3.0, 4.0, 5.0)): ["3.0,4.0,5.0"]}
+assert reporting._float_cells((6.0,)) == ["6.0"]
 assert list(reporting._FLOAT_COLUMNS) == [key((6.0,))]
 reporting._float_cells((7.0, 8.0, 9.0, 10.0))
 assert list(reporting._FLOAT_COLUMNS) == [key((6.0,)),
@@ -351,19 +352,19 @@ assert list(reporting._FLOAT_COLUMNS) == [key((6.0,)),
 reporting.FLOAT_REPR_CACHE_CAP = 3
 reporting._float_cells((1.0,))
 wide = (0.5, 1.5, 2.5, 3.5)
-assert reporting._float_cells(wide) == "0.5,1.5,2.5,3.5"
+assert reporting._float_cells(wide) == ["0.5,1.5,2.5,3.5"]
 assert list(reporting._FLOAT_COLUMNS) == [key((1.0,))]
 reporting._float_cells((2.0, 3.0))
 assert list(reporting._FLOAT_COLUMNS) == [key((1.0,)), key((2.0, 3.0))]
-assert reporting._float_cells(()) == ""     # nothing to keep
+assert reporting._float_cells(()) == []     # nothing to keep
 assert list(reporting._FLOAT_COLUMNS) == [key((1.0,)), key((2.0, 3.0))]
 """,
     # a one-column table quotes an empty cell; the memo's cells stay as
     # they were, and a wider table writes them unquoted
     "one-column-rule": """
-reporting._FLOAT_COLUMNS[key((1.0, 2.0))] = ",x"
+reporting._FLOAT_COLUMNS[key((1.0, 2.0))] = [",x"]
 assert csv_text(ResultTable(("v",), [(1.0,), (2.0,)])) == 'v\\n""\\nx\\n'
-assert reporting._FLOAT_COLUMNS[key((1.0, 2.0))] == ",x"
+assert reporting._FLOAT_COLUMNS[key((1.0, 2.0))] == [",x"]
 wide = ResultTable(("v", "n"), [(1.0, 1), (2.0, 2)])
 assert csv_text(wide) == "v,n\\n,1\\nx,2\\n"
 """,
@@ -392,7 +393,7 @@ BENCHMARK_GRID = ("network=gsm,umts,hspa,hspa_plus;"
 class TestFloatColumnMemoSize:
     def test_benchmark_columns_kept_in_bounded_bytes(self, monkeypatch):
         # on CPython 3.11, the 27 columns kept as tuples of separate str
-        # objects took 4.28 MB; as one comma-joined string each, 1.26 MB
+        # objects took 4.28 MB; as comma-joined strings of 512 cells, 1.26 MB
         from fogscope import model
         from fogscope.scenario import (default_scenario, parse_grid_spec,
                                        sweep_grid)
@@ -413,6 +414,27 @@ class TestFloatColumnMemoSize:
         assert reporting._float_cells_kept == 27 * 2001
         assert sum(stat.size for stat in kept.statistics("filename")) \
             < 1_500_000
+
+
+class TestFloatColumnMemoBlocks:
+    @pytest.mark.parametrize("n", [
+        1, reporting.ROWS_PER_BLOCK - 1, reporting.ROWS_PER_BLOCK,
+        reporting.ROWS_PER_BLOCK + 1, 2 * reporting.ROWS_PER_BLOCK + 1])
+    @pytest.mark.parametrize("as_column", [tuple, np.array],
+                             ids=["floats", "float64-array"])
+    def test_entry_holds_its_column_in_blocks(self, monkeypatch, n,
+                                              as_column):
+        monkeypatch.setattr(reporting, "_FLOAT_COLUMNS", {})
+        monkeypatch.setattr(reporting, "_float_cells_kept", 0)
+        values = [i / 7 for i in range(n)]
+        csv_text(ResultTable(("v",), cells=[as_column(values)]))
+        blocks = reporting._FLOAT_COLUMNS[column_key(values)]
+        per_block = reporting.ROWS_PER_BLOCK
+        assert len(blocks) == math.ceil(n / per_block)
+        # every block full but the last, which holds the rest
+        assert [block.count(",") + 1 for block in blocks] == [
+            min(per_block, n - start) for start in range(0, n, per_block)]
+        assert ",".join(blocks) == ",".join(map(repr, values))
 
 
 class TestFloatColumnMemoWithoutNumpy:
@@ -439,10 +461,13 @@ class TestRenderArtifact:
         line = manifest.to_comment_line() + "\n"
         header = oracle_csv_text(Rows(table.columns, []))
         # a block of one row, a block that splits the 12 rows a table may
-        # have unevenly, and the default
+        # have unevenly, and the default; the memo keeps a column in blocks
+        # of the size it was first rendered at, so each size starts empty
         for k in (1, 5, reporting.ROWS_PER_BLOCK):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(reporting, "ROWS_PER_BLOCK", k)
+                patch.setattr(reporting, "_FLOAT_COLUMNS", {})
+                patch.setattr(reporting, "_float_cells_kept", 0)
                 pieces = reporting.render_artifact(
                     manifest, ResultTable(*table), pieces=True)
             blocks = [oracle_csv_text(Rows(table.columns, table.rows[i:i + k]))
