@@ -141,7 +141,7 @@ def _csv_fields(values) -> dict:
 
 def _cell_blocks(column: Sequence):
     """The cells of one column, formatted as format_cell would and quoted,
-    as lists of ROWS_PER_BLOCK cells."""
+    in lists of at most ROWS_PER_BLOCK cells."""
     np = sys.modules.get("numpy")   # no numpy array exists without it
     if np is not None and isinstance(column, np.ndarray) \
             and column.dtype != np.float64:

@@ -369,9 +369,8 @@ wide = ResultTable(("v", "n"), [(1.0, 1), (2.0, 2)])
 assert csv_text(wide) == "v,n\\n,1\\nx,2\\n"
 """,
     # one long float column, rendered and kept, peaks at a small multiple
-    # of its text: the text, the memo's copy and one block at a time.
-    # Cutting the blocks out of one joined string copied the rest of the
-    # column per block, and peaked at 7.2x its text on CPython 3.11
+    # of its text: the text, the memo's copy and one block at a time (3.5x
+    # on CPython 3.11)
     "long-column-peak": """
 import tracemalloc
 table = ResultTable(("v",), cells=[[i / 7 for i in range(100_001)]])
