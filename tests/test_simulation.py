@@ -642,3 +642,27 @@ class TestSpearman:
     def test_one_value_is_nan_as_a_constant_input(self):
         import math
         assert math.isnan(spearman([1.5], [2.5]))
+
+
+def run_bound_average_ranks(values):
+    """Average ranks from one stable sort and the bounds of each run of
+    equal values in it: the reference for `simulation._average_ranks`."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    bounds = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0,
+                             np.diff(bounds))
+    return ranks
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from([-math.inf, -1e308, -1.0, -0.0, 0.0, 0.5,
+                                 1e308, math.inf])
+                | st.floats(-2.0, 2.0), min_size=1, max_size=80))
+@example([0.0, -0.0, 0.0, -0.0])
+@example([math.inf, 1e308, -math.inf, 1e308, math.inf, -1e308])
+def test_average_ranks_equal_the_run_bound_reference(values):
+    values = np.array(values)
+    assert simulation._average_ranks(values).tobytes() == \
+        run_bound_average_ranks(values).tobytes()
