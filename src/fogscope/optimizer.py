@@ -13,6 +13,7 @@ non-dominated subset; it serves as the independent oracle for `optimize`.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -97,8 +98,7 @@ class ParetoFront:
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     """Pareto dominance for minimization: a <= b everywhere, < somewhere."""
-    if len(a) != len(b):
-        raise ValueError("objective vectors must have equal length")
+    _require(len(a) == len(b), "must have equal length", "a, b")
     return (all(x <= y for x, y in zip(a, b))
             and any(x < y for x, y in zip(a, b)))
 
@@ -122,11 +122,9 @@ def _no_worse_counts(objs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     point j in every objective, and each point's dominator count.
 
     Each objective is compared through its dense ranks, which order as the
-    values do and compare faster than floats.  A point with a NaN
-    coordinate is no worse than none and none is no worse than it, as
-    float comparisons give, so it neither dominates nor is dominated.
-    The points no worse than j are its dominators and the points equal to
-    it, j included, so its count is its column sum less its equals.
+    values do and compare faster than floats.  The points no worse than j
+    are its dominators and the points equal to it, j included, so its
+    count is its column sum less its equals.
     """
     import numpy as np
     n = len(objs)
@@ -142,13 +140,9 @@ def _no_worse_counts(objs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             key = _dense_ranks(key).astype(np.int64)
         key = key * n + col
     inverse, equal = np.unique(key, return_inverse=True, return_counts=True)[1:]
-    nan = np.isnan(objs).any(axis=1)
-    if nan.any():
-        le[nan] = False
-        le[:, nan] = False
     # a bool sums as int64; its uint8 view sums into the narrow counts
     counts = le.view(np.uint8).sum(axis=0, dtype=_count_dtype(n))
-    counts -= np.where(nan, 0, equal[inverse])
+    counts -= equal[inverse]
     return le, counts
 
 
@@ -158,10 +152,8 @@ def _one_trade_off(objs: np.ndarray) -> bool:
     point equals its predecessor, or rises strictly in the first objective
     and falls strictly in another, the same one at every step.  Then any
     two distinct points trade the first objective against that one.
-
-    Points compare by ==, < and > alone: no difference of infinities
-    warns, and a NaN fails every comparison.  Two distinct points with one
-    first objective fail in either order, so the sort need not be stable.
+    Two distinct points with one first objective fail in either order, so
+    the sort need not be stable.
     """
     import numpy as np
     # one row per objective, the points in order: each comparison and
@@ -198,7 +190,7 @@ def _ranks(objs: np.ndarray) -> np.ndarray:
 
 
 def _points(points: Sequence[Sequence[float]], name: str) -> np.ndarray:
-    """`points` as an n x m float array, m >= 1, or of shape (0,) if none."""
+    """`points` as an n x m finite float array, m >= 1; shape (0,) if none."""
     import numpy as np
     try:
         rows = np.asarray(points, dtype=float)
@@ -206,14 +198,14 @@ def _points(points: Sequence[Sequence[float]], name: str) -> np.ndarray:
         rows = np.empty(())
     _require(rows.shape == (0,) or rows.ndim == 2 and rows.shape[1] > 0,
              "must be vectors of numbers of one common length >= 1", name)
+    _require(np.isfinite(rows).all(), "must have finite coordinates", name)
     return rows
 
 
 def non_dominated_sort(points: Sequence[Sequence[float]]) -> list[int]:
     """Per-point non-domination rank; rank 0 is the non-dominated set."""
     objs = _points(points, "points")
-    if not len(objs):
-        raise ValueError("points must be nonempty")
+    _require(len(objs) > 0, "must be nonempty", "points")
     return _ranks(objs).tolist()
 
 
@@ -256,10 +248,13 @@ def crowding_distance(front: Sequence[Sequence[float]]) -> list[float]:
     """Crowding distances within one front (Deb et al. 2002): in each
     objective, the first and last point in ascending order (ties by index)
     get infinity, and each point between them adds the gap between its two
-    neighbours over the objective's range, unless that range is 0 or NaN.
+    neighbours over the objective's range, unless that range is 0.
     So a front of one or two points is all infinity."""
     import numpy as np
     objs = _points(front, "front")
+    with np.errstate(over="ignore"):
+        _require(not len(objs) or np.isfinite(np.ptp(objs, axis=0)).all(),
+                 "must have a finite range in each objective", "front")
     return _crowding(objs, np.zeros(len(objs), dtype=np.int64)).tolist()
 
 
@@ -437,7 +432,11 @@ def _build_front(pop: _Population, ranks: np.ndarray) -> ParetoFront:
 
 def grid_steps(grid_step: float) -> int:
     """brute_force_front's r-grid steps, round(1/step); ValidationError for
-    a step outside (0, 1] or more than MAX_GRID_POINTS points."""
+    a step that is not a number, outside (0, 1] or of more than
+    MAX_GRID_POINTS points."""
+    _require(isinstance(grid_step, numbers.Real)
+             and not isinstance(grid_step, bool), "must be a number",
+             "grid_step")
     _require(0 < grid_step <= 1, "must be within (0, 1]", "grid_step")
     # 1 / 5e-324 is inf, which round refuses
     steps = max(1, round(min(1.0 / grid_step, MAX_GRID_POINTS)))

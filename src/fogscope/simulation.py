@@ -256,14 +256,10 @@ class TrendComparison(NamedTuple):
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the mean of their ranks."""
     import numpy as np
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    # [start, end) bounds of each run of equal values in sorted order
-    bounds = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
-    ranks = np.empty(len(values))
-    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0,
-                             np.diff(bounds))
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True,
+                                   return_counts=True)
+    # a run of c equal values ending at rank k shares k - (c - 1) / 2
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman(a: Sequence[float], b: Sequence[float]) -> float:
