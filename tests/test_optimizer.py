@@ -46,9 +46,10 @@ class TestDominates:
 # neither function takes these: they are not n vectors of numbers of one
 # common length >= 1
 MALFORMED_POINTS = [[()], [(), (), ()], [1.0, 2.0], [1.0, 2.0, 3.0],
-                    [(1.0, 2.0), (3.0,)], [("a", 1.0)]]
+                    [(1.0, 2.0), (3.0,)], [("a", 1.0)], [(1 + 2j, 1.0)],
+                    [({}, 1.0)]]
 MALFORMED_IDS = ["one-empty", "three-empty", "two-scalars", "three-scalars",
-                 "ragged", "not-numbers"]
+                 "ragged", "not-numbers", "complex", "dict"]
 NON_FINITE = [math.nan, math.inf, -math.inf]
 NON_FINITE_IDS = ["nan", "inf", "minus-inf"]
 
