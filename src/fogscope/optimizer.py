@@ -194,7 +194,7 @@ def _points(points: Sequence[Sequence[float]], name: str) -> np.ndarray:
     import numpy as np
     try:
         rows = np.asarray(points, dtype=float)
-    except ValueError:  # ragged, or not numbers
+    except (TypeError, ValueError):  # ragged, or not numbers
         rows = np.empty(())
     _require(rows.shape == (0,) or rows.ndim == 2 and rows.shape[1] > 0,
              "must be vectors of numbers of one common length >= 1", name)
