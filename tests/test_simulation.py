@@ -631,7 +631,10 @@ class TestSpearman:
 
     @pytest.mark.parametrize("a, b", [
         ([1.0, 2.0, 3.0], [1.0, 2.0]), ([1.0], [1.0, 2.0]), ([], [1.0]),
-        ([], []), (1.0, 2.0), ([[1.0, 2.0]], [[2.0, 1.0]])])
+        ([], []), (1.0, 2.0), ([[1.0, 2.0]], [[2.0, 1.0]]),
+        (["x", 1.0, 2.0], [3.0, 1.0, 2.0]), ([[], 1.0, 2.0], [3.0, 1.0, 2.0]),
+        ([1j, 1.0, 2.0], [3.0, 1.0, 2.0]), ([{}, 1.0, 2.0], [3.0, 1.0, 2.0]),
+        ([3.0, 1.0, 2.0], [10**400, 1.0, 2.0])])
     def test_unequal_empty_or_nested_input_is_a_named_error(self, a, b):
         with pytest.raises(ValidationError) as exc:
             spearman(a, b)
