@@ -645,8 +645,15 @@ class TestHypervolume:
         ([(-math.inf, 0.5)], (1.0, 1.0), "points"),
         ([(0.5, 0.5)], (math.inf, 1.0), "reference"),
         ([(1.0,) * 4], (2.0,) * 4, "reference"),
+        ([("x", 1.0)], (2.0, 2.0), "points"),
+        ([(None, 1.0)], (2.0, 2.0), "points"),
+        ([1.0, 2.0], (2.0, 2.0), "points"),
+        ([(10**400, 1.0)], (2.0, 2.0), "points"),
+        ([(0.5, 0.5)], None, "reference"),
+        ([(0.5, 0.5)], (1j, 1.0), "reference"),
     ], ids=["length", "nan-beyond", "minus-inf", "inf-reference",
-            "four-objectives"])
+            "four-objectives", "string", "none", "flat", "huge-int",
+            "no-reference", "complex-reference"])
     def test_input_errors_are_validation_errors_naming_their_field(
             self, points, reference, field):
         with pytest.raises(ValidationError, match=f"^{field}: ") as error:
