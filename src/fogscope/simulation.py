@@ -267,7 +267,10 @@ def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     input is constant or contains NaN.  Inputs that are not two nonempty
     sequences of equal length raise ValidationError."""
     import numpy as np
-    x, y = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    try:
+        x, y = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+        x = y = np.empty(())
     _require(x.ndim == y.ndim == 1 and len(x) == len(y) > 0,
              "must be flat, nonempty and of equal length", "a, b")
     if (np.isnan(x).any() or np.isnan(y).any()
