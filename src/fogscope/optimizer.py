@@ -16,6 +16,7 @@ import math
 import numbers
 import random
 from bisect import bisect_left, bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, repeat, starmap
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -469,16 +470,20 @@ def hypervolume(points: Sequence[Sequence[float]],
 
     Supports 2 and 3 objectives; points at or beyond the reference in any
     coordinate, ``inf`` included, contribute nothing.  Raises
-    ValidationError for a point whose length is not the reference's, for
-    non-finite coordinates (a NaN anywhere, a reference that is not finite,
-    or a point within the reference that is not), and for a volume beyond
-    the float range.  One sweep in ascending third objective (Fonseca,
-    Paquete & Lopez-Ibanez, CEC 2006) keeps the 2-D staircase of the points
-    seen so far and its area, so a set of n points costs O(n log n)
-    comparisons.
+    ValidationError for coordinates that are not floats, for a point whose
+    length is not the reference's, for non-finite coordinates (a NaN
+    anywhere, a reference that is not finite, or a point within the
+    reference that is not), and for a volume beyond the float range.  One
+    sweep in ascending third objective (Fonseca, Paquete & Lopez-Ibanez,
+    CEC 2006) keeps the 2-D staircase of the points seen so far and its
+    area, so a set of n points costs O(n log n) comparisons.
     """
-    ref = tuple(float(v) for v in reference)
-    pts = [tuple(float(v) for v in p) for p in points]
+    ref = pts = None
+    with suppress(TypeError, ValueError, OverflowError):  # not numbers
+        ref = tuple(map(float, reference))
+        pts = [tuple(map(float, p)) for p in points]
+    _require(ref is not None, "must be a sequence of floats", "reference")
+    _require(pts is not None, "must be sequences of floats", "points")
     _require(all(len(p) == len(ref) for p in pts),
              "must each be of equal length to the reference", "points")
     _require(all(map(math.isfinite, ref)), f"must be finite, got {ref!r}",
