@@ -138,8 +138,8 @@ def evaluate(scenario_path: Optional[str], r: float):
         _fail(EXIT_INPUT, f"--r={r} violates the bound [0, 1]")
     row = model.evaluate_split(scn, r)
     if not row.feasible:
-        _fail(EXIT_INFEASIBLE, f"fog power {row.fog_power_w:.6g} W exceeds "
-                               f"TDP {scn.fog.tdp:.6g} W at r={r}")
+        exceeded = model.TdpExceeded(row.fog_power_w, scn.fog.tdp)
+        _fail(EXIT_INFEASIBLE, f"{exceeded} at r={r}")
     table = ResultTable(columns=model.Evaluation._fields, rows=[row])
     manifest = RunManifest.create("evaluate", scenario_digest(scn))
     _emit("evaluate.csv", manifest, table)
@@ -194,12 +194,14 @@ def sweep(scenario_path: Optional[str], grid_text: str, r_steps: int):
 
 @main.command("optimize")
 @_SCENARIO
-@click.option("--pop", type=int, default=100, show_default=True)
-@click.option("--gens", type=int, default=100, show_default=True)
+@click.option("--pop", type=int, default=OptConfig.population_size,
+              show_default=True)
+@click.option("--gens", type=int, default=OptConfig.generations,
+              show_default=True)
 @click.option("--seed", type=int, required=True)
-@_NUMBER("--crossover-rate", default=0.9)
-@_NUMBER("--mutation-rate", default=0.1)
-@_NUMBER("--mutation-sigma", default=0.05)
+@_NUMBER("--crossover-rate", default=OptConfig.crossover_rate)
+@_NUMBER("--mutation-rate", default=OptConfig.mutation_rate)
+@_NUMBER("--mutation-sigma", default=OptConfig.mutation_sigma)
 def optimize_cmd(scenario_path: Optional[str], pop: int, gens: int, seed: int,
                  crossover_rate: float, mutation_rate: float,
                  mutation_sigma: float):
@@ -308,7 +310,7 @@ def fov(heights: str, speeds: str, dfov: float, aspect: str):
             rows.append((h, v, along, dwell, verdict.feasible))
     table = ResultTable(
         columns=("height_m", "speed_mps", "along_track_m", "dwell_s",
-                 "cloud_feasible_at_1.68s"),
+                 f"cloud_feasible_at_{flight.CLOUD_ROUND_TRIP_S}s"),
         rows=rows)
     manifest = RunManifest.create("fov", f"dfov={dfov!r},aspect={aspect}")
     _emit("fov.csv", manifest, table)
@@ -325,7 +327,7 @@ def fov(heights: str, speeds: str, dfov: float, aspect: str):
          help="Overall drivetrain efficiency (1.0 = ideal model).")
 @_NUMBER("--wing-area", default=0.72)
 @_NUMBER("--drag-coeff", default=0.05)
-@_NUMBER("--lift-coeff", default=0.3)
+@_NUMBER("--lift-coeff", default=flight.AircraftModel.lift_coeff)
 def power(kind: str, mass_min: float, mass_max: float, step: float,
           motor_name: str, efficiency: float, wing_area: float,
           drag_coeff: float, lift_coeff: float):

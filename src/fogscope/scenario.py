@@ -74,7 +74,6 @@ def _require_finite_objectives(s: Scenario) -> None:
 class NetworkPreset(NamedTuple):
     """Mobile network standard: uplink throughput plus a latency range."""
 
-    name: str
     uplink_bps: float
     latency_range_s: tuple[float, float]
 
@@ -95,7 +94,6 @@ class NetworkPreset(NamedTuple):
 class BitrateRange(NamedTuple):
     """Video bitrate envelope for a streaming resolution."""
 
-    name: str
     min_bps: float
     max_bps: float
 
@@ -103,7 +101,6 @@ class BitrateRange(NamedTuple):
 class WirelessInfo(NamedTuple):
     """Informational record about a short/medium-range wireless standard."""
 
-    name: str
     coverage: str
     throughput: str
     frequency: str
@@ -121,16 +118,16 @@ class PresetCatalog(NamedTuple):
 
 CATALOG = PresetCatalog(
     networks={
-        "gsm": NetworkPreset("gsm", 40e3, (0.6, 0.75)),
-        "umts": NetworkPreset("umts", 384e3, (0.5, 0.75)),
-        "hspa": NetworkPreset("hspa", 5.76e6, (0.15, 0.4)),
-        "hspa_plus": NetworkPreset("hspa_plus", 11.5e6, (0.1, 0.2)),
+        "gsm": NetworkPreset(40e3, (0.6, 0.75)),
+        "umts": NetworkPreset(384e3, (0.5, 0.75)),
+        "hspa": NetworkPreset(5.76e6, (0.15, 0.4)),
+        "hspa_plus": NetworkPreset(11.5e6, (0.1, 0.2)),
     },
     bitrates={
-        "360p": BitrateRange("360p", 400e3, 1e6),
-        "480p": BitrateRange("480p", 500e3, 2e6),
-        "720p": BitrateRange("720p", 1.5e6, 4e6),
-        "1080p": BitrateRange("1080p", 3e6, 6e6),
+        "360p": BitrateRange(400e3, 1e6),
+        "480p": BitrateRange(500e3, 2e6),
+        "720p": BitrateRange(1.5e6, 4e6),
+        "1080p": BitrateRange(3e6, 6e6),
     },
     motors={
         "x2212": MotorParams(
@@ -145,15 +142,15 @@ CATALOG = PresetCatalog(
     },
     # "hspa_info" keeps preset names unique; "hspa" is the network entry
     wireless_info={
-        "bluetooth": WirelessInfo("bluetooth", "100 m", "22 Mbps",
+        "bluetooth": WirelessInfo("100 m", "22 Mbps",
                                   "LF 120-134 kHz / HF 13.56 MHz / UHF 850-960 MHz",
                                   "high"),
-        "wifi": WirelessInfo("wifi", "0.1-2 km", "up to 300 Mbps", "2.4, 5 GHz",
+        "wifi": WirelessInfo("0.1-2 km", "up to 300 Mbps", "2.4, 5 GHz",
                              "low"),
-        "hspa_info": WirelessInfo("hspa_info", "5 km", "5.76-11 Mbps",
+        "hspa_info": WirelessInfo("5 km", "5.76-11 Mbps",
                                   "TDD 1.85-3.8 GHz / FDD 0.7-2.6 GHz",
                                   "depends on signal strength"),
-        "zigbee": WirelessInfo("zigbee", "1.2-14 km", "0.25-72 Mbps",
+        "zigbee": WirelessInfo("1.2-14 km", "0.25-72 Mbps",
                                "0.9, 1.2, 2.4 GHz", "depends on model"),
     },
 )
@@ -188,8 +185,6 @@ def catalog_rows() -> list[tuple[str, str, str, str, str]]:
             values = (record._asdict() if isinstance(record, tuple)
                       else asdict(record))
             for key, value in values.items():
-                if key == "name":
-                    continue
                 if isinstance(value, tuple):
                     items = [(key.replace("_range", bound), v)
                              for bound, v in zip(("_min", "_max"), value)]
@@ -390,7 +385,7 @@ def load_scenario(text: str) -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a mapping")
 
-    name = doc.pop("name", "scenario")
+    name = doc.pop("name", Scenario.name)
     _require(isinstance(name, str) and name != "",
              "must be a nonempty string", "name")
     modification1 = _flag(doc, "modification1_enabled")
@@ -494,27 +489,19 @@ def parse_grid_spec(text: str) -> GridAxes:
         _require(bool(sep and axis and values),
                  f"malformed axis spec {part!r}", "grid")
         _require(axis not in axes, f"axis {axis!r} given twice", "grid")
-        key = _as_bitrate if axis == "bitrate" else _as_number
-        again = next((v for v, n in Counter(map(key, values)).items()
-                      if n > 1), None)
+        keys = Counter(_grid_key(axis, value) for value in values)
+        again = next((key for key, n in keys.items() if n > 1), None)
         _require(again is None, f"axis {axis!r} gives {again!r} twice", "grid")
         axes[axis] = values
     return list(axes.items())
 
 
-def _as_number(value: str):
-    """A grid value as the finite number it reads as, else as its text."""
+def _grid_key(axis: str, value: str):
+    """A grid value as the number the sweep reads from it, else as its
+    text."""
     try:
-        number = float(value)
-    except ValueError:
-        return value
-    return number if math.isfinite(number) else value
-
-
-def _as_bitrate(value: str):
-    """A bitrate grid value as the bit rate it names, else as its text."""
-    try:
-        return _bitrate_bps(value)
+        return (_bitrate_bps(value) if axis == "bitrate"
+                else _number(f"grid.{axis}", value))
     except ValidationError:
         return value
 

@@ -729,6 +729,7 @@ ERROR_DOCS = {
                                                    "tdp_w: !!map [1]"),
     # bytes 0xff 0xfe, which UTF-8 does not decode, written as surrogates
     "not-utf8.yaml": "name: \udcff\udcfe bad\n",
+    "tdp-bound.yaml": DEFAULT_DOC.replace("tdp_w: 10.0", "tdp_w: 2.0607"),
     "impossible.yaml":
         "modification1_enabled: true\n"
         "workload: {arrival_rate_pps: 100, packet_size_bits: 12000}\n"
@@ -980,6 +981,10 @@ ERROR_LINES = {
     "trace-is-dir": ([*SIM, "--trace", "{tmp}"], 2,
                      "error: cannot write trace file: [Errno 21] Is a "
                      "directory: '{tmp}'\n"),
+    # model.TdpExceeded's message, then the split
+    "evaluate-over-tdp": (
+        ["evaluate", "--scenario", "{tmp}/tdp-bound.yaml", "--r", "0.9"], 3,
+        "error: fog power 2.108 W exceeds TDP 2.0607 W at r=0.9\n"),
 }
 # the environment the cases above run under, over the out_dir fixture's
 ERROR_ENV = {
@@ -1020,6 +1025,15 @@ class TestErrorLines:
         assert result.stderr == stderr.format(tmp=tmp_path)
         assert result.stdout == ""
         assert not out_dir.exists()
+
+    def test_optimize_help_shows_the_search_defaults(self, runner):
+        result = runner.invoke(main, ["optimize", "--help"])
+        assert result.exit_code == 0
+        shown = dict(re.findall(r"(--[a-z-]+) \w+ +\[default: (\S+)\]",
+                                result.stdout))
+        assert shown == {"--pop": "100", "--gens": "100",
+                         "--crossover-rate": "0.9", "--mutation-rate": "0.1",
+                         "--mutation-sigma": "0.05"}
 
     def test_other_exceptions_propagate(self, runner, out_dir, monkeypatch):
         # a bug is no input error: it must end in a traceback, not exit 2

@@ -844,6 +844,52 @@ def test_grid_labels_hold_in_any_axis_order(orders, include_base):
                 for s in second})
 
 
+def spellings_of(n: int) -> list[str]:
+    """Texts that ``float`` reads as the integer ``n``."""
+    sign, digits = "-" if n < 0 else "+", str(abs(n))
+    return [str(n), f"{n}.0", f"{sign}{digits}", f"{n}e0", f"{sign}0{digits}",
+            f"{n:_}", f"{n * 10}e-1", f"{n}00e-2", repr(float(n))]
+
+
+# every bit-rate preset value, a value name or text that names no number
+BITRATE_VALUES = [f"{name}_{bound}" for name in CATALOG.bitrates
+                  for bound in ("min", "max")]
+GRID_TEXTS = [*BITRATE_VALUES, "4k_max", "360p", "x", "nan", "inf", "-inf",
+              "1e400"]
+
+
+@st.composite
+def grid_value_pairs(draw):
+    """Two values of one axis, each a spelling of one number (a bit-rate
+    preset's, at times), a number near it, or a text from GRID_TEXTS."""
+    n = draw(st.one_of(st.integers(-3, 12), st.sampled_from(
+        [int(bps) for record in CATALOG.bitrates.values()
+         for bps in (record.min_bps, record.max_bps)])))
+    values = st.sampled_from([*spellings_of(n), repr(n + 0.5), *GRID_TEXTS])
+    return draw(values), draw(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["fog.tdp_w", "v_fog_frac", "bitrate"]),
+       grid_value_pairs())
+def test_grid_values_repeat_exactly_when_they_set_one_number(axis, pair):
+    sections = {section: dict(vars(getattr(default_scenario(), section)))
+                for section in scenario._SECTION_PARAMS}
+
+    def sets(value):
+        try:
+            return scenario._axis_fields(sections, False, axis, value)
+        except ValidationError:  # compared as text
+            return value
+    try:
+        parse_grid_spec(f"{axis}={pair[0]},{pair[1]}")
+        repeated = False
+    except ValidationError as exc:
+        assert str(exc).endswith(" twice")
+        repeated = True
+    assert repeated == (sets(pair[0]) == sets(pair[1]))
+
+
 @given(rate=st.floats(min_value=0.5, max_value=1e5),
        size=st.floats(min_value=1.0, max_value=1e6),
        uplink=st.floats(min_value=1.0, max_value=1e9),
