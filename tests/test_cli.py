@@ -11,6 +11,7 @@ import os
 import random
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import warnings
@@ -1276,6 +1277,37 @@ def test_peak_rss_script_smoke():
     assert match, line
     assert len(set(match.groups()[:3])) == 1 and float(match[1]) > 0
     assert len(set(match.groups()[3:])) == 1 and float(match[4]) > 0
+
+
+def trees_bytes(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "trees.py"), "bytes", *args],
+        capture_output=True, text=True, timeout=120)
+
+
+def test_trees_bytes_script_smoke():
+    # the working tree as both sides, so that no git history is needed
+    result = trees_bytes(str(ROOT), str(ROOT), "--", "presets",
+                         "sweep --grid network=5g")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "same  presets", "same  sweep --grid network=5g",
+        "2 command(s), 0 differ"]
+
+
+def test_trees_bytes_script_names_the_first_difference(tmp_path):
+    # one catalog value changed: presets' manifest line carries the checksum
+    shutil.copytree(SRC, tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = tmp_path / "src" / "fogscope" / "scenario.py"
+    source.write_text(source.read_text(encoding="utf-8").replace(
+        '"gsm": NetworkPreset(40e3', '"gsm": NetworkPreset(41e3'),
+        encoding="utf-8")
+    result = trees_bytes(str(ROOT), str(tmp_path), "--", "presets")
+    assert result.returncode == 1, result.stderr
+    line, summary = result.stdout.splitlines()
+    assert line.startswith("DIFF  presets  --  stdout line 1: ")
+    assert summary == "1 command(s), 1 differ"
 
 
 def modules_loaded_by(code: str, *packages: str, **env: str) -> list[str]:
