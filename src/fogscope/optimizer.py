@@ -479,7 +479,7 @@ def hypervolume(points: Sequence[Sequence[float]],
     area, so a set of n points costs O(n log n) comparisons.
     """
     ref = pts = None
-    with suppress(TypeError, ValueError, OverflowError):  # not numbers
+    with suppress(TypeError, ValueError, OverflowError):
         ref = tuple(map(float, reference))
         pts = [tuple(map(float, p)) for p in points]
     _require(ref is not None, "must be a sequence of floats", "reference")
