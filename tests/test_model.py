@@ -585,6 +585,16 @@ class TestEvaluateKernel:
         with pytest.raises(ValidationError):
             model.evaluate(default_scenario(), np.array([0.5, 1.5]))
 
+    @pytest.mark.parametrize("r", [
+        "x", [0.1, "x"], [[0.1], [0.2, 0.3]], 10**400, [1j],
+    ], ids=["string", "string-element", "ragged", "huge-int", "complex"])
+    def test_r_that_is_no_float_array_rejected(self, r):
+        # numpy's own ValueError, OverflowError or TypeError before
+        with pytest.raises(ValidationError,
+                           match=r"^r: must be within \[0, 1\]$") as exc:
+            model.evaluate(default_scenario(), r)
+        assert exc.value.field == "r"
+
     def test_no_warning_when_any_split_is_unstable(self):
         # a grid scan crosses the stability boundary by design; only a
         # single split warns

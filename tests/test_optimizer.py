@@ -47,9 +47,9 @@ class TestDominates:
 # common length >= 1
 MALFORMED_POINTS = [[()], [(), (), ()], [1.0, 2.0], [1.0, 2.0, 3.0],
                     [(1.0, 2.0), (3.0,)], [("a", 1.0)], [(1 + 2j, 1.0)],
-                    [({}, 1.0)]]
+                    [({}, 1.0)], [(10**400, 1.0), (1.0, 2.0)]]
 MALFORMED_IDS = ["one-empty", "three-empty", "two-scalars", "three-scalars",
-                 "ragged", "not-numbers", "complex", "dict"]
+                 "ragged", "not-numbers", "complex", "dict", "huge-int"]
 NON_FINITE = [math.nan, math.inf, -math.inf]
 NON_FINITE_IDS = ["nan", "inf", "minus-inf"]
 

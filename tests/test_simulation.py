@@ -582,6 +582,16 @@ class TestTrendCompare:
         assert str(exc.value) == "r_grid: must be nonempty"
         assert exc.value.field == "r_grid"
 
+    @pytest.mark.parametrize("r_grid", [["x"], [0.1, [0.2]], [10**400]],
+                             ids=["string", "nested", "huge-int"])
+    def test_grid_that_is_no_float_array_rejected(self, r_grid):
+        sim = SimScenario(scenario=default_scenario(), local_prob=0.0,
+                          duration_s=50.0)
+        with pytest.raises(ValidationError,
+                           match=r"^r: must be within \[0, 1\]$") as exc:
+            trend_compare(sim, r_grid, seed=1)
+        assert exc.value.field == "r"
+
 
 class TestSpearman:
     """The numpy average-rank Spearman against scipy as the oracle."""
