@@ -84,6 +84,16 @@ def _require_int(value, field: str, minimum: Optional[int] = None) -> int:
     return int(value)
 
 
+def _float_array(values) -> np.ndarray:
+    """``values`` as a float array; a 0-d NaN, which each caller's shape or
+    range check refuses, if they are ragged, not numbers or beyond floats."""
+    import numpy as np
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return np.array(np.nan)
+
+
 # Python 3.11 compiles each method that @dataclass generates, at import: so
 # a fogscope dataclass generates `==` and repr only where callers use them,
 # and is frozen where __post_init__ checks its fields or its `==` gives a hash
@@ -362,7 +372,7 @@ def evaluate(scenario: "Scenario", r: np.ndarray) -> Evaluation:
     to it split by split.  Infeasible splits are flagged in ``feasible``.
     A scan may cross the fog stability boundary and warns of none."""
     import numpy as np
-    r = np.asarray(r, dtype=float)
+    r = _float_array(r)
     _require(bool(np.all((r >= 0.0) & (r <= 1.0))), "must be within [0, 1]",
              "r")
     rate = scenario.workload.arrival_rate

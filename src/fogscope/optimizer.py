@@ -193,10 +193,7 @@ def _ranks(objs: np.ndarray) -> np.ndarray:
 def _points(points: Sequence[Sequence[float]], name: str) -> np.ndarray:
     """`points` as an n x m finite float array, m >= 1; shape (0,) if none."""
     import numpy as np
-    try:
-        rows = np.asarray(points, dtype=float)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        rows = np.empty(())
+    rows = model._float_array(points)
     _require(rows.shape == (0,) or rows.ndim == 2 and rows.shape[1] > 0,
              "must be vectors of numbers of one common length >= 1", name)
     _require(np.isfinite(rows).all(), "must have finite coordinates", name)

@@ -77,18 +77,17 @@ class NetworkPreset(NamedTuple):
     uplink_bps: float
     latency_range_s: tuple[float, float]
 
-    def link_fields(self, include_base_latency: bool = False) -> dict:
+    def link_fields(self, include_base_latency: bool) -> dict:
         """The :class:`NetworkParams` fields this standard sets."""
         # downlink assumed symmetric; the source table reports uplink only
         base = (sum(self.latency_range_s) / 2.0) if include_base_latency else 0.0
         return {"uplink_throughput": self.uplink_bps,
                 "downlink_throughput": self.uplink_bps, "base_latency": base}
 
-    def to_network_params(self, include_base_latency: bool = False,
-                          **link: float) -> NetworkParams:
-        """The link of this standard; ``link`` holds the other
-        :class:`NetworkParams` fields (``noise_sigma``, ``return_fraction``)."""
-        return NetworkParams(**self.link_fields(include_base_latency), **link)
+    def to_network_params(self) -> NetworkParams:
+        """The link of this standard, with no base latency and the other
+        :class:`NetworkParams` fields at their defaults."""
+        return NetworkParams(**self.link_fields(False))
 
 
 class BitrateRange(NamedTuple):

@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 from itertools import islice
 from typing import IO, TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from . import model
-from .model import _require, _require_finite, _require_int
+from . import model, reporting
+from .model import _float_array, _require, _require_finite, _require_int
 from .scenario import Scenario
 
 if TYPE_CHECKING:
@@ -206,9 +206,6 @@ def simulate_trace(sim: SimScenario, seed: int) -> tuple[SimMetrics, Trace]:
 TRACE_COLUMNS = ("id", "arrival_time", "important", "path", "departure_time",
                  "size_bits")
 _TRACE_CLASS = {True: "true,forwarded", False: "false,local"}
-# rows joined into one string per write, not one write per row; a block of
-# 4,096 rows is about 0.25 MiB, and the float reprs are most of the cost
-_TRACE_BLOCK = 4096
 
 
 def write_trace(stream: IO[str], trace: Trace, size_bits: float) -> None:
@@ -220,7 +217,7 @@ def write_trace(stream: IO[str], trace: Trace, size_bits: float) -> None:
     rows = (f"{i},{arrival!r},{_TRACE_CLASS[forward]},"
             f"{'' if departure is None else repr(departure)},{size}\n"
             for i, (arrival, forward, departure) in enumerate(zip(*trace)))
-    while block := "".join(islice(rows, _TRACE_BLOCK)):
+    while block := "".join(islice(rows, reporting.ROWS_PER_BLOCK)):
         stream.write(block)
 
 
@@ -267,10 +264,7 @@ def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     input is constant or contains NaN.  Inputs that are not two nonempty
     sequences of equal length raise ValidationError."""
     import numpy as np
-    try:
-        x, y = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
-        x = y = np.empty(())
+    x, y = _float_array(a), _float_array(b)
     _require(x.ndim == y.ndim == 1 and len(x) == len(y) > 0,
              "must be flat, nonempty and of equal length", "a, b")
     if (np.isnan(x).any() or np.isnan(y).any()
@@ -288,9 +282,8 @@ def trend_compare(sim: SimScenario, r_grid: list[float],
     latency and the empirical mean of the local and forward latencies.
     A split above the TDP gives a row with ``analytic_feasible`` false.
     """
-    import numpy as np
     _require(bool(r_grid), "must be nonempty", "r_grid")
-    analytic = model.evaluate(sim.scenario, np.array(r_grid, dtype=float))
+    analytic = model.evaluate(sim.scenario, r_grid)
     rows = []
     for i, (r, _, throughput, power, fog_lat, cloud_lat, avg_lat, feasible) \
             in enumerate(zip(r_grid, *(c.tolist() for c in analytic))):
