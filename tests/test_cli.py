@@ -1310,6 +1310,44 @@ def test_trees_bytes_script_names_the_first_difference(tmp_path):
     assert summary == "1 command(s), 1 differ"
 
 
+def mutants(tmp_path, *entries: dict) -> subprocess.CompletedProcess:
+    data = tmp_path / "mutants.json"
+    data.write_text(json.dumps(entries), encoding="utf-8")
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "mutants.py"), str(data)],
+        capture_output=True, text=True, timeout=120)
+
+
+def test_mutants_script_smoke(tmp_path):
+    # one listed mutant, against one of the tests that catch it
+    listed = json.loads((ROOT / "scripts" / "mutants.json").read_text(
+        encoding="utf-8"))
+    (mutant,) = [m for m in listed
+                 if m["name"] == "float-array-without-overflow-error"]
+    mutant["tests"] = ["tests/test_model.py::TestEvaluateKernel::"
+                       "test_r_that_is_no_float_array_rejected[huge-int]"]
+    result = mutants(tmp_path, mutant)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines() == [
+        "caught    float-array-without-overflow-error",
+        "1 mutant(s), 0 not as expected"]
+
+
+def test_mutants_script_reports_a_stale_snippet(tmp_path):
+    # a snippet found twice, and one found nowhere: neither runs a test
+    result = mutants(tmp_path, *(
+        {"name": name, "file": "src/fogscope/model.py", "snippet": snippet,
+         "replacement": "", "tests": ["tests/test_model.py"],
+         "expect": "caught"}
+        for name, snippet in [("twice", "import numpy as np"),
+                              ("nowhere", "no such line")]))
+    assert result.returncode == 1, result.stderr
+    assert result.stdout.splitlines() == [
+        "stale     twice  (expected caught)",
+        "stale     nowhere  (expected caught)",
+        "2 mutant(s), 2 not as expected"]
+
+
 def modules_loaded_by(code: str, *packages: str, **env: str) -> list[str]:
     """The ``sys.modules`` keys of the top-level ``packages`` after ``code``
     runs in a fresh interpreter."""
