@@ -45,9 +45,9 @@ def load(path: Path) -> list[dict]:
     """The mutants of ``path``; ValueError names the first bad entry."""
     mutants = json.loads(path.read_text(encoding="utf-8"))
     for mutant in mutants:
-        missing = [field for field in FIELDS if field not in mutant]
-        if missing or mutant["expect"] not in EXPECTED or not mutant["tests"]:
-            raise ValueError(f"{mutant.get('name', mutant)!r} needs "
+        if (not isinstance(mutant, dict) or not set(FIELDS) <= mutant.keys()
+                or mutant["expect"] not in EXPECTED or not mutant["tests"]):
+            raise ValueError(f"{str(mutant)[:60]!r} is no object with "
                              f"{', '.join(FIELDS)}, a nonempty tests list "
                              "and expect caught or survives")
     return mutants

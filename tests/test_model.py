@@ -589,7 +589,7 @@ class TestEvaluateKernel:
         "x", [0.1, "x"], [[0.1], [0.2, 0.3]], 10**400, [1j],
     ], ids=["string", "string-element", "ragged", "huge-int", "complex"])
     def test_r_that_is_no_float_array_rejected(self, r):
-        # numpy's own ValueError, OverflowError or TypeError before
+        # each makes numpy raise ValueError, OverflowError or TypeError
         with pytest.raises(ValidationError,
                            match=r"^r: must be within \[0, 1\]$") as exc:
             model.evaluate(default_scenario(), r)
